@@ -41,7 +41,6 @@ from .symcore import (
     divide_by_linear_form,
     substitute_linear,
     substitute_linear_h,
-    unimodular_completion,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,16 @@
 """Rational-coefficient side of the construction.
 
 Classes are dicts mapping vertex id to a ``PolyH``.  Provides Euler classes,
-duals of flow-up faces, the fixed point integration formula, the local index
+duals of flow-up faces, integration over the manifold, the local index
 with its degree shortcut, the canonical basis (which here is the dual basis
 at every vertex, no index increasing hypothesis needed), the projected Euler
 class ratio for index-jump-one edges, and the path-sum classes that exist in
 the index increasing case.
+
+Integration expands the class triangularly in the flow-up duals and reads
+off the coefficient at the top vertex: only the point class there has a
+nonzero integral, 1.  The expansion is also the membership test.  The fixed
+point formula (``abbv_localized_sum``) stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    DivisionFailure,
     GKMViolation,
     IntegralityFailure,
     NonConstantQuotient,
@@ -21,7 +27,7 @@ from .errors import (
     NotIndexIncreasing,
     VerificationFailure,
 )
-from .gkm import flow_face, is_index_increasing
+from .gkm import flow_face, is_index_increasing, triangular_expansion
 from .symcore import (
     Irreducible,
     LocalizedSum,
@@ -101,14 +107,14 @@ def is_kirwan_class_h(g, c, vid):
 # integration
 
 def abbv_index(g, c):
-    """Integral over the manifold by the fixed point formula."""
-    s = LocalizedSum("H", g.rank)
-    for v in g.vids():
-        s.add_term(c[v], list(g.weights_at(v)))
-    out = s.reduce()
-    if isinstance(out, Irreducible):
-        raise NonPolynomialIndex("integral did not reduce to a polynomial")
-    return out
+    """Integral over the manifold: the coefficient of c at the top vertex in
+    the flow-up duals.  Raises ``NonPolynomialIndex`` when c is not a class."""
+    try:
+        coeffs = triangular_expansion(
+            g, c, lambda r: poincare_dual_h(g, r), divide_by_linear_form)
+    except DivisionFailure as exc:
+        raise NonPolynomialIndex(f"integral of a non-class: {exc}") from exc
+    return coeffs.get(g.vids()[-1], PolyH.zero(g.rank))
 
 
 def abbv_localized_sum(g, c):

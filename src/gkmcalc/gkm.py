@@ -5,7 +5,9 @@ explicit edge list and a direction vector.  The polytope one-skeleton is
 recovered by brute-force supporting-hyperplane tests (desk scale), each
 vertex is checked for the lattice-basis condition, edges are oriented along a
 generic direction and the combinatorial derived data (indices, flow faces,
-upward closures) is computed.
+upward closures) is computed.  The triangular elimination of a class in a
+Kirwan basis, which follows the moment order, is shared here by the K and H
+sides.
 
 Conventions, used consistently everywhere downstream:
 
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ContractError,
+    DivisionFailure,
     NotAPolytopeSkeleton,
     NotDelzant,
     SuppliedXiNotGeneric,
@@ -337,8 +341,8 @@ def orient_and_index(skel, xi):
         p.wminus = wminus
         p.lam = len(wplus)
     lams = [p.lam for p in points]
-    assert lams.count(0) == 1 and lams.count(skel.rank) == 1
-    assert points[0].lam == 0
+    if lams.count(0) != 1 or lams.count(skel.rank) != 1 or points[0].lam != 0:
+        raise ContractError("orientation needs one source and one sink vertex")
     return g
 
 
@@ -418,3 +422,33 @@ def index_violations(g):
 
 def is_index_increasing(g):
     return not index_violations(g)
+
+
+def triangular_expansion(g, c, basis_of, divide):
+    """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
+    increasing moment order.
+
+    ``basis_of(r)`` is a Kirwan class at r, needed only where a_r is nonzero
+    and only on its support; ``divide(f, w)`` is the exact division by the
+    Euler factor of weight w, returning None when it does not divide.  The
+    elimination runs to the end, so a nonzero residual or a failed division
+    certifies that c is not in the span (``DivisionFailure``).
+    """
+    residual = dict(c)
+    coeffs = {}
+    for r in g.vids():
+        f = residual[r]
+        if f.is_zero():
+            continue
+        for w in g.point(r).wplus:
+            f = divide(f, w)
+            if f is None:
+                raise DivisionFailure(
+                    f"value at {r} is not a multiple of its Euler class")
+        coeffs[r] = f
+        for v, b in basis_of(r).items():
+            if not b.is_zero():
+                residual[v] = residual[v] - f * b
+    if any(not v.is_zero() for v in residual.values()):
+        raise DivisionFailure("basis does not span: nonzero residual remains")
+    return coeffs

@@ -2,16 +2,22 @@
 
 A class is a plain dict mapping vertex id to a ``LaurentPoly`` of the graph's
 rank.  The module provides Euler classes, the edge divisibility check,
-duals of flow-up faces, the fixed-point push-forward, the local index at a
+duals of flow-up faces, the push-forward to a point, the local index at a
 vertex, the canonical basis construction in both the index increasing and
 the general case, triangular expansion in a Kirwan basis and structure
 constants.
+
+The push-forward expands the class triangularly in the flow-up duals (the
+Kirwan-basis expansion) and sums the coefficients: each dual is the class of
+the structure sheaf of a toric subvariety and has index 1.  The expansion is
+also the membership test.  The fixed point formula (``as_localized_sum``)
+stays as an independent oracle and drives the local index.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionFailure, GKMViolation, NonPolynomialIndex
-from .gkm import flow_face, is_index_increasing, upward_closure
+from .errors import ContractError, DivisionFailure, GKMViolation, NonPolynomialIndex
+from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
 from .symcore import (
     LaurentPoly,
     LocalizedSum,
@@ -121,15 +127,14 @@ def _denominator_at(g, vid):
 
 
 def atiyah_segal_index(g, c):
-    """Push-forward to a point via the fixed point formula; the result must
-    be a genuine character sum."""
-    s = LocalizedSum("K", g.rank)
-    for v in g.vids():
-        s.add_term(c[v], _denominator_at(g, v))
-    out = s.reduce()
-    if isinstance(out, Irreducible):
-        raise NonPolynomialIndex("push-forward did not reduce to a polynomial")
-    return out
+    """Push-forward to a point: the sum of the coefficients of c in the
+    flow-up duals.  Raises ``NonPolynomialIndex`` when c is not a class."""
+    try:
+        coeffs = triangular_expansion(
+            g, c, lambda r: poincare_dual_k(g, r), divide_by_cyclotomic)
+    except DivisionFailure as exc:
+        raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
+    return sum(coeffs.values(), LaurentPoly.zero(g.rank))
 
 
 def as_localized_sum(g, c):
@@ -255,23 +260,7 @@ def local_index_profile(g, c):
 def expand_in_basis(g, basis, c):
     """Coefficients of c in a Kirwan basis by triangular elimination in
     increasing moment order."""
-    residual = dict(c)
-    coeffs = {}
-    for r in g.vids():
-        val = residual[r]
-        if val.is_zero():
-            continue
-        f = val
-        for w in g.point(r).wplus:
-            f = divide_by_cyclotomic(f, w)
-            if f is None:
-                raise DivisionFailure(
-                    f"value at {r} is not a multiple of its Euler class")
-        coeffs[r] = f
-        residual = {v: residual[v] - f * basis[r][v] for v in residual}
-    if any(not v.is_zero() for v in residual.values()):
-        raise DivisionFailure("basis does not span: nonzero residual remains")
-    return coeffs
+    return triangular_expansion(g, c, basis.__getitem__, divide_by_cyclotomic)
 
 
 def structure_constants(g, basis):
@@ -295,8 +284,8 @@ def cpn_prequantization_basis(n):
 
         tau_p(s) = prod over q below p of (1 - e^(psi(s) - psi(q)))
 
-    on the flow-up of p and zero elsewhere; asserts they coincide with the
-    canonical basis."""
+    on the flow-up of p and zero elsewhere; raises ``ContractError`` unless
+    they coincide with the canonical basis."""
     from .fixtures import cp_input  # local import to avoid a cycle
     from .gkm import build_graph
 
@@ -318,5 +307,6 @@ def cpn_prequantization_basis(n):
         basis[p] = c
     canonical = icanonical_basis_k(g)
     for p in vids:
-        assert class_equal(basis[p], canonical[p])
+        if not class_equal(basis[p], canonical[p]):
+            raise ContractError(f"product-formula class at {p} is not canonical")
     return g, basis

@@ -7,7 +7,9 @@ Fraction).  ``LocalizedSum`` models sums of fractions whose denominators are
 products of the factor attached to a weight w: ``1 - e^w`` in K mode and the
 linear form ``w`` in H mode.  Reduction brings everything over a least common
 denominator and cancels factor by factor with the two exact division
-routines; there is deliberately no general multivariate gcd.
+routines; there is deliberately no general multivariate gcd.  It serves the
+local indices and path sums; the global indices expand in the flow-up duals
+instead and keep reduction only as a test oracle.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ def wt_lift(a, extra=1):
 # ---------------------------------------------------------------------------
 # small exact matrices (tuples of row tuples)
 
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_from_cols(cols):
     rows = len(cols[0])
     return tuple(tuple(c[i] for c in cols) for i in range(rows))
@@ -163,46 +161,6 @@ def mat_inv_unimodular(m):
             ints.append(int(x))
         out.append(tuple(ints))
     return tuple(out)
-
-
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    g, r = a, b
-    while r:
-        q = g // r
-        g, r = r, g - q * r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if g < 0:
-        g, x0, y0 = -g, -x0, -y0
-    return g, x0, y0
-
-
-def unimodular_completion(w):
-    """For nonzero w = g*u (u primitive) return (U, g) with U integer,
-    |det U| = 1 and U @ u = (1, 0, ..., 0)."""
-    if wt_is_zero(w):
-        raise ValueError("cannot complete the zero vector")
-    u, g = wt_primitive(w)
-    k = len(w)
-    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    v = list(u)
-    for i in range(1, k):
-        a, b = v[0], v[i]
-        if b == 0:
-            continue
-        d, x, y = xgcd(a, b)
-        r0 = [x * rows[0][t] + y * rows[i][t] for t in range(k)]
-        ri = [-(b // d) * rows[0][t] + (a // d) * rows[i][t] for t in range(k)]
-        rows[0], rows[i] = r0, ri
-        v[0], v[i] = d, 0
-    if v[0] == -1:
-        rows[0] = [-t for t in rows[0]]
-        v[0] = 1
-    assert v[0] == 1 and all(x == 0 for x in v[1:])
-    return tuple(tuple(r) for r in rows), g
 
 
 # ---------------------------------------------------------------------------
@@ -499,43 +457,33 @@ class PolyH:
 def divide_by_cyclotomic(p, w):
     """Exact division of p by (1 - e^w); returns the quotient or None.
 
-    A change of lattice coordinates turns the factor into 1 - X1^g, after
-    which the quotient is read off by a first-coordinate recurrence with
-    Laurent coefficients in the remaining variables.
+    The exponents of p fall into coset chains e + Z*w, positioned by a pivot
+    coordinate of w.  Along a chain the quotient is the running sum of the
+    coefficients of p, so the chain divides exactly iff its total is 0.
     """
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
         return p
-    u_mat, g = unimodular_completion(w)
-    q = p.apply_matrix(u_mat)
-    layers = {}
-    for e, c in q.terms.items():
-        layers.setdefault(e[0], {})[e[1:]] = c
-    lo = min(layers)
-    hi = max(layers)
-    span = hi - lo
-    b = {}
-    for j in range(span + 1):
-        cur = dict(b.get(j - g, ()))
-        for rest, c in layers.get(j + lo, {}).items():
-            nc = cur.get(rest, 0) + c
-            if nc:
-                cur[rest] = nc
-            else:
-                cur.pop(rest, None)
-        if cur:
-            b[j] = cur
-    for j in range(max(span - g + 1, 0), span + 1):
-        if b.get(j):
-            return None
+    pivot = next(i for i, c in enumerate(w) if c)
+    step = w[pivot]
+    chains = {}
+    for e, c in p.terms.items():
+        k = e[pivot] // step
+        base = tuple(x - k * y for x, y in zip(e, w))
+        chains.setdefault(base, []).append((k, c))
     out = {}
-    for j, layer in b.items():
-        if j <= span - g:
-            for rest, c in layer.items():
-                out[(j + lo,) + rest] = c
-    quot = LaurentPoly(p.rank, out)
-    return quot.apply_matrix(mat_inv_unimodular(u_mat))
+    for base, chain in chains.items():
+        chain.sort()
+        total = 0
+        for (k, c), (k_next, _) in zip(chain, chain[1:]):
+            total += c
+            if total:
+                for j in range(k, k_next):
+                    out[tuple(x + j * y for x, y in zip(base, w))] = total
+        if total + chain[-1][1]:
+            return None
+    return LaurentPoly(p.rank, out)
 
 
 def divide_by_linear_form(p, w):

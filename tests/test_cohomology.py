@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.errors import NotECanEdge, NotIndexIncreasing
+from gkmcalc.errors import NonPolynomialIndex, NotECanEdge, NotIndexIncreasing
+from gkmcalc.fixtures import fixture_graph
 from gkmcalc.cohomology import (
     abbv_index,
     abbv_localized_sum,
@@ -127,6 +128,45 @@ def test_integral_numeric_oracle(cp2, etas2h):
                       (Fraction(-2, 3), Fraction(9, 4)),
                       (Fraction(5), Fraction(3))]:
             assert s.eval_h(point) == out.eval_at(point)
+
+
+def test_integral_matches_fixed_point_formula(cp2, cp3, square, hirzebruch):
+    # sum a_p * eta_p integrates to a_top; the common-denominator reduction
+    # and exact evaluation of the fixed point sum are oracles
+    r = rng(402)
+    for g in (cp2, cp3, square, hirzebruch, fixture_graph("cpn:4")):
+        top = g.vids()[-1]
+        etas = {p: poincare_dual_h(g, p) for p in g.vids()}
+        points = [tuple(t * x for x in g.xi)
+                  for t in (Fraction(1), Fraction(-3, 2), Fraction(5, 7))]
+        for _ in range(8):
+            coeffs = {p: rand_polyh(r, g.rank, max_terms=2, deg=1)
+                      for p in g.vids() if r.random() < 0.6}
+            c = zero_class_h(g)
+            for p, a in coeffs.items():
+                c = {v: c[v] + a * etas[p][v] for v in c}
+            out = abbv_index(g, c)
+            assert out == coeffs.get(top, PolyH.zero(g.rank))
+            s = abbv_localized_sum(g, c)
+            assert out == s.reduce()
+            for point in points:
+                assert s.eval_h(point) == out.eval_at(point)
+
+
+def test_integral_rejects_non_class(cp2):
+    c = table_h(cp2, p1=PolyH.one(2))
+    with pytest.raises(NonPolynomialIndex):
+        abbv_index(cp2, c)
+
+
+def test_integral_rejects_non_class_with_polynomial_fixed_point_sum(square):
+    # y/(x y) - y/(y x) at the two ends of the diagonal sums to 0, but y is
+    # not divisible by x on the edge q3 -> q2
+    c = table_h(square, q3=form(0, 1), q0=-form(0, 1))
+    assert abbv_localized_sum(square, c).reduce() == PolyH.zero(2)
+    assert check_gkm_h(square, c)
+    with pytest.raises(NonPolynomialIndex):
+        abbv_index(square, c)
 
 
 # ---------------------------------------------------------------------------

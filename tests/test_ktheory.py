@@ -34,7 +34,7 @@ from gkmcalc.ktheory import (
 )
 from gkmcalc.symcore import LaurentPoly
 
-from conftest import rand_laurent, rng
+from conftest import rand_laurent, rng, specialization_points
 
 
 def e(*expo):
@@ -178,6 +178,37 @@ def test_pushforward_rejects_non_class(cp2):
     c = table(cp2, p1=LaurentPoly.one(2))
     with pytest.raises(NonPolynomialIndex):
         atiyah_segal_index(cp2, c)
+
+
+def test_pushforward_matches_fixed_point_formula(cp2, cp3, square, hirzebruch):
+    # sum a_p * eta_p pushes forward to sum a_p; the common-denominator
+    # reduction and exact specialization of the fixed point sum are oracles
+    r = rng(302)
+    bases, _ = specialization_points(1)
+    for g in (cp2, cp3, square, hirzebruch, fixture_graph("cpn:4")):
+        etas = {p: poincare_dual_k(g, p) for p in g.vids()}
+        for _ in range(8):
+            coeffs = {p: rand_laurent(r, g.rank, 2) for p in g.vids() if r.random() < 0.6}
+            c = zero_class(g)
+            for p, a in coeffs.items():
+                c = class_add(c, class_scale(etas[p], a))
+            out = atiyah_segal_index(g, c)
+            assert out == sum(coeffs.values(), LaurentPoly.zero(g.rank))
+            s = as_localized_sum(g, c)
+            assert out == s.reduce()
+            for base in bases:
+                assert s.eval_k(base, g.xi) == out.eval_at(base, g.xi)
+
+
+def test_pushforward_rejects_non_class_with_polynomial_fixed_point_sum(square):
+    # equal and opposite 1/(1 - e^x) terms at the two ends of the diagonal:
+    # the fixed point sum reduces to 0, but the table breaks divisibility on
+    # the edges at the bottom vertex
+    c = table(square, q3=1 - e(0, -1), q0=e(1, 0) * (1 - e(0, 1)))
+    assert as_localized_sum(square, c).reduce() == LaurentPoly.zero(2)
+    assert check_gkm_k(square, c)
+    with pytest.raises(NonPolynomialIndex):
+        atiyah_segal_index(square, c)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,10 @@ from gkmcalc.symcore import (
     canonical_sign,
     divide_by_cyclotomic,
     divide_by_linear_form,
-    mat_det,
-    mat_from_cols,
-    mat_vec,
     rational_primitive,
     substitute_linear,
-    unimodular_completion,
-    wt_primitive,
+    wt_scale,
+    wt_sub,
 )
 
 from conftest import rand_laurent, rand_polyh, rand_weight, rng
@@ -78,42 +75,6 @@ def test_polyh_basics():
 # ---------------------------------------------------------------------------
 # lattice utilities
 
-def test_completion_basis_vector():
-    u, g = unimodular_completion((1, 0))
-    assert u == ((1, 0), (0, 1))
-    assert g == 1
-
-
-def test_completion_gcd_extraction():
-    u, g = unimodular_completion((2, 0))
-    assert u == ((1, 0), (0, 1))
-    assert g == 2
-
-
-def test_completion_euclid():
-    u, g = unimodular_completion((2, 3))
-    assert g == 1
-    assert abs(mat_det(u)) == 1
-    assert mat_vec(u, (2, 3)) == (1, 0)
-
-
-def test_completion_random():
-    r = rng(102)
-    for _ in range(200):
-        rank = r.randint(1, 4)
-        w = rand_weight(r, rank, -6, 6)
-        u, g = unimodular_completion(w)
-        prim, g2 = wt_primitive(w)
-        assert g == g2
-        assert abs(mat_det(u)) == 1
-        assert mat_vec(u, prim) == tuple(1 if i == 0 else 0 for i in range(rank))
-
-
-def test_completion_rejects_zero():
-    with pytest.raises(ValueError):
-        unimodular_completion((0, 0))
-
-
 def test_rational_primitive():
     u, s = rational_primitive((Fraction(3, 2), Fraction(-3, 2)))
     assert u == (1, -1)
@@ -156,6 +117,88 @@ def test_cyclotomic_roundtrip_random():
 def test_cyclotomic_rejects_zero_weight():
     with pytest.raises(ValueError):
         divide_by_cyclotomic(LaurentPoly.one(2), (0, 0))
+
+
+def test_cyclotomic_zero_weight_rejected_for_zero_dividend():
+    with pytest.raises(ValueError):
+        divide_by_cyclotomic(LaurentPoly.zero(3), (0, 0, 0))
+
+
+def test_cyclotomic_zero_dividend():
+    r = rng(105)
+    for _ in range(20):
+        rank = r.randint(1, 4)
+        z = LaurentPoly.zero(rank)
+        assert divide_by_cyclotomic(z, rand_weight(r, rank, -5, 5)) == z
+
+
+def test_cyclotomic_roundtrip_non_primitive_weight():
+    r = rng(106)
+    for _ in range(200):
+        rank = r.randint(1, 4)
+        w = wt_scale(rand_weight(r, rank, -3, 3), r.randint(2, 4))
+        p = rand_laurent(r, rank, max_terms=4, expo=3)
+        assert divide_by_cyclotomic(LaurentPoly.one_minus(w) * p, w) == p
+
+
+def test_cyclotomic_roundtrip_negative_first_entry():
+    r = rng(107)
+    for _ in range(200):
+        rank = r.randint(1, 4)
+        w = (-r.randint(1, 5),) + rand_weight(r, rank - 1, -5, 5, nonzero=False)
+        p = rand_laurent(r, rank, max_terms=4, expo=3)
+        assert divide_by_cyclotomic(LaurentPoly.one_minus(w) * p, w) == p
+
+
+def test_cyclotomic_rejects_nonzero_coset_sum():
+    # adding c*e^v to a multiple of 1 - e^w makes the sum over the coset
+    # v + Z*w nonzero, whatever the rest of the polynomial is
+    r = rng(108)
+    for _ in range(200):
+        rank = r.randint(1, 4)
+        w = rand_weight(r, rank, -4, 4)
+        prod = LaurentPoly.one_minus(w) * rand_laurent(r, rank, max_terms=4, expo=3)
+        v = tuple(r.randint(-4, 4) for _ in range(rank))
+        bump = LaurentPoly.monomial(v, r.choice([-2, -1, 1, 2]))
+        assert divide_by_cyclotomic(prod + bump, w) is None
+
+
+def _is_integer_multiple(d, w):
+    ratios = {Fraction(x, y) for x, y in zip(d, w) if y}
+    return len(ratios) == 1 and ratios.pop().denominator == 1 \
+        and all(x == 0 for x, y in zip(d, w) if not y)
+
+
+def _coset_sums(p, w):
+    """Coefficient sums over the classes of exponents that differ by an
+    integer multiple of w, grouped by pairwise comparison."""
+    classes = []
+    for e, c in p.terms.items():
+        for cls in classes:
+            if _is_integer_multiple(wt_sub(e, cls[0]), w):
+                cls[1] += c
+                break
+        else:
+            classes.append([e, c])
+    return [c for _, c in classes]
+
+
+def test_cyclotomic_divides_iff_every_coset_sums_to_zero():
+    r = rng(109)
+    hits = 0
+    for _ in range(400):
+        rank = r.randint(1, 3)
+        w = rand_weight(r, rank, -3, 3)
+        p = rand_laurent(r, rank, max_terms=4, expo=2)
+        if r.random() < 0.5:
+            p = LaurentPoly.one_minus(w) * p
+        q = divide_by_cyclotomic(p, w)
+        divisible = all(s == 0 for s in _coset_sums(p, w))
+        assert (q is not None) == divisible
+        if q is not None:
+            hits += 1
+            assert LaurentPoly.one_minus(w) * q == p
+    assert 0 < hits < 400
 
 
 # ---------------------------------------------------------------------------
