@@ -29,7 +29,6 @@ from .gkm import (
     index_violations,
     is_index_increasing,
     orient_and_index,
-    toric_graph,
     upward_closure,
 )
 from .symcore import (

@@ -102,8 +102,16 @@ def load_graph(args):
     else:
         raise ValidationError("need --fixture or --input")
     if args.xi:
-        inp.xi = tuple(int(x) for x in args.xi.split(","))
+        inp.xi = int_vector(args.xi, "--xi")
     return build_graph(inp)
+
+
+def int_vector(text, flag):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"{flag} must be comma separated integers, got {text!r}") from None
 
 
 def resolve_class(g, spec, mode):
@@ -115,6 +123,9 @@ def resolve_class(g, spec, mode):
         c, file_mode = load_class_file(spec, g.rank)
         if file_mode != mode:
             raise ValidationError(f"class file is {file_mode}, requested {mode}")
+        missing = [vid for vid in g.vids() if vid not in c]
+        if missing:
+            raise ValidationError(f"class file has no value at vertex {missing[0]}")
         return c
     name = spec.strip()
     if name == "one":
@@ -293,7 +304,7 @@ def cmd_kirwan(args, out):
     g = load_graph(args)
     if not args.pi:
         raise ValidationError("need --pi")
-    pi = tuple(int(x) for x in args.pi.split(","))
+    pi = int_vector(args.pi, "--pi")
     setup = reduced_fixed_data(g, pi)
     if args.klass:
         c = resolve_class(g, args.klass, "cohomology")

@@ -25,6 +25,7 @@ from .errors import (
     NonPolynomialIndex,
     NotECanEdge,
     NotIndexIncreasing,
+    ValidationError,
     VerificationFailure,
 )
 from .gkm import flow_face, is_index_increasing, triangular_expansion
@@ -140,7 +141,7 @@ def local_index_h(g, c, q):
         return PolyH.zero(g.rank)
     deg = value.homogeneous_degree()
     if deg is None:
-        raise ValueError("local index needs a homogeneous restriction")
+        raise ValidationError("local index needs a homogeneous restriction")
     pt = g.point(q)
     lam = pt.lam
     n = g.rank

@@ -2,10 +2,11 @@
 
 Input is a list of vertices with exact rational moment images, optionally an
 explicit edge list and a direction vector.  The polytope one-skeleton is
-recovered by brute-force supporting-hyperplane tests (desk scale), each
-vertex is checked for the lattice-basis condition, edges are oriented along a
-generic direction and the combinatorial derived data (indices, flow faces,
-upward closures) is computed.  The triangular elimination of a class in a
+recovered by a walk along the edges that certifies the tangent cone at every
+vertex it reaches, in O(V^2 n^2) exact integer operations for V vertices in
+rank n; each vertex is checked for the lattice-basis condition, edges are
+oriented along a generic direction and the combinatorial derived data
+(indices, flow faces, upward closures) is computed.  The triangular elimination of a class in a
 Kirwan basis, which follows the moment order, is shared here by the K and H
 sides.
 
@@ -20,7 +21,6 @@ Conventions, used consistently everywhere downstream:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,13 +34,13 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
-    canonical_sign,
     mat_det,
     mat_from_cols,
     rational_primitive,
     wt_dot,
     wt_neg,
     wt_primitive,
+    wt_scale,
     wt_sub,
 )
 
@@ -145,86 +145,176 @@ def _validate_input(inp):
     return ids, psis
 
 
-def _hyperplane_normal(points):
-    """Primitive integer normal of the affine span of rank points, or None."""
-    n = len(points[0])
-    dirs = [wt_sub(p, points[0]) for p in points[1:]]
-    rows = [[Fraction(x) for x in d] for d in dirs]
-    # row echelon to find the one-dimensional kernel
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+def _scaled_inverse(cols):
+    """(D, rows) with D = |det R| > 0 and rows the integer matrix D * R^-1,
+    where R has the given integer columns; None when R is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact and the final pivot is +-det R.
+    """
+    n = len(cols)
+    m = [[c[i] for c in cols] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k][k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [(pk * x - f * y) // prev for x, y in zip(m[r], m[k])]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return abs(prev), [tuple(sign * x for x in row[n:]) for row in m]
+
+
+def _start_neighbours(pts, v, rank):
+    """Candidate neighbours of the lexicographically smallest point v.
+
+    Every other point lies strictly above v for xi0 = (C^(n-1), ..., C, 1),
+    so the rays of the tangent cone at v are the vertices of the section
+    through the points (w - v) / <xi0, w - v>.  Each round maximizes, over
+    that section, a functional vanishing on the rays found so far, breaking
+    ties lexicographically; the maximizer is a vertex of the section off the
+    span of the earlier rays.  Ratios are compared by cross-multiplication.
+    """
+    spread = max(max(col) - min(col) for col in zip(*pts))
+    xi0 = tuple((spread + 2) ** (rank - 1 - i) for i in range(rank))
+    cands = []
+    for w, p in enumerate(pts):
+        if w != v:
+            d = wt_sub(p, pts[v])
+            cands.append((w, d, wt_dot(xi0, d)))
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    kernel = list(units)  # basis of the functionals vanishing on found rays
+    found = []
+    for _ in range(rank):
+        p = next((i for i, b in enumerate(kernel)
+                  if any(wt_dot(b, d) for _, d, _ in cands)), None)
+        if p is None:
+            raise NotDelzant("vertices do not span the ambient space")
+        g = kernel[p]
+        if not any(wt_dot(g, d) > 0 for _, d, _ in cands):
+            g = wt_neg(g)
+        top = _argmax_ratio(cands, g)
+        for u in units:
+            if len(top) == 1:
+                break
+            top = _argmax_ratio(top, u)
+        w, ray, _ = top[0]
+        found.append(w)
+        s = [wt_dot(b, ray) for b in kernel]
+        kernel = [wt_primitive(wt_sub(wt_scale(b, s[p]), wt_scale(kernel[p], s[i])))[0]
+                  for i, b in enumerate(kernel) if i != p]
+    return found
+
+
+def _argmax_ratio(cands, f):
+    """The candidates (w, d, h), h > 0, maximizing <f, d> / h."""
+    best, top = None, []
+    for c in cands:
+        num = wt_dot(f, c[1])
+        if best is None or num * best[1] > best[0] * c[2]:
+            best, top = (num, c[2]), [c]
+        elif num * best[1] == best[0] * c[2]:
+            top.append(c)
+    return top
+
+
+def _certify(ids, pts, v, nbrs):
+    """Coordinates of every point in the integer dual basis at v.
+
+    With rays r_i = pts[nbrs[i]] - pts[v], the dual basis a_i satisfies
+    a_i . r_j = D delta_ij with D > 0.  All coordinates of all points must be
+    non-negative and the only point on each ray must be its neighbour: then
+    the tangent cone of the hull at v is the simplicial cone on the rays, so
+    v is a simple vertex whose edges are exactly [v, nbrs[i]].  Returns
+    (D, coordinates by point index).
+    """
+    pv = pts[v]
+    inv = _scaled_inverse([wt_sub(pts[u], pv) for u in nbrs])
+    if inv is None:
+        raise NotAPolytopeSkeleton(
+            f"vertex {ids[v]} fails the skeleton certificate: its candidate "
+            f"edges are linearly dependent")
+    det, dual = inv
+    coords = []
+    for w, p in enumerate(pts):
+        d = wt_sub(p, pv)
+        c = tuple(wt_dot(a, d) for a in dual)
+        if min(c) < 0:
+            raise NotAPolytopeSkeleton(
+                f"vertex {ids[v]} fails the skeleton certificate: point "
+                f"{ids[w]} lies outside the cone of its candidate edges")
+        supp = [i for i, x in enumerate(c) if x]
+        if len(supp) == 1 and nbrs[supp[0]] != w:
+            raise NotAPolytopeSkeleton(
+                f"vertex {ids[v]} fails the skeleton certificate: point "
+                f"{ids[w]} lies on its edge toward {ids[nbrs[supp[0]]]}")
+        coords.append(c)
+    return det, coords
+
+
+def _next_neighbours(det, coords, rank):
+    """For each edge k at a certified vertex v and each other edge j, the
+    neighbour of u = nbrs[k] along the edge of u in the 2-face spanned by
+    edges j and k; None where the face has no such point.
+
+    The 2-face lies in the plane where every coordinate but j and k is zero.
+    Seen from u, a point w of that plane has beta = a_j.(w - u) = c_j(w) and
+    alpha = -a_k.(w - u) = det - c_k(w); the next vertex of the polygon after
+    v and u is the point with beta > 0 and the smallest alpha / beta.
+    """
+    best = [[None] * rank for _ in range(rank)]
+    for w, c in enumerate(coords):
+        supp = [i for i, x in enumerate(c) if x]
+        if not 1 <= len(supp) <= 2:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    kern = [Fraction(0)] * n
-    kern[free] = Fraction(1)
-    for i, c in enumerate(pivots):
-        kern[c] = -rows[i][free]
-    denom = 1
-    for x in kern:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in kern)
-    prim, _ = wt_primitive(ints)
-    prim, _ = canonical_sign(prim)
-    return prim
+        for j in supp:
+            for k in [i for i in supp if i != j] or [i for i in range(rank) if i != j]:
+                alpha, beta = det - c[k], c[j]
+                cur = best[k][j]
+                if cur is None or alpha * cur[1] < cur[0] * beta:
+                    best[k][j] = (alpha, beta, w)
+    return [[None if b is None else b[2] for b in row] for row in best]
 
 
 def detect_edges(rank, ids, psis):
-    """One-skeleton of the convex hull by exhaustive facet enumeration.
+    """One-skeleton of the convex hull of the points, as sorted index pairs.
 
-    A vertex pair spans an edge exactly when the intersection of all facets
-    containing both of them is that pair alone.
+    The points are scaled to integers, which leaves the skeleton unchanged.
+    The walk starts at the lexicographically smallest point, moves along
+    edges and certifies every vertex it reaches (``_certify``), so a vertex
+    that is not simple, or a point on an edge, raises instead of giving a
+    wrong skeleton.  A simple polytope's vertex graph is connected, so a
+    point the walk never reaches is not a vertex.  Each vertex costs
+    O(V n^2) integer operations.
     """
-    nv = len(ids)
-    if rank == 1:
-        if nv == 2:
-            return [(0, 1)]
-        return []
-    facets = set()
-    seen = set()
-    degenerate = True
-    for subset in itertools.combinations(range(nv), rank):
-        normal = _hyperplane_normal([psis[i] for i in subset])
-        if normal is None:
-            continue
-        offset = wt_dot(normal, psis[subset[0]])
-        key = (normal, offset)
-        if key in seen:
-            continue
-        seen.add(key)
-        sides = [wt_dot(normal, p) - offset for p in psis]
-        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            degenerate = False
-            continue
-        if any(s != 0 for s in sides):
-            degenerate = False
-        on = frozenset(i for i, s in enumerate(sides) if s == 0)
-        if len(on) < nv:
-            facets.add(on)
-    if degenerate:
-        raise NotDelzant("vertices do not span the ambient space")
-    edges = []
-    for i, j in itertools.combinations(range(nv), 2):
-        common = [f for f in facets if i in f and j in f]
-        if not common:
-            continue
-        meet = frozenset.intersection(*common)
-        if meet == frozenset((i, j)):
-            edges.append((i, j))
-    return edges
+    scale = math.lcm(*(x.denominator for p in psis for x in p))
+    pts = [tuple(int(x * scale) for x in p) for p in psis]
+    start = min(range(len(pts)), key=pts.__getitem__)
+    nbrs = {start: _start_neighbours(pts, start, rank)}
+    queue = [start]
+    edges = set()
+    for v in queue:
+        det, coords = _certify(ids, pts, v, nbrs[v])
+        ahead = _next_neighbours(det, coords, rank)
+        for k, u in enumerate(nbrs[v]):
+            edges.add((min(u, v), max(u, v)))
+            if u in nbrs:
+                continue
+            nbrs[u] = [v] + [ahead[k][j] for j in range(rank) if j != k]
+            if None in nbrs[u]:
+                raise NotAPolytopeSkeleton(
+                    f"vertex {ids[u]} fails the skeleton certificate: a "
+                    f"2-face through its edge toward {ids[v]} ends there")
+            queue.append(u)
+    for w in range(len(pts)):
+        if w not in nbrs:
+            raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
+    return sorted(edges)
 
 
 def build_graph(inp, xi=None):
@@ -344,10 +434,6 @@ def orient_and_index(skel, xi):
     if lams.count(0) != 1 or lams.count(skel.rank) != 1 or points[0].lam != 0:
         raise ContractError("orientation needs one source and one sink vertex")
     return g
-
-
-def toric_graph(inp):
-    return build_graph(inp)
 
 
 # ---------------------------------------------------------------------------

@@ -42,24 +42,35 @@ def format_rational(f):
 
 
 def toric_input_from_dict(data):
+    if not isinstance(data, dict):
+        raise ValidationError("malformed graph file: not a JSON object")
     try:
         rank = int(data["rank"])
         vertices = [(str(v["id"]), tuple(parse_rational(x) for x in v["psi"]))
                     for v in data["vertices"]]
-    except (KeyError, TypeError) as exc:
+        edges = None
+        if data.get("edges") is not None:
+            edges = [(str(a), str(b)) for a, b in data["edges"]]
+        xi = None
+        if data.get("xi") is not None:
+            xi = tuple(int(x) for x in data["xi"])
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file: {exc}") from None
-    edges = None
-    if data.get("edges") is not None:
-        edges = [(str(a), str(b)) for a, b in data["edges"]]
-    xi = None
-    if data.get("xi") is not None:
-        xi = tuple(int(x) for x in data["xi"])
     return ToricInput(rank=rank, vertices=vertices, edges=edges, xi=xi)
 
 
-def load_toric_input(path):
+def _load_json(path, what):
     with open(path) as fh:
-        return toric_input_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{what} file is not JSON: {exc}") from None
+
+
+def load_toric_input(path):
+    return toric_input_from_dict(_load_json(path, "graph"))
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +106,13 @@ def class_to_dict(c, mode):
 
 
 def class_from_dict(data, rank):
+    if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
+        raise ValidationError("malformed class file: no \"class\" object")
     mode = data.get("mode", "ktheory")
     loader = laurent_from_terms if mode == "ktheory" else polyh_from_terms
     try:
         return {vid: loader(rank, items) for vid, items in data["class"].items()}, mode
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed class file: {exc}") from None
 
 
@@ -127,5 +140,4 @@ def dumps(data):
 
 
 def load_class_file(path, rank):
-    with open(path) as fh:
-        return class_from_dict(json.load(fh), rank)
+    return class_from_dict(_load_json(path, "class"), rank)

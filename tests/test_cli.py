@@ -1,5 +1,6 @@
 """Front end: subcommands, formats, exit codes, round trips."""
 
+import copy
 import io
 import json
 
@@ -16,6 +17,8 @@ from gkmcalc.serialize import (
 )
 from gkmcalc.gkm import build_graph
 from gkmcalc.ktheory import class_equal, icanonical_basis_k, one_class
+
+from conftest import rng
 
 
 def run_cli(args, capsys):
@@ -135,6 +138,133 @@ def test_missing_file_is_io_error(capsys):
     rc, _, err = run_cli(
         ["graph", "--input", "/nonexistent/graph.json"], capsys)
     assert rc == 4
+
+
+TRIANGLE = {
+    "rank": 2,
+    "vertices": [{"id": "a", "psi": [0, 0]}, {"id": "b", "psi": [1, 0]},
+                 {"id": "c", "psi": ["0", "1"]}],
+    "edges": [["a", "b"], ["a", "c"], ["b", "c"]],
+    "xi": [1, 2],
+}
+TRIANGLE_ONE = {
+    "ktheory": {"mode": "ktheory",
+                "class": {v: [["1", [0, 0]]] for v in "abc"}},
+    "cohomology": {"mode": "cohomology",
+                   "class": {v: [["1/2", [1, 0]], ["1", [0, 1]]] for v in "abc"}},
+}
+
+
+def _write(tmp_path, name, data):
+    """Write a str as raw text and anything else as JSON."""
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _assert_clean_exit(rc, err):
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0])["error"] in ("validation", "contract", "io")
+
+
+@pytest.mark.parametrize("graph, klass, flags, message", [
+    ({**TRIANGLE, "xi": ["x", 1]}, None, [], "malformed graph file"),
+    ({**TRIANGLE, "edges": [["a"]]}, None, [], "malformed graph file"),
+    ("{", None, [], "graph file is not JSON"),
+    (TRIANGLE, None, ["--xi", "1,a"], "--xi must be comma separated integers"),
+    (TRIANGLE, "{", ["--class"], "class file is not JSON"),
+    (TRIANGLE, {"mode": "ktheory", "class": {"a": [["1", [0, 0]]]}}, ["--class"],
+     "no value at vertex b"),
+])
+def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
+                                                message):
+    argv = ["index" if klass else "graph", "--input", _write(tmp_path, "g.json", graph)]
+    if klass:
+        flags = flags + [_write(tmp_path, "c.json", klass)]
+    rc, _, err = run_cli(argv + flags, capsys)
+    assert rc == 2
+    _assert_clean_exit(rc, err)
+    assert message in json.loads(err)["message"]
+
+
+def test_non_homogeneous_local_index_is_validation_error(tmp_path, capsys):
+    klass = {"mode": "cohomology", "class": {v: [["1", [0, 0]], ["1", [1, 0]]] for v in "abc"}}
+    rc, _, err = run_cli(["local-index", "--input", _write(tmp_path, "g.json", TRIANGLE),
+                          "--class", _write(tmp_path, "c.json", klass), "--mode", "cohomology",
+                          "--vertex", "b"], capsys)
+    assert rc == 2
+    assert "homogeneous" in json.loads(err)["message"]
+
+
+def test_bad_covector_is_validation_error(capsys):
+    rc, _, err = run_cli(["kirwan", "--fixture", "square", "--pi", "1,a"], capsys)
+    assert rc == 2
+    assert "--pi must be comma separated integers" in json.loads(err)["message"]
+
+
+JUNK = [None, True, -1, 0, 7, 1.5, "", "x", "1/0", "2/3", [], {}, ["a"], [1],
+        [[0, 1]], {"id": "a"}]
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield from _paths(val, path + (key,))
+
+
+def _mutate(r, data):
+    """Replace or delete one randomly chosen node of a JSON document, or
+    truncate its text."""
+    if r.random() < 0.1:
+        return json.dumps(data)[:-1]
+    data = copy.deepcopy(data)
+    path = r.choice(list(_paths(data)))
+    if not path:
+        return r.choice(JUNK)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if r.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = r.choice(JUNK)
+    return data
+
+
+def _vector(r):
+    return ",".join(r.choice(["1", "-2", "0", "3", "a", "", " 2", "1.5"])
+                    for _ in range(r.randint(1, 3)))
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    r = rng(401)
+    for case in range(300):
+        mode = r.choice(("ktheory", "cohomology"))
+        graph, klass = TRIANGLE, TRIANGLE_ONE[mode]
+        pick = r.randrange(4)
+        if pick == 0:
+            graph = _mutate(r, graph)
+        elif pick == 1:
+            klass = _mutate(r, klass)
+        gp = _write(tmp_path, f"g{case}.json", graph)
+        cp = _write(tmp_path, f"c{case}.json", klass)
+        argv = r.choice([
+            ["graph", "--input", gp],
+            ["check", "--input", gp, "--class", cp, "--mode", mode],
+            ["index", "--input", gp, "--class", cp, "--mode", mode],
+            ["local-index", "--input", gp, "--class", cp, "--mode", mode, "--vertex", "b"],
+            ["kirwan", "--input", gp, "--class", _write(tmp_path, f"h{case}.json", klass)
+             if mode == "cohomology" else cp, "--pi=" + (_vector(r) if pick == 3 else "1,2")],
+        ])
+        if pick == 3 and r.random() < 0.5:
+            argv.append("--xi=" + _vector(r))
+        rc, _, err = run_cli(argv, capsys)
+        _assert_clean_exit(rc, err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Graph construction, orientation and combinatorial derived data."""
 
+import itertools
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,11 +17,13 @@ from gkmcalc.fixtures import cp_input, hirzebruch_input
 from gkmcalc.gkm import (
     ToricInput,
     build_graph,
+    detect_edges,
     flow_face,
     index_violations,
     is_index_increasing,
     upward_closure,
 )
+from gkmcalc.symcore import canonical_sign, wt_dot, wt_primitive, wt_sub
 
 from conftest import rng
 
@@ -95,8 +100,139 @@ def test_pyramid_apex_degree_rejected():
         ("c", F([0, 1, 0])), ("d", F([1, 1, 0])),
         ("apex", F([0, 0, 1])),
     ])
-    with pytest.raises(NotAPolytopeSkeleton):
+    with pytest.raises(NotAPolytopeSkeleton, match="vertex apex fails"):
         build_graph(inp)
+
+
+def _cube(n):
+    return [tuple(Fraction(x) for x in p) for p in itertools.product((0, 1), repeat=n)]
+
+
+@pytest.mark.parametrize("psis, error, message", [
+    ([F(p) for p in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))],
+     NotAPolytopeSkeleton, "fails the skeleton certificate"),
+    (_cube(3) + [F(["1/2", 0, 0])], NotAPolytopeSkeleton, "lies on its edge"),
+    (_cube(3) + [F(["1/2", "1/2", 0])], NotAPolytopeSkeleton, "has degree 0, expected 3"),
+    ([F(p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0))],
+     NotDelzant, "vertices do not span the ambient space"),
+], ids=["octahedron", "edge-midpoint", "facet-interior", "coplanar"])
+def test_non_skeleton_inputs_rejected(psis, error, message):
+    inp = ToricInput(rank=3, vertices=[(f"v{i}", p) for i, p in enumerate(psis)])
+    with pytest.raises(error, match=message):
+        build_graph(inp)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_large_cube_skeleton_is_fast(n):
+    inp = ToricInput(rank=n, vertices=[(f"v{i}", p) for i, p in enumerate(_cube(n))])
+    t0 = time.perf_counter()
+    g = build_graph(inp)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(g.edges) == 2 ** n * n // 2
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive facet enumeration, kept as the small-input oracle
+
+def _hyperplane_normal(points):
+    """Primitive integer normal of the affine span of rank points, or None."""
+    n = len(points[0])
+    rows = [[Fraction(x) for x in wt_sub(p, points[0])] for p in points[1:]]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if r != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    kern = [Fraction(0)] * n
+    kern[free] = Fraction(1)
+    for i, c in enumerate(pivots):
+        kern[c] = -rows[i][free]
+    denom = math.lcm(*(x.denominator for x in kern))
+    prim, _ = wt_primitive(tuple(int(x * denom) for x in kern))
+    return canonical_sign(prim)[0]
+
+
+def _exhaustive_edges(rank, psis):
+    """A pair spans an edge exactly when the intersection of all facets
+    containing both of them is that pair alone; every rank-subset of the
+    points is tried as a facet."""
+    nv = len(psis)
+    facets = set()
+    seen = set()
+    for subset in itertools.combinations(range(nv), rank):
+        normal = _hyperplane_normal([psis[i] for i in subset])
+        if normal is None:
+            continue
+        offset = wt_dot(normal, psis[subset[0]])
+        if (normal, offset) in seen:
+            continue
+        seen.add((normal, offset))
+        sides = [wt_dot(normal, p) - offset for p in psis]
+        if all(s >= 0 for s in sides) or all(s <= 0 for s in sides):
+            facets.add(frozenset(i for i, s in enumerate(sides) if s == 0))
+    edges = []
+    for i, j in itertools.combinations(range(nv), 2):
+        common = [f for f in facets if i in f and j in f]
+        if common and frozenset.intersection(*common) == {i, j}:
+            edges.append((i, j))
+    return edges
+
+
+def _simplex(m):
+    return [(0,) * m] + [tuple(int(i == j) for j in range(m)) for i in range(m)]
+
+
+def _trapezoid(k):
+    return [(0, 0), (1, 0), (1, 1), (0, k + 1)]
+
+
+SIMPLE_SHAPES = [
+    [_simplex(2)], [_simplex(3)], [_simplex(4)], [_trapezoid(1)], [_trapezoid(3)],
+    [_simplex(1), _simplex(2)], [_simplex(1), _simplex(3)], [_simplex(2), _simplex(2)],
+    [_trapezoid(2), _simplex(1)], [_trapezoid(1), _simplex(2)],
+    [_simplex(1)] * 3, [_simplex(1)] * 4, [_simplex(1), _simplex(1), _simplex(2)],
+    [_trapezoid(1), _trapezoid(2)],
+]
+
+
+def _random_unimodular(r, n):
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = r.sample(range(n), 2)
+        c = r.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    r.shuffle(a)
+    return a
+
+
+def test_detect_edges_matches_exhaustive_enumeration():
+    r = rng(301)
+    dilations = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3))
+    # every shape once, then the first ten (V <= 12) again: the oracle costs C(V, n)
+    for case, factors in enumerate(SIMPLE_SHAPES + SIMPLE_SHAPES[:10]):
+        verts = [sum(combo, ()) for combo in itertools.product(*factors)]
+        n = len(verts[0])
+        a = _random_unimodular(r, n)
+        t = [r.randint(-5, 5) for _ in range(n)]
+        s = dilations[case % len(dilations)]
+        psis = [tuple(s * wt_dot(row, v) + c for row, c in zip(a, t)) for v in verts]
+        r.shuffle(psis)
+        ids = [f"v{i}" for i in range(len(psis))]
+        assert n <= 4 and len(psis) <= 16
+        assert detect_edges(n, ids, psis) == _exhaustive_edges(n, psis), (factors, s)
 
 
 def test_duplicate_psi_rejected():
