@@ -1,0 +1,185 @@
+"""Restriction tables over a coefficient ring.
+
+A class is a plain dict mapping vertex id to a value of a ring from
+``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  The
+constructions the two sides share are written here once: the class helpers,
+the negative Euler class, the edge divisibility check, duals of flow-up
+faces, the Kirwan test, the push-forward to a point, the fixed point sum and
+the local index.  They differ only in what the ring supplies, chiefly the
+factor attached to a weight: ``1 - e^w`` in K-theory and ``<w, x>`` in
+cohomology.
+
+The push-forward expands the class triangularly in the flow-up duals (the
+Kirwan-basis expansion), which is also the membership test.  In K-theory
+every dual is the class of the structure sheaf of a toric subvariety and has
+index 1; in cohomology only the point class at the top vertex has a nonzero
+integral, 1.  The fixed point sum (``localized_sum``) stays as an
+independent oracle.
+"""
+
+from __future__ import annotations
+
+from .errors import DivisionFailure, NonPolynomialIndex, ValidationError
+from .gkm import flow_face, triangular_expansion
+from .symcore import Irreducible, LocalizedSum, wt_add, wt_lift, wt_neg, wt_sub
+
+
+# ---------------------------------------------------------------------------
+# class-table helpers
+
+def zero_class(ring, g):
+    return {v: ring.zero(g.rank) for v in g.vids()}
+
+
+def one_class(ring, g):
+    return {v: ring.one(g.rank) for v in g.vids()}
+
+
+def class_add(a, b):
+    return {v: a[v] + b[v] for v in a}
+
+
+def class_scale(c, f):
+    return {v: f * c[v] for v in c}
+
+
+def class_mul(a, b):
+    return {v: a[v] * b[v] for v in a}
+
+
+def class_equal(a, b):
+    return set(a) == set(b) and all(a[v] == b[v] for v in a)
+
+
+def support(c):
+    return {v for v, val in c.items() if not val.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# Euler classes, membership, duals
+
+def euler_minus(ring, g, vid):
+    """Product of the factors of the incoming edge labels at vid."""
+    out = ring.one(g.rank)
+    for w in g.point(vid).wplus:
+        out = out * ring.factor(w)
+    return out
+
+
+def check_gkm(ring, g, c):
+    """List of (edge, difference) pairs violating edge divisibility.
+
+    Checking the oriented edges suffices: divisibility by the factors of w
+    and of -w agree up to a unit.
+    """
+    bad = []
+    for e in g.edges:
+        diff = c[e.src] - c[e.dst]
+        if not diff.is_zero() and not ring.divides(diff, e.weight):
+            bad.append((e, diff))
+    return bad
+
+
+def poincare_dual(ring, g, vid):
+    """Restriction table of the dual of the flow-up face at vid: zero off the
+    face, the Euler factor of the missing edge directions on it."""
+    face = flow_face(g, vid, "up")
+    c = zero_class(ring, g)
+    for q in face:
+        val = ring.one(g.rank)
+        for other, _e in g.incident(q):
+            if other not in face:
+                val = val * ring.factor(g.weight_toward(other, q))
+        c[q] = val
+    return c
+
+
+def is_kirwan_class(ring, g, c, vid):
+    """True when c equals the negative Euler class at vid and vanishes at
+    every vertex strictly below it."""
+    if c[vid] != euler_minus(ring, g, vid):
+        return False
+    cut = g.order_index(vid)
+    return all(c[v].is_zero() for v in g.vids()[:cut])
+
+
+# ---------------------------------------------------------------------------
+# push-forward to a point
+
+def pushforward(ring, g, c):
+    """Sum of the coefficients of c in the flow-up duals whose push-forward
+    is 1: every dual in K-theory, the top one in cohomology.  Raises
+    ``NonPolynomialIndex`` when c is not a class."""
+    try:
+        coeffs = triangular_expansion(
+            g, c, lambda r: poincare_dual(ring, g, r), ring.divide)
+    except DivisionFailure as exc:
+        raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
+    return sum((f for r, f in coeffs.items()
+                if not ring.graded or g.point(r).lam == g.rank), ring.zero(g.rank))
+
+
+def localized_sum(ring, g, c):
+    """The unreduced fixed point formula for the push-forward (an oracle)."""
+    s = LocalizedSum(ring.mode, g.rank)
+    for v in g.vids():
+        s.add_term(c[v], g.weights_at(v))
+    return s
+
+
+# ---------------------------------------------------------------------------
+# local index
+
+def local_index_parts(ring, g, c, q):
+    """Substituted restrictions and denominator weight sets for the local
+    index at q, over the rank+1 lattice with the auxiliary coordinate w_0
+    last.
+
+    With lam = lam_q and w_1..w_lam the incoming labels at q, the class value
+    is rewritten through the lattice basis (w_1..w_n):
+
+      f_0 shifts each w_i (i <= lam) by the auxiliary weight,
+      f_j sends w_j to 0 and w_i to w_i - w_j for the other i <= lam,
+
+    and the cut space fixed points carry the weight tuples
+      {w_0 + w_i} at the zeroth point,
+      {-(w_j + w_0)} + {w_i - w_j : i != j} at the j-th.
+    """
+    pt = g.point(q)
+    wplus = list(pt.wplus)
+    basis = wplus + list(pt.wminus)
+    rest = [wt_lift(w) for w in pt.wminus]
+    w0 = (0,) * g.rank + (1,)
+    shifted = [wt_add(wt_lift(w), w0) for w in wplus]
+    fs = [ring.substitute(c[q], basis, shifted + rest)]
+    dens = [shifted]
+    for j, wj in enumerate(wplus):
+        diffs = [wt_lift(wt_sub(w, wj)) for w in wplus]
+        fs.append(ring.substitute(c[q], basis, diffs + rest))
+        dens.append([wt_neg(shifted[j])] + diffs[:j] + diffs[j + 1:])
+    return fs, dens
+
+
+def local_index(ring, g, c, q):
+    """Index of the class transported to the rank lam_q cut space, with the
+    auxiliary coordinate then dropped.
+
+    In a graded ring the value must be homogeneous, and one of degree below
+    lam_q integrates to zero on the cut space, so that case returns at once.
+    """
+    value = c[q]
+    if value.is_zero():
+        return ring.zero(g.rank)
+    if ring.graded:
+        deg = value.homogeneous_degree()
+        if deg is None:
+            raise ValidationError("local index needs a homogeneous restriction")
+        if deg < g.point(q).lam:
+            return ring.zero(g.rank)
+    s = LocalizedSum(ring.mode, g.rank + 1)
+    for f, den in zip(*local_index_parts(ring, g, c, q)):
+        s.add_term(f, den)
+    out = s.reduce()
+    if isinstance(out, Irreducible):
+        raise NonPolynomialIndex(f"local index at {q} is not a polynomial")
+    return ring.drop_last(out)

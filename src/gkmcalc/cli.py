@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from . import classes as cl
 from . import cohomology as ch
 from . import ktheory as kt
 from .errors import ContractError, ValidationError
@@ -22,73 +23,29 @@ from .fixtures import (
 )
 from .gkm import build_graph, flow_face, index_violations, is_index_increasing, upward_closure
 from .kirwan import kirwan_restrict_all, reduced_fixed_data
-from .serialize import (
-    basis_to_dict,
-    class_to_dict,
-    dumps,
-    load_class_file,
-    load_toric_input,
-    poly_to_terms,
-)
-from .symcore import LaurentPoly, PolyH
+from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
+from .symcore import RINGS, H, K
+
+# the module holding each mode's canonical basis
+SIDES = {"ktheory": kt, "cohomology": ch}
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# output
 
-def fmt_laurent(p):
-    if p.is_zero():
-        return "0"
-    bits = []
-    for e, c in p.sorted_terms():
-        mono = "1" if all(x == 0 for x in e) else "e[" + ",".join(map(str, e)) + "]"
-        if mono == "1":
-            piece = str(abs(c))
-        elif abs(c) == 1:
-            piece = mono
-        else:
-            piece = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        bits.append((sign, piece))
-    first_sign, first_piece = bits[0]
-    out = ("-" if first_sign == "-" else "") + first_piece
-    for sign, piece in bits[1:]:
-        out += f" {sign} {piece}"
-    return out
-
-
-def fmt_polyh(p):
-    if p.is_zero():
-        return "0"
-    bits = []
-    for e, c in p.sorted_terms():
-        vars_ = [f"x{i + 1}" + (f"^{d}" if d > 1 else "")
-                 for i, d in enumerate(e) if d]
-        mono = "*".join(vars_) if vars_ else "1"
-        coeff = abs(c)
-        if mono == "1":
-            piece = str(coeff)
-        elif coeff == 1:
-            piece = mono
-        else:
-            piece = f"{coeff}*{mono}"
-        sign = "-" if c < 0 else "+"
-        bits.append((sign, piece))
-    first_sign, first_piece = bits[0]
-    out = ("-" if first_sign == "-" else "") + first_piece
-    for sign, piece in bits[1:]:
-        out += f" {sign} {piece}"
-    return out
-
-
-def fmt_value(v):
-    return fmt_laurent(v) if isinstance(v, LaurentPoly) else fmt_polyh(v)
-
-
-def emit_class(g, name, c, lines):
+def emit_class(ring, g, name, c, lines):
     lines.append(f"class {name}")
     for vid in g.vids():
-        lines.append(f"  {vid}: {fmt_value(c[vid])}")
+        lines.append(f"  {vid}: {ring.fmt(c[vid])}")
+
+
+def emit_value(args, out, ring, data, value):
+    """One ring value, in JSON under "value" next to ``data`` or as text."""
+    if args.format == "json":
+        out.write(dumps({**data, "value": ring.to_terms(value)}))
+    else:
+        out.write(ring.fmt(value) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -114,41 +71,39 @@ def int_vector(text, flag):
             f"{flag} must be comma separated integers, got {text!r}") from None
 
 
-def resolve_class(g, spec, mode):
+def resolve_class(g, spec, ring):
     """Named classes: one, tau:<v>, pd:<v>, point:<v>, gt:<v>, sample;
     anything ending in .json is read as a class file."""
     if spec is None:
         raise ValidationError("need --class")
     if spec.endswith(".json"):
         c, file_mode = load_class_file(spec, g.rank)
-        if file_mode != mode:
-            raise ValidationError(f"class file is {file_mode}, requested {mode}")
+        if file_mode != ring.name:
+            raise ValidationError(f"class file is {file_mode}, requested {ring.name}")
         missing = [vid for vid in g.vids() if vid not in c]
         if missing:
             raise ValidationError(f"class file has no value at vertex {missing[0]}")
         return c
     name = spec.strip()
     if name == "one":
-        return kt.one_class(g) if mode == "ktheory" else ch.one_class_h(g)
+        return cl.one_class(ring, g)
     if name == "sample":
-        if mode != "ktheory":
+        if ring is not K:
             raise ValidationError("the sample trapezoid class is a K class")
         return hirzebruch_sample_class(g)
     if ":" in name:
         kind, vid = name.split(":", 1)
         vid = _resolve_vid(g, vid)
         if kind == "tau":
-            basis = kt.icanonical_basis_k(g) if mode == "ktheory" else ch.icanonical_basis_h(g)
-            return basis[vid]
+            return SIDES[ring.name].basis(g)[vid]
         if kind == "pd":
-            return kt.poincare_dual_k(g, vid) if mode == "ktheory" \
-                else ch.poincare_dual_h(g, vid)
+            return cl.poincare_dual(ring, g, vid)
         if kind == "point":
-            if mode != "ktheory":
+            if ring is not K:
                 raise ValidationError("point normalization is a K-side construction")
             return kt.point_normalized_basis_k(g)[vid]
         if kind == "gt":
-            if mode != "cohomology":
+            if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")
             return ch.gt_class(g, vid)
     raise ValidationError(f"unknown class {spec!r}")
@@ -207,8 +162,8 @@ def cmd_graph(args, out):
 def cmd_check(args, out):
     g = load_graph(args)
     if args.klass:
-        c = resolve_class(g, args.klass, args.mode)
-        bad = kt.check_gkm_k(g, c) if args.mode == "ktheory" else ch.check_gkm_h(g, c)
+        ring = RINGS[args.mode]
+        bad = cl.check_gkm(ring, g, resolve_class(g, args.klass, ring))
         if bad:
             edge = bad[0][0]
             raise ValidationError(f"divisibility fails on {edge.src}->{edge.dst}")
@@ -218,22 +173,14 @@ def cmd_check(args, out):
 
 def cmd_basis(args, out):
     g = load_graph(args)
-    if args.mode == "ktheory":
-        if args.normalization == "point":
-            basis = kt.point_normalized_basis_k(g)
-        else:
-            basis = kt.icanonical_basis_k(g)
-    else:
-        basis = ch.icanonical_basis_h(g)
+    basis = SIDES[args.mode].basis(g, args.normalization)
     return _emit_basis(args, out, g, basis, "tau")
 
 
 def cmd_pd(args, out):
     g = load_graph(args)
-    if args.mode == "ktheory":
-        basis = {p: kt.poincare_dual_k(g, p) for p in g.vids()}
-    else:
-        basis = {p: ch.poincare_dual_h(g, p) for p in g.vids()}
+    ring = RINGS[args.mode]
+    basis = {p: cl.poincare_dual(ring, g, p) for p in g.vids()}
     return _emit_basis(args, out, g, basis, "pd")
 
 
@@ -250,53 +197,37 @@ def _emit_basis(args, out, g, basis, label):
         return 0
     lines = []
     for vid in g.vids():
-        emit_class(g, f"{label}:{vid}", basis[vid], lines)
+        emit_class(RINGS[mode], g, f"{label}:{vid}", basis[vid], lines)
     out.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_local_index(args, out):
     g = load_graph(args)
-    c = resolve_class(g, args.klass, args.mode)
+    ring = RINGS[args.mode]
+    c = resolve_class(g, args.klass, ring)
     vid = _resolve_vid(g, args.vertex)
-    if args.mode == "ktheory":
-        val = kt.local_index_k(g, c, vid)
-    else:
-        val = ch.local_index_h(g, c, vid)
-    if args.format == "json":
-        out.write(dumps({"vertex": vid, "value": poly_to_terms(val)}))
-    else:
-        out.write(fmt_value(val) + "\n")
-    return 0
+    return emit_value(args, out, ring, {"vertex": vid}, cl.local_index(ring, g, c, vid))
 
 
 def cmd_index(args, out):
     g = load_graph(args)
-    c = resolve_class(g, args.klass, args.mode)
-    if args.mode == "ktheory":
-        val = kt.atiyah_segal_index(g, c)
-    else:
-        val = ch.abbv_index(g, c)
-    if args.format == "json":
-        out.write(dumps({"value": poly_to_terms(val)}))
-    else:
-        out.write(fmt_value(val) + "\n")
-    return 0
+    ring = RINGS[args.mode]
+    c = resolve_class(g, args.klass, ring)
+    return emit_value(args, out, ring, {}, cl.pushforward(ring, g, c))
 
 
 def cmd_structure(args, out):
     g = load_graph(args)
-    if args.mode == "ktheory":
-        basis = kt.icanonical_basis_k(g)
-        table = kt.structure_constants(g, basis)
-    else:
+    if args.mode != "ktheory":
         raise ValidationError("structure constants are emitted for the K basis")
+    table = kt.structure_constants(g, kt.icanonical_basis_k(g))
     if args.format == "json":
-        data = {f"{p}*{q}->{r}": poly_to_terms(f) for (p, q, r), f in sorted(table.items())}
+        data = {f"{p}*{q}->{r}": K.to_terms(f) for (p, q, r), f in sorted(table.items())}
         out.write(dumps(data))
         return 0
     for (p, q, r), f in sorted(table.items()):
-        out.write(f"{p} * {q} -> {r}: {fmt_value(f)}\n")
+        out.write(f"{p} * {q} -> {r}: {K.fmt(f)}\n")
     return 0
 
 
@@ -307,11 +238,11 @@ def cmd_kirwan(args, out):
     pi = int_vector(args.pi, "--pi")
     setup = reduced_fixed_data(g, pi)
     if args.klass:
-        c = resolve_class(g, args.klass, "cohomology")
+        c = resolve_class(g, args.klass, H)
     elif args.fixture == "square":
         c = square_reference_class(g)
     else:
-        c = ch.one_class_h(g)
+        c = cl.one_class(H, g)
     vals = kirwan_restrict_all(setup, c)
     if args.format == "json":
         data = {
@@ -322,7 +253,7 @@ def cmd_kirwan(args, out):
                     "source": p.source,
                     "edge_weight": list(p.edge_weight),
                     "residual": [list(w) for w in p.residual],
-                    "value": poly_to_terms(vals[p.id]),
+                    "value": H.to_terms(vals[p.id]),
                 }
                 for p in setup.points
             ],
@@ -331,7 +262,7 @@ def cmd_kirwan(args, out):
         return 0
     out.write(f"top vertex: {setup.top}\n")
     for p in setup.points:
-        out.write(f"{p.id} (edge {p.source} -> {setup.top}): {fmt_value(vals[p.id])}\n")
+        out.write(f"{p.id} (edge {p.source} -> {setup.top}): {H.fmt(vals[p.id])}\n")
     return 0
 
 
@@ -363,7 +294,7 @@ def _verify_checks(g, full):
     add("duals satisfy divisibility",
         lambda: all(not kt.check_gkm_k(g, etas[p]) for p in vids))
     add("duals are Kirwan classes",
-        lambda: all(kt.is_kirwan_class(g, etas[p], p) for p in vids))
+        lambda: all(cl.is_kirwan_class(K, g, etas[p], p) for p in vids))
 
     taus = kt.icanonical_basis_k(g)
     add("canonical classes satisfy divisibility",
@@ -372,8 +303,8 @@ def _verify_checks(g, full):
         lambda: kt.class_equal(taus[vids[0]], kt.one_class(g)))
 
     def profiles_ok():
-        one = LaurentPoly.one(g.rank)
-        zero = LaurentPoly.zero(g.rank)
+        one = K.one(g.rank)
+        zero = K.zero(g.rank)
         for p in vids:
             face = flow_face(g, p, "up")
             for q in vids:
@@ -384,9 +315,9 @@ def _verify_checks(g, full):
     add("canonical index profile", profiles_ok)
 
     add("push-forward of 1 equals 1",
-        lambda: kt.atiyah_segal_index(g, kt.one_class(g)) == LaurentPoly.one(g.rank))
+        lambda: kt.atiyah_segal_index(g, kt.one_class(g)) == K.one(g.rank))
     add("integral of 1 vanishes",
-        lambda: ch.abbv_index(g, ch.one_class_h(g)) == PolyH.zero(g.rank))
+        lambda: ch.abbv_index(g, ch.one_class_h(g)) == H.zero(g.rank))
 
     add("jump-one ratios are 1",
         lambda: all(ch.theta(g, e) == Fraction(1) for e in ch.ecan_edges(g)))
@@ -399,7 +330,7 @@ def _verify_checks(g, full):
         def triangular():
             for p in vids:
                 coeffs = kt.expand_in_basis(g, etas, taus[p])
-                if coeffs.get(p) != LaurentPoly.one(g.rank):
+                if coeffs.get(p) != K.one(g.rank):
                     return False
                 for r, f in coeffs.items():
                     if g.order_index(r) < g.order_index(p) and not f.is_zero():

@@ -1,186 +1,48 @@
 """Rational-coefficient side of the construction.
 
-Classes are dicts mapping vertex id to a ``PolyH``.  Provides Euler classes,
-duals of flow-up faces, integration over the manifold, the local index
-with its degree shortcut, the canonical basis (which here is the dual basis
-at every vertex, no index increasing hypothesis needed), the projected Euler
-class ratio for index-jump-one edges, and the path-sum classes that exist in
-the index increasing case.
-
-Integration expands the class triangularly in the flow-up duals and reads
-off the coefficient at the top vertex: only the point class there has a
-nonzero integral, 1.  The expansion is also the membership test.  The fixed
-point formula (``abbv_localized_sum``) stays as an independent oracle.
+Classes are dicts mapping vertex id to a ``PolyH``.  The constructions
+shared with K-theory (Euler classes, duals of flow-up faces, integration over
+the manifold, the local index with its degree shortcut) live in ``classes``
+over the ring ``H``; the names below bind them.  This module verifies the
+canonical basis (which here is the dual basis at every vertex, no index
+increasing hypothesis needed) and computes the projected Euler class ratio
+for index-jump-one edges and the path-sum classes that exist in the index
+increasing case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
+from . import classes as cl
 from .errors import (
-    DivisionFailure,
-    GKMViolation,
     IntegralityFailure,
     NonConstantQuotient,
-    NonPolynomialIndex,
     NotECanEdge,
     NotIndexIncreasing,
-    ValidationError,
     VerificationFailure,
 )
-from .gkm import flow_face, is_index_increasing, triangular_expansion
+from .gkm import is_index_increasing
 from .symcore import (
+    H,
     Irreducible,
     LocalizedSum,
     PolyH,
     divide_by_linear_form,
     rational_primitive,
-    substitute_linear_h,
-    wt_add,
     wt_dot,
-    wt_lift,
-    wt_neg,
     wt_primitive,
     wt_scale,
     wt_sub,
 )
 
-
-def zero_class_h(g):
-    return {v: PolyH.zero(g.rank) for v in g.vids()}
-
-
-def one_class_h(g):
-    return {v: PolyH.one(g.rank) for v in g.vids()}
-
-
-def class_equal_h(a, b):
-    return set(a) == set(b) and all(a[v] == b[v] for v in a)
-
-
-# ---------------------------------------------------------------------------
-# Euler classes, membership, duals
-
-def euler_minus_h(g, vid):
-    out = PolyH.one(g.rank)
-    for w in g.point(vid).wplus:
-        out = out * PolyH.linear_form(w)
-    return out
-
-
-def check_gkm_h(g, c):
-    bad = []
-    for e in g.edges:
-        diff = c[e.src] - c[e.dst]
-        if diff.is_zero():
-            continue
-        if divide_by_linear_form(diff, e.weight) is None:
-            bad.append((e, diff))
-    return bad
-
-
-def assert_gkm_h(g, c):
-    bad = check_gkm_h(g, c)
-    if bad:
-        raise GKMViolation(bad[0][0], bad[0][1])
-
-
-def poincare_dual_h(g, vid):
-    face = flow_face(g, vid, "up")
-    c = zero_class_h(g)
-    for q in face:
-        val = PolyH.one(g.rank)
-        for other, _e in g.incident(q):
-            if other not in face:
-                val = val * PolyH.linear_form(g.weight_toward(other, q))
-        c[q] = val
-    return c
-
-
-def is_kirwan_class_h(g, c, vid):
-    if c[vid] != euler_minus_h(g, vid):
-        return False
-    cut = g.order_index(vid)
-    return all(c[v].is_zero() for v in g.vids()[:cut])
-
-
-# ---------------------------------------------------------------------------
-# integration
-
-def abbv_index(g, c):
-    """Integral over the manifold: the coefficient of c at the top vertex in
-    the flow-up duals.  Raises ``NonPolynomialIndex`` when c is not a class."""
-    try:
-        coeffs = triangular_expansion(
-            g, c, lambda r: poincare_dual_h(g, r), divide_by_linear_form)
-    except DivisionFailure as exc:
-        raise NonPolynomialIndex(f"integral of a non-class: {exc}") from exc
-    return coeffs.get(g.vids()[-1], PolyH.zero(g.rank))
-
-
-def abbv_localized_sum(g, c):
-    s = LocalizedSum("H", g.rank)
-    for v in g.vids():
-        s.add_term(c[v], list(g.weights_at(v)))
-    return s
-
-
-# ---------------------------------------------------------------------------
-# local index
-
-def local_index_h(g, c, q):
-    """Cohomological local index at q.
-
-    A homogeneous class of degree below lam_q integrates to zero on the cut
-    space, so that case returns immediately.  Otherwise the same linear
-    substitution as in K-theory is applied to the variables, the cut space
-    integral is reduced, and the auxiliary variable is set to zero.
-    """
-    value = c[q]
-    if value.is_zero():
-        return PolyH.zero(g.rank)
-    deg = value.homogeneous_degree()
-    if deg is None:
-        raise ValidationError("local index needs a homogeneous restriction")
-    pt = g.point(q)
-    lam = pt.lam
-    n = g.rank
-    if deg < lam:
-        return PolyH.zero(g.rank)
-    wplus = list(pt.wplus)
-    wrest = list(pt.wminus)
-    basis = wplus + wrest
-    w0 = (0,) * n + (1,)
-
-    images0 = [wt_add(wt_lift(w), w0) for w in wplus] + [wt_lift(w) for w in wrest]
-    fs = [substitute_linear_h(value, basis, images0)]
-    for j in range(lam):
-        images = []
-        for i, w in enumerate(wplus):
-            if i == j:
-                images.append((0,) * (n + 1))
-            else:
-                images.append(wt_lift(wt_sub(w, wplus[j])))
-        images += [wt_lift(w) for w in wrest]
-        fs.append(substitute_linear_h(value, basis, images))
-
-    dens = [[wt_add(wt_lift(w), w0) for w in wplus]]
-    for i in range(lam):
-        ws = [wt_neg(wt_add(wt_lift(wplus[i]), w0))]
-        ws += [wt_lift(wt_sub(wplus[t], wplus[i])) for t in range(lam) if t != i]
-        dens.append(ws)
-
-    s = LocalizedSum("H", n + 1)
-    for f, den in zip(fs, dens):
-        s.add_term(f, den)
-    out = s.reduce()
-    if isinstance(out, Irreducible):
-        raise NonPolynomialIndex(f"local index at {q} is not a polynomial")
-    return out.drop_last_variable()
-
-
-def local_index_profile_h(g, c):
-    return {q: local_index_h(g, c, q) for q in g.vids()}
+class_equal_h = cl.class_equal
+one_class_h = partial(cl.one_class, H)
+check_gkm_h = partial(cl.check_gkm, H)
+poincare_dual_h = partial(cl.poincare_dual, H)
+abbv_index = partial(cl.pushforward, H)
+local_index_h = partial(cl.local_index, H)
 
 
 def icanonical_basis_h(g):
@@ -197,6 +59,11 @@ def icanonical_basis_h(g):
                 raise VerificationFailure(
                     f"dual at {p} has local index {got!r} at {q}")
     return basis
+
+
+def basis(g, normalization="canonical"):
+    """The canonical basis, which in cohomology is point-normalized too."""
+    return icanonical_basis_h(g)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +150,12 @@ def gt_class(g, p, xi=None, _theta_cache=None):
             cache[key] = theta(g, by_pair[key], xi)
         return cache[key]
 
-    out = zero_class_h(g)
+    out = cl.zero_class(H, g)
     for q in g.vids():
         paths = _ecan_paths(g, p, q, adj)
         if not paths:
             continue
-        lam_q = euler_minus_h(g, q)
+        lam_q = cl.euler_minus(H, g, q)
         s = LocalizedSum("H", g.rank)
         for path in paths:
             scalar = Fraction(1)

@@ -34,9 +34,9 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
-    mat_det,
-    mat_from_cols,
+    is_lattice_basis,
     rational_primitive,
+    scaled_inverse,
     wt_dot,
     wt_neg,
     wt_primitive,
@@ -145,31 +145,6 @@ def _validate_input(inp):
     return ids, psis
 
 
-def _scaled_inverse(cols):
-    """(D, rows) with D = |det R| > 0 and rows the integer matrix D * R^-1,
-    where R has the given integer columns; None when R is singular.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
-    exact and the final pivot is +-det R.
-    """
-    n = len(cols)
-    m = [[c[i] for c in cols] + [int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k][k]
-        for r in range(n):
-            if r != k:
-                f = m[r][k]
-                m[r] = [(pk * x - f * y) // prev for x, y in zip(m[r], m[k])]
-        prev = pk
-    sign = 1 if prev > 0 else -1
-    return abs(prev), [tuple(sign * x for x in row[n:]) for row in m]
-
-
 def _start_neighbours(pts, v, rank):
     """Candidate neighbours of the lexicographically smallest point v.
 
@@ -234,7 +209,7 @@ def _certify(ids, pts, v, nbrs):
     (D, coordinates by point index).
     """
     pv = pts[v]
-    inv = _scaled_inverse([wt_sub(pts[u], pv) for u in nbrs])
+    inv = scaled_inverse([wt_sub(pts[u], pv) for u in nbrs])
     if inv is None:
         raise NotAPolytopeSkeleton(
             f"vertex {ids[v]} fails the skeleton certificate: its candidate "
@@ -350,18 +325,17 @@ def build_graph(inp, xi=None):
                 f"vertex {ids[i]} has degree {d}, expected {inp.rank}")
 
     # Delzant: primitive incident directions form a lattice basis everywhere
+    prims = [rational_primitive(wt_sub(psis[j], psis[i])) for i, j in pairs]
     dirs_at = {i: [] for i in range(len(ids))}
-    for i, j in pairs:
-        prim, _ = rational_primitive(wt_sub(psis[j], psis[i]))
+    for (i, j), (prim, _) in zip(pairs, prims):
         dirs_at[i].append(prim)
         dirs_at[j].append(wt_neg(prim))
     for i, dirs in dirs_at.items():
-        det = mat_det(mat_from_cols(dirs))
-        if abs(det) != 1:
+        if not is_lattice_basis(dirs):
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
 
-    skel = _Skeleton(inp.rank, ids, psis, pairs)
+    skel = _Skeleton(inp.rank, ids, psis, pairs, prims)
     chosen = choose_generic_xi(skel, inp.xi if xi is None else xi)
     return orient_and_index(skel, chosen)
 
@@ -372,19 +346,13 @@ class _Skeleton:
     ids: list
     psis: list
     pairs: list  # index pairs
-
-    def edge_weights(self):
-        out = []
-        for i, j in self.pairs:
-            prim, _ = rational_primitive(wt_sub(self.psis[j], self.psis[i]))
-            out.append(prim)
-        return out
+    prims: list  # (primitive direction, lattice length) of each pair
 
 
 def choose_generic_xi(skel, xi=None):
     """Pick or validate a direction pairing nonzero with every edge weight
     and separating the vertices."""
-    weights = skel.edge_weights()
+    weights = [prim for prim, _ in skel.prims]
 
     def ok(cand):
         if len(cand) != skel.rank:
@@ -413,9 +381,7 @@ def orient_and_index(skel, xi):
         for i in order
     ]
     edges = []
-    for i, j in skel.pairs:
-        diff = tuple(wt_sub(skel.psis[j], skel.psis[i]))
-        prim, scale = rational_primitive(diff)
+    for (i, j), (prim, scale) in zip(skel.pairs, skel.prims):
         if wt_dot(prim, xi) > 0:
             src, dst, w, mult = skel.ids[i], skel.ids[j], prim, scale
         else:

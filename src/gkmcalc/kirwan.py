@@ -3,8 +3,8 @@
 Given an integer covector cutting out a circle inside the torus, the reduced
 space near the maximum of the corresponding moment component has one fixed
 point per edge into that maximum.  Restricting a class to a reduced point is
-a change of lattice basis followed by killing the edge weight; the module
-implements that substitution in both coefficient modes and computes the
+a change of lattice basis followed by killing the edge weight, done by the
+substitution of the value's coefficient ring; the module computes the
 residual weight data, rejecting non-free actions.
 """
 
@@ -14,17 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonUniqueMaximum, NotFreeAction, ValidationError
-from .symcore import (
-    LaurentPoly,
-    PolyH,
-    mat_det,
-    mat_from_cols,
-    substitute_linear,
-    substitute_linear_h,
-    wt_dot,
-    wt_scale,
-    wt_sub,
-)
+from .symcore import is_lattice_basis, wt_dot, wt_scale, wt_sub
 
 
 @dataclass(frozen=True)
@@ -80,9 +70,7 @@ def reduced_fixed_data(g, pi):
                 raise NotFreeAction(
                     f"weight at the reduced point on {source}->{top} is fractional")
             residual.append(wt_sub(v_t, wt_scale(v_i, int(ratio))))
-        det = mat_det(mat_from_cols(residual + [v_i])) if residual else \
-            mat_det(mat_from_cols([v_i]))
-        if abs(det) != 1:
+        if not is_lattice_basis(residual + [v_i]):
             raise NotFreeAction("reduced weights fail the lattice basis test")
         points.append(ReducedPoint(
             id=f"r{i + 1}", source=source, edge_weight=v_i,
@@ -92,12 +80,8 @@ def reduced_fixed_data(g, pi):
 
 def _restrict(setup, value, point):
     basis = list(point.residual) + [point.edge_weight]
-    images = [w for w in point.residual] + [(0,) * setup.graph.rank]
-    if isinstance(value, PolyH):
-        return substitute_linear_h(value, basis, images)
-    if isinstance(value, LaurentPoly):
-        return substitute_linear(value, basis, images)
-    raise TypeError("class values must be PolyH or LaurentPoly")
+    images = list(point.residual) + [(0,) * setup.graph.rank]
+    return value.ring.substitute(value, basis, images)
 
 
 def kirwan_restrict(setup, c, point_id, source="top"):

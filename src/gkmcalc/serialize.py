@@ -2,43 +2,23 @@
 
 Graph files:  {"rank": n, "vertices": [{"id": ..., "psi": [...]}, ...],
                "edges": [[id, id], ...]?, "xi": [...]?}
-with rationals written either as integers or as "p/q" strings.
+with rationals written as integers or as "p/q" or plain decimal strings
+(exponent notation is refused).
 
 Class files:  {"mode": "ktheory"|"cohomology", "class": {vid: [[coeff, [e...]], ...]}}
 with coefficients as decimal strings (K) or "p/q" strings (H) so any integer
-width survives.  Basis files carry a map of vertex id to class under
-"basis".  Emission is sorted everywhere, so emit / read / emit is
-byte-stable.
+width survives; the coefficient ring of the mode reads and writes the terms.
+Basis files carry a map of vertex id to class under "basis".  Emission is
+sorted everywhere, so emit / read / emit is byte-stable.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ValidationError
 from .gkm import ToricInput
-from .symcore import LaurentPoly, PolyH
-
-
-def parse_rational(x):
-    if isinstance(x, bool):
-        raise ValidationError("booleans are not rationals")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"bad rational {x!r}") from None
-    raise ValidationError(f"bad rational {x!r}")
-
-
-def format_rational(f):
-    f = Fraction(f)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+from .symcore import RINGS, parse_rational
 
 
 def toric_input_from_dict(data):
@@ -74,64 +54,48 @@ def load_toric_input(path):
 
 
 # ---------------------------------------------------------------------------
-# polynomial values
+# class and basis files
 
-def poly_to_terms(p):
-    if isinstance(p, LaurentPoly):
-        return [[str(c), list(e)] for e, c in p.sorted_terms()]
-    if isinstance(p, PolyH):
-        return [[format_rational(c), list(e)] for e, c in p.sorted_terms()]
-    raise TypeError("unsupported value type")
-
-
-def laurent_from_terms(rank, items):
-    terms = {}
-    for c, e in items:
-        terms[tuple(int(x) for x in e)] = int(str(c))
-    return LaurentPoly(rank, terms)
-
-
-def polyh_from_terms(rank, items):
-    terms = {}
-    for c, e in items:
-        terms[tuple(int(x) for x in e)] = parse_rational(c)
-    return PolyH(rank, terms)
+def _ring(data):
+    mode = data.get("mode", "ktheory")
+    if not isinstance(mode, str) or mode not in RINGS:
+        raise ValidationError(f"malformed class file: unknown mode {mode!r}")
+    return mode, RINGS[mode]
 
 
 def class_to_dict(c, mode):
     return {
         "mode": mode,
-        "class": {vid: poly_to_terms(val) for vid, val in sorted(c.items())},
+        "class": {vid: RINGS[mode].to_terms(val) for vid, val in sorted(c.items())},
     }
 
 
 def class_from_dict(data, rank):
     if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
         raise ValidationError("malformed class file: no \"class\" object")
-    mode = data.get("mode", "ktheory")
-    loader = laurent_from_terms if mode == "ktheory" else polyh_from_terms
+    mode, ring = _ring(data)
     try:
-        return {vid: loader(rank, items) for vid, items in data["class"].items()}, mode
+        return {vid: ring.from_terms(rank, items) for vid, items in data["class"].items()}, mode
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed class file: {exc}") from None
 
 
 def basis_to_dict(basis, mode):
+    ring = RINGS[mode]
     return {
         "mode": mode,
         "basis": {
-            vid: {q: poly_to_terms(val) for q, val in sorted(c.items())}
+            vid: {q: ring.to_terms(val) for q, val in sorted(c.items())}
             for vid, c in sorted(basis.items())
         },
     }
 
 
 def basis_from_dict(data, rank):
-    mode = data.get("mode", "ktheory")
-    loader = laurent_from_terms if mode == "ktheory" else polyh_from_terms
+    mode, ring = _ring(data)
     basis = {}
     for vid, tbl in data["basis"].items():
-        basis[vid] = {q: loader(rank, items) for q, items in tbl.items()}
+        basis[vid] = {q: ring.from_terms(rank, items) for q, items in tbl.items()}
     return basis, mode
 
 

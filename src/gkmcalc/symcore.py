@@ -3,13 +3,21 @@
 Weights are integer tuples.  ``LaurentPoly`` models finite character sums
 (exponent vector -> integer coefficient, negative exponents allowed),
 ``PolyH`` models polynomials with exact rational coefficients (multidegree ->
-Fraction).  ``LocalizedSum`` models sums of fractions whose denominators are
-products of the factor attached to a weight w: ``1 - e^w`` in K mode and the
-linear form ``w`` in H mode.  Reduction brings everything over a least common
-denominator and cancels factor by factor with the two exact division
-routines; there is deliberately no general multivariate gcd.  It serves the
-local indices and path sums; the global indices expand in the flow-up duals
-instead and keep reduction only as a test oracle.
+Fraction); the two share one arithmetic core.
+
+A coefficient ring, ``K`` for K-theory and ``H`` for cohomology, is what a
+construction needs to know about its mode: zero and one, the factor attached
+to a weight w (``1 - e^w`` in K, the linear form ``w`` in H), the unit that
+flipping the sign of w costs, exact division and the divisibility test,
+linear substitution, dropping the auxiliary coordinate, and the JSON and text
+forms of a value.  ``RINGS`` maps the CLI mode names to the rings.
+
+``LocalizedSum`` models sums of fractions whose denominators are products of
+factors.  Reduction brings everything over a least common denominator and
+cancels factor by factor with the two exact division routines; there is
+deliberately no general multivariate gcd.  It serves the local indices and
+path sums; the global indices expand in the flow-up duals instead and keep
+reduction only as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +103,29 @@ def wt_lift(a, extra=1):
     return tuple(a) + (0,) * extra
 
 
+def parse_rational(x):
+    """An int or a string in integer, "p/q" or plain decimal notation, as a
+    Fraction.  Exponent notation is refused: ``Fraction`` would expand
+    "1e100000000" digit by digit."""
+    if isinstance(x, bool):
+        raise ValidationError("booleans are not rationals")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str) and "e" not in x.lower():
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"bad rational {x!r}")
+
+
+def format_rational(f):
+    f = Fraction(f)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
 # ---------------------------------------------------------------------------
 # small exact matrices (tuples of row tuples)
 
@@ -113,82 +146,153 @@ def mat_mul(a, b):
     )
 
 
-def mat_det(m):
-    """Determinant by fraction Gaussian elimination; exact."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def scaled_inverse(cols):
+    """(D, rows) with D = |det R| > 0 and rows the integer matrix D * R^-1,
+    where R has the given integer columns; None when R is singular.
 
-
-def mat_inv_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1, as integer rows."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact and the final pivot is +-det R.
+    """
+    n = len(cols)
+    m = [[c[i] for c in cols] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k][k]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)
+            if r != k:
+                f = m[r][k]
+                m[r] = [(pk * x - f * y) // prev for x, y in zip(m[r], m[k])]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def is_lattice_basis(cols):
+    """Whether the integer vectors form a basis of the lattice (det +-1)."""
+    inv = scaled_inverse(cols)
+    return inv is not None and inv[0] == 1
 
 
 # ---------------------------------------------------------------------------
-# Laurent character sums over Z
+# polynomials: one arithmetic core, two coefficient modes
 
-class LaurentPoly:
-    """Finite sum of integer multiples of formal exponentials e^v."""
+class _Poly:
+    """Finite map from exponent tuple to nonzero coefficient, with ring
+    arithmetic; scalars of the types in ``scalars`` coerce to constants."""
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms=None):
         self.rank = rank
-        clean = {}
+        self.terms = {}
         for e, c in (terms or {}).items():
             if c:
                 e = tuple(e)
-                if len(e) != rank:
-                    raise ValueError("exponent rank mismatch")
-                clean[e] = c
-        self.terms = clean
+                if len(e) != rank or min(e, default=0) < self.lowest:
+                    raise ValueError(f"bad exponent {e} for rank {rank}")
+                self.terms[e] = c
+
+    @classmethod
+    def _new(cls, rank, terms):
+        """Unchecked constructor for exponents known to be valid."""
+        p = object.__new__(cls)
+        p.rank = rank
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
 
     @classmethod
     def zero(cls, rank):
-        return cls(rank)
+        return cls._new(rank, {})
 
     @classmethod
     def one(cls, rank):
-        return cls(rank, {(0,) * rank: 1})
+        return cls._new(rank, {(0,) * rank: 1})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, self.scalars):
+            other = self._new(self.rank, {(0,) * self.rank: other})
+        return isinstance(other, type(self)) and self.rank == other.rank \
+            and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.rank, frozenset(self.terms.items())))
+
+    def _coerce(self, other):
+        if isinstance(other, self.scalars):
+            return self._new(self.rank, {(0,) * self.rank: other})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.rank != self.rank:
+            raise ValueError("rank mismatch")
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._new(self.rank, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(self.rank, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = wt_add(e1, e2)
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._new(self.rank, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers unsupported")
+        result = self.one(self.rank)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def __repr__(self):
+        bits = [f"{c}*{self.symbol}{list(e)}" for e, c in self.sorted_terms()]
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class LaurentPoly(_Poly):
+    """Finite sum of integer multiples of formal exponentials e^v."""
+
+    __slots__ = ()
+    scalars = (int,)
+    lowest = -math.inf
+    symbol = "e"
 
     @classmethod
     def monomial(cls, expo, coeff=1):
@@ -199,79 +303,13 @@ class LaurentPoly:
         """The factor 1 - e^w."""
         return cls(len(w), {(0,) * len(w): 1, tuple(w): -1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly(self.rank, {(0,) * self.rank: other})
-        return isinstance(other, LaurentPoly) and self.rank == other.rank \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentPoly(self.rank, {(0,) * self.rank: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.rank, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = wt_add(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        result = LaurentPoly.one(self.rank)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def apply_matrix(self, m):
         """Push exponents through v -> m @ v; m may change the rank."""
         out = {}
         for e, c in self.terms.items():
             ne = mat_vec(m, e)
             out[ne] = out.get(ne, 0) + c
-        return LaurentPoly(len(m), out)
+        return LaurentPoly._new(len(m), out)
 
     def drop_last_coordinate(self):
         """Set the last exponent coordinate to zero, then forget it."""
@@ -279,7 +317,7 @@ class LaurentPoly:
         for e, c in self.terms.items():
             ne = e[:-1]
             out[ne] = out.get(ne, 0) + c
-        return LaurentPoly(self.rank - 1, out)
+        return LaurentPoly._new(self.rank - 1, out)
 
     def eval_at(self, base, xi):
         """Specialize e^v -> base ** <v, xi>; base a nonzero Fraction."""
@@ -288,122 +326,25 @@ class LaurentPoly:
             total += c * (Fraction(base) ** wt_dot(e, xi))
         return total
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        bits = [f"{c}*e{list(e)}" for e, c in self.sorted_terms()]
-        return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
-# ---------------------------------------------------------------------------
-# polynomials with rational coefficients
-
-class PolyH:
+class PolyH(_Poly):
     """Polynomial in x1..xk with Fraction coefficients, dense multidegrees."""
 
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank, terms=None):
-        self.rank = rank
-        clean = {}
-        for e, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                e = tuple(e)
-                if len(e) != rank or any(d < 0 for d in e):
-                    raise ValueError("bad multidegree")
-                clean[e] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, rank):
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank):
-        return cls(rank, {(0,) * rank: Fraction(1)})
+    __slots__ = ()
+    scalars = (int, Fraction)
+    lowest = 0
+    symbol = "x^"
 
     @classmethod
     def constant(cls, rank, c):
-        return cls(rank, {(0,) * rank: Fraction(c)})
+        return cls._new(rank, {(0,) * rank: Fraction(c)})
 
     @classmethod
     def linear_form(cls, w):
         """The degree one polynomial <w, x>."""
         rank = len(w)
-        terms = {}
-        for i, c in enumerate(w):
-            if c:
-                e = tuple(1 if j == i else 0 for j in range(rank))
-                terms[e] = Fraction(c)
-        return cls(rank, terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyH.constant(self.rank, other)
-        return isinstance(other, PolyH) and self.rank == other.rank \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyH.constant(self.rank, other)
-        if not isinstance(other, PolyH):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return PolyH(self.rank, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyH(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = wt_add(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return PolyH(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        result = PolyH.one(self.rank)
-        for _ in range(k):
-            result = result * self
-        return result
+        return cls._new(rank, {tuple(int(j == i) for j in range(rank)): Fraction(c)
+                               for i, c in enumerate(w)})
 
     def homogeneous_degree(self):
         """Total degree if homogeneous, None for 0 or mixed degrees."""
@@ -425,11 +366,8 @@ class PolyH:
 
     def drop_last_variable(self):
         """Substitute 0 for the last variable, then forget it."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[-1] == 0:
-                out[e[:-1]] = c
-        return PolyH(self.rank - 1, out)
+        return PolyH._new(self.rank - 1,
+                          {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0})
 
     def eval_at(self, point):
         total = Fraction(0)
@@ -441,37 +379,43 @@ class PolyH:
             total += v
         return total
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "PolyH(0)"
-        bits = [f"{c}*x^{list(e)}" for e, c in self.sorted_terms()]
-        return "PolyH(" + " + ".join(bits) + ")"
-
 
 # ---------------------------------------------------------------------------
 # exact division routines
 
-def divide_by_cyclotomic(p, w):
-    """Exact division of p by (1 - e^w); returns the quotient or None.
-
-    The exponents of p fall into coset chains e + Z*w, positioned by a pivot
-    coordinate of w.  Along a chain the quotient is the running sum of the
-    coefficients of p, so the chain divides exactly iff its total is 0.
-    """
+def _coset_chains(p, w):
+    """The terms of p grouped by coset chain e + Z*w, positioned by a pivot
+    coordinate of w: {chain base: [(position, coefficient), ...]}, together
+    with whether every chain sums to zero."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
-    if p.is_zero():
-        return p
     pivot = next(i for i, c in enumerate(w) if c)
     step = w[pivot]
-    chains = {}
+    chains, totals = {}, {}
     for e, c in p.terms.items():
         k = e[pivot] // step
         base = tuple(x - k * y for x, y in zip(e, w))
         chains.setdefault(base, []).append((k, c))
+        totals[base] = totals.get(base, 0) + c
+    return chains, not any(totals.values())
+
+
+def cyclotomic_divides(p, w):
+    """Whether (1 - e^w) divides p: every coset chain sums to zero.  No
+    quotient is built, so the cost does not grow with exponent gaps."""
+    return _coset_chains(p, w)[1]
+
+
+def divide_by_cyclotomic(p, w):
+    """Exact division of p by (1 - e^w); returns the quotient or None.
+
+    Along a coset chain the quotient is the running sum of the coefficients
+    of p, so the chain divides exactly iff its total is 0; that is checked
+    before any quotient term is built.
+    """
+    chains, divisible = _coset_chains(p, w)
+    if not divisible:
+        return None
     out = {}
     for base, chain in chains.items():
         chain.sort()
@@ -481,9 +425,7 @@ def divide_by_cyclotomic(p, w):
             if total:
                 for j in range(k, k_next):
                     out[tuple(x + j * y for x, y in zip(base, w))] = total
-        if total + chain[-1][1]:
-            return None
-    return LaurentPoly(p.rank, out)
+    return LaurentPoly._new(p.rank, out)
 
 
 def divide_by_linear_form(p, w):
@@ -506,7 +448,7 @@ def divide_by_linear_form(p, w):
             if e[pivot] == top:
                 ne = tuple(d - 1 if i == pivot else d for i, d in enumerate(e))
                 slice_terms[ne] = c * inv
-        piece = PolyH(p.rank, slice_terms)
+        piece = PolyH._new(p.rank, slice_terms)
         quot = quot + piece
         rem = rem - piece * wpoly
     if rem.is_zero():
@@ -522,17 +464,15 @@ def substitution_matrix(basis, images, rank):
     """
     if len(basis) != rank:
         raise ValueError("basis size must equal the ambient rank")
-    bmat = mat_from_cols(basis)
-    if abs(mat_det(bmat)) != 1:
+    inv = scaled_inverse(basis)
+    if inv is None or inv[0] != 1:
         raise ValueError("basis is not unimodular")
-    binv = mat_inv_unimodular(bmat)
     if len(images) != rank:
         raise ValueError("need one image per basis vector")
     rank_out = len(images[0])
     if any(len(v) != rank_out for v in images):
         raise ValueError("images of unequal rank")
-    amat = mat_from_cols(images)
-    return mat_mul(amat, binv)
+    return mat_mul(mat_from_cols(images), inv[1])
 
 
 def substitute_linear(p, basis, images):
@@ -561,6 +501,109 @@ def substitute_linear_h(p, basis, images):
 
 
 # ---------------------------------------------------------------------------
+# coefficient rings
+
+class _Ring:
+    """What a construction needs to know about its coefficient mode.
+
+    ``name`` is the CLI mode, ``mode`` the ``LocalizedSum`` tag, ``poly``
+    the value class; ``graded`` rings have a degree, so a class integrates
+    to zero on a space of larger dimension.  Division and substitution look
+    their routines up by module-global name at call time.
+    """
+
+    def zero(self, rank):
+        return self.poly.zero(rank)
+
+    def one(self, rank):
+        return self.poly.one(rank)
+
+    def to_terms(self, p):
+        """JSON form: sorted [coefficient string, exponent list] pairs."""
+        return [[self.format_coeff(c), list(e)] for e, c in p.sorted_terms()]
+
+    def from_terms(self, rank, items):
+        return self.poly(rank, {tuple(int(x) for x in e): self.parse_coeff(c)
+                                for c, e in items})
+
+    def fmt(self, p):
+        """Text form: signed terms in exponent order, unit factors omitted."""
+        out = ""
+        for e, c in p.sorted_terms():
+            mono, a = self.fmt_monomial(e), abs(c)
+            piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+            sign = "-" if c < 0 else "+"
+            out = f"{out} {sign} {piece}" if out else ("-" if c < 0 else "") + piece
+        return out or "0"
+
+
+class _KRing(_Ring):
+    name, mode, poly, graded = "ktheory", "K", LaurentPoly, False
+    format_coeff = staticmethod(str)
+
+    @staticmethod
+    def parse_coeff(c):
+        return int(str(c))
+
+    @staticmethod
+    def fmt_monomial(e):
+        return "e[" + ",".join(map(str, e)) + "]" if any(e) else "1"
+
+    def factor(self, w):
+        return LaurentPoly.one_minus(w)
+
+    def flip(self, w):
+        """1 - e^-w = -e^-w (1 - e^w): the unit -e^w moves to the numerator."""
+        return LaurentPoly.monomial(w, -1)
+
+    def divide(self, p, w):
+        return divide_by_cyclotomic(p, w)
+
+    def divides(self, p, w):
+        return cyclotomic_divides(p, w)
+
+    def substitute(self, p, basis, images):
+        return substitute_linear(p, basis, images)
+
+    def drop_last(self, p):
+        return p.drop_last_coordinate()
+
+
+class _HRing(_Ring):
+    name, mode, poly, graded = "cohomology", "H", PolyH, True
+    format_coeff = staticmethod(format_rational)
+    parse_coeff = staticmethod(parse_rational)
+
+    @staticmethod
+    def fmt_monomial(e):
+        return "*".join(f"x{i + 1}" + (f"^{d}" if d > 1 else "")
+                        for i, d in enumerate(e) if d) or "1"
+
+    def factor(self, w):
+        return PolyH.linear_form(w)
+
+    def flip(self, w):
+        return PolyH.constant(len(w), -1)
+
+    def divide(self, p, w):
+        return divide_by_linear_form(p, w)
+
+    def divides(self, p, w):
+        return divide_by_linear_form(p, w) is not None
+
+    def substitute(self, p, basis, images):
+        return substitute_linear_h(p, basis, images)
+
+    def drop_last(self, p):
+        return p.drop_last_variable()
+
+
+K, H = _KRing(), _HRing()
+RINGS = {"ktheory": K, "cohomology": H}
+LaurentPoly.ring, PolyH.ring = K, H
+
+
+# ---------------------------------------------------------------------------
 # localized sums
 
 @dataclass(frozen=True)
@@ -575,24 +618,17 @@ class LocalizedSum:
     """Sum of numerator / product-of-weight-factors terms.
 
     Every denominator weight is stored with its first nonzero coordinate
-    positive; flipping a factor's sign multiplies the numerator by -e^w in
-    K mode (1 - e^-w = -e^-w (1 - e^w)) and by -1 in H mode.
+    positive; flipping a factor's sign multiplies the numerator by the
+    ring's unit for it.
     """
 
     def __init__(self, mode, rank):
-        if mode not in ("K", "H"):
+        self.ring = {"K": K, "H": H}.get(mode)
+        if self.ring is None:
             raise ValueError("mode must be 'K' or 'H'")
         self.mode = mode
         self.rank = rank
         self.terms = []
-
-    def _zero(self):
-        return LaurentPoly.zero(self.rank) if self.mode == "K" else PolyH.zero(self.rank)
-
-    def _factor(self, w):
-        if self.mode == "K":
-            return LaurentPoly.one_minus(w)
-        return PolyH.linear_form(w)
 
     def add_term(self, numer, weights):
         den = {}
@@ -602,10 +638,7 @@ class LocalizedSum:
                 raise ValueError("weight rank mismatch")
             wc, s = canonical_sign(w)
             if s < 0:
-                if self.mode == "K":
-                    numer = numer * LaurentPoly.monomial(wc, -1)
-                else:
-                    numer = numer * Fraction(-1)
+                numer = numer * self.ring.flip(wc)
             den[wc] = den.get(wc, 0) + 1
         if numer.is_zero():
             return
@@ -613,26 +646,26 @@ class LocalizedSum:
 
     def reduce(self):
         """Common denominator, sum, then cancel factors one at a time."""
+        ring = self.ring
         if not self.terms:
-            return self._zero()
+            return ring.zero(self.rank)
         lcd = {}
         for _, den in self.terms:
             for w, m in den.items():
                 lcd[w] = max(lcd.get(w, 0), m)
-        total = self._zero()
+        total = ring.zero(self.rank)
         for numer, den in self.terms:
             extra = numer
             for w, m in lcd.items():
                 for _ in range(m - den.get(w, 0)):
-                    extra = extra * self._factor(w)
+                    extra = extra * ring.factor(w)
             total = total + extra
         if total.is_zero():
             return total
-        divide = divide_by_cyclotomic if self.mode == "K" else divide_by_linear_form
         remaining = dict(lcd)
         for w in sorted(lcd):
             while remaining[w] > 0:
-                quot = divide(total, w)
+                quot = ring.divide(total, w)
                 if quot is None:
                     break
                 total = quot
@@ -643,30 +676,24 @@ class LocalizedSum:
         return total
 
     # numeric specialization, used as an independent oracle in the tests
-    def eval_k(self, base, xi):
-        if self.mode != "K":
-            raise ValueError("K specialization on an H sum")
+    def _eval(self, mode, value, factor):
+        if self.mode != mode:
+            raise ValueError(f"{mode} specialization of a {self.mode} mode sum")
         total = Fraction(0)
         for numer, den in self.terms:
-            val = numer.eval_at(base, xi)
+            val = value(numer)
             for w, m in den.items():
-                d = 1 - Fraction(base) ** wt_dot(w, xi)
+                d = factor(w)
                 if d == 0:
                     raise ValueError("specialization point kills a denominator")
                 val /= d ** m
             total += val
         return total
 
+    def eval_k(self, base, xi):
+        return self._eval("K", lambda p: p.eval_at(base, xi),
+                          lambda w: 1 - Fraction(base) ** wt_dot(w, xi))
+
     def eval_h(self, point):
-        if self.mode != "H":
-            raise ValueError("H specialization on a K sum")
-        total = Fraction(0)
-        for numer, den in self.terms:
-            val = numer.eval_at(point)
-            for w, m in den.items():
-                d = Fraction(wt_dot(w, point))
-                if d == 0:
-                    raise ValueError("specialization point kills a denominator")
-                val /= d ** m
-            total += val
-        return total
+        return self._eval("H", lambda p: p.eval_at(point),
+                          lambda w: Fraction(wt_dot(w, point)))

@@ -3,16 +3,20 @@
 import copy
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from gkmcalc.cli import main, make_parser
+from gkmcalc.errors import ValidationError
 from gkmcalc.serialize import (
     basis_from_dict,
     basis_to_dict,
     class_from_dict,
     class_to_dict,
     dumps,
+    parse_rational,
     toric_input_from_dict,
 )
 from gkmcalc.gkm import build_graph
@@ -197,6 +201,47 @@ def test_non_homogeneous_local_index_is_validation_error(tmp_path, capsys):
                           "--vertex", "b"], capsys)
     assert rc == 2
     assert "homogeneous" in json.loads(err)["message"]
+
+
+def test_check_does_not_build_the_quotient(tmp_path, capsys):
+    # 1 - e^[N,0] at a: divisible along a->b, where a quotient would have N
+    # terms, and not along a->c
+    n = 10 ** 9
+    klass = {"mode": "ktheory", "class": {"a": [["1", [0, 0]], ["-1", [n, 0]]], "b": [],
+                                          "c": []}}
+    start = time.perf_counter()
+    rc, _, err = run_cli(["check", "--input", _write(tmp_path, "g.json", TRIANGLE),
+                          "--class", _write(tmp_path, "c.json", klass)], capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert "divisibility fails on a->c" in json.loads(err)["message"]
+
+
+def test_parse_rational_refuses_exponent_notation():
+    assert parse_rational(7) == 7
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("1.25") == Fraction(5, 4)
+    for text in ("1e3", "1E3", "2.5e-1", "1e100000000"):
+        with pytest.raises(ValidationError):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize("graph, klass, mode", [
+    ({**TRIANGLE, "vertices": [{"id": "a", "psi": [0, 0]}, {"id": "b", "psi": ["1e100000000", 0]},
+                               {"id": "c", "psi": [0, 1]}]},
+     TRIANGLE_ONE["cohomology"], "cohomology"),
+    (TRIANGLE, {"mode": "cohomology",
+                "class": {v: [["1e100000000", [1, 0]]] for v in "abc"}}, "cohomology"),
+])
+def test_exponent_notation_is_rejected_fast(tmp_path, capsys, graph, klass, mode):
+    start = time.perf_counter()
+    rc, _, err = run_cli(["index", "--input", _write(tmp_path, "g.json", graph),
+                          "--class", _write(tmp_path, "c.json", klass), "--mode", mode],
+                         capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    _assert_clean_exit(rc, err)
+    assert "1e100000000" in json.loads(err)["message"]
 
 
 def test_bad_covector_is_validation_error(capsys):

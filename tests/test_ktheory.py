@@ -2,6 +2,7 @@
 
 import pytest
 
+from gkmcalc.classes import euler_minus, is_kirwan_class, localized_sum, support
 from gkmcalc.errors import DivisionFailure, NonPolynomialIndex
 from gkmcalc.fixtures import (
     fixture_graph,
@@ -11,7 +12,6 @@ from gkmcalc.fixtures import (
 )
 from gkmcalc.gkm import build_graph, flow_face, upward_closure
 from gkmcalc.ktheory import (
-    as_localized_sum,
     atiyah_segal_index,
     check_gkm_k,
     class_add,
@@ -19,20 +19,17 @@ from gkmcalc.ktheory import (
     class_mul,
     class_scale,
     cpn_prequantization_basis,
-    euler_minus_k,
     expand_in_basis,
     icanonical_basis_k,
-    is_kirwan_class,
     local_index_k,
     local_index_parts,
     one_class,
     poincare_dual_k,
     point_normalized_basis_k,
     structure_constants,
-    support,
     zero_class,
 )
-from gkmcalc.symcore import LaurentPoly
+from gkmcalc.symcore import K, LaurentPoly
 
 from conftest import rand_laurent, rng, specialization_points
 
@@ -72,16 +69,16 @@ def etash(hirzebruch):
 
 def test_euler_top_of_triangle(cp2):
     expected = (1 - e(0, 1)) * (1 - e(-1, 1))
-    assert euler_minus_k(cp2, "p2") == expected
+    assert euler_minus(K, cp2, "p2") == expected
 
 
 def test_euler_minimum_is_one(cp2, hirzebruch):
-    assert euler_minus_k(cp2, "p0") == LaurentPoly.one(2)
-    assert euler_minus_k(hirzebruch, "p0") == LaurentPoly.one(2)
+    assert euler_minus(K, cp2, "p0") == LaurentPoly.one(2)
+    assert euler_minus(K, hirzebruch, "p0") == LaurentPoly.one(2)
 
 
 def test_euler_middle_of_triangle(cp2):
-    assert euler_minus_k(cp2, "p1") == 1 - e(1, 0)
+    assert euler_minus(K, cp2, "p1") == 1 - e(1, 0)
 
 
 def test_constant_class_is_valid(cp2):
@@ -115,19 +112,19 @@ def test_dual_of_minimum_is_one(cp2, cp3, hirzebruch):
 def test_dual_value_at_base_is_euler(cp2, cp3, hirzebruch):
     for g in (cp2, cp3, hirzebruch):
         for p in g.vids():
-            assert poincare_dual_k(g, p)[p] == euler_minus_k(g, p)
+            assert poincare_dual_k(g, p)[p] == euler_minus(K, g, p)
 
 
 def test_duals_are_kirwan_classes(cp2, cp3, hirzebruch, etas2):
     for g in (cp2, cp3, hirzebruch):
         for p in g.vids():
-            assert is_kirwan_class(g, poincare_dual_k(g, p), p)
+            assert is_kirwan_class(K, g, poincare_dual_k(g, p), p)
 
 
 def test_one_is_kirwan_only_at_minimum(cp2):
     c = one_class(cp2)
-    assert is_kirwan_class(cp2, c, "p0")
-    assert not is_kirwan_class(cp2, c, "p1")
+    assert is_kirwan_class(K, cp2, c, "p0")
+    assert not is_kirwan_class(K, cp2, c, "p1")
 
 
 def test_duals_satisfy_divisibility_everywhere(cp1, cp2, cp3, hirzebruch, square):
@@ -157,7 +154,7 @@ def test_pushforward_of_top_dual_is_single_monomial(cp2, etas2):
     assert len(out.terms) == 1
     assert out == LaurentPoly.one(2)
     # independent numeric check of the unreduced sum
-    s = as_localized_sum(cp2, etas2["p2"])
+    s = localized_sum(K, cp2, etas2["p2"])
     from fractions import Fraction
     for base, xi in [(Fraction(2, 3), (1, 2)), (Fraction(3, 5), (1, 3)),
                      (Fraction(5, 2), (1, 5))]:
@@ -194,7 +191,7 @@ def test_pushforward_matches_fixed_point_formula(cp2, cp3, square, hirzebruch):
                 c = class_add(c, class_scale(etas[p], a))
             out = atiyah_segal_index(g, c)
             assert out == sum(coeffs.values(), LaurentPoly.zero(g.rank))
-            s = as_localized_sum(g, c)
+            s = localized_sum(K, g, c)
             assert out == s.reduce()
             for base in bases:
                 assert s.eval_k(base, g.xi) == out.eval_at(base, g.xi)
@@ -205,7 +202,7 @@ def test_pushforward_rejects_non_class_with_polynomial_fixed_point_sum(square):
     # the fixed point sum reduces to 0, but the table breaks divisibility on
     # the edges at the bottom vertex
     c = table(square, q3=1 - e(0, -1), q0=e(1, 0) * (1 - e(0, 1)))
-    assert as_localized_sum(square, c).reduce() == LaurentPoly.zero(2)
+    assert localized_sum(K, square, c).reduce() == LaurentPoly.zero(2)
     assert check_gkm_k(square, c)
     with pytest.raises(NonPolynomialIndex):
         atiyah_segal_index(square, c)
@@ -247,7 +244,7 @@ def test_local_index_euler_multiple(cp2, hirzebruch, etas2, etash):
         for s in vids:
             if g.order_index(s) > g.order_index(q) and r.random() < 0.4:
                 c = class_add(c, class_scale(etas[s], rand_laurent(r, g.rank)))
-        assert c[q] == f * euler_minus_k(g, q)
+        assert c[q] == f * euler_minus(K, g, q)
         assert local_index_k(g, c, q) == f
 
 
@@ -337,7 +334,7 @@ def test_basis_members_are_kirwan_with_small_support(cp2, cp3, hirzebruch):
         basis = icanonical_basis_k(g)
         for p in g.vids():
             assert check_gkm_k(g, basis[p]) == []
-            assert is_kirwan_class(g, basis[p], p)
+            assert is_kirwan_class(K, g, basis[p], p)
             assert support(basis[p]) <= set(upward_closure(g, p))
 
 

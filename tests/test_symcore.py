@@ -10,6 +10,7 @@ from gkmcalc.symcore import (
     LocalizedSum,
     PolyH,
     canonical_sign,
+    cyclotomic_divides,
     divide_by_cyclotomic,
     divide_by_linear_form,
     rational_primitive,
@@ -195,6 +196,7 @@ def test_cyclotomic_divides_iff_every_coset_sums_to_zero():
         q = divide_by_cyclotomic(p, w)
         divisible = all(s == 0 for s in _coset_sums(p, w))
         assert (q is not None) == divisible
+        assert cyclotomic_divides(p, w) == divisible
         if q is not None:
             hits += 1
             assert LaurentPoly.one_minus(w) * q == p
