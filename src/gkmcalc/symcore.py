@@ -182,7 +182,8 @@ def is_lattice_basis(cols):
 
 class _Poly:
     """Finite map from exponent tuple to nonzero coefficient, with ring
-    arithmetic; scalars of the types in ``scalars`` coerce to constants."""
+    arithmetic; scalars of the types in ``scalars`` coerce to constants and
+    ``ring`` is the coefficient ring of the subclass."""
 
     __slots__ = ("rank", "terms")
 
