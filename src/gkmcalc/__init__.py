@@ -4,7 +4,6 @@ of symplectic toric manifolds, computed from moment polytope combinatorics."""
 from .errors import (
     ContractError,
     DivisionFailure,
-    GKMViolation,
     IntegralityFailure,
     NonConstantQuotient,
     NonPolynomialIndex,

@@ -26,7 +26,7 @@ from .kirwan import kirwan_restrict_all, reduced_fixed_data
 from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
 from .symcore import RINGS, H, K
 
-# the module holding each mode's canonical basis
+# the module holding each mode's canonical classes
 SIDES = {"ktheory": kt, "cohomology": ch}
 
 
@@ -95,13 +95,13 @@ def resolve_class(g, spec, ring):
         kind, vid = name.split(":", 1)
         vid = _resolve_vid(g, vid)
         if kind == "tau":
-            return SIDES[ring.name].basis(g)[vid]
+            return SIDES[ring.name].canonical_class(g, vid)
         if kind == "pd":
             return cl.poincare_dual(ring, g, vid)
         if kind == "point":
             if ring is not K:
                 raise ValidationError("point normalization is a K-side construction")
-            return kt.point_normalized_basis_k(g)[vid]
+            return kt.point_class(g, vid)
         if kind == "gt":
             if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")
@@ -276,10 +276,10 @@ def _verify_checks(g, full):
 
     def add(name, fn):
         try:
-            ok = bool(fn())
-        except Exception:
-            ok = False
-        checks.append((name, ok))
+            verdict = "PASS" if fn() else "FAIL"
+        except Exception as exc:
+            verdict = f"FAIL ({type(exc).__name__}: {exc})"
+        checks.append((name, verdict))
 
     vids = g.vids()
     add("unique minimum", lambda: [g.point(v).lam for v in vids].count(0) == 1)
@@ -338,13 +338,7 @@ def _verify_checks(g, full):
             return True
         add("triangular change of basis", triangular)
 
-        def canonical_h():
-            try:
-                ch.icanonical_basis_h(g)
-                return True
-            except Exception:
-                return False
-        add("cohomology duals pass index conditions", canonical_h)
+        add("cohomology duals pass index conditions", lambda: ch.icanonical_basis_h(g))
 
         if is_index_increasing(g):
             def gt_match():
@@ -374,11 +368,9 @@ def cmd_verify(args, out):
     g = load_graph(args)
     checks = _verify_checks(g, full=(args.level == "full"))
     width = max(len(n) for n, _ in checks)
-    ok_all = True
-    for name, ok in checks:
-        out.write(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}\n")
-        ok_all = ok_all and ok
-    if not ok_all:
+    for name, verdict in checks:
+        out.write(f"{name.ljust(width)}  {verdict}\n")
+    if any(verdict != "PASS" for _, verdict in checks):
         raise ValidationError("verification failed")
     return 0
 

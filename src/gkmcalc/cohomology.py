@@ -4,10 +4,16 @@ Classes are dicts mapping vertex id to a ``PolyH``.  The constructions
 shared with K-theory (Euler classes, duals of flow-up faces, integration over
 the manifold, the local index with its degree shortcut) live in ``classes``
 over the ring ``H``; the names below bind them.  This module verifies the
-canonical basis (which here is the dual basis at every vertex, no index
+canonical classes (which here are the duals of the flow-up faces, no index
 increasing hypothesis needed) and computes the projected Euler class ratio
-for index-jump-one edges and the path-sum classes that exist in the index
-increasing case.
+Theta for index-jump-one edges and the path-sum classes that exist in the
+index increasing case.
+
+A path-sum class is a sum over jump-one paths, but it is built without
+listing them, by the one-step recursion in decreasing moment order:
+gt_q(q) is the negative Euler class at q and gt_p(q) is the sum over
+jump-one edges p -> b of m * Theta * gt_b(q), divided by
+<psi(q) - psi(p)>.  That is one exact division per pair (p, q).
 """
 
 from __future__ import annotations
@@ -23,11 +29,9 @@ from .errors import (
     NotIndexIncreasing,
     VerificationFailure,
 )
-from .gkm import is_index_increasing
+from .gkm import is_index_increasing, upward_closure
 from .symcore import (
     H,
-    Irreducible,
-    LocalizedSum,
     PolyH,
     divide_by_linear_form,
     rational_primitive,
@@ -45,20 +49,20 @@ abbv_index = partial(cl.pushforward, H)
 local_index_h = partial(cl.local_index, H)
 
 
+def canonical_class(g, p):
+    """Dual of the flow-up face at p, verified to have local index 1 at p
+    and 0 at every other vertex (no orientation hypothesis)."""
+    c = poincare_dual_h(g, p)
+    for q in g.vids():
+        got = local_index_h(g, c, q)
+        if got != (PolyH.one(g.rank) if q == p else PolyH.zero(g.rank)):
+            raise VerificationFailure(f"dual at {p} has local index {got!r} at {q}")
+    return c
+
+
 def icanonical_basis_h(g):
-    """Duals of the flow-up faces, verified to have local index 1 at their
-    base vertex and 0 at every other vertex (no orientation hypothesis)."""
-    basis = {p: poincare_dual_h(g, p) for p in g.vids()}
-    one = PolyH.one(g.rank)
-    zero = PolyH.zero(g.rank)
-    for p, c in basis.items():
-        for q in g.vids():
-            got = local_index_h(g, c, q)
-            want = one if q == p else zero
-            if got != want:
-                raise VerificationFailure(
-                    f"dual at {p} has local index {got!r} at {q}")
-    return basis
+    """The verified canonical class at every vertex."""
+    return {p: canonical_class(g, p) for p in g.vids()}
 
 
 def basis(g, normalization="canonical"):
@@ -112,71 +116,57 @@ def ecan_edges(g):
             if g.point(e.dst).lam == g.point(e.src).lam + 1]
 
 
-def _ecan_paths(g, start, goal, adj):
-    """All vertex sequences start -> goal inside the jump-one subgraph."""
-    if start == goal:
-        return [[start]]
-    out = []
-    for e in adj.get(start, ()):
-        for tail in _ecan_paths(g, e.dst, goal, adj):
-            out.append([start] + tail)
-    return out
+def _path_sums(g, vids, xi):
+    """Path-sum classes at every vertex of ``vids``, a list in moment order
+    closed under oriented edges, each as a dict on ``vids``.
 
+    The sum over jump-one paths p -> ... -> q of the products of
+    m_i * Theta_i / <psi(q) - psi(r_{i-1})>, times the negative Euler class
+    at q (the step's edge weight has cancelled against the parallel
+    numerator psi(r_i) - psi(r_{i-1}), leaving m_i), factors through the
+    first step:
 
-def gt_class(g, p, xi=None, _theta_cache=None):
-    """Path-sum class at p over the jump-one subgraph.
+        gt_q(q) = the negative Euler class at q,
+        gt_p(q) = sum over jump-one edges p -> b of m * Theta * gt_b(q),
+                  divided by <psi(q) - psi(p)>.
 
-    Each path contributes the product over its steps of
-
-        m_i * Theta_i / <psi(q) - psi(r_{i-1})>
-
-    times the negative Euler class at q, the edge-direction numerator having
-    cancelled against the edge weight (they are parallel, ratio m_i).  The
-    reduced value must be an integral polynomial and agrees with the flow-up
-    dual.  Exists only for index increasing orientations.
+    Running p in decreasing moment order, each pair (p, q) costs one exact
+    division by the primitive form of psi(q) - psi(p) and its content.
     """
     if not is_index_increasing(g):
         raise NotIndexIncreasing("path-sum classes need an index increasing orientation")
-    xi = g.xi if xi is None else tuple(xi)
-    cache = _theta_cache if _theta_cache is not None else {}
-    adj = {}
+    steps = {p: [] for p in vids}
     for e in ecan_edges(g):
-        adj.setdefault(e.src, []).append(e)
-    by_pair = {(e.src, e.dst): e for e in g.edges}
+        if e.src in steps:
+            steps[e.src].append((e.dst, e.mult * theta(g, e, xi)))
+    rows = {}
+    for i in reversed(range(len(vids))):
+        p = vids[i]
+        row = {q: H.zero(g.rank) for q in vids}
+        row[p] = cl.euler_minus(H, g, p)
+        for q in vids[i + 1:]:
+            num = sum((rows[b][q] * f for b, f in steps[p]), H.zero(g.rank))
+            if num.is_zero():
+                continue
+            prim, content = rational_primitive(wt_sub(g.psi(q), g.psi(p)))
+            val = divide_by_linear_form(num, prim)
+            if val is None:
+                raise IntegralityFailure(f"path sum at ({p}, {q}) left a fraction")
+            val = val * (1 / content)
+            if not val.is_integral():
+                raise IntegralityFailure(f"path sum at ({p}, {q}) is not integral")
+            row[q] = val
+        rows[p] = row
+    return rows
 
-    def theta_of(a, b):
-        key = (a, b)
-        if key not in cache:
-            cache[key] = theta(g, by_pair[key], xi)
-        return cache[key]
 
-    out = cl.zero_class(H, g)
-    for q in g.vids():
-        paths = _ecan_paths(g, p, q, adj)
-        if not paths:
-            continue
-        lam_q = cl.euler_minus(H, g, q)
-        s = LocalizedSum("H", g.rank)
-        for path in paths:
-            scalar = Fraction(1)
-            dens = []
-            for a, b in zip(path, path[1:]):
-                e = by_pair[(a, b)]
-                scalar *= e.mult * theta_of(a, b)
-                diff = wt_sub(g.psi(q), g.psi(a))
-                prim, content = rational_primitive(diff)
-                dens.append(prim)
-                scalar /= content
-            s.add_term(lam_q * scalar, dens)
-        val = s.reduce()
-        if isinstance(val, Irreducible):
-            raise IntegralityFailure(f"path sum at ({p}, {q}) left a fraction")
-        if not val.is_integral():
-            raise IntegralityFailure(f"path sum at ({p}, {q}) is not integral")
-        out[q] = val
-    return out
+def gt_class(g, p, xi=None):
+    """Path-sum class at p over the jump-one subgraph; it is integral and
+    agrees with the flow-up dual.  Exists only for index increasing
+    orientations."""
+    return {**cl.zero_class(H, g), **_path_sums(g, upward_closure(g, p), xi)[p]}
 
 
 def gt_basis(g, xi=None):
-    cache = {}
-    return {p: gt_class(g, p, xi, _theta_cache=cache) for p in g.vids()}
+    """Path-sum class at every vertex."""
+    return _path_sums(g, g.vids(), xi)

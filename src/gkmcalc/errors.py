@@ -30,15 +30,6 @@ class SuppliedXiNotGeneric(ValidationError):
     or fails to separate the vertices."""
 
 
-class GKMViolation(ValidationError):
-    """A restriction table fails the edge divisibility condition."""
-
-    def __init__(self, edge, difference):
-        super().__init__(f"divisibility fails on edge {edge.src}->{edge.dst}")
-        self.edge = edge
-        self.difference = difference
-
-
 class NonPolynomialIndex(ContractError):
     """A localized sum that must reduce to a polynomial did not."""
 

@@ -411,28 +411,23 @@ class _Span:
     def __init__(self, vectors):
         self.rows = []
         for v in vectors:
-            self.add(v)
+            row = self._reduce(v)
+            if any(row):
+                self.rows.append(row)
 
-    def add(self, v):
+    def _reduce(self, v):
+        """v minus its components along the rows, by elimination at their
+        pivots."""
         row = [Fraction(x) for x in v]
         for basis in self.rows:
             piv = next(i for i, x in enumerate(basis) if x != 0)
             if row[piv] != 0:
                 f = row[piv] / basis[piv]
                 row = [x - f * y for x, y in zip(row, basis)]
-        if any(x != 0 for x in row):
-            self.rows.append(row)
-            return True
-        return False
+        return row
 
     def contains(self, v):
-        row = [Fraction(x) for x in v]
-        for basis in self.rows:
-            piv = next(i for i, x in enumerate(basis) if x != 0)
-            if row[piv] != 0:
-                f = row[piv] / basis[piv]
-                row = [x - f * y for x, y in zip(row, basis)]
-        return all(x == 0 for x in row)
+        return not any(self._reduce(v))
 
 
 def flow_face(g, vid, direction="up"):

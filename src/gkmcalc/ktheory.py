@@ -31,45 +31,49 @@ local_index_k = partial(cl.local_index, K)
 # ---------------------------------------------------------------------------
 # canonical bases
 
-def _adjusted_class(g, p, etas, target):
+def _adjusted_class(g, p, eta, target):
     """Run the inductive correction along the upward closure of p until the
-    local index profile matches ``target`` (a vid -> 0/1 map on it)."""
-    vplus = upward_closure(g, p)
-    a = dict(etas[p])
-    for q in vplus[1:]:
+    local index is 1 where ``target`` holds and 0 elsewhere; ``eta`` gives
+    the flow-up dual at a vertex."""
+    a = dict(eta(p))
+    for q in upward_closure(g, p)[1:]:
         ind = local_index_k(g, a, q)
-        want = LaurentPoly.one(g.rank) if target[q] else LaurentPoly.zero(g.rank)
+        want = LaurentPoly.one(g.rank) if target(q) else LaurentPoly.zero(g.rank)
         delta = want - ind
         if not delta.is_zero():
-            a = class_add(a, class_scale(etas[q], delta))
+            a = class_add(a, class_scale(eta(q), delta))
     return a
 
 
-def icanonical_basis_k(g, force_inductive=False):
-    """The unique Kirwan classes whose local index is 1 on the flow-up face
-    and 0 elsewhere.  For an index increasing orientation these are the
-    flow-up duals; otherwise each dual is corrected inductively along its
-    upward closure."""
-    etas = {p: poincare_dual_k(g, p) for p in g.vids()}
+def canonical_class(g, p, eta=None, force_inductive=False):
+    """The unique Kirwan class at p whose local index is 1 on the flow-up
+    face of p and 0 elsewhere.  For an index increasing orientation it is
+    the flow-up dual; otherwise the dual is corrected inductively along the
+    upward closure.  ``eta`` gives the flow-up dual at a vertex, by default
+    built on demand."""
+    eta = eta or partial(poincare_dual_k, g)
     if is_index_increasing(g) and not force_inductive:
-        return etas
-    basis = {}
-    for p in g.vids():
-        face = flow_face(g, p, "up")
-        target = {q: (1 if q in face else 0) for q in upward_closure(g, p)}
-        basis[p] = _adjusted_class(g, p, etas, target)
-    return basis
+        return eta(p)
+    face = flow_face(g, p, "up")
+    return _adjusted_class(g, p, eta, lambda q: q in face)
+
+
+def icanonical_basis_k(g, force_inductive=False):
+    """The canonical class at every vertex, sharing the flow-up duals."""
+    etas = {p: poincare_dual_k(g, p) for p in g.vids()}
+    return {p: canonical_class(g, p, etas.__getitem__, force_inductive) for p in g.vids()}
+
+
+def point_class(g, p, eta=None):
+    """Kirwan class at p with local index 1 at p alone and 0 at every other
+    vertex, built with the same inductive correction."""
+    return _adjusted_class(g, p, eta or partial(poincare_dual_k, g), lambda q: q == p)
 
 
 def point_normalized_basis_k(g):
-    """Kirwan classes with local index 1 at the base vertex alone and 0 at
-    every other vertex, built with the same inductive correction."""
+    """The point-normalized class at every vertex."""
     etas = {p: poincare_dual_k(g, p) for p in g.vids()}
-    basis = {}
-    for p in g.vids():
-        target = {q: (1 if q == p else 0) for q in upward_closure(g, p)}
-        basis[p] = _adjusted_class(g, p, etas, target)
-    return basis
+    return {p: point_class(g, p, etas.__getitem__) for p in g.vids()}
 
 
 def basis(g, normalization="canonical"):

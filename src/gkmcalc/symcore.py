@@ -15,9 +15,9 @@ forms of a value.  ``RINGS`` maps the CLI mode names to the rings.
 ``LocalizedSum`` models sums of fractions whose denominators are products of
 factors.  Reduction brings everything over a least common denominator and
 cancels factor by factor with the two exact division routines; there is
-deliberately no general multivariate gcd.  It serves the local indices and
-path sums; the global indices expand in the flow-up duals instead and keep
-reduction only as a test oracle.
+deliberately no general multivariate gcd.  It serves the local index and the
+test oracles; the global indices expand in the flow-up duals and the path
+sums follow a one-step recursion instead.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ def wt_primitive(a):
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in a), g
-
-
-def is_primitive(a):
-    return wt_gcd(a) == 1
 
 
 def rational_primitive(a):

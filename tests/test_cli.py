@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import cohomology
 from gkmcalc.cli import main, make_parser
-from gkmcalc.errors import ValidationError
+from gkmcalc.errors import NonConstantQuotient, ValidationError
 from gkmcalc.serialize import (
     basis_from_dict,
     basis_to_dict,
@@ -111,6 +112,29 @@ def test_verify_full(capsys):
     rc, out, _ = run_cli(["verify", "--fixture", "cp2", "--level", "full"], capsys)
     assert rc == 0
     assert "FAIL" not in out
+
+
+def test_verify_names_the_exception_behind_a_fail(capsys, monkeypatch):
+    def broken_theta(g, edge, xi=None):
+        raise NonConstantQuotient("no ratio here")
+
+    monkeypatch.setattr(cohomology, "theta", broken_theta)
+    rc, out, err = run_cli(["verify", "--fixture", "cp2"], capsys)
+    assert rc == 2
+    assert "jump-one ratios are 1" in out
+    assert "FAIL (NonConstantQuotient: no ratio here)" in out
+    assert "unique minimum" in out and out.count("FAIL") == 1
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_fractional_theta_makes_gt_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cohomology, "theta", lambda g, edge, xi=None: Fraction(1, 2))
+    rc, out, err = run_cli(["gt", "--fixture", "cp2"], capsys)
+    assert rc == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "contract"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Rational side: duals, integration, local index, ratio lemma, path sums."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from gkmcalc.classes import euler_minus, is_kirwan_class, localized_sum, zero_class
 from gkmcalc.errors import NonPolynomialIndex, NotECanEdge, NotIndexIncreasing
 from gkmcalc.fixtures import fixture_graph
+from gkmcalc.gkm import ToricInput, build_graph
 from gkmcalc.cohomology import (
     abbv_index,
     check_gkm_h,
@@ -20,7 +23,7 @@ from gkmcalc.cohomology import (
     poincare_dual_h,
     theta,
 )
-from gkmcalc.symcore import H, PolyH
+from gkmcalc.symcore import H, Irreducible, LocalizedSum, PolyH, rational_primitive, wt_sub
 
 from conftest import rand_polyh, rng
 
@@ -329,3 +332,78 @@ def test_gt_classes_are_integral(cp3):
         z = gt_class(cp3, p)
         for v in z.values():
             assert v.is_integral()
+
+
+# ---------------------------------------------------------------------------
+# the path enumeration with one common-denominator reduction per pair, kept
+# as the small-input oracle for the one-step recursion
+
+def _ecan_paths(start, goal, adj):
+    """All vertex sequences start -> goal inside the jump-one subgraph."""
+    if start == goal:
+        return [[start]]
+    return [[start] + tail for e in adj.get(start, ())
+            for tail in _ecan_paths(e.dst, goal, adj)]
+
+
+def _path_sum_class(g, p):
+    """The sum over every jump-one path p -> q of the products of
+    m_i * Theta_i / <psi(q) - psi(r_{i-1})>, times the negative Euler class
+    at q, reduced over one common denominator; None where it leaves a
+    fraction."""
+    adj = {}
+    for e in ecan_edges(g):
+        adj.setdefault(e.src, []).append(e)
+    out = zero_class(H, g)
+    for q in g.vids():
+        paths = _ecan_paths(p, q, adj)
+        if not paths:
+            continue
+        s = LocalizedSum("H", g.rank)
+        for path in paths:
+            scalar = Fraction(1)
+            dens = []
+            for a, b in zip(path, path[1:]):
+                e = next(e for e in adj[a] if e.dst == b)
+                prim, content = rational_primitive(wt_sub(g.psi(q), g.psi(a)))
+                scalar *= e.mult * theta(g, e) / content
+                dens.append(prim)
+            s.add_term(euler_minus(H, g, q) * scalar, dens)
+        val = s.reduce()
+        out[q] = None if isinstance(val, Irreducible) else val
+    return out
+
+
+def _product(*factors):
+    """Graph of the product of lattice polytopes given by their vertices."""
+    verts = [sum(combo, ()) for combo in itertools.product(*factors)]
+    return build_graph(ToricInput(rank=len(verts[0]), vertices=[
+        (f"v{i}", tuple(Fraction(x) for x in v)) for i, v in enumerate(verts)]))
+
+
+SEGMENT = [(0,), (1,)]
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixture_graph("cp2"),
+    lambda: fixture_graph("cpn:3"),
+    lambda: fixture_graph("cpn:4"),
+    lambda: _product(SEGMENT, SEGMENT, SEGMENT),
+    lambda: _product(TRIANGLE, SEGMENT),
+], ids=["cp2", "cpn:3", "cpn:4", "cube^3", "cp2xcp1"])
+def test_gt_basis_matches_path_enumeration(make):
+    g = make()
+    zetas = gt_basis(g)
+    for p in g.vids():
+        assert class_equal_h(zetas[p], _path_sum_class(g, p))
+        assert class_equal_h(gt_class(g, p), zetas[p])
+
+
+def test_large_cube_gt_basis_is_fast():
+    g = _product(*[SEGMENT] * 5)
+    t0 = time.perf_counter()
+    zetas = gt_basis(g)
+    assert time.perf_counter() - t0 < 2.0
+    for p in g.vids():
+        assert class_equal_h(zetas[p], poincare_dual_h(g, p))
