@@ -13,15 +13,17 @@ The push-forward expands the class triangularly in the flow-up duals (the
 Kirwan-basis expansion), which is also the membership test.  In K-theory
 every dual is the class of the structure sheaf of a toric subvariety and has
 index 1; in cohomology only the point class at the top vertex has a nonzero
-integral, 1.  The fixed point sum (``localized_sum``) stays as an
-independent oracle.
+integral, 1.  The local index at q is a lam_q-th divided difference of the
+value at q, built by Newton's recursion with one exact division per step.
+The fixed point sums (``localized_sum``, and ``local_index_parts`` for the
+cut space) stay as independent oracles.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionFailure, NonPolynomialIndex, ValidationError
+from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from .gkm import flow_face, triangular_expansion
-from .symcore import Irreducible, LocalizedSum, wt_add, wt_lift, wt_neg, wt_sub
+from .symcore import LocalizedSum, wt_add, wt_lift, wt_neg, wt_scale, wt_sub
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +133,9 @@ def localized_sum(ring, g, c):
 # local index
 
 def local_index_parts(ring, g, c, q):
-    """Substituted restrictions and denominator weight sets for the local
-    index at q, over the rank+1 lattice with the auxiliary coordinate w_0
-    last.
+    """Substituted restrictions and denominator weight sets of the cut space
+    fixed point sum at q, over the rank+1 lattice with the auxiliary
+    coordinate w_0 last; their sum at w_0 = 0 is ``local_index``.
 
     With lam = lam_q and w_1..w_lam the incoming labels at q, the class value
     is rewritten through the lattice basis (w_1..w_n):
@@ -161,25 +163,34 @@ def local_index_parts(ring, g, c, q):
 
 
 def local_index(ring, g, c, q):
-    """Index of the class transported to the rank lam_q cut space, with the
-    auxiliary coordinate then dropped.
-
-    In a graded ring the value must be homogeneous, and one of degree below
-    lam_q integrates to zero on the cut space, so that case returns at once.
-    """
+    """Index of the class transported to the rank lam_q cut space: the
+    divided difference sum_j Q(a_j) / prod_{i != j} factor(a_i - a_j) over the
+    nodes a = (0, w_1, ..., w_lam), w_i the incoming labels, where Q(a) is the
+    value with each w_i replaced by w_i - a.  Newton's recursion builds it by
+    exact divisions.  The unit flip(-a_j) is -1 in H, giving (-1)^lam, and
+    -e^{-a_j} in K, where the start values carry e^{lam a_j} so that the
+    nodes are e^{a_j}.  A graded value must be homogeneous, and one of degree
+    below lam integrates to zero on the cut space."""
     value = c[q]
     if value.is_zero():
         return ring.zero(g.rank)
+    pt = g.point(q)
     if ring.graded:
         deg = value.homogeneous_degree()
         if deg is None:
             raise ValidationError("local index needs a homogeneous restriction")
-        if deg < g.point(q).lam:
+        if deg < pt.lam:
             return ring.zero(g.rank)
-    s = LocalizedSum(ring.mode, g.rank + 1)
-    for f, den in zip(*local_index_parts(ring, g, c, q)):
-        s.add_term(f, den)
-    out = s.reduce()
-    if isinstance(out, Irreducible):
-        raise NonPolynomialIndex(f"local index at {q} is not a polynomial")
-    return ring.drop_last(out)
+    wplus, wminus = list(pt.wplus), list(pt.wminus)
+    nodes = [(0,) * g.rank] + wplus
+    dd = [value] + [
+        -ring.flip(wt_scale(a, pt.lam))
+        * ring.substitute(value, wplus + wminus, [wt_sub(w, a) for w in wplus] + wminus)
+        for a in wplus]
+    for k in range(1, len(nodes)):
+        for j in range(len(nodes) - k):
+            quot = ring.divide(dd[j + 1] - dd[j], wt_sub(nodes[j + k], nodes[j]))
+            if quot is None:
+                raise ContractError(f"local index at {q}: inexact divided difference")
+            dd[j] = ring.flip(wt_neg(nodes[j])) * quot
+    return dd[0]

@@ -31,7 +31,7 @@ class SuppliedXiNotGeneric(ValidationError):
 
 
 class NonPolynomialIndex(ContractError):
-    """A localized sum that must reduce to a polynomial did not."""
+    """A table that is not a class has no push-forward to a point."""
 
 
 class DivisionFailure(ContractError):

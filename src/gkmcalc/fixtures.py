@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .gkm import ToricInput, build_graph
-from .symcore import LaurentPoly, PolyH
+from .symcore import LaurentPoly, PolyH, parse_int
 
 
 def _fr(seq):
@@ -61,11 +61,7 @@ _FIXTURES = {
 def fixture_input(name):
     name = name.strip().lower()
     if name.startswith("cpn:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad fixture name {name!r}") from None
-        return cp_input(n)
+        return cp_input(parse_int(name.split(":", 1)[1]))
     if name in _FIXTURES:
         return _FIXTURES[name]()
     raise ValidationError(f"unknown fixture {name!r}")

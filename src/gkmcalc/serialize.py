@@ -18,14 +18,14 @@ import json
 
 from .errors import ValidationError
 from .gkm import ToricInput
-from .symcore import RINGS, parse_rational
+from .symcore import RINGS, parse_int, parse_rational
 
 
 def toric_input_from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError("malformed graph file: not a JSON object")
     try:
-        rank = int(data["rank"])
+        rank = parse_int(data["rank"])
         vertices = [(str(v["id"]), tuple(parse_rational(x) for x in v["psi"]))
                     for v in data["vertices"]]
         edges = None
@@ -33,9 +33,7 @@ def toric_input_from_dict(data):
             edges = [(str(a), str(b)) for a, b in data["edges"]]
         xi = None
         if data.get("xi") is not None:
-            xi = tuple(int(x) for x in data["xi"])
-    except ValidationError:
-        raise
+            xi = tuple(parse_int(x) for x in data["xi"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file: {exc}") from None
     return ToricInput(rank=rank, vertices=vertices, edges=edges, xi=xi)

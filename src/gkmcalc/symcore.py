@@ -9,15 +9,16 @@ A coefficient ring, ``K`` for K-theory and ``H`` for cohomology, is what a
 construction needs to know about its mode: zero and one, the factor attached
 to a weight w (``1 - e^w`` in K, the linear form ``w`` in H), the unit that
 flipping the sign of w costs, exact division and the divisibility test,
-linear substitution, dropping the auxiliary coordinate, and the JSON and text
-forms of a value.  ``RINGS`` maps the CLI mode names to the rings.
+linear substitution, and the JSON and text forms of a value.  ``RINGS`` maps
+the CLI mode names to the rings.
 
 ``LocalizedSum`` models sums of fractions whose denominators are products of
 factors.  Reduction brings everything over a least common denominator and
 cancels factor by factor with the two exact division routines; there is
-deliberately no general multivariate gcd.  It serves the local index and the
-test oracles; the global indices expand in the flow-up duals and the path
-sums follow a one-step recursion instead.
+deliberately no general multivariate gcd.  It serves the test oracles and
+the benchmark tracer only: the global indices expand in the flow-up duals,
+the path sums follow a one-step recursion and the local index is a divided
+difference.
 """
 
 from __future__ import annotations
@@ -113,6 +114,18 @@ def parse_rational(x):
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad rational {x!r}")
+
+
+def parse_int(x):
+    """An int or an integer string; floats and booleans are refused."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValidationError(f"bad integer {x!r}")
 
 
 def format_rational(f):
@@ -308,14 +321,6 @@ class LaurentPoly(_Poly):
             out[ne] = out.get(ne, 0) + c
         return LaurentPoly._new(len(m), out)
 
-    def drop_last_coordinate(self):
-        """Set the last exponent coordinate to zero, then forget it."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = e[:-1]
-            out[ne] = out.get(ne, 0) + c
-        return LaurentPoly._new(self.rank - 1, out)
-
     def eval_at(self, base, xi):
         """Specialize e^v -> base ** <v, xi>; base a nonzero Fraction."""
         total = Fraction(0)
@@ -360,11 +365,6 @@ class PolyH(_Poly):
         if len(self.terms) == 1 and (0,) * self.rank in self.terms:
             return self.terms[(0,) * self.rank]
         return None
-
-    def drop_last_variable(self):
-        """Substitute 0 for the last variable, then forget it."""
-        return PolyH._new(self.rank - 1,
-                          {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0})
 
     def eval_at(self, point):
         total = Fraction(0)
@@ -434,7 +434,7 @@ def divide_by_linear_form(p, w):
     pivot = next(i for i, c in enumerate(w) if c)
     wpoly = PolyH.linear_form(w)
     inv = Fraction(1, w[pivot])
-    quot = PolyH.zero(p.rank)
+    quot = {}
     rem = p
     while True:
         top = max((e[pivot] for e in rem.terms), default=0)
@@ -446,10 +446,10 @@ def divide_by_linear_form(p, w):
                 ne = tuple(d - 1 if i == pivot else d for i, d in enumerate(e))
                 slice_terms[ne] = c * inv
         piece = PolyH._new(p.rank, slice_terms)
-        quot = quot + piece
+        quot.update(slice_terms)  # slices have distinct pivot degrees
         rem = rem - piece * wpoly
     if rem.is_zero():
-        return quot
+        return PolyH._new(p.rank, quot)
     return None
 
 
@@ -520,7 +520,7 @@ class _Ring:
         return [[self.format_coeff(c), list(e)] for e, c in p.sorted_terms()]
 
     def from_terms(self, rank, items):
-        return self.poly(rank, {tuple(int(x) for x in e): self.parse_coeff(c)
+        return self.poly(rank, {tuple(parse_int(x) for x in e): self.parse_coeff(c)
                                 for c, e in items})
 
     def fmt(self, p):
@@ -538,9 +538,7 @@ class _KRing(_Ring):
     name, mode, poly, graded = "ktheory", "K", LaurentPoly, False
     format_coeff = staticmethod(str)
 
-    @staticmethod
-    def parse_coeff(c):
-        return int(str(c))
+    parse_coeff = staticmethod(parse_int)
 
     @staticmethod
     def fmt_monomial(e):
@@ -561,9 +559,6 @@ class _KRing(_Ring):
 
     def substitute(self, p, basis, images):
         return substitute_linear(p, basis, images)
-
-    def drop_last(self, p):
-        return p.drop_last_coordinate()
 
 
 class _HRing(_Ring):
@@ -590,9 +585,6 @@ class _HRing(_Ring):
 
     def substitute(self, p, basis, images):
         return substitute_linear_h(p, basis, images)
-
-    def drop_last(self, p):
-        return p.drop_last_variable()
 
 
 K, H = _KRing(), _HRing()

@@ -206,6 +206,13 @@ def _assert_clean_exit(rc, err):
     (TRIANGLE, "{", ["--class"], "class file is not JSON"),
     (TRIANGLE, {"mode": "ktheory", "class": {"a": [["1", [0, 0]]]}}, ["--class"],
      "no value at vertex b"),
+    ({**TRIANGLE, "rank": 2.7}, None, [], "bad integer 2.7"),
+    ({**TRIANGLE, "rank": True}, None, [], "bad integer True"),
+    ({**TRIANGLE, "xi": [1.9, 2.2]}, None, [], "bad integer 1.9"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", [0.9, 0]]] for v in "abc"}},
+     ["--class"], "bad integer 0.9"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", [True, 0]]] for v in "abc"}},
+     ["--class"], "bad integer True"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
@@ -239,6 +246,18 @@ def test_check_does_not_build_the_quotient(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert rc == 2
     assert "divisibility fails on a->c" in json.loads(err)["message"]
+
+
+def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys):
+    # x1^10000 at p1: the division by each edge form steps through 10000
+    # pivot degrees, which must not rebuild the quotient at every step
+    klass = {"mode": "cohomology", "class": {"p0": [], "p1": [["1", [10000, 0]]], "p2": []}}
+    start = time.perf_counter()
+    rc, _, err = run_cli(["check", "--fixture", "cp2", "--mode", "cohomology",
+                          "--class", _write(tmp_path, "c.json", klass)], capsys)
+    assert time.perf_counter() - start < 3
+    assert rc == 2
+    _assert_clean_exit(rc, err)
 
 
 def test_parse_rational_refuses_exponent_notation():

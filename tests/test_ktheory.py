@@ -1,16 +1,23 @@
 """Restriction tables: Euler classes, duals, indices, canonical bases."""
 
+import itertools
+import time
+from fractions import Fraction
+
 import pytest
 
+from gkmcalc import classes as cl
+from gkmcalc import symcore
 from gkmcalc.classes import euler_minus, is_kirwan_class, localized_sum, support
-from gkmcalc.errors import DivisionFailure, NonPolynomialIndex
+from gkmcalc.errors import ContractError, DivisionFailure, NonPolynomialIndex
 from gkmcalc.fixtures import (
     fixture_graph,
+    fixture_input,
     hirzebruch_sample_class,
     hirzebruch_input,
     hirzebruch_reference_basis,
 )
-from gkmcalc.gkm import build_graph, flow_face, upward_closure
+from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.ktheory import (
     atiyah_segal_index,
     check_gkm_k,
@@ -29,9 +36,10 @@ from gkmcalc.ktheory import (
     structure_constants,
     zero_class,
 )
-from gkmcalc.symcore import K, LaurentPoly
+from gkmcalc.symcore import H, K, Irreducible, LaurentPoly, LocalizedSum, PolyH
 
 from conftest import rand_laurent, rng, specialization_points
+from test_gkm import SIMPLE_SHAPES
 
 
 def e(*expo):
@@ -224,6 +232,13 @@ def test_worked_example_vanishes(hirzebruch):
     assert local_index_k(hirzebruch, tau, "p2") == LaurentPoly.zero(2)
 
 
+def test_inexact_divided_difference_is_contract_error(cp2, monkeypatch):
+    # every division of the recursion is exact, so a failed one is a bug
+    monkeypatch.setattr(symcore, "divide_by_cyclotomic", lambda p, w: None)
+    with pytest.raises(ContractError):
+        local_index_k(cp2, one_class(cp2), "p1")
+
+
 def test_local_index_of_one(cp1, cp2, cp3, hirzebruch):
     for g in (cp1, cp2, cp3, hirzebruch):
         c = one_class(g)
@@ -278,6 +293,73 @@ def test_local_index_perturbation_stability(cp2, hirzebruch, etas2, etash):
         f = rand_laurent(r, g.rank)
         assert local_index_k(g, class_add(a, class_scale(pert, f)), q) == \
             local_index_k(g, a, q)
+
+
+def _reduced_local_index(ring, g, c, q):
+    """The oracle: the cut space fixed point sum of ``local_index_parts``
+    reduced over its common denominator, then the auxiliary last coordinate
+    set to zero."""
+    s = LocalizedSum(ring.mode, g.rank + 1)
+    for f, den in zip(*cl.local_index_parts(ring, g, c, q)):
+        s.add_term(f, den)
+    out = s.reduce()
+    assert not isinstance(out, Irreducible)
+    unit = [tuple(int(i == j) for j in range(g.rank + 1)) for i in range(g.rank + 1)]
+    return ring.substitute(out, unit, [u[:-1] for u in unit])
+
+
+def _rand_homogeneous(r, rank, deg, max_terms=3):
+    terms = {}
+    for _ in range(r.randint(1, max_terms)):
+        e = [0] * rank
+        for _ in range(deg):
+            e[r.randrange(rank)] += 1
+        terms[tuple(e)] = Fraction(r.randint(-3, 3), r.randint(1, 2))
+    return PolyH(rank, terms)
+
+
+def _oracle_graphs():
+    """The fixtures and the product polytopes of the edge detection test,
+    each in both orientations."""
+    inputs = [fixture_input(name) for name in ("cp1", "cp2", "cpn:3", "cpn:4",
+                                               "hirzebruch", "square")]
+    for factors in SIMPLE_SHAPES:
+        verts = [sum(combo, ()) for combo in itertools.product(*factors)]
+        inputs.append(ToricInput(rank=len(verts[0]), vertices=[
+            (f"v{i}", tuple(Fraction(x) for x in v)) for i, v in enumerate(verts)]))
+    for inp in inputs:
+        g = build_graph(inp)
+        yield g
+        yield build_graph(inp, xi=tuple(-x for x in g.xi))
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+def test_local_index_matches_reduced_fixed_point_sum(ring):
+    # values at sampled vertices of random classes (combinations of the
+    # flow-up duals, homogeneous in H) and of random non-classes, in H of
+    # degrees on both sides of lam_q
+    r = rng(311 if ring is K else 312)
+    checked = nonzero = 0
+    for g in _oracle_graphs():
+        etas = {p: cl.poincare_dual(ring, g, p) for p in g.vids()}
+        for q in r.sample(g.vids(), min(3, len(g.vids()))):
+            deg = g.point(q).lam + r.randint(-1, 2)
+            klass = cl.zero_class(ring, g)
+            for p in g.vids():
+                if ring is K and r.random() < 0.5:
+                    klass = cl.class_add(klass, cl.class_scale(etas[p], rand_laurent(r, g.rank)))
+                elif ring is H and g.point(p).lam <= deg and r.random() < 0.5:
+                    a = _rand_homogeneous(r, g.rank, deg - g.point(p).lam)
+                    klass = cl.class_add(klass, cl.class_scale(etas[p], a))
+            other = cl.zero_class(ring, g)
+            other[q] = rand_laurent(r, g.rank) if ring is K else \
+                _rand_homogeneous(r, g.rank, max(deg, 0))
+            for c in (klass, other):
+                got = cl.local_index(ring, g, c, q)
+                assert got == _reduced_local_index(ring, g, c, q), (g, q, c[q])
+                checked += 1
+                nonzero += not got.is_zero()
+    assert checked >= 150 and nonzero >= checked // 3
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +460,16 @@ def test_point_normalized_basis(hirzebruch):
     assert t1["p1"] == 1 - e(1, 1)
     assert t1["p2"] == e(0, 1) - e(1, 0)
     assert t1["p3"].is_zero()
+
+
+def test_point_normalized_basis_of_cp6_is_fast():
+    g = fixture_graph("cpn:6")
+    t0 = time.perf_counter()
+    basis = point_normalized_basis_k(g)
+    assert time.perf_counter() - t0 < 0.3
+    for p in g.vids():
+        assert is_kirwan_class(K, g, basis[p], p)
+        assert check_gkm_k(g, basis[p]) == []
 
 
 def test_reference_basis_multiset(hirzebruch):
