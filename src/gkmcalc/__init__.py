@@ -15,7 +15,6 @@ from .errors import (
     NotIndexIncreasing,
     SuppliedXiNotGeneric,
     ValidationError,
-    VerificationFailure,
 )
 from .gkm import (
     Edge,

@@ -4,10 +4,16 @@ A class is a plain dict mapping vertex id to a value of a ring from
 ``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  The
 constructions the two sides share are written here once: the class helpers,
 the negative Euler class, the edge divisibility check, duals of flow-up
-faces, the Kirwan test, the push-forward to a point, the fixed point sum and
-the local index.  They differ only in what the ring supplies, chiefly the
-factor attached to a weight: ``1 - e^w`` in K-theory and ``<w, x>`` in
-cohomology.
+faces, the Kirwan test, the canonical classes, the push-forward to a point,
+the fixed point sum and the local index.  They differ only in what the ring
+supplies, chiefly the factor attached to a weight: ``1 - e^w`` in K-theory
+and ``<w, x>`` in cohomology.
+
+A canonical class is the flow-up dual at its vertex corrected along the
+upward closure, one dual at a time, until its local indices are the
+prescribed ones: 1 on the flow-up face in K (``canonical``), 1 at the vertex
+alone in K (``point``) and in H.  In H the walk finds nothing to correct:
+the duals already have that profile, which ``verify --level full`` checks.
 
 The push-forward expands the class triangularly in the flow-up duals (the
 Kirwan-basis expansion), which is also the membership test.  In K-theory
@@ -22,7 +28,7 @@ cut space) stay as independent oracles.
 from __future__ import annotations
 
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
-from .gkm import flow_face, triangular_expansion
+from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
 from .symcore import LocalizedSum, wt_add, wt_lift, wt_neg, wt_scale, wt_sub
 
 
@@ -103,6 +109,40 @@ def is_kirwan_class(ring, g, c, vid):
         return False
     cut = g.order_index(vid)
     return all(c[v].is_zero() for v in g.vids()[:cut])
+
+
+# ---------------------------------------------------------------------------
+# canonical classes
+
+def canonical_class(ring, g, p, normalization="canonical", eta=None):
+    """The Kirwan class at p with local index 1 on the flow-up face of p
+    (K, ``canonical``) or at p alone (K ``point``, and H for both) and 0 at
+    every other vertex.  The flow-up dual at p is corrected along the upward
+    closure: at each q the local index is made what it should be by adding a
+    multiple of the dual at q.  On an index increasing orientation the K
+    canonical class is the dual itself.  ``eta`` gives the flow-up dual at a
+    vertex, by default built on demand."""
+    eta = eta or (lambda r: poincare_dual(ring, g, r))
+    if normalization == "point" or ring.graded:
+        face = {p}
+    elif is_index_increasing(g):
+        return eta(p)
+    else:
+        face = flow_face(g, p, "up")
+    a = dict(eta(p))
+    for q in upward_closure(g, p)[1:]:
+        want = ring.one(g.rank) if q in face else ring.zero(g.rank)
+        delta = want - local_index(ring, g, a, q)
+        if not delta.is_zero():
+            a = class_add(a, class_scale(eta(q), delta))
+    return a
+
+
+def basis(ring, g, normalization="canonical"):
+    """The canonical class at every vertex, sharing the flow-up duals."""
+    etas = {p: poincare_dual(ring, g, p) for p in g.vids()}
+    return {p: canonical_class(ring, g, p, normalization, etas.__getitem__)
+            for p in g.vids()}
 
 
 # ---------------------------------------------------------------------------

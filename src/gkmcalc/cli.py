@@ -26,9 +26,6 @@ from .kirwan import kirwan_restrict_all, reduced_fixed_data
 from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
 from .symcore import RINGS, H, K
 
-# the module holding each mode's canonical classes
-SIDES = {"ktheory": kt, "cohomology": ch}
-
 
 # ---------------------------------------------------------------------------
 # output
@@ -95,13 +92,13 @@ def resolve_class(g, spec, ring):
         kind, vid = name.split(":", 1)
         vid = _resolve_vid(g, vid)
         if kind == "tau":
-            return SIDES[ring.name].canonical_class(g, vid)
+            return cl.canonical_class(ring, g, vid)
         if kind == "pd":
             return cl.poincare_dual(ring, g, vid)
         if kind == "point":
             if ring is not K:
                 raise ValidationError("point normalization is a K-side construction")
-            return kt.point_class(g, vid)
+            return cl.canonical_class(ring, g, vid, "point")
         if kind == "gt":
             if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")
@@ -173,7 +170,7 @@ def cmd_check(args, out):
 
 def cmd_basis(args, out):
     g = load_graph(args)
-    basis = SIDES[args.mode].basis(g, args.normalization)
+    basis = cl.basis(RINGS[args.mode], g, args.normalization)
     return _emit_basis(args, out, g, basis, "tau")
 
 
@@ -302,17 +299,17 @@ def _verify_checks(g, full):
     add("canonical class at the minimum is 1",
         lambda: kt.class_equal(taus[vids[0]], kt.one_class(g)))
 
-    def profiles_ok():
-        one = K.one(g.rank)
-        zero = K.zero(g.rank)
+    def index_profile(ring, classes, face_of):
+        """Local index 1 on face_of(p) and 0 elsewhere, for each class."""
         for p in vids:
-            face = flow_face(g, p, "up")
+            face = face_of(p)
             for q in vids:
-                want = one if q in face else zero
-                if kt.local_index_k(g, taus[p], q) != want:
+                want = ring.one(g.rank) if q in face else ring.zero(g.rank)
+                if cl.local_index(ring, g, classes[p], q) != want:
                     return False
         return True
-    add("canonical index profile", profiles_ok)
+    add("canonical index profile",
+        lambda: index_profile(K, taus, lambda p: flow_face(g, p, "up")))
 
     add("push-forward of 1 equals 1",
         lambda: kt.atiyah_segal_index(g, kt.one_class(g)) == K.one(g.rank))
@@ -338,7 +335,8 @@ def _verify_checks(g, full):
             return True
         add("triangular change of basis", triangular)
 
-        add("cohomology duals pass index conditions", lambda: ch.icanonical_basis_h(g))
+        add("cohomology duals pass index conditions",
+            lambda: index_profile(H, hbasis, lambda p: {p}))
 
         if is_index_increasing(g):
             def gt_match():

@@ -2,12 +2,12 @@
 
 Classes are dicts mapping vertex id to a ``PolyH``.  The constructions
 shared with K-theory (Euler classes, duals of flow-up faces, integration over
-the manifold, the local index with its degree shortcut) live in ``classes``
-over the ring ``H``; the names below bind them.  This module verifies the
-canonical classes (which here are the duals of the flow-up faces, no index
-increasing hypothesis needed) and computes the projected Euler class ratio
-Theta for index-jump-one edges and the path-sum classes that exist in the
-index increasing case.
+the manifold, the local index with its degree shortcut, the canonical basis)
+live in ``classes`` over the ring ``H``; the names below bind them.  Here the
+canonical class at p has local index 1 at p alone, and it equals the dual of
+the flow-up face, with no index increasing hypothesis.  This module computes
+the projected Euler class ratio Theta for index-jump-one edges and the
+path-sum classes that exist in the index increasing case.
 
 A path-sum class is a sum over jump-one paths, but it is built without
 listing them, by the one-step recursion in decreasing moment order:
@@ -27,7 +27,6 @@ from .errors import (
     NonConstantQuotient,
     NotECanEdge,
     NotIndexIncreasing,
-    VerificationFailure,
 )
 from .gkm import is_index_increasing, upward_closure
 from .symcore import (
@@ -47,27 +46,7 @@ check_gkm_h = partial(cl.check_gkm, H)
 poincare_dual_h = partial(cl.poincare_dual, H)
 abbv_index = partial(cl.pushforward, H)
 local_index_h = partial(cl.local_index, H)
-
-
-def canonical_class(g, p):
-    """Dual of the flow-up face at p, verified to have local index 1 at p
-    and 0 at every other vertex (no orientation hypothesis)."""
-    c = poincare_dual_h(g, p)
-    for q in g.vids():
-        got = local_index_h(g, c, q)
-        if got != (PolyH.one(g.rank) if q == p else PolyH.zero(g.rank)):
-            raise VerificationFailure(f"dual at {p} has local index {got!r} at {q}")
-    return c
-
-
-def icanonical_basis_h(g):
-    """The verified canonical class at every vertex."""
-    return {p: canonical_class(g, p) for p in g.vids()}
-
-
-def basis(g, normalization="canonical"):
-    """The canonical basis, which in cohomology is point-normalized too."""
-    return icanonical_basis_h(g)
+icanonical_basis_h = partial(cl.basis, H)
 
 
 # ---------------------------------------------------------------------------

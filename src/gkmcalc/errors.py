@@ -38,10 +38,6 @@ class DivisionFailure(ContractError):
     """Triangular elimination hit a value not divisible by the Euler class."""
 
 
-class VerificationFailure(ContractError):
-    """A constructed basis element failed its own index conditions."""
-
-
 class NotECanEdge(ValidationError):
     """Edge passed to the projection-quotient computation has index jump != 1."""
 

@@ -405,37 +405,15 @@ def orient_and_index(skel, xi):
 # ---------------------------------------------------------------------------
 # derived combinatorics
 
-class _Span:
-    """Rational span with exact membership tests."""
-
-    def __init__(self, vectors):
-        self.rows = []
-        for v in vectors:
-            row = self._reduce(v)
-            if any(row):
-                self.rows.append(row)
-
-    def _reduce(self, v):
-        """v minus its components along the rows, by elimination at their
-        pivots."""
-        row = [Fraction(x) for x in v]
-        for basis in self.rows:
-            piv = next(i for i, x in enumerate(basis) if x != 0)
-            if row[piv] != 0:
-                f = row[piv] / basis[piv]
-                row = [x - f * y for x, y in zip(row, basis)]
-        return row
-
-    def contains(self, v):
-        return not any(self._reduce(v))
-
-
 def flow_face(g, vid, direction="up"):
     """Vertex set of the face through vid spanned by the negative weights
-    (up) or the positive weights (down), computed as the span closure."""
+    (up) or the positive weights (down), computed as the span closure.  The
+    face's normals are the dual basis rows of the other weights, and an edge
+    stays in the face when every normal vanishes on its label."""
     p = g.point(vid)
-    gens = p.wminus if direction == "up" else p.wplus
-    span = _Span(gens)
+    lam = len(p.wplus)
+    rows = scaled_inverse(p.wplus + p.wminus)[1]
+    normals = rows[:lam] if direction == "up" else rows[lam:]
     reach = {vid}
     stack = [vid]
     while stack:
@@ -443,7 +421,7 @@ def flow_face(g, vid, direction="up"):
         for other, e in g.incident(v):
             if other in reach:
                 continue
-            if span.contains(e.weight):
+            if not any(wt_dot(a, e.weight) for a in normals):
                 reach.add(other)
                 stack.append(other)
     return frozenset(reach)

@@ -1,12 +1,12 @@
-"""Equivariant K-theory classes: the canonical bases and structure constants.
+"""Equivariant K-theory classes: expansion and structure constants.
 
 A class is a plain dict mapping vertex id to a ``LaurentPoly`` of the graph's
 rank.  The constructions shared with cohomology (Euler classes, the edge
-divisibility check, duals of flow-up faces, the push-forward and the local
-index) live in ``classes`` over the ring ``K``; the names below bind them.
-This module builds the canonical basis in both the index increasing and the
-general case, the point-normalized basis, triangular expansion in a Kirwan
-basis, structure constants and the CP^n product-formula fixture.
+divisibility check, duals of flow-up faces, the push-forward, the local
+index and the canonical and point-normalized bases) live in ``classes`` over
+the ring ``K``; the names below bind them.  This module adds triangular
+expansion in a Kirwan basis, structure constants and the CP^n product-formula
+fixture.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import partial
 from . import classes as cl
 from .classes import class_add, class_equal, class_mul, class_scale
 from .errors import ContractError
-from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
+from .gkm import flow_face, triangular_expansion
 from .symcore import K, LaurentPoly, divide_by_cyclotomic, wt_sub
 
 zero_class = partial(cl.zero_class, K)
@@ -26,61 +26,8 @@ poincare_dual_k = partial(cl.poincare_dual, K)
 atiyah_segal_index = partial(cl.pushforward, K)
 local_index_parts = partial(cl.local_index_parts, K)
 local_index_k = partial(cl.local_index, K)
-
-
-# ---------------------------------------------------------------------------
-# canonical bases
-
-def _adjusted_class(g, p, eta, target):
-    """Run the inductive correction along the upward closure of p until the
-    local index is 1 where ``target`` holds and 0 elsewhere; ``eta`` gives
-    the flow-up dual at a vertex."""
-    a = dict(eta(p))
-    for q in upward_closure(g, p)[1:]:
-        ind = local_index_k(g, a, q)
-        want = LaurentPoly.one(g.rank) if target(q) else LaurentPoly.zero(g.rank)
-        delta = want - ind
-        if not delta.is_zero():
-            a = class_add(a, class_scale(eta(q), delta))
-    return a
-
-
-def canonical_class(g, p, eta=None, force_inductive=False):
-    """The unique Kirwan class at p whose local index is 1 on the flow-up
-    face of p and 0 elsewhere.  For an index increasing orientation it is
-    the flow-up dual; otherwise the dual is corrected inductively along the
-    upward closure.  ``eta`` gives the flow-up dual at a vertex, by default
-    built on demand."""
-    eta = eta or partial(poincare_dual_k, g)
-    if is_index_increasing(g) and not force_inductive:
-        return eta(p)
-    face = flow_face(g, p, "up")
-    return _adjusted_class(g, p, eta, lambda q: q in face)
-
-
-def icanonical_basis_k(g, force_inductive=False):
-    """The canonical class at every vertex, sharing the flow-up duals."""
-    etas = {p: poincare_dual_k(g, p) for p in g.vids()}
-    return {p: canonical_class(g, p, etas.__getitem__, force_inductive) for p in g.vids()}
-
-
-def point_class(g, p, eta=None):
-    """Kirwan class at p with local index 1 at p alone and 0 at every other
-    vertex, built with the same inductive correction."""
-    return _adjusted_class(g, p, eta or partial(poincare_dual_k, g), lambda q: q == p)
-
-
-def point_normalized_basis_k(g):
-    """The point-normalized class at every vertex."""
-    etas = {p: poincare_dual_k(g, p) for p in g.vids()}
-    return {p: point_class(g, p, etas.__getitem__) for p in g.vids()}
-
-
-def basis(g, normalization="canonical"):
-    """The basis ``basis --normalization`` names: canonical or point."""
-    if normalization == "point":
-        return point_normalized_basis_k(g)
-    return icanonical_basis_k(g)
+icanonical_basis_k = partial(cl.basis, K)
+point_normalized_basis_k = partial(cl.basis, K, normalization="point")
 
 
 # ---------------------------------------------------------------------------

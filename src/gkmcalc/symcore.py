@@ -426,31 +426,41 @@ def divide_by_cyclotomic(p, w):
 
 
 def divide_by_linear_form(p, w):
-    """Exact division of p by the linear form <w, x>; quotient or None."""
+    """Exact division of p by the linear form <w, x>; quotient or None.
+
+    With x_i the first variable of w and r the rest of the form, p is cut
+    into slices p_d by the degree d in x_i.  From the top slice down, the
+    quotient's slice q_(d-1) is (p_d - r q_d) / w_i, and p divides exactly
+    when p_0 - r q_0 is zero."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
         return p
     pivot = next(i for i, c in enumerate(w) if c)
-    wpoly = PolyH.linear_form(w)
     inv = Fraction(1, w[pivot])
+    rest = [(i, c) for i, c in enumerate(w) if c and i != pivot]
+    slices = {}
+    for e, c in p.terms.items():
+        slices.setdefault(e[pivot], {})[e] = c
     quot = {}
-    rem = p
-    while True:
-        top = max((e[pivot] for e in rem.terms), default=0)
-        if top == 0:
-            break
-        slice_terms = {}
-        for e, c in rem.terms.items():
-            if e[pivot] == top:
-                ne = tuple(d - 1 if i == pivot else d for i, d in enumerate(e))
-                slice_terms[ne] = c * inv
-        piece = PolyH._new(p.rank, slice_terms)
-        quot.update(slice_terms)  # slices have distinct pivot degrees
-        rem = rem - piece * wpoly
-    if rem.is_zero():
-        return PolyH._new(p.rank, quot)
-    return None
+    carry = {}  # r q_d, taken off the slice of degree d
+    for d in range(max(slices), -1, -1):
+        cur = slices.get(d, {})
+        for e, c in carry.items():
+            v = cur.get(e, 0) - c
+            if v:
+                cur[e] = v
+            else:
+                cur.pop(e, None)
+        if d == 0:
+            return None if cur else PolyH._new(p.rank, quot)
+        carry = {}
+        for e, c in cur.items():
+            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
+            quot[qe] = qc = c * inv
+            for i, wi in rest:
+                ne = qe[:i] + (qe[i] + 1,) + qe[i + 1:]
+                carry[ne] = carry.get(ne, 0) + wi * qc
 
 
 def substitution_matrix(basis, images, rank):

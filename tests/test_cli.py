@@ -248,10 +248,12 @@ def test_check_does_not_build_the_quotient(tmp_path, capsys):
     assert "divisibility fails on a->c" in json.loads(err)["message"]
 
 
-def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys):
-    # x1^10000 at p1: the division by each edge form steps through 10000
-    # pivot degrees, which must not rebuild the quotient at every step
-    klass = {"mode": "cohomology", "class": {"p0": [], "p1": [["1", [10000, 0]]], "p2": []}}
+@pytest.mark.parametrize("power", [10000, 100000])
+def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys, power):
+    # x1^power at p1: the division by each edge form steps through power
+    # pivot degrees, which must neither rebuild the quotient nor copy the
+    # remainder at every step
+    klass = {"mode": "cohomology", "class": {"p0": [], "p1": [["1", [power, 0]]], "p2": []}}
     start = time.perf_counter()
     rc, _, err = run_cli(["check", "--fixture", "cp2", "--mode", "cohomology",
                           "--class", _write(tmp_path, "c.json", klass)], capsys)

@@ -17,7 +17,7 @@ from gkmcalc.fixtures import (
     hirzebruch_input,
     hirzebruch_reference_basis,
 )
-from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
+from gkmcalc.gkm import ToricInput, build_graph, flow_face, is_index_increasing, upward_closure
 from gkmcalc.ktheory import (
     atiyah_segal_index,
     check_gkm_k,
@@ -318,15 +318,18 @@ def _rand_homogeneous(r, rank, deg, max_terms=3):
     return PolyH(rank, terms)
 
 
+def _product_input(factors):
+    verts = [sum(combo, ()) for combo in itertools.product(*factors)]
+    return ToricInput(rank=len(verts[0]), vertices=[
+        (f"v{i}", tuple(Fraction(x) for x in v)) for i, v in enumerate(verts)])
+
+
 def _oracle_graphs():
     """The fixtures and the product polytopes of the edge detection test,
     each in both orientations."""
     inputs = [fixture_input(name) for name in ("cp1", "cp2", "cpn:3", "cpn:4",
                                                "hirzebruch", "square")]
-    for factors in SIMPLE_SHAPES:
-        verts = [sum(combo, ()) for combo in itertools.product(*factors)]
-        inputs.append(ToricInput(rank=len(verts[0]), vertices=[
-            (f"v{i}", tuple(Fraction(x) for x in v)) for i, v in enumerate(verts)]))
+    inputs += [_product_input(factors) for factors in SIMPLE_SHAPES]
     for inp in inputs:
         g = build_graph(inp)
         yield g
@@ -400,7 +403,10 @@ def test_trapezoid_inductive_corrections_are_nontrivial(hirzebruch, etash):
 
 
 def test_basis_index_profile(cp2, cp3, hirzebruch):
-    for g in (cp2, cp3, hirzebruch):
+    # CP^1 x CP^2 is index increasing, so its basis is the flow-up duals
+    cp1xcp2 = build_graph(_product_input(SIMPLE_SHAPES[5]))
+    assert is_index_increasing(cp1xcp2)
+    for g in (cp2, cp3, hirzebruch, cp1xcp2):
         basis = icanonical_basis_k(g)
         one = LaurentPoly.one(g.rank)
         zero = LaurentPoly.zero(g.rank)
@@ -424,14 +430,6 @@ def test_minimum_class_is_one(cp1, cp2, cp3, hirzebruch, square):
     for g in (cp1, cp2, cp3, hirzebruch, square):
         basis = icanonical_basis_k(g)
         assert class_equal(basis[g.vids()[0]], one_class(g))
-
-
-def test_inductive_engine_agrees_on_increasing_fixtures(cp2, cp3):
-    for g in (cp2, cp3):
-        direct = icanonical_basis_k(g)
-        inductive = icanonical_basis_k(g, force_inductive=True)
-        for p in g.vids():
-            assert class_equal(direct[p], inductive[p])
 
 
 def test_uniqueness_under_input_permutation():
@@ -460,6 +458,28 @@ def test_point_normalized_basis(hirzebruch):
     assert t1["p1"] == 1 - e(1, 1)
     assert t1["p2"] == e(0, 1) - e(1, 0)
     assert t1["p3"].is_zero()
+
+
+def test_bases_on_oracle_graphs():
+    # every graph that is not index increasing and a sample of the others:
+    # the H basis is the flow-up duals (the canonical classes of H are the
+    # duals on any orientation), and the K canonical and point bases have
+    # local index 1 on the flow-up face and at p alone, 0 elsewhere
+    graphs = list(_oracle_graphs())
+    plain = [g for g in graphs if is_index_increasing(g)]
+    graphs = [g for g in graphs if not is_index_increasing(g)] + rng(313).sample(plain, 12)
+    for g in graphs:
+        hbasis = cl.basis(H, g)
+        for p in g.vids():
+            assert class_equal(hbasis[p], cl.poincare_dual(H, g, p)), (g, p)
+        for normalization in ("canonical", "point"):
+            basis = cl.basis(K, g, normalization)
+            for p in g.vids():
+                face = flow_face(g, p, "up") if normalization == "canonical" else {p}
+                for q in g.vids():
+                    want = K.one(g.rank) if q in face else K.zero(g.rank)
+                    assert local_index_k(g, basis[p], q) == want, (g, normalization, p, q)
+    assert len(graphs) == 24
 
 
 def test_point_normalized_basis_of_cp6_is_fast():
