@@ -8,6 +8,7 @@ monomials in lexicographic exponent order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -55,7 +56,7 @@ def load_graph(args):
         inp = load_toric_input(args.input)
     else:
         raise ValidationError("need --fixture or --input")
-    if args.xi:
+    if args.xi is not None:
         inp.xi = int_vector(args.xi, "--xi")
     return build_graph(inp)
 
@@ -158,7 +159,7 @@ def cmd_graph(args, out):
 
 def cmd_check(args, out):
     g = load_graph(args)
-    if args.klass:
+    if args.klass is not None:
         ring = RINGS[args.mode]
         bad = cl.check_gkm(ring, g, resolve_class(g, args.klass, ring))
         if bad:
@@ -234,7 +235,7 @@ def cmd_kirwan(args, out):
         raise ValidationError("need --pi")
     pi = int_vector(args.pi, "--pi")
     setup = reduced_fixed_data(g, pi)
-    if args.klass:
+    if args.klass is not None:
         c = resolve_class(g, args.klass, H)
     elif args.fixture == "square":
         c = square_reference_class(g)
@@ -376,7 +377,10 @@ def cmd_verify(args, out):
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process: ``parse_args`` returns a
+    new namespace per call and no option has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="gkmcalc",
         description="Canonical bases for equivariant K-theory and cohomology "

@@ -6,7 +6,10 @@ recovered by a walk along the edges that certifies the tangent cone at every
 vertex it reaches, in O(V^2 n^2) exact integer operations for V vertices in
 rank n; each vertex is checked for the lattice-basis condition, edges are
 oriented along a generic direction and the combinatorial derived data
-(indices, flow faces, upward closures) is computed.  The triangular elimination of a class in a
+(indices, flow faces, upward closures) is computed.  The graph is built in
+integer arithmetic: the points are scaled once, by the lcm of their
+denominators, and only the moment values ``mu`` and edge lengths ``mult`` are
+divided back into rationals.  The triangular elimination of a class in a
 Kirwan basis, which follows the moment order, is shared here by the K and H
 sides.
 
@@ -35,7 +38,6 @@ from .errors import (
 )
 from .symcore import (
     is_lattice_basis,
-    rational_primitive,
     scaled_inverse,
     wt_dot,
     wt_neg,
@@ -256,10 +258,17 @@ def _next_neighbours(det, coords, rank):
     return [[None if b is None else b[2] for b in row] for row in best]
 
 
+def _scaled_points(psis):
+    """The points times the lcm of their denominators, as integer tuples,
+    and that lcm."""
+    scale = math.lcm(*(x.denominator for p in psis for x in p))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in psis], scale
+
+
 def detect_edges(rank, ids, psis):
     """One-skeleton of the convex hull of the points, as sorted index pairs.
 
-    The points are scaled to integers, which leaves the skeleton unchanged.
+    Rational points are scaled to integers, which leaves the skeleton unchanged.
     The walk starts at the lexicographically smallest point, moves along
     edges and certifies every vertex it reaches (``_certify``), so a vertex
     that is not simple, or a point on an edge, raises instead of giving a
@@ -267,8 +276,7 @@ def detect_edges(rank, ids, psis):
     point the walk never reaches is not a vertex.  Each vertex costs
     O(V n^2) integer operations.
     """
-    scale = math.lcm(*(x.denominator for p in psis for x in p))
-    pts = [tuple(int(x * scale) for x in p) for p in psis]
+    pts = _scaled_points(psis)[0]
     start = min(range(len(pts)), key=pts.__getitem__)
     nbrs = {start: _start_neighbours(pts, start, rank)}
     queue = [start]
@@ -300,6 +308,7 @@ def build_graph(inp, xi=None):
     deterministic search picks one.
     """
     ids, psis = _validate_input(inp)
+    pts, scale = _scaled_points(psis)
     index = {v: i for i, v in enumerate(ids)}
     if inp.edges is not None:
         pairs = []
@@ -313,7 +322,7 @@ def build_graph(inp, xi=None):
             seen.add(key)
             pairs.append((index[a], index[b]))
     else:
-        pairs = detect_edges(inp.rank, ids, psis)
+        pairs = detect_edges(inp.rank, ids, pts)
 
     degree = {i: 0 for i in range(len(ids))}
     for i, j in pairs:
@@ -325,7 +334,7 @@ def build_graph(inp, xi=None):
                 f"vertex {ids[i]} has degree {d}, expected {inp.rank}")
 
     # Delzant: primitive incident directions form a lattice basis everywhere
-    prims = [rational_primitive(wt_sub(psis[j], psis[i])) for i, j in pairs]
+    prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
     dirs_at = {i: [] for i in range(len(ids))}
     for (i, j), (prim, _) in zip(pairs, prims):
         dirs_at[i].append(prim)
@@ -335,7 +344,7 @@ def build_graph(inp, xi=None):
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
 
-    skel = _Skeleton(inp.rank, ids, psis, pairs, prims)
+    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims)
     chosen = choose_generic_xi(skel, inp.xi if xi is None else xi)
     return orient_and_index(skel, chosen)
 
@@ -345,8 +354,10 @@ class _Skeleton:
     rank: int
     ids: list
     psis: list
+    pts: list  # psis * scale, integer
+    scale: int
     pairs: list  # index pairs
-    prims: list  # (primitive direction, lattice length) of each pair
+    prims: list  # (primitive direction, lattice length in pts) of each pair
 
 
 def choose_generic_xi(skel, xi=None):
@@ -355,15 +366,15 @@ def choose_generic_xi(skel, xi=None):
     weights = [prim for prim, _ in skel.prims]
 
     def ok(cand):
-        if len(cand) != skel.rank:
-            return False
         if any(wt_dot(w, cand) == 0 for w in weights):
             return False
-        mus = [wt_dot(p, cand) for p in skel.psis]
-        return len(set(mus)) == len(mus)
+        mus = {wt_dot(p, cand) for p in skel.pts}
+        return len(mus) == len(skel.pts)
 
     if xi is not None:
         xi = tuple(int(x) for x in xi)
+        if len(xi) != skel.rank:
+            raise SuppliedXiNotGeneric(f"xi has {len(xi)} entries, expected {skel.rank}")
         if not ok(xi):
             raise SuppliedXiNotGeneric(f"xi={xi} is not generic here")
         return xi
@@ -375,20 +386,21 @@ def choose_generic_xi(skel, xi=None):
 
 
 def orient_and_index(skel, xi):
-    order = sorted(range(len(skel.ids)), key=lambda i: wt_dot(skel.psis[i], xi))
+    dots = [wt_dot(p, xi) for p in skel.pts]
+    order = sorted(range(len(skel.ids)), key=dots.__getitem__)
     points = [
-        FixedPoint(id=skel.ids[i], psi=skel.psis[i], mu=wt_dot(skel.psis[i], xi))
+        FixedPoint(id=skel.ids[i], psi=skel.psis[i], mu=Fraction(dots[i], skel.scale))
         for i in order
     ]
-    edges = []
-    for (i, j), (prim, scale) in zip(skel.pairs, skel.prims):
-        if wt_dot(prim, xi) > 0:
-            src, dst, w, mult = skel.ids[i], skel.ids[j], prim, scale
-        else:
-            src, dst, w, mult = skel.ids[j], skel.ids[i], wt_neg(prim), scale
-        edges.append(Edge(src=src, dst=dst, weight=w, mult=mult))
-    mu_of = {p.id: p.mu for p in points}
-    edges.sort(key=lambda e: (mu_of[e.src], mu_of[e.dst]))
+    arcs = []
+    for (i, j), (prim, length) in zip(skel.pairs, skel.prims):
+        if dots[i] > dots[j]:
+            i, j, prim = j, i, wt_neg(prim)
+        arcs.append((dots[i], dots[j], i, j, prim, length))
+    arcs.sort()
+    edges = [Edge(src=skel.ids[i], dst=skel.ids[j], weight=prim,
+                  mult=Fraction(length, skel.scale))
+             for _, _, i, j, prim, length in arcs]
     g = GKMGraph(skel.rank, xi, points, edges)
     for p in points:
         wplus = tuple(sorted(e.weight for e in g.in_edges[p.id]))

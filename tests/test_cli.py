@@ -213,10 +213,17 @@ def _assert_clean_exit(rc, err):
      ["--class"], "bad integer 0.9"),
     (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", [True, 0]]] for v in "abc"}},
      ["--class"], "bad integer True"),
+    (TRIANGLE, None, ["--xi", ""], "--xi must be comma separated integers, got ''"),
+    (TRIANGLE, None, ["check", "--class", ""], "unknown class ''"),
+    (TRIANGLE, None, ["kirwan", "--pi", "1,0", "--class", ""], "unknown class ''"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
-    argv = ["index" if klass else "graph", "--input", _write(tmp_path, "g.json", graph)]
+    # the command is index with a class file, graph without, unless flags name it
+    command = "index" if klass else "graph"
+    if flags and not flags[0].startswith("--"):
+        command, flags = flags[0], flags[1:]
+    argv = [command, "--input", _write(tmp_path, "g.json", graph)]
     if klass:
         flags = flags + [_write(tmp_path, "c.json", klass)]
     rc, _, err = run_cli(argv + flags, capsys)
@@ -430,3 +437,25 @@ def test_out_file(tmp_path):
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         make_parser().parse_args([])
+
+
+def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
+    k_run = ["basis", "--fixture", "cp2"]
+    h_run = ["basis", "--fixture", "hirzebruch", "--mode", "cohomology", "--format", "json"]
+    first_k, first_h = run_cli(k_run, capsys), run_cli(h_run, capsys)
+    assert first_k == (0, GOLDEN_TRIANGLE_BASIS, "")
+    assert first_h[0] == 0 and json.loads(first_h[1])["mode"] == "cohomology"
+    with pytest.raises(SystemExit):
+        main(["basis", "--fixture", "cp2", "--mode", "nope"])
+    capsys.readouterr()
+    target = tmp_path / "index.json"
+    rc, out, _ = run_cli(["index", "--fixture", "cp2", "--class", "one", "--mode",
+                          "cohomology", "--format", "json", "--out", str(target)], capsys)
+    assert (rc, out) == (0, "")
+    assert json.loads(target.read_text()) == {"value": []}
+    # the K run relies on the defaults of --mode, --format and --out
+    assert run_cli(k_run, capsys) == first_k
+    assert run_cli(h_run, capsys) == first_h
+    assert make_parser() is make_parser()
+    args = make_parser().parse_args(k_run)
+    assert (args.mode, args.format, args.out) == ("ktheory", "text", None)

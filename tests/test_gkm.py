@@ -235,6 +235,39 @@ def test_detect_edges_matches_exhaustive_enumeration():
         assert detect_edges(n, ids, psis) == _exhaustive_edges(n, psis), (factors, s)
 
 
+def _assert_exact_moment_data(g):
+    for e in g.edges:
+        assert wt_sub(g.psi(e.dst), g.psi(e.src)) == tuple(e.mult * x for x in e.weight)
+    for p in g.points:
+        assert p.mu == sum(Fraction(x) * y for x, y in zip(p.psi, g.xi))
+
+
+def test_rational_dilation_scales_only_mu_and_mult():
+    r = rng(302)
+    for case, factors in enumerate(SIMPLE_SHAPES):
+        verts = [sum(combo, ()) for combo in itertools.product(*factors)]
+        n = len(verts[0])
+        a = _random_unimodular(r, n)
+        t = [Fraction(r.randint(-9, 9), r.choice((1, 2, 3))) for _ in range(n)]
+        psis = [tuple(wt_dot(row, v) + c for row, c in zip(a, t)) for v in verts]
+        ids = [f"v{i}" for i in range(len(psis))]
+        base = build_graph(ToricInput(rank=n, vertices=list(zip(ids, psis))))
+        _assert_exact_moment_data(base)
+        # odd cases take the base graph's edges as given, even ones detect them
+        edges = [(e.src, e.dst) for e in base.edges] if case % 2 else None
+        for d in (Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)):
+            g = build_graph(ToricInput(rank=n, edges=edges, vertices=[
+                (i, tuple(d * x for x in p)) for i, p in zip(ids, psis)]))
+            _assert_exact_moment_data(g)
+            assert g.xi == base.xi
+            assert [(e.src, e.dst, e.weight) for e in g.edges] == \
+                [(e.src, e.dst, e.weight) for e in base.edges]
+            assert [(p.id, p.lam, p.wplus, p.wminus) for p in g.points] == \
+                [(p.id, p.lam, p.wplus, p.wminus) for p in base.points]
+            assert [p.mu for p in g.points] == [d * p.mu for p in base.points]
+            assert [e.mult for e in g.edges] == [d * e.mult for e in base.edges]
+
+
 def test_duplicate_psi_rejected():
     inp = ToricInput(rank=1, vertices=[("a", F([0])), ("b", F([0]))])
     with pytest.raises(ValidationError):
@@ -253,6 +286,14 @@ def test_non_generic_direction_rejected():
     inp = cp_input(2)
     inp.xi = (1, 1)  # pairs to zero with the antidiagonal edge
     with pytest.raises(SuppliedXiNotGeneric):
+        build_graph(inp)
+
+
+@pytest.mark.parametrize("xi, count", [((1, 2, 3), 3), ((1,), 1)])
+def test_supplied_direction_of_the_wrong_length_rejected(xi, count):
+    inp = cp_input(2)
+    inp.xi = xi
+    with pytest.raises(SuppliedXiNotGeneric, match=f"xi has {count} entries, expected 2"):
         build_graph(inp)
 
 
