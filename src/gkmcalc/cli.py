@@ -453,7 +453,7 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 return args.fn(args, fh)
         return args.fn(args, sys.stdout)

@@ -168,6 +168,14 @@ def test_missing_file_is_io_error(capsys):
     assert rc == 4
 
 
+def test_empty_out_path_is_io_error(capsys):
+    rc, out, err = run_cli(["index", "--fixture", "cp2", "--class", "one", "--out", ""],
+                           capsys)
+    assert rc == 4
+    assert out == ""
+    _assert_clean_exit(rc, err)
+
+
 TRIANGLE = {
     "rank": 2,
     "vertices": [{"id": "a", "psi": [0, 0]}, {"id": "b", "psi": [1, 0]},

@@ -283,18 +283,15 @@ def test_default_direction_on_triangle(cp2):
 
 
 def test_non_generic_direction_rejected():
-    inp = cp_input(2)
-    inp.xi = (1, 1)  # pairs to zero with the antidiagonal edge
-    with pytest.raises(SuppliedXiNotGeneric):
-        build_graph(inp)
-
-
-@pytest.mark.parametrize("xi, count", [((1, 2, 3), 3), ((1,), 1)])
-def test_supplied_direction_of_the_wrong_length_rejected(xi, count):
-    inp = cp_input(2)
-    inp.xi = xi
-    with pytest.raises(SuppliedXiNotGeneric, match=f"xi has {count} entries, expected 2"):
-        build_graph(inp)
+    # (1, 1) pairs to zero with the antidiagonal edge; a wrong length is
+    # reported by its entry count
+    for xi, match in [((1, 1), "is not generic"),
+                      ((1, 2, 3), "xi has 3 entries, expected 2"),
+                      ((1,), "xi has 1 entries, expected 2")]:
+        inp = cp_input(2)
+        inp.xi = xi
+        with pytest.raises(SuppliedXiNotGeneric, match=match):
+            build_graph(inp)
 
 
 def test_segment_direction(cp1):
