@@ -20,7 +20,8 @@ Kirwan-basis expansion), which is also the membership test.  In K-theory
 every dual is the class of the structure sheaf of a toric subvariety and has
 index 1; in cohomology only the point class at the top vertex has a nonzero
 integral, 1.  The local index at q is a lam_q-th divided difference of the
-value at q, built by Newton's recursion with one exact division per step.
+value at q, built by Newton's recursion with one exact division per step;
+its nodes are shears of the value along the vertex's frame.
 The fixed point sums (``localized_sum``, and ``local_index_parts`` for the
 cut space) stay as independent oracles.
 """
@@ -210,7 +211,12 @@ def local_index(ring, g, c, q):
     exact divisions.  The unit flip(-a_j) is -1 in H, giving (-1)^lam, and
     -e^{-a_j} in K, where the start values carry e^{lam a_j} so that the
     nodes are e^{a_j}.  A graded value must be homogeneous, and one of degree
-    below lam integrates to zero on the cut space."""
+    below lam integrates to zero on the cut space.
+
+    The lattice map behind Q(a) fixes the outgoing weights and moves each
+    w_i by -a, so it is the shear v -> v - <sigma, v> a with sigma = a_1 +
+    ... + a_lam, the sum of the frame rows dual to the incoming labels: one
+    pass over the terms per node, with no change of basis."""
     value = c[q]
     if value.is_zero():
         return ring.zero(g.rank)
@@ -221,12 +227,10 @@ def local_index(ring, g, c, q):
             raise ValidationError("local index needs a homogeneous restriction")
         if deg < pt.lam:
             return ring.zero(g.rank)
-    wplus, wminus = list(pt.wplus), list(pt.wminus)
-    nodes = [(0,) * g.rank] + wplus
-    dd = [value] + [
-        -ring.flip(wt_scale(a, pt.lam))
-        * ring.substitute(value, wplus + wminus, [wt_sub(w, a) for w in wplus] + wminus)
-        for a in wplus]
+    sigma = tuple(map(sum, zip(*pt.frame[:pt.lam])))
+    nodes = [(0,) * g.rank] + list(pt.wplus)
+    dd = [value] + [-ring.flip(wt_scale(a, pt.lam)) * ring.shear(value, sigma, a)
+                    for a in pt.wplus]
     for k in range(1, len(nodes)):
         for j in range(len(nodes) - k):
             quot = ring.divide(dd[j + 1] - dd[j], wt_sub(nodes[j + k], nodes[j]))

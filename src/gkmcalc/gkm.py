@@ -13,6 +13,12 @@ divided back into rationals.  The triangular elimination of a class in a
 Kirwan basis, which follows the moment order, is shared here by the K and H
 sides.
 
+The inverse that the lattice-basis check computes at a vertex is kept as the
+vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij over its weights
+``wplus + wminus``.  The flow faces read their normals from it, and the
+local index builds its lattice maps from it, so no elimination runs after
+the graph is built.
+
 Conventions, used consistently everywhere downstream:
 
 * the label of the oriented edge p -> q is the primitive vector along
@@ -37,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
-    is_lattice_basis,
+    lattice_dual,
     scaled_inverse,
     wt_dot,
     wt_neg,
@@ -71,6 +77,7 @@ class FixedPoint:
     lam: int = 0
     wplus: tuple = ()
     wminus: tuple = ()
+    frame: tuple = ()  # rows a_i, <a_i, w_j> = delta_ij over wplus + wminus
 
 
 class GKMGraph:
@@ -333,18 +340,23 @@ def build_graph(inp, xi=None):
             raise NotAPolytopeSkeleton(
                 f"vertex {ids[i]} has degree {d}, expected {inp.rank}")
 
-    # Delzant: primitive incident directions form a lattice basis everywhere
+    # Delzant: primitive incident directions form a lattice basis everywhere.
+    # The basis at a vertex is taken as the isotropy weights there, the
+    # directions toward it, so that the dual rows are the vertex's frame.
     prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
-    dirs_at = {i: [] for i in range(len(ids))}
+    weights_at = {i: [] for i in range(len(ids))}
     for (i, j), (prim, _) in zip(pairs, prims):
-        dirs_at[i].append(prim)
-        dirs_at[j].append(wt_neg(prim))
-    for i, dirs in dirs_at.items():
-        if not is_lattice_basis(dirs):
+        weights_at[i].append(wt_neg(prim))
+        weights_at[j].append(prim)
+    frames = []
+    for i, weights in weights_at.items():
+        rows = lattice_dual(weights)
+        if rows is None:
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
+        frames.append(dict(zip(weights, rows)))
 
-    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims)
+    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames)
     chosen = choose_generic_xi(skel, inp.xi if xi is None else xi)
     return orient_and_index(skel, chosen)
 
@@ -358,6 +370,7 @@ class _Skeleton:
     scale: int
     pairs: list  # index pairs
     prims: list  # (primitive direction, lattice length in pts) of each pair
+    frames: list  # per vertex: {isotropy weight: its dual row}
 
 
 def choose_generic_xi(skel, xi=None):
@@ -402,12 +415,12 @@ def orient_and_index(skel, xi):
                   mult=Fraction(length, skel.scale))
              for _, _, i, j, prim, length in arcs]
     g = GKMGraph(skel.rank, xi, points, edges)
-    for p in points:
-        wplus = tuple(sorted(e.weight for e in g.in_edges[p.id]))
-        wminus = tuple(sorted(wt_neg(e.weight) for e in g.out_edges[p.id]))
-        p.wplus = wplus
-        p.wminus = wminus
-        p.lam = len(wplus)
+    for i, p in zip(order, points):
+        frame = skel.frames[i]  # keyed by every weight at p
+        p.wplus = tuple(sorted(e.weight for e in g.in_edges[p.id]))
+        p.wminus = tuple(sorted(w for w in frame if w not in p.wplus))
+        p.lam = len(p.wplus)
+        p.frame = tuple(map(frame.__getitem__, p.wplus + p.wminus))
     lams = [p.lam for p in points]
     if lams.count(0) != 1 or lams.count(skel.rank) != 1 or points[0].lam != 0:
         raise ContractError("orientation needs one source and one sink vertex")
@@ -420,12 +433,10 @@ def orient_and_index(skel, xi):
 def flow_face(g, vid, direction="up"):
     """Vertex set of the face through vid spanned by the negative weights
     (up) or the positive weights (down), computed as the span closure.  The
-    face's normals are the dual basis rows of the other weights, and an edge
+    face's normals are the frame rows of the other weights, and an edge
     stays in the face when every normal vanishes on its label."""
     p = g.point(vid)
-    lam = len(p.wplus)
-    rows = scaled_inverse(p.wplus + p.wminus)[1]
-    normals = rows[:lam] if direction == "up" else rows[lam:]
+    normals = p.frame[:p.lam] if direction == "up" else p.frame[p.lam:]
     reach = {vid}
     stack = [vid]
     while stack:

@@ -3,9 +3,13 @@
 Given an integer covector cutting out a circle inside the torus, the reduced
 space near the maximum of the corresponding moment component has one fixed
 point per edge into that maximum.  Restricting a class to a reduced point is
-a change of lattice basis followed by killing the edge weight, done by the
-substitution of the value's coefficient ring; the module computes the
-residual weight data, rejecting non-free actions.
+a change of lattice basis followed by killing the edge weight v: the lattice
+map fixing the residual weights and sending v to 0.  That map is the shear
+u -> u - <sigma, u> v, where sigma is the row of the inverse of the basis
+(residuals, v) dual to v; the lattice-basis check that makes a reduced point
+free computes that inverse, and the point keeps sigma.  The value's
+coefficient ring applies the shear.  The module computes the residual weight
+data, rejecting non-free actions.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonUniqueMaximum, NotFreeAction, ValidationError
-from .symcore import is_lattice_basis, wt_dot, wt_scale, wt_sub
+from .symcore import lattice_dual, wt_dot, wt_scale, wt_sub
 
 
 @dataclass(frozen=True)
@@ -23,6 +27,7 @@ class ReducedPoint:
     source: str        # lower endpoint of the cut edge
     edge_weight: tuple  # directed into the top vertex
     residual: tuple    # weights of the quotient action, inside the covector's kernel
+    edge_dual: tuple   # pairs to 1 with edge_weight and to 0 with the residuals
 
 
 @dataclass
@@ -70,18 +75,13 @@ def reduced_fixed_data(g, pi):
                 raise NotFreeAction(
                     f"weight at the reduced point on {source}->{top} is fractional")
             residual.append(wt_sub(v_t, wt_scale(v_i, int(ratio))))
-        if not is_lattice_basis(residual + [v_i]):
+        dual = lattice_dual(residual + [v_i])
+        if dual is None:
             raise NotFreeAction("reduced weights fail the lattice basis test")
         points.append(ReducedPoint(
             id=f"r{i + 1}", source=source, edge_weight=v_i,
-            residual=tuple(residual)))
+            residual=tuple(residual), edge_dual=dual[-1]))
     return ReductionSetup(graph=g, pi=pi, top=top, points=points)
-
-
-def _restrict(setup, value, point):
-    basis = list(point.residual) + [point.edge_weight]
-    images = list(point.residual) + [(0,) * setup.graph.rank]
-    return value.ring.substitute(value, basis, images)
 
 
 def kirwan_restrict(setup, c, point_id, source="top"):
@@ -91,8 +91,8 @@ def kirwan_restrict(setup, c, point_id, source="top"):
     two agree for any class satisfying the edge divisibility condition.
     """
     point = next(p for p in setup.points if p.id == point_id)
-    vid = setup.top if source == "top" else point.source
-    return _restrict(setup, c[vid], point)
+    value = c[setup.top if source == "top" else point.source]
+    return value.ring.shear(value, point.edge_dual, point.edge_weight)
 
 
 def kirwan_restrict_all(setup, c, source="top"):

@@ -5,12 +5,36 @@ Weights are integer tuples.  ``LaurentPoly`` models finite character sums
 ``PolyH`` models polynomials with exact rational coefficients (multidegree ->
 Fraction); the two share one arithmetic core.
 
+Inside that core every monomial is one integer key.  Each coordinate of the
+exponent vector fills a signed 64-bit field, coordinate 0 in the most
+significant one, and carries a bias of 2^63, so that the order of the keys
+is the lexicographic order of the exponent tuples.  Multiplying monomials is
+adding their keys and taking off one bias; the exact divisions step along a
+weight by adding its packed vector, and the shear moves a key the same way.
+Only this module knows the format: the constructors take exponent tuples,
+and ``sorted_terms``, the JSON and the text forms decode.
+
+No answer is ever wrapped.  Every stored exponent has |e_i| < 2^62
+(``LIMIT``), so the sum of two fits a field and no carry crosses into the
+next; a constructor given an exponent at or past the limit raises
+``ValidationError``.  Each value carries ``top``, an upper bound on its
+|e_i|, and arithmetic that would store an exponent at or past the limit
+raises ``ContractError``:
+
+* a product whose bound, the sum of its factors', reaches the limit decodes
+  its terms and raises if one of them does;
+* a shear checks every field it decodes;
+* a division raises when its intermediate keys could leave their fields:
+  2 top + |w| >= 2^63 for ``1 - e^w``, rank * top >= 2^63 for ``<w, x>``.
+
 A coefficient ring, ``K`` for K-theory and ``H`` for cohomology, is what a
 construction needs to know about its mode: zero and one, the factor attached
 to a weight w (``1 - e^w`` in K, the linear form ``w`` in H), the unit that
-flipping the sign of w costs, exact division and the divisibility test,
-linear substitution, and the JSON and text forms of a value.  ``RINGS`` maps
-the CLI mode names to the rings.
+flipping the sign of w costs, exact division and the divisibility test, the
+shear e -> e - <sigma, e> a that the local index and the Kirwan restriction
+apply, and the JSON and text forms of a value.  ``RINGS`` maps the CLI mode
+names to the rings.  The general lattice substitution ``substitute_linear``
+(``_h`` in H) stays as the reference the shear is tested against.
 
 ``LocalizedSum`` models sums of fractions whose denominators are products of
 factors.  Reduction brings everything over a least common denominator and
@@ -23,11 +47,13 @@ difference.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -180,47 +206,106 @@ def scaled_inverse(cols):
     return abs(prev), tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
-def is_lattice_basis(cols):
-    """Whether the integer vectors form a basis of the lattice (det +-1)."""
+def lattice_dual(cols):
+    """The rows of R^-1, where R has the given integer columns, when the
+    columns form a basis of the lattice (det +-1); None otherwise.  Row i
+    pairs to 1 with column i and to 0 with every other column."""
     inv = scaled_inverse(cols)
-    return inv is not None and inv[0] == 1
+    return inv[1] if inv is not None and inv[0] == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# packed exponent keys
+
+FIELD = 64
+BIAS = 1 << (FIELD - 1)
+MASK = (1 << FIELD) - 1
+LIMIT = 1 << 62
+
+
+@functools.cache
+def _zero_key(rank):
+    """The key of the zero exponent vector: every field at its bias."""
+    return sum(BIAS << (FIELD * i) for i in range(rank))
+
+
+@functools.cache
+def _fields(rank):
+    return struct.Struct(f">{rank}q").unpack
+
+
+def _pack_delta(v):
+    """The unbiased packed vector: key(e) + _pack_delta(v) == key(e + v)
+    whenever e and e + v are in range."""
+    key = 0
+    for x in v:
+        key = (key << FIELD) + x
+    return key
+
+
+def _unpack(key, rank):
+    """The exponent tuple of a key.  XOR with the biases leaves each field
+    in two's complement, so one ``struct`` call reads them all."""
+    return _fields(rank)((key ^ _zero_key(rank)).to_bytes(8 * rank, "big"))
+
+
+def _unit_key(rank, i):
+    return 1 << (FIELD * (rank - 1 - i))
+
+
+def _too_large(what):
+    return ContractError(f"{what}: exponent outside the supported range |e| < 2^62")
+
+
+def _exact_top(p):
+    return max((max(map(abs, e), default=0) for e, _ in p.sorted_terms()), default=0)
 
 
 # ---------------------------------------------------------------------------
 # polynomials: one arithmetic core, two coefficient modes
 
 class _Poly:
-    """Finite map from exponent tuple to nonzero coefficient, with ring
+    """Finite map from packed exponent key to nonzero coefficient, with ring
     arithmetic; scalars of the types in ``scalars`` coerce to constants and
-    ``ring`` is the coefficient ring of the subclass."""
+    ``ring`` is the coefficient ring of the subclass.  ``top`` bounds the
+    absolute value of every exponent."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "terms", "top")
 
     def __init__(self, rank, terms=None):
         self.rank = rank
         self.terms = {}
+        zero, top = _zero_key(rank), 0
         for e, c in (terms or {}).items():
             if c:
                 e = tuple(e)
-                if len(e) != rank or min(e, default=0) < self.lowest:
+                lo, hi = min(e, default=0), max(e, default=0)
+                if len(e) != rank or lo < self.lowest:
                     raise ValueError(f"bad exponent {e} for rank {rank}")
-                self.terms[e] = c
+                top = max(top, hi, -lo)
+                if top >= LIMIT:
+                    raise ValidationError(
+                        f"exponent {e} is outside the supported range |e| < 2^62")
+                self.terms[_pack_delta(e) + zero] = c
+        self.top = top
 
     @classmethod
-    def _new(cls, rank, terms):
-        """Unchecked constructor for exponents known to be valid."""
+    def _new(cls, rank, terms, top):
+        """Unchecked constructor for keys known to be valid, with a bound on
+        their exponents; it takes ownership of ``terms``."""
         p = object.__new__(cls)
         p.rank = rank
-        p.terms = {e: c for e, c in terms.items() if c}
+        p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+        p.top = top
         return p
 
     @classmethod
     def zero(cls, rank):
-        return cls._new(rank, {})
+        return cls._new(rank, {}, 0)
 
     @classmethod
     def one(cls, rank):
-        return cls._new(rank, {(0,) * rank: 1})
+        return cls._new(rank, {_zero_key(rank): 1}, 0)
 
     def is_zero(self):
         return not self.terms
@@ -230,7 +315,7 @@ class _Poly:
 
     def __eq__(self, other):
         if isinstance(other, self.scalars):
-            other = self._new(self.rank, {(0,) * self.rank: other})
+            other = self._new(self.rank, {_zero_key(self.rank): other}, 0)
         return isinstance(other, type(self)) and self.rank == other.rank \
             and self.terms == other.terms
 
@@ -238,13 +323,13 @@ class _Poly:
         return hash((self.rank, frozenset(self.terms.items())))
 
     def _coerce(self, other):
+        if type(other) is type(self):
+            if other.rank != self.rank:
+                raise ValueError("rank mismatch")
+            return other
         if isinstance(other, self.scalars):
-            return self._new(self.rank, {(0,) * self.rank: other})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return other
+            return self._new(self.rank, {_zero_key(self.rank): other}, 0)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -253,12 +338,12 @@ class _Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return self._new(self.rank, out)
+        return self._new(self.rank, out, max(self.top, other.top))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(self.rank, {e: -c for e, c in self.terms.items()})
+        return self._new(self.rank, {e: -c for e, c in self.terms.items()}, self.top)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -271,12 +356,21 @@ class _Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
+        zero = _zero_key(self.rank)
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
+            e1 -= zero
             for e2, c2 in other.terms.items():
-                e = wt_add(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return self._new(self.rank, out)
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        result = self._new(self.rank, out, self.top + other.top)
+        if result.top >= LIMIT:
+            # every field is a sum of two in-range exponents, so it decodes
+            result.top = _exact_top(result)
+            if result.top >= LIMIT:
+                raise _too_large("product")
+        return result
 
     __rmul__ = __mul__
 
@@ -289,7 +383,8 @@ class _Poly:
         return result
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(exponent tuple, coefficient) pairs in exponent order."""
+        return [(_unpack(e, self.rank), c) for e, c in sorted(self.terms.items())]
 
     def __repr__(self):
         bits = [f"{c}*{self.symbol}{list(e)}" for e, c in self.sorted_terms()]
@@ -316,15 +411,15 @@ class LaurentPoly(_Poly):
     def apply_matrix(self, m):
         """Push exponents through v -> m @ v; m may change the rank."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             ne = mat_vec(m, e)
             out[ne] = out.get(ne, 0) + c
-        return LaurentPoly._new(len(m), out)
+        return LaurentPoly(len(m), out)
 
     def eval_at(self, base, xi):
         """Specialize e^v -> base ** <v, xi>; base a nonzero Fraction."""
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             total += c * (Fraction(base) ** wt_dot(e, xi))
         return total
 
@@ -339,18 +434,19 @@ class PolyH(_Poly):
 
     @classmethod
     def constant(cls, rank, c):
-        return cls._new(rank, {(0,) * rank: Fraction(c)})
+        return cls._new(rank, {_zero_key(rank): Fraction(c)}, 0)
 
     @classmethod
     def linear_form(cls, w):
         """The degree one polynomial <w, x>."""
         rank = len(w)
-        return cls._new(rank, {tuple(int(j == i) for j in range(rank)): Fraction(c)
-                               for i, c in enumerate(w)})
+        zero = _zero_key(rank)
+        return cls._new(rank, {zero + _unit_key(rank, i): Fraction(c)
+                               for i, c in enumerate(w)}, 1)
 
     def homogeneous_degree(self):
         """Total degree if homogeneous, None for 0 or mixed degrees."""
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e, _ in self.sorted_terms()}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -362,13 +458,14 @@ class PolyH(_Poly):
         """The value of a constant polynomial, else None."""
         if not self.terms:
             return Fraction(0)
-        if len(self.terms) == 1 and (0,) * self.rank in self.terms:
-            return self.terms[(0,) * self.rank]
+        zero = _zero_key(self.rank)
+        if len(self.terms) == 1 and zero in self.terms:
+            return self.terms[zero]
         return None
 
     def eval_at(self, point):
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             v = c
             for x, d in zip(point, e):
                 if d:
@@ -381,18 +478,25 @@ class PolyH(_Poly):
 # exact division routines
 
 def _coset_chains(p, w):
-    """The terms of p grouped by coset chain e + Z*w, positioned by a pivot
-    coordinate of w: {chain base: [(position, coefficient), ...]}, together
-    with whether every chain sums to zero."""
+    """The terms of p grouped by coset chain e + Z*w, positioned along w by
+    the pivot coordinate where |w| is largest: {chain base key: [(position,
+    coefficient, key), ...]}, together with whether every chain sums to
+    zero.  With that pivot a base coordinate stays below 2 top + |w|, and
+    distinct bases have distinct keys while that fits a field."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
-    pivot = next(i for i, c in enumerate(w) if c)
+    rank = p.rank
+    sizes = list(map(abs, w))
+    pivot = sizes.index(max(sizes))
     step = w[pivot]
+    if 2 * p.top + abs(step) >= BIAS:
+        raise _too_large("cyclotomic division")
+    shift, delta = FIELD * (rank - 1 - pivot), _pack_delta(w)
     chains, totals = {}, {}
     for e, c in p.terms.items():
-        k = e[pivot] // step
-        base = tuple(x - k * y for x, y in zip(e, w))
-        chains.setdefault(base, []).append((k, c))
+        k = (((e >> shift) & MASK) - BIAS) // step
+        base = e - k * delta
+        chains.setdefault(base, []).append((k, c, e))
         totals[base] = totals.get(base, 0) + c
     return chains, not any(totals.values())
 
@@ -408,21 +512,24 @@ def divide_by_cyclotomic(p, w):
 
     Along a coset chain the quotient is the running sum of the coefficients
     of p, so the chain divides exactly iff its total is 0; that is checked
-    before any quotient term is built.
+    before any quotient term is built.  The quotient's terms lie between
+    terms of p on their chain, so p's bound holds for them.
     """
     chains, divisible = _coset_chains(p, w)
     if not divisible:
         return None
+    delta = _pack_delta(w)
     out = {}
-    for base, chain in chains.items():
+    for chain in chains.values():
         chain.sort()
         total = 0
-        for (k, c), (k_next, _) in zip(chain, chain[1:]):
+        for (k, c, e), (k_next, _, _) in zip(chain, chain[1:]):
             total += c
             if total:
-                for j in range(k, k_next):
-                    out[tuple(x + j * y for x, y in zip(base, w))] = total
-    return LaurentPoly._new(p.rank, out)
+                for _ in range(k, k_next):
+                    out[e] = total
+                    e += delta
+    return LaurentPoly._new(p.rank, out, p.top)
 
 
 def divide_by_linear_form(p, w):
@@ -431,17 +538,23 @@ def divide_by_linear_form(p, w):
     With x_i the first variable of w and r the rest of the form, p is cut
     into slices p_d by the degree d in x_i.  From the top slice down, the
     quotient's slice q_(d-1) is (p_d - r q_d) / w_i, and p divides exactly
-    when p_0 - r q_0 is zero."""
+    when p_0 - r q_0 is zero.  No intermediate exponent exceeds the total
+    degree of p, at most rank * top; an exact quotient keeps p's bound."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
         return p
+    rank = p.rank
+    if rank * p.top >= BIAS:
+        raise _too_large("linear form division")
     pivot = next(i for i, c in enumerate(w) if c)
     inv = Fraction(1, w[pivot])
-    rest = [(i, c) for i, c in enumerate(w) if c and i != pivot]
+    shift = FIELD * (rank - 1 - pivot)
+    unit = 1 << shift
+    rest = [(_unit_key(rank, i), c) for i, c in enumerate(w) if c and i != pivot]
     slices = {}
     for e, c in p.terms.items():
-        slices.setdefault(e[pivot], {})[e] = c
+        slices.setdefault(((e >> shift) & MASK) - BIAS, {})[e] = c
     quot = {}
     carry = {}  # r q_d, taken off the slice of degree d
     for d in range(max(slices), -1, -1):
@@ -453,14 +566,63 @@ def divide_by_linear_form(p, w):
             else:
                 cur.pop(e, None)
         if d == 0:
-            return None if cur else PolyH._new(p.rank, quot)
+            return None if cur else PolyH._new(rank, quot, p.top)
         carry = {}
         for e, c in cur.items():
-            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
+            qe = e - unit
             quot[qe] = qc = c * inv
-            for i, wi in rest:
-                ne = qe[:i] + (qe[i] + 1,) + qe[i + 1:]
+            for u, wi in rest:
+                ne = qe + u
                 carry[ne] = carry.get(ne, 0) + wi * qc
+
+
+# ---------------------------------------------------------------------------
+# lattice substitutions
+
+def shear_exponents(p, sigma, a):
+    """The ring map e^v -> e^(v - <sigma, v> a) on character sums.
+
+    Each term is decoded once; its key moves by <sigma, v> packed copies of
+    a, and every field it lands on is checked against the limit.
+    """
+    rank = p.rank
+    delta = _pack_delta(a)
+    out, top = {}, 0
+    for e, c in p.terms.items():
+        v = _unpack(e, rank)
+        s = wt_dot(sigma, v)
+        if s:
+            v = [x - s * y for x, y in zip(v, a)]
+            e -= s * delta
+        size = max(map(abs, v), default=0)
+        if size >= LIMIT:
+            raise _too_large("shear")
+        top = max(top, size)
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly._new(rank, out, top)
+
+
+def shear_variables(p, sigma, a):
+    """The same map on polynomials: x_t -> x_t - sigma_t <a, x>, the
+    variables with sigma_t = 0 fixed.  The powers of each image are built
+    once per call."""
+    rank = p.rank
+    images = {t: PolyH.linear_form(tuple(int(i == t) - s * y for i, y in enumerate(a)))
+              for t, s in enumerate(sigma) if s}
+    powers = {}
+    out, top = {}, 0
+    for e, c in p.sorted_terms():
+        fixed = tuple(0 if t in images else d for t, d in enumerate(e))
+        term = PolyH(rank, {fixed: c})
+        for t, d in enumerate(e):
+            if d and t in images:
+                if (t, d) not in powers:
+                    powers[t, d] = images[t] ** d
+                term = term * powers[t, d]
+        for k, v in term.terms.items():
+            out[k] = out.get(k, 0) + v
+        top = max(top, term.top)
+    return PolyH._new(rank, out, top)
 
 
 def substitution_matrix(basis, images, rank):
@@ -471,15 +633,15 @@ def substitution_matrix(basis, images, rank):
     """
     if len(basis) != rank:
         raise ValueError("basis size must equal the ambient rank")
-    inv = scaled_inverse(basis)
-    if inv is None or inv[0] != 1:
+    dual = lattice_dual(basis)
+    if dual is None:
         raise ValueError("basis is not unimodular")
     if len(images) != rank:
         raise ValueError("need one image per basis vector")
     rank_out = len(images[0])
     if any(len(v) != rank_out for v in images):
         raise ValueError("images of unequal rank")
-    return mat_mul(mat_from_cols(images), inv[1])
+    return mat_mul(mat_from_cols(images), dual)
 
 
 def substitute_linear(p, basis, images):
@@ -498,7 +660,7 @@ def substitute_linear_h(p, basis, images):
         for t in range(p.rank)
     ]
     result = PolyH.zero(rank_out)
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         term = PolyH.constant(rank_out, c)
         for t, d in enumerate(e):
             if d:
@@ -515,8 +677,8 @@ class _Ring:
 
     ``name`` is the CLI mode, ``mode`` the ``LocalizedSum`` tag, ``poly``
     the value class; ``graded`` rings have a degree, so a class integrates
-    to zero on a space of larger dimension.  Division and substitution look
-    their routines up by module-global name at call time.
+    to zero on a space of larger dimension.  Division, substitution and the
+    shear look their routines up by module-global name at call time.
     """
 
     def zero(self, rank):
@@ -570,6 +732,10 @@ class _KRing(_Ring):
     def substitute(self, p, basis, images):
         return substitute_linear(p, basis, images)
 
+    def shear(self, p, sigma, a):
+        """The lattice map v -> v - <sigma, v> a applied to p."""
+        return shear_exponents(p, sigma, a)
+
 
 class _HRing(_Ring):
     name, mode, poly, graded = "cohomology", "H", PolyH, True
@@ -595,6 +761,10 @@ class _HRing(_Ring):
 
     def substitute(self, p, basis, images):
         return substitute_linear_h(p, basis, images)
+
+    def shear(self, p, sigma, a):
+        """The lattice map v -> v - <sigma, v> a applied to p."""
+        return shear_variables(p, sigma, a)
 
 
 K, H = _KRing(), _HRing()

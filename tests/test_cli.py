@@ -114,6 +114,24 @@ def test_verify_full(capsys):
     assert "FAIL" not in out
 
 
+# the unit cube with the corner (0,0,1) cut off at lattice distance 1/3: a
+# Delzant polytope whose orientation is not index increasing
+CUT_CUBE = {"rank": 3, "vertices": [
+    {"id": f"v{i}", "psi": psi} for i, psi in enumerate(
+        [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1) if (x, y, z) != (0, 0, 1)]
+        + [[0, 0, "2/3"], ["1/3", 0, 1], [0, "1/3", 1]])]}
+
+
+def test_verify_full_passes_on_a_cut_cube(tmp_path, capsys):
+    # the jump-one ratio belongs to the path sums, which need an index
+    # increasing orientation; here it used to fail on a connection that
+    # carries an incoming weight to an outgoing one
+    rc, out, _ = run_cli(["verify", "--input", _write(tmp_path, "cut.json", CUT_CUBE),
+                          "--level", "full"], capsys)
+    assert rc == 0
+    assert "FAIL" not in out and "jump-one ratios" not in out
+
+
 def test_verify_names_the_exception_behind_a_fail(capsys, monkeypatch):
     def broken_theta(g, edge, xi=None):
         raise NonConstantQuotient("no ratio here")
@@ -224,6 +242,8 @@ def _assert_clean_exit(rc, err):
     (TRIANGLE, None, ["--xi", ""], "--xi must be comma separated integers, got ''"),
     (TRIANGLE, None, ["check", "--class", ""], "unknown class ''"),
     (TRIANGLE, None, ["kirwan", "--pi", "1,0", "--class", ""], "unknown class ''"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", [2 ** 62, 0]]] for v in "abc"}},
+     ["--class"], "outside the supported range"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
@@ -275,6 +295,19 @@ def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys, power):
     assert time.perf_counter() - start < 3
     assert rc == 2
     _assert_clean_exit(rc, err)
+
+
+def test_exponent_overflow_is_contract_error(tmp_path, capsys):
+    # the constant class e^(N, N) is valid; at the top of the triangle the
+    # local index shears it to e^(2N, 0), and 2N = 2^62 is out of range
+    n = 2 ** 61
+    klass = {"mode": "ktheory", "class": {v: [["1", [n, n]]] for v in ("p0", "p1", "p2")}}
+    rc, out, err = run_cli(["local-index", "--fixture", "cp2", "--vertex", "2",
+                            "--class", _write(tmp_path, "c.json", klass)], capsys)
+    assert rc == 3
+    assert out == ""
+    _assert_clean_exit(rc, err)
+    assert "outside the supported range" in json.loads(err)["message"]
 
 
 def test_parse_rational_refuses_exponent_notation():

@@ -624,9 +624,9 @@ GOLDEN = {
         'structure --fixture hirzebruch --format text --mode ktheory':
             'be6a8ed3a97863b6896aff4a7eeafb002414a6b0871faca556d2c6bc38d6d5f4',
         'verify --fixture hirzebruch --format json --level full':
-            '68a74fb9455ed152cbd5f929a053473b57363bcded1aa835ff77a72a2c135433',
+            '3b55158f4e391a3dbd756c23f9170c7e69a25e96b2cbc639cbe278e0d80672b4',
         'verify --fixture hirzebruch --format text --level full':
-            '68a74fb9455ed152cbd5f929a053473b57363bcded1aa835ff77a72a2c135433',
+            '3b55158f4e391a3dbd756c23f9170c7e69a25e96b2cbc639cbe278e0d80672b4',
     },
     'square': {
         'basis --fixture square --format json --normalization canonical --mode cohomology':

@@ -1,6 +1,7 @@
 """Restriction tables: Euler classes, duals, indices, canonical bases."""
 
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from gkmcalc import classes as cl
 from gkmcalc import symcore
 from gkmcalc.classes import euler_minus, is_kirwan_class, localized_sum, support
-from gkmcalc.errors import ContractError, DivisionFailure, NonPolynomialIndex
+from gkmcalc.errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from gkmcalc.fixtures import (
     fixture_graph,
     fixture_input,
@@ -18,6 +19,7 @@ from gkmcalc.fixtures import (
     hirzebruch_reference_basis,
 )
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, is_index_increasing, upward_closure
+from gkmcalc.kirwan import kirwan_restrict_all, reduced_fixed_data
 from gkmcalc.ktheory import (
     atiyah_segal_index,
     check_gkm_k,
@@ -36,9 +38,9 @@ from gkmcalc.ktheory import (
     structure_constants,
     zero_class,
 )
-from gkmcalc.symcore import H, K, Irreducible, LaurentPoly, LocalizedSum, PolyH
+from gkmcalc.symcore import H, K, Irreducible, LaurentPoly, LocalizedSum, PolyH, wt_dot, wt_sub
 
-from conftest import rand_laurent, rng, specialization_points
+from conftest import rand_laurent, rand_polyh, rng, specialization_points
 from test_gkm import SIMPLE_SHAPES
 
 
@@ -363,6 +365,81 @@ def test_local_index_matches_reduced_fixed_point_sum(ring):
                 checked += 1
                 nonzero += not got.is_zero()
     assert checked >= 150 and nonzero >= checked // 3
+
+
+def _rand_value(r, ring, rank):
+    return rand_laurent(r, rank) if ring is K else rand_polyh(r, rank)
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+def test_shear_matches_the_substitution_at_every_vertex(ring):
+    # the frame is dual to the weights, and the shear along a_1 + ... + a_lam
+    # is the lattice map of the local index: w_i -> w_i - a for the incoming
+    # labels, the outgoing ones fixed
+    r = rng(316 if ring is K else 317)
+    checked = 0
+    for g in _oracle_graphs():
+        for q in g.vids():
+            pt = g.point(q)
+            weights = list(pt.wplus + pt.wminus)
+            assert [[wt_dot(a, w) for w in weights] for a in pt.frame] == \
+                [[int(i == j) for j in range(g.rank)] for i in range(g.rank)]
+            sigma = tuple(map(sum, zip(*pt.frame[:pt.lam])))
+            value = _rand_value(r, ring, g.rank)
+            for a in pt.wplus:
+                images = [wt_sub(w, a) for w in pt.wplus] + list(pt.wminus)
+                assert ring.shear(value, sigma, a) == ring.substitute(value, weights, images)
+                checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+def test_shear_matches_the_substitution_at_the_reduced_points(ring):
+    # the point's edge dual and edge weight give the map that fixes the
+    # residual weights and kills the edge weight
+    r = rng(318 if ring is K else 319)
+    checked = 0
+    for g in _oracle_graphs():
+        n = g.rank
+        for pi in ((0,) * (n - 1) + (1,), (-1,) * n, (-1,) + (0,) * (n - 2) + (1,)):
+            try:
+                setup = reduced_fixed_data(g, pi)
+            except ValidationError:  # not a free circle, or no unique top
+                continue
+            for point in setup.points:
+                basis = list(point.residual) + [point.edge_weight]
+                images = list(point.residual) + [(0,) * n]
+                value = _rand_value(r, ring, n)
+                assert ring.shear(value, point.edge_dual, point.edge_weight) == \
+                    ring.substitute(value, basis, images)
+                checked += 1
+    assert checked > 150
+
+
+def test_no_elimination_runs_after_the_graph_is_built(monkeypatch):
+    # the frames of build_graph and the edge duals of reduced_fixed_data
+    # serve every later lattice map; count the eliminations after them
+    graphs = [fixture_graph("hirzebruch"), build_graph(_product_input(SIMPLE_SHAPES[5]))]
+    setups = [reduced_fixed_data(graphs[0], (0, 1)), reduced_fixed_data(graphs[1], (-1, 0, 1))]
+    orig = symcore.scaled_inverse
+    calls = []
+
+    def counted(cols):
+        calls.append(cols)
+        return orig(cols)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("gkmcalc") and getattr(mod, "scaled_inverse", None) is orig:
+            monkeypatch.setattr(mod, "scaled_inverse", counted)
+    for g, setup in zip(graphs, setups):
+        basis = cl.basis(K, g, "point")
+        for ring in (K, H):
+            c = basis if ring is K else {p: cl.poincare_dual(H, g, p) for p in g.vids()}
+            for p in g.vids():
+                for q in g.vids():
+                    cl.local_index(ring, g, c[p], q)
+                cl.pushforward(ring, g, c[p])
+                kirwan_restrict_all(setup, c[p])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Exact arithmetic layer: ring ops, lattice tools, division, localization."""
+"""Exact arithmetic layer: ring ops, packed keys, lattice tools, division,
+localization."""
 
 from fractions import Fraction
 
 import pytest
 
+from gkmcalc.errors import ContractError, ValidationError
 from gkmcalc.symcore import (
     Irreducible,
     LaurentPoly,
@@ -174,7 +176,7 @@ def _coset_sums(p, w):
     """Coefficient sums over the classes of exponents that differ by an
     integer multiple of w, grouped by pairwise comparison."""
     classes = []
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         for cls in classes:
             if _is_integer_multiple(wt_sub(e, cls[0]), w):
                 cls[1] += c
@@ -231,6 +233,164 @@ def test_linear_division_roundtrip_random():
         w = rand_weight(r, rank, -3, 3)
         prod = PolyH.linear_form(w) * p
         assert divide_by_linear_form(prod, w) == p
+
+
+# ---------------------------------------------------------------------------
+# packed keys against the tuple-keyed loops they replaced
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divide_by_cyclotomic(p, w):
+    pivot = next(i for i, c in enumerate(w) if c)
+    step = w[pivot]
+    chains = {}
+    for e, c in p.items():
+        k = e[pivot] // step
+        base = tuple(x - k * y for x, y in zip(e, w))
+        chains.setdefault(base, []).append((k, c))
+    if any(sum(c for _, c in chain) for chain in chains.values()):
+        return None
+    out = {}
+    for base, chain in chains.items():
+        chain.sort()
+        total = 0
+        for (k, c), (k_next, _) in zip(chain, chain[1:]):
+            total += c
+            if total:
+                for j in range(k, k_next):
+                    out[tuple(x + j * y for x, y in zip(base, w))] = total
+    return out
+
+
+def _ref_divide_by_linear_form(p, w):
+    if not p:
+        return {}
+    pivot = next(i for i, c in enumerate(w) if c)
+    inv = Fraction(1, w[pivot])
+    rest = [(i, c) for i, c in enumerate(w) if c and i != pivot]
+    slices = {}
+    for e, c in p.items():
+        slices.setdefault(e[pivot], {})[e] = c
+    quot, carry = {}, {}
+    for d in range(max(slices), -1, -1):
+        cur = slices.get(d, {})
+        for e, c in carry.items():
+            cur[e] = cur.get(e, 0) - c
+        cur = {e: c for e, c in cur.items() if c}
+        if d == 0:
+            return None if cur else quot
+        carry = {}
+        for e, c in cur.items():
+            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
+            quot[qe] = qc = c * inv
+            for i, wi in rest:
+                ne = qe[:i] + (qe[i] + 1,) + qe[i + 1:]
+                carry[ne] = carry.get(ne, 0) + wi * qc
+
+
+def _rand_terms(r, rank, big, lowest):
+    """Up to four terms whose coordinates are small or up to +-big, all of
+    them >= 0 when lowest is 0."""
+    terms = {}
+    for _ in range(r.randint(1, 4)):
+        e = tuple(r.choice((r.randint(-3, 3), r.randint(-big, big))) for _ in range(rank))
+        if lowest == 0:
+            e = tuple(map(abs, e))
+        terms[e] = r.choice([-2, -1, 1, 3, Fraction(1, 2)]) if lowest == 0 \
+            else r.choice([-2, -1, 1, 3])
+    return terms
+
+
+def _same(p, ref):
+    # decoding, order and coefficients in one comparison
+    return ref is not None and p.sorted_terms() == sorted(ref.items())
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, PolyH])
+def test_packed_sum_and_product_match_tuple_keys(cls):
+    # exponents up to 2^60, so that sums cross the fields' halfway marks and
+    # negative coordinates borrow from the field above
+    r = rng(110 if cls is LaurentPoly else 111)
+    lowest = 0 if cls is PolyH else -1
+    for _ in range(300):
+        rank = r.randint(1, 5)
+        a, b = (_rand_terms(r, rank, 1 << 60, lowest) for _ in range(2))
+        pa, pb = cls(rank, a), cls(rank, b)
+        assert _same(pa, a)
+        assert _same(pa + pb, _ref_add(a, b))
+        assert _same(pa * pb, _ref_mul(a, b))
+        assert _same(pa - pa, {})
+
+
+def test_packed_cyclotomic_division_matches_tuple_keys():
+    r = rng(112)
+    hits = 0
+    for _ in range(300):
+        rank = r.randint(1, 4)
+        w = rand_weight(r, rank, -3, 3)
+        q = _rand_terms(r, rank, 1 << 59, -1)
+        p = _ref_mul({(0,) * rank: 1, w: -1}, q)
+        if r.random() < 0.5:
+            p = _ref_add(p, {tuple(r.randint(-3, 3) for _ in range(rank)): 1})
+        ref = _ref_divide_by_cyclotomic(p, w)
+        got = divide_by_cyclotomic(LaurentPoly(rank, p), w)
+        assert cyclotomic_divides(LaurentPoly(rank, p), w) == (ref is not None)
+        if ref is None:
+            assert got is None
+        else:
+            hits += 1
+            assert _same(got, ref)
+    assert 0 < hits < 300
+
+
+def test_packed_linear_division_matches_tuple_keys():
+    # small degrees: the division walks every degree of its pivot variable
+    r = rng(113)
+    hits = 0
+    for _ in range(300):
+        rank = r.randint(1, 4)
+        w = rand_weight(r, rank, -3, 3)
+        q = _rand_terms(r, rank, 4, 0)
+        p = _ref_mul({tuple(int(i == j) for j in range(rank)): Fraction(c)
+                      for i, c in enumerate(w) if c}, q)
+        if r.random() < 0.5:
+            p = _ref_add(p, {tuple(r.randint(0, 3) for _ in range(rank)): 1})
+        ref = _ref_divide_by_linear_form(p, w)
+        got = divide_by_linear_form(PolyH(rank, p), w)
+        if ref is None:
+            assert got is None
+        else:
+            hits += 1
+            assert _same(got, ref)
+    assert 0 < hits < 300
+
+
+def test_exponents_at_the_limit_are_refused():
+    limit = 1 << 62
+    for expo in ((limit, 0), (0, -limit)):
+        with pytest.raises(ValidationError, match="outside the supported range"):
+            LaurentPoly.monomial(expo)
+    edge = LaurentPoly.monomial((limit - 1, 0))
+    # the factors' bounds pass the limit, the product's exponents do not
+    assert (edge * e(-1, 5)).sorted_terms() == [((limit - 2, 5), 1)]
+    with pytest.raises(ContractError):
+        edge * e(1, 0)
+    with pytest.raises(ContractError):
+        PolyH(1, {(limit // 2,): 1}) ** 2
 
 
 # ---------------------------------------------------------------------------
