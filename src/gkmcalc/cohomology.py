@@ -1,13 +1,10 @@
-"""Rational-coefficient side of the construction.
+"""Theta and the path-sum classes of the index increasing case.
 
-Classes are dicts mapping vertex id to a ``PolyH``.  The constructions
-shared with K-theory (Euler classes, duals of flow-up faces, integration over
-the manifold, the local index with its degree shortcut, the canonical basis)
-live in ``classes`` over the ring ``H``; the names below bind them.  Here the
-canonical class at p has local index 1 at p alone, and it equals the dual of
-the flow-up face, with no index increasing hypothesis.  This module computes
-the projected Euler class ratio Theta for index-jump-one edges and the
-path-sum classes that exist in the index increasing case.
+This module computes the projected Euler class ratio Theta for index-jump-one
+edges and the path-sum classes that exist in the index increasing case; every
+construction on classes lives in ``classes``.  Its three bindings of
+``classes`` functions to ``H`` have no caller in the package and stay only
+because the benchmark's traced run wraps them by name.
 
 A path-sum class is a sum over jump-one paths, but it is built without
 listing them, by the one-step recursion in decreasing moment order:
@@ -40,10 +37,6 @@ from .symcore import (
     wt_sub,
 )
 
-class_equal_h = cl.class_equal
-one_class_h = partial(cl.one_class, H)
-check_gkm_h = partial(cl.check_gkm, H)
-poincare_dual_h = partial(cl.poincare_dual, H)
 abbv_index = partial(cl.pushforward, H)
 local_index_h = partial(cl.local_index, H)
 icanonical_basis_h = partial(cl.basis, H)
@@ -57,11 +50,11 @@ def _projected_factor(u, w, w_xi, u_xi):
     return wt_sub(wt_scale(u, w_xi), wt_scale(w, u_xi))
 
 
-def theta(g, edge, xi=None):
+def theta(g, edge):
     """Constant ratio of the projected negative Euler classes across an
     index-jump-one edge.  Computed by projection, product and exact division
     rather than assumed; equals 1 on every toric fixture."""
-    xi = g.xi if xi is None else tuple(xi)
+    xi = g.xi
     lam1 = g.point(edge.src).lam
     lam2 = g.point(edge.dst).lam
     if lam2 != lam1 + 1:
@@ -95,7 +88,7 @@ def ecan_edges(g):
             if g.point(e.dst).lam == g.point(e.src).lam + 1]
 
 
-def _path_sums(g, vids, xi):
+def _path_sums(g, vids):
     """Path-sum classes at every vertex of ``vids``, a list in moment order
     closed under oriented edges, each as a dict on ``vids``.
 
@@ -117,7 +110,7 @@ def _path_sums(g, vids, xi):
     steps = {p: [] for p in vids}
     for e in ecan_edges(g):
         if e.src in steps:
-            steps[e.src].append((e.dst, e.mult * theta(g, e, xi)))
+            steps[e.src].append((e.dst, e.mult * theta(g, e)))
     rows = {}
     for i in reversed(range(len(vids))):
         p = vids[i]
@@ -139,13 +132,13 @@ def _path_sums(g, vids, xi):
     return rows
 
 
-def gt_class(g, p, xi=None):
+def gt_class(g, p):
     """Path-sum class at p over the jump-one subgraph; it is integral and
     agrees with the flow-up dual.  Exists only for index increasing
     orientations."""
-    return {**cl.zero_class(H, g), **_path_sums(g, upward_closure(g, p), xi)[p]}
+    return {**cl.zero_class(H, g), **_path_sums(g, upward_closure(g, p))[p]}
 
 
-def gt_basis(g, xi=None):
+def gt_basis(g):
     """Path-sum class at every vertex."""
-    return _path_sums(g, g.vids(), xi)
+    return _path_sums(g, g.vids())

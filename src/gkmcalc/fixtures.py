@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ValidationError
-from .gkm import ToricInput, build_graph
+from .gkm import ToricInput
 from .symcore import LaurentPoly, PolyH, parse_int
 
 
@@ -67,10 +67,6 @@ def fixture_input(name):
     raise ValidationError(f"unknown fixture {name!r}")
 
 
-def fixture_graph(name):
-    return build_graph(fixture_input(name))
-
-
 def fixture_names():
     return sorted(_FIXTURES) + ["cpn:<n>"]
 
@@ -100,15 +96,3 @@ def hirzebruch_sample_class(g):
     c["p2"] = LaurentPoly.monomial((0, 1)) - LaurentPoly.monomial((1, 0))
     return c
 
-
-def hirzebruch_reference_basis(g):
-    """Reference class set for the trapezoid golden tests: the trivial class
-    at the minimum together with the point-normalized classes at the other
-    three vertices."""
-    from .ktheory import one_class, point_normalized_basis_k
-
-    point = point_normalized_basis_k(g)
-    basis = {g.vids()[0]: one_class(g)}
-    for p in g.vids()[1:]:
-        basis[p] = point[p]
-    return basis

@@ -15,9 +15,10 @@ sides.
 
 The inverse that the lattice-basis check computes at a vertex is kept as the
 vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij over its weights
-``wplus + wminus``.  The flow faces read their normals from it, and the
+``wplus + wminus``.  The flow-up faces read their normals from it, and the
 local index builds its lattice maps from it, so no elimination runs after
-the graph is built.
+the graph is built.  Only flow-up faces are computed: the flow-down face of
+a vertex is its flow-up face in the graph oriented by -xi.
 
 Conventions, used consistently everywhere downstream:
 
@@ -104,9 +105,6 @@ class GKMGraph:
     def order_index(self, vid):
         return self._order[vid]
 
-    def mu(self, vid):
-        return self._by_id[vid].mu
-
     def psi(self, vid):
         return self._by_id[vid].psi
 
@@ -125,11 +123,6 @@ class GKMGraph:
             if e.src == dst:
                 return wt_neg(e.weight)
         raise KeyError(f"no edge between {src} and {dst}")
-
-    def weights_at(self, vid):
-        """Full isotropy weight tuple at a vertex."""
-        p = self._by_id[vid]
-        return p.wplus + p.wminus
 
     def __repr__(self):
         return f"GKMGraph(rank={self.rank}, points={len(self.points)}, xi={self.xi})"
@@ -307,12 +300,12 @@ def detect_edges(rank, ids, psis):
     return sorted(edges)
 
 
-def build_graph(inp, xi=None):
+def build_graph(inp):
     """Validate a toric input and return the oriented moment graph.
 
     Supplied edges are validated as-is; otherwise the polytope one-skeleton
-    is detected.  A supplied direction vector is only checked; otherwise a
-    deterministic search picks one.
+    is detected.  A direction vector in ``inp.xi`` is only checked;
+    otherwise a deterministic search picks one.
     """
     ids, psis = _validate_input(inp)
     pts, scale = _scaled_points(psis)
@@ -357,8 +350,7 @@ def build_graph(inp, xi=None):
         frames.append(dict(zip(weights, rows)))
 
     skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames)
-    chosen = choose_generic_xi(skel, inp.xi if xi is None else xi)
-    return orient_and_index(skel, chosen)
+    return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
 
 
 @dataclass
@@ -373,7 +365,7 @@ class _Skeleton:
     frames: list  # per vertex: {isotropy weight: its dual row}
 
 
-def choose_generic_xi(skel, xi=None):
+def choose_generic_xi(skel, xi):
     """Pick or validate a direction pairing nonzero with every edge weight
     and separating the vertices."""
     weights = [prim for prim, _ in skel.prims]
@@ -430,13 +422,14 @@ def orient_and_index(skel, xi):
 # ---------------------------------------------------------------------------
 # derived combinatorics
 
-def flow_face(g, vid, direction="up"):
-    """Vertex set of the face through vid spanned by the negative weights
-    (up) or the positive weights (down), computed as the span closure.  The
-    face's normals are the frame rows of the other weights, and an edge
-    stays in the face when every normal vanishes on its label."""
+def flow_face(g, vid):
+    """Vertex set of the flow-up face through vid, the face spanned by its
+    negative weights, computed as the span closure.  The face's normals are
+    the frame rows of the positive weights, and an edge stays in the face
+    when every normal vanishes on its label.  The flow-down face is the
+    flow-up face of the graph oriented by -xi."""
     p = g.point(vid)
-    normals = p.frame[:p.lam] if direction == "up" else p.frame[p.lam:]
+    normals = p.frame[:p.lam]
     reach = {vid}
     stack = [vid]
     while stack:

@@ -84,16 +84,9 @@ def reduced_fixed_data(g, pi):
     return ReductionSetup(graph=g, pi=pi, top=top, points=points)
 
 
-def kirwan_restrict(setup, c, point_id, source="top"):
-    """Value of the reduced class at a reduced point.
-
-    ``source`` picks which end of the cut edge supplies the restriction; the
-    two agree for any class satisfying the edge divisibility condition.
-    """
-    point = next(p for p in setup.points if p.id == point_id)
-    value = c[setup.top if source == "top" else point.source]
-    return value.ring.shear(value, point.edge_dual, point.edge_weight)
-
-
-def kirwan_restrict_all(setup, c, source="top"):
-    return {p.id: kirwan_restrict(setup, c, p.id, source) for p in setup.points}
+def kirwan_restrict_all(setup, c):
+    """Value of the reduced class at every reduced point, restricted from
+    the top vertex.  For a class satisfying the edge divisibility condition
+    the lower end of each cut edge gives the same value."""
+    value = c[setup.top]
+    return {p.id: value.ring.shear(value, p.edge_dual, p.edge_weight) for p in setup.points}

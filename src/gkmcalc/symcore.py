@@ -27,22 +27,31 @@ raises ``ContractError``:
 * a division raises when its intermediate keys could leave their fields:
   2 top + |w| >= 2^63 for ``1 - e^w``, rank * top >= 2^63 for ``<w, x>``.
 
+No exact division or power builds more than ``TERM_BUDGET`` terms.  Each
+counts its terms before it builds one and raises ``ContractError`` past the
+budget: a quotient by ``1 - e^w`` from the gaps of its coset chains, a
+quotient by ``<w, x>`` from the pivot degrees of its slices, a power of a
+linear form with m terms to the d-th as C(d + m - 1, m - 1), and a product
+in the shear as the product of its factors' term counts.  Exponents of
+a valid class may lie 2^62 apart, so without it a single division could try
+to fill a gap of that length.
+
 A coefficient ring, ``K`` for K-theory and ``H`` for cohomology, is what a
 construction needs to know about its mode: zero and one, the factor attached
 to a weight w (``1 - e^w`` in K, the linear form ``w`` in H), the unit that
 flipping the sign of w costs, exact division and the divisibility test, the
 shear e -> e - <sigma, e> a that the local index and the Kirwan restriction
 apply, and the JSON and text forms of a value.  ``RINGS`` maps the CLI mode
-names to the rings.  The general lattice substitution ``substitute_linear``
-(``_h`` in H) stays as the reference the shear is tested against.
+names to the rings.
 
-``LocalizedSum`` models sums of fractions whose denominators are products of
-factors.  Reduction brings everything over a least common denominator and
-cancels factor by factor with the two exact division routines; there is
-deliberately no general multivariate gcd.  It serves the test oracles and
-the benchmark tracer only: the global indices expand in the flow-up duals,
-the path sums follow a one-step recursion and the local index is a divided
-difference.
+``LocalizedSum`` (sums of fractions whose denominators are products of
+factors, reduced over a least common denominator with the two exact
+divisions), ``Irreducible``, ``canonical_sign`` and the general lattice
+substitutions ``substitute_linear``/``_h`` have no caller in the program:
+the global indices expand in the flow-up duals, the path sums follow a
+one-step recursion and the local index is a divided difference of shears.
+They stay here because the benchmark's traced run wraps them by name; the
+tests use them as independent oracles.
 """
 
 from __future__ import annotations
@@ -58,10 +67,6 @@ from .errors import ContractError, ValidationError
 
 # ---------------------------------------------------------------------------
 # weight vectors (plain int tuples)
-
-def wt_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def wt_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
@@ -119,11 +124,6 @@ def canonical_sign(a):
         if x < 0:
             return wt_neg(a), -1
     raise ValueError("zero vector has no canonical sign")
-
-
-def wt_lift(a, extra=1):
-    """Append ``extra`` zero coordinates."""
-    return tuple(a) + (0,) * extra
 
 
 def parse_rational(x):
@@ -221,6 +221,7 @@ FIELD = 64
 BIAS = 1 << (FIELD - 1)
 MASK = (1 << FIELD) - 1
 LIMIT = 1 << 62
+TERM_BUDGET = 1 << 20
 
 
 @functools.cache
@@ -255,6 +256,10 @@ def _unit_key(rank, i):
 
 def _too_large(what):
     return ContractError(f"{what}: exponent outside the supported range |e| < 2^62")
+
+
+def _too_many(what):
+    return ContractError(f"{what}: more than {TERM_BUDGET} terms")
 
 
 def _exact_top(p):
@@ -377,9 +382,13 @@ class _Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers unsupported")
-        result = self.one(self.rank)
-        for _ in range(k):
-            result = result * self
+        result, base = self.one(self.rank), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def sorted_terms(self):
@@ -415,13 +424,6 @@ class LaurentPoly(_Poly):
             ne = mat_vec(m, e)
             out[ne] = out.get(ne, 0) + c
         return LaurentPoly(len(m), out)
-
-    def eval_at(self, base, xi):
-        """Specialize e^v -> base ** <v, xi>; base a nonzero Fraction."""
-        total = Fraction(0)
-        for e, c in self.sorted_terms():
-            total += c * (Fraction(base) ** wt_dot(e, xi))
-        return total
 
 
 class PolyH(_Poly):
@@ -463,16 +465,6 @@ class PolyH(_Poly):
             return self.terms[zero]
         return None
 
-    def eval_at(self, point):
-        total = Fraction(0)
-        for e, c in self.sorted_terms():
-            v = c
-            for x, d in zip(point, e):
-                if d:
-                    v *= Fraction(x) ** d
-            total += v
-        return total
-
 
 # ---------------------------------------------------------------------------
 # exact division routines
@@ -512,23 +504,30 @@ def divide_by_cyclotomic(p, w):
 
     Along a coset chain the quotient is the running sum of the coefficients
     of p, so the chain divides exactly iff its total is 0; that is checked
-    before any quotient term is built.  The quotient's terms lie between
-    terms of p on their chain, so p's bound holds for them.
+    before any quotient term is built, and so is the quotient's size: the
+    sum of the gaps that a nonzero running sum spans.  The quotient's terms
+    lie between terms of p on their chain, so p's bound holds for them.
     """
     chains, divisible = _coset_chains(p, w)
     if not divisible:
         return None
-    delta = _pack_delta(w)
-    out = {}
+    runs, size = [], 0
     for chain in chains.values():
         chain.sort()
         total = 0
         for (k, c, e), (k_next, _, _) in zip(chain, chain[1:]):
             total += c
             if total:
-                for _ in range(k, k_next):
-                    out[e] = total
-                    e += delta
+                runs.append((e, total, k_next - k))
+                size += k_next - k
+    if size > TERM_BUDGET:
+        raise _too_many("cyclotomic division")
+    delta = _pack_delta(w)
+    out = {}
+    for e, total, gap in runs:
+        for _ in range(gap):
+            out[e] = total
+            e += delta
     return LaurentPoly._new(p.rank, out, p.top)
 
 
@@ -538,8 +537,11 @@ def divide_by_linear_form(p, w):
     With x_i the first variable of w and r the rest of the form, p is cut
     into slices p_d by the degree d in x_i.  From the top slice down, the
     quotient's slice q_(d-1) is (p_d - r q_d) / w_i, and p divides exactly
-    when p_0 - r q_0 is zero.  No intermediate exponent exceeds the total
-    degree of p, at most rank * top; an exact quotient keeps p's bound."""
+    when p_0 - r q_0 is zero; where r q_d is zero the walk jumps to the next
+    nonempty slice.  A term of degree d in x_i reaches at most C(d - 1 + m,
+    m) quotient terms, m the number of variables in r, and their sum is
+    checked against the budget first.  No intermediate exponent exceeds the
+    total degree of p, at most rank * top; an exact quotient keeps p's bound."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
@@ -555,9 +557,14 @@ def divide_by_linear_form(p, w):
     slices = {}
     for e, c in p.terms.items():
         slices.setdefault(((e >> shift) & MASK) - BIAS, {})[e] = c
+    m = len(rest)
+    if p.top and len(p.terms) * math.comb(p.top - 1 + m, m) > TERM_BUDGET \
+            and sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d) > TERM_BUDGET:
+        raise _too_many("linear form division")
     quot = {}
     carry = {}  # r q_d, taken off the slice of degree d
-    for d in range(max(slices), -1, -1):
+    d = max(slices)
+    while True:
         cur = slices.get(d, {})
         for e, c in carry.items():
             v = cur.get(e, 0) - c
@@ -574,6 +581,7 @@ def divide_by_linear_form(p, w):
             for u, wi in rest:
                 ne = qe + u
                 carry[ne] = carry.get(ne, 0) + wi * qc
+        d = d - 1 if carry or d - 1 in slices else max((k for k in slices if k < d), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +613,9 @@ def shear_exponents(p, sigma, a):
 def shear_variables(p, sigma, a):
     """The same map on polynomials: x_t -> x_t - sigma_t <a, x>, the
     variables with sigma_t = 0 fixed.  The powers of each image are built
-    once per call."""
+    once per call; a power's term count, C(d + m - 1, m - 1) for an image of
+    m terms, and a product's, at most the product of its factors' counts,
+    are checked against the budget before it is built."""
     rank = p.rank
     images = {t: PolyH.linear_form(tuple(int(i == t) - s * y for i, y in enumerate(a)))
               for t, s in enumerate(sigma) if s}
@@ -617,7 +627,12 @@ def shear_variables(p, sigma, a):
         for t, d in enumerate(e):
             if d and t in images:
                 if (t, d) not in powers:
+                    m = len(images[t].terms)
+                    if m and math.comb(d + m - 1, m - 1) > TERM_BUDGET:
+                        raise _too_many("shear")
                     powers[t, d] = images[t] ** d
+                if len(term.terms) * len(powers[t, d].terms) > TERM_BUDGET:
+                    raise _too_many("shear")
                 term = term * powers[t, d]
         for k, v in term.terms.items():
             out[k] = out.get(k, 0) + v
@@ -677,8 +692,8 @@ class _Ring:
 
     ``name`` is the CLI mode, ``mode`` the ``LocalizedSum`` tag, ``poly``
     the value class; ``graded`` rings have a degree, so a class integrates
-    to zero on a space of larger dimension.  Division, substitution and the
-    shear look their routines up by module-global name at call time.
+    to zero on a space of larger dimension.  Division and the shear look
+    their routines up by module-global name at call time.
     """
 
     def zero(self, rank):
@@ -729,9 +744,6 @@ class _KRing(_Ring):
     def divides(self, p, w):
         return cyclotomic_divides(p, w)
 
-    def substitute(self, p, basis, images):
-        return substitute_linear(p, basis, images)
-
     def shear(self, p, sigma, a):
         """The lattice map v -> v - <sigma, v> a applied to p."""
         return shear_exponents(p, sigma, a)
@@ -758,9 +770,6 @@ class _HRing(_Ring):
 
     def divides(self, p, w):
         return divide_by_linear_form(p, w) is not None
-
-    def substitute(self, p, basis, images):
-        return substitute_linear_h(p, basis, images)
 
     def shear(self, p, sigma, a):
         """The lattice map v -> v - <sigma, v> a applied to p."""
@@ -843,26 +852,3 @@ class LocalizedSum:
         if remaining:
             return Irreducible(total, tuple(sorted(remaining.items())), self.mode)
         return total
-
-    # numeric specialization, used as an independent oracle in the tests
-    def _eval(self, mode, value, factor):
-        if self.mode != mode:
-            raise ValueError(f"{mode} specialization of a {self.mode} mode sum")
-        total = Fraction(0)
-        for numer, den in self.terms:
-            val = value(numer)
-            for w, m in den.items():
-                d = factor(w)
-                if d == 0:
-                    raise ValueError("specialization point kills a denominator")
-                val /= d ** m
-            total += val
-        return total
-
-    def eval_k(self, base, xi):
-        return self._eval("K", lambda p: p.eval_at(base, xi),
-                          lambda w: 1 - Fraction(base) ** wt_dot(w, xi))
-
-    def eval_h(self, point):
-        return self._eval("H", lambda p: p.eval_at(point),
-                          lambda w: Fraction(wt_dot(w, point)))

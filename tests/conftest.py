@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.fixtures import fixture_graph
+from oracles import fixture_graph
 from gkmcalc.symcore import LaurentPoly, PolyH
 
 

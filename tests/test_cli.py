@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import classes as cl
 from gkmcalc import cohomology
 from gkmcalc.cli import main, make_parser
 from gkmcalc.errors import NonConstantQuotient, ValidationError
@@ -21,7 +22,7 @@ from gkmcalc.serialize import (
     toric_input_from_dict,
 )
 from gkmcalc.gkm import build_graph
-from gkmcalc.ktheory import class_equal, icanonical_basis_k, one_class
+from gkmcalc.symcore import K
 
 from conftest import rng
 
@@ -133,7 +134,7 @@ def test_verify_full_passes_on_a_cut_cube(tmp_path, capsys):
 
 
 def test_verify_names_the_exception_behind_a_fail(capsys, monkeypatch):
-    def broken_theta(g, edge, xi=None):
+    def broken_theta(g, edge):
         raise NonConstantQuotient("no ratio here")
 
     monkeypatch.setattr(cohomology, "theta", broken_theta)
@@ -146,7 +147,7 @@ def test_verify_names_the_exception_behind_a_fail(capsys, monkeypatch):
 
 
 def test_fractional_theta_makes_gt_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(cohomology, "theta", lambda g, edge, xi=None: Fraction(1, 2))
+    monkeypatch.setattr(cohomology, "theta", lambda g, edge: Fraction(1, 2))
     rc, out, err = run_cli(["gt", "--fixture", "cp2"], capsys)
     assert rc == 3
     assert out == ""
@@ -310,6 +311,52 @@ def test_exponent_overflow_is_contract_error(tmp_path, capsys):
     assert "outside the supported range" in json.loads(err)["message"]
 
 
+HUGE = 10 ** 8
+# at cp2's vertex 1 the local index shears x1 to 0 and x2 to x2 - x1
+HUGE_CASES = {
+    # e^(2^62 - 1, 0) everywhere: a divided difference would fill a gap of
+    # about 2^62 quotient terms
+    "ktheory-local-index": (["local-index", "--vertex", "1"], "ktheory",
+                            {v: [["1", [2 ** 62 - 1, 0]]] for v in ("p0", "p1", "p2")}),
+    # x1^HUGE at p1 alone: the quotient by the form of the edge p1 -> p2
+    # would have HUGE terms
+    "cohomology-check": (["check"], "cohomology",
+                         {"p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}),
+    "cohomology-index": (["index"], "cohomology",
+                         {"p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}),
+    # x2^HUGE everywhere: its shear (x2 - x1)^HUGE would have HUGE + 1 terms
+    "cohomology-local-index": (["local-index", "--vertex", "1"], "cohomology",
+                               {v: [["1", [0, HUGE]]] for v in ("p0", "p1", "p2")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_CASES))
+def test_results_past_the_term_budget_are_contract_errors(tmp_path, capsys, case):
+    argv, mode, values = HUGE_CASES[case]
+    path = _write(tmp_path, "c.json", {"mode": mode, "class": values})
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv[:1] + ["--fixture", "cp2", "--mode", mode, "--class", path]
+                           + argv[1:], capsys)
+    assert time.perf_counter() - start < 3
+    assert rc == 3
+    assert out == ""
+    _assert_clean_exit(rc, err)
+    assert "more than 1048576 terms" in json.loads(err)["message"]
+
+
+def test_local_index_of_a_huge_power_the_shear_kills(tmp_path, capsys):
+    # at vertex 1 the shear sends x1 to 0, so the divided difference is one
+    # division of x1^HUGE by x1; the division jumps over the empty slices
+    path = _write(tmp_path, "c.json", {"mode": "cohomology", "class": {
+        "p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}})
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["local-index", "--fixture", "cp2", "--mode", "cohomology",
+                          "--class", path, "--vertex", "1"], capsys)
+    assert time.perf_counter() - start < 3
+    assert rc == 0
+    assert out == f"x1^{HUGE - 1}\n"
+
+
 def test_parse_rational_refuses_exponent_notation():
     assert parse_rational(7) == 7
     assert parse_rational("-3/4") == Fraction(-3, 4)
@@ -409,21 +456,21 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
 # serialization round trips
 
 def test_basis_json_roundtrip_bytes(cp2):
-    basis = icanonical_basis_k(cp2)
+    basis = cl.basis(K, cp2)
     blob = dumps(basis_to_dict(basis, "ktheory"))
     loaded, mode = basis_from_dict(json.loads(blob), cp2.rank)
     assert mode == "ktheory"
     blob2 = dumps(basis_to_dict(loaded, mode))
     assert blob == blob2
     for p in cp2.vids():
-        assert class_equal(loaded[p], basis[p])
+        assert cl.class_equal(loaded[p], basis[p])
 
 
 def test_class_json_roundtrip(cp2):
-    c = one_class(cp2)
+    c = cl.one_class(K, cp2)
     blob = dumps(class_to_dict(c, "ktheory"))
     loaded, _ = class_from_dict(json.loads(blob), cp2.rank)
-    assert class_equal(loaded, c)
+    assert cl.class_equal(loaded, c)
     assert dumps(class_to_dict(loaded, "ktheory")) == blob
 
 

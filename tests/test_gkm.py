@@ -13,7 +13,7 @@ from gkmcalc.errors import (
     SuppliedXiNotGeneric,
     ValidationError,
 )
-from gkmcalc.fixtures import cp_input, hirzebruch_input
+from gkmcalc.fixtures import cp_input, fixture_input, hirzebruch_input
 from gkmcalc.gkm import (
     ToricInput,
     build_graph,
@@ -330,24 +330,31 @@ def test_unique_extrema(cp1, cp2, cp3, hirzebruch, square):
 # flow faces and closures
 
 def test_flow_face_up_triangle(cp2):
-    assert flow_face(cp2, "p1", "up") == {"p1", "p2"}
+    assert flow_face(cp2, "p1") == {"p1", "p2"}
 
 
 def test_flow_face_up_from_minimum(cp2, cp3, hirzebruch):
     for g in (cp2, cp3, hirzebruch):
         bottom = g.vids()[0]
-        assert flow_face(g, bottom, "up") == set(g.vids())
+        assert flow_face(g, bottom) == set(g.vids())
+
+
+def _reversed(name, g):
+    """The fixture oriented by -xi, where flow-down faces are flow-up."""
+    inp = fixture_input(name)
+    inp.xi = tuple(-x for x in g.xi)
+    return build_graph(inp)
 
 
 def test_flow_face_down_at_minimum(cp2):
-    assert flow_face(cp2, "p0", "down") == {"p0"}
+    assert flow_face(_reversed("cp2", cp2), "p0") == {"p0"}
 
 
 def test_trapezoid_faces(hirzebruch):
-    assert flow_face(hirzebruch, "p1", "up") == {"p1", "p2"}
-    assert flow_face(hirzebruch, "p2", "up") == {"p2", "p3"}
-    assert flow_face(hirzebruch, "p3", "up") == {"p3"}
-    assert flow_face(hirzebruch, "p2", "down") == {"p1", "p2"}
+    assert flow_face(hirzebruch, "p1") == {"p1", "p2"}
+    assert flow_face(hirzebruch, "p2") == {"p2", "p3"}
+    assert flow_face(hirzebruch, "p3") == {"p3"}
+    assert flow_face(_reversed("hirzebruch", hirzebruch), "p2") == {"p1", "p2"}
 
 
 def test_upward_closure(cp2, cp3, hirzebruch):
@@ -370,7 +377,7 @@ def test_index_increasing(cp1, cp2, cp3, hirzebruch):
 def test_flow_face_inside_upward_closure(cp1, cp2, cp3, hirzebruch, square):
     for g in (cp1, cp2, cp3, hirzebruch, square):
         for p in g.vids():
-            face = flow_face(g, p, "up")
+            face = flow_face(g, p)
             closure = set(upward_closure(g, p))
             assert face <= closure
             if is_index_increasing(g):
@@ -381,7 +388,7 @@ def test_face_indices_strictly_larger_when_increasing(cp2, cp3):
     for g in (cp2, cp3):
         for p in g.vids():
             lam = g.point(p).lam
-            for q in flow_face(g, p, "up"):
+            for q in flow_face(g, p):
                 if q != p:
                     assert g.point(q).lam > lam
 

@@ -236,11 +236,11 @@ GOLDEN = {
         'pd --fixture cp2 --format text --mode ktheory':
             'be6212f9f67fa5ddb97e479f78a293b0e49b10496c659ce2f1229239b0d7cf92',
         'structure --fixture cp2 --format json --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            '36af9791b0b7bdb663e7b41c9f0273c4cb4828875251183e190a34f99c2724e2',
         'structure --fixture cp2 --format json --mode ktheory':
             '484aa1aa00cb0e78eb6e9ec6ee43abc1230ea9562e85dc5db356f15f6710ed39',
         'structure --fixture cp2 --format text --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            '01ac52b67d50d318ea10b15fe5bbfc17ff5c65fbea3de9c581adfb1422fdfea8',
         'structure --fixture cp2 --format text --mode ktheory':
             '1cb5cb997aadb03e16ab2e05ba653e976cc0aa085d561b613f71b103e152615b',
         'verify --fixture cp2 --format json --level full':
@@ -426,11 +426,11 @@ GOLDEN = {
         'pd --fixture cpn:3 --format text --mode ktheory':
             '91cb37dbb0e1a7cb2e474720bfee8bc2cdff5749017282aeb3a81e8d67243902',
         'structure --fixture cpn:3 --format json --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            'd221daaae21b822a3821203f77d74a374c6d1f3c179b5deaad850658686ab2ee',
         'structure --fixture cpn:3 --format json --mode ktheory':
             '0cb1d0ea8df457c7f13289601102e7e9e4e00d1a982e9b159ba1d3d9d0f16e13',
         'structure --fixture cpn:3 --format text --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            'dade02cfef381bec76777cab9484e6969a1289b145fb7501b9eb4ed2afe9836a',
         'structure --fixture cpn:3 --format text --mode ktheory':
             'e81a0e859ecad5b4131a3e175b0f4b857bfe770daa19cd84496f929a05b9b393',
         'verify --fixture cpn:3 --format json --level full':
@@ -616,11 +616,11 @@ GOLDEN = {
         'pd --fixture hirzebruch --format text --mode ktheory':
             'fd8df0143a8428d3f3645983b005337d3e776327c0fb82a220c2b88131362b46',
         'structure --fixture hirzebruch --format json --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            'e6a81411b9a92029024b11f51fff2e2891919abdb97d83a38cfb938a92a38264',
         'structure --fixture hirzebruch --format json --mode ktheory':
             '69bc7a7115d7025031a4a80d96763636a2076b2441be5e7c2d8a39910d88cc7e',
         'structure --fixture hirzebruch --format text --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            'fa43ea984401f4c52730b6100de999ee0e2d1c13674b84329b15ea6a95bbaf0b',
         'structure --fixture hirzebruch --format text --mode ktheory':
             'be6a8ed3a97863b6896aff4a7eeafb002414a6b0871faca556d2c6bc38d6d5f4',
         'verify --fixture hirzebruch --format json --level full':
@@ -806,11 +806,11 @@ GOLDEN = {
         'pd --fixture square --format text --mode ktheory':
             'e8ebe1a5771052c419558c2953e3f53b9015dbdf03ea8bf0a061c1bdf5c320d9',
         'structure --fixture square --format json --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            '05295f9cb41d5ec8fb17df7d2961ed472e0e9cbc861dad964021916718be3f6d',
         'structure --fixture square --format json --mode ktheory':
             '3ab55b742619ec0c6e71e3d849bcfd86a34a6dd04510b4b99b27fc842a32dcbf',
         'structure --fixture square --format text --mode cohomology':
-            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+            'f90e222c6de0d566654719bc06bea9566f7dc486f9bc2ad53a3324d841175e25',
         'structure --fixture square --format text --mode ktheory':
             'be061267e535d3b7a7c333fe04d8cb038a2b26af18c8fb247044547bce26c768',
         'verify --fixture square --format json --level full':

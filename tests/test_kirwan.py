@@ -2,26 +2,14 @@
 
 import pytest
 
+from gkmcalc import classes as cl
 from gkmcalc.errors import NonUniqueMaximum, NotFreeAction
-from gkmcalc.cohomology import check_gkm_h, one_class_h, poincare_dual_h
-from gkmcalc.fixtures import (
-    fixture_graph,
-    hirzebruch_sample_class,
-    square_reference_class,
-)
-from gkmcalc.kirwan import kirwan_restrict, kirwan_restrict_all, reduced_fixed_data
-from gkmcalc.ktheory import local_index_parts
-from gkmcalc.symcore import (
-    LaurentPoly,
-    PolyH,
-    lattice_dual,
-    substitute_linear,
-    wt_add,
-    wt_lift,
-    wt_neg,
-)
+from gkmcalc.fixtures import hirzebruch_sample_class, square_reference_class
+from gkmcalc.kirwan import kirwan_restrict_all, reduced_fixed_data
+from gkmcalc.symcore import H, K, LaurentPoly, PolyH, lattice_dual, substitute_linear, wt_neg
 
 from conftest import rand_polyh, rng
+from oracles import lift, local_index_parts, restrict_from_sources, wt_add
 
 
 def form(*w):
@@ -90,12 +78,13 @@ def test_non_free_action_rejected(square):
 
 def test_square_golden_values(square, square_setup):
     alpha = square_reference_class(square)
-    assert check_gkm_h(square, alpha) == []
+    assert cl.check_gkm(H, square, alpha) == []
     horizontal = _point_by_source(square_setup, "q1")
     vertical = _point_by_source(square_setup, "q2")
     x = form(1, -1)
-    assert kirwan_restrict(square_setup, alpha, horizontal.id) == -x
-    assert kirwan_restrict(square_setup, alpha, vertical.id) == x
+    vals = kirwan_restrict_all(square_setup, alpha)
+    assert vals[horizontal.id] == -x
+    assert vals[vertical.id] == x
 
 
 def test_square_cross_checks_from_other_endpoint(square, square_setup):
@@ -103,28 +92,27 @@ def test_square_cross_checks_from_other_endpoint(square, square_setup):
     x = form(1, -1)
     horizontal = _point_by_source(square_setup, "q1")  # value there is 4x1 + x2
     vertical = _point_by_source(square_setup, "q2")    # value there is x1 + 7x2
-    assert kirwan_restrict(square_setup, alpha, horizontal.id, source="src") == -x
-    assert kirwan_restrict(square_setup, alpha, vertical.id, source="src") == x
+    vals = restrict_from_sources(square_setup, alpha)
+    assert vals[horizontal.id] == -x
+    assert vals[vertical.id] == x
 
 
 def test_constant_class_restricts_to_one(square, square_setup):
-    vals = kirwan_restrict_all(square_setup, one_class_h(square))
+    vals = kirwan_restrict_all(square_setup, cl.one_class(H, square))
     for v in vals.values():
         assert v == PolyH.one(2)
 
 
 def test_source_independence_random(square, square_setup):
     r = rng(501)
-    etas = {p: poincare_dual_h(square, p) for p in square.vids()}
+    etas = {p: cl.poincare_dual(H, square, p) for p in square.vids()}
     for _ in range(200):
         c = {v: PolyH.zero(2) for v in square.vids()}
         for p in square.vids():
             if r.random() < 0.6:
                 f = rand_polyh(r, 2, max_terms=2, deg=1)
                 c = {v: c[v] + f * etas[p][v] for v in c}
-        top_vals = kirwan_restrict_all(square_setup, c, source="top")
-        src_vals = kirwan_restrict_all(square_setup, c, source="src")
-        assert top_vals == src_vals
+        assert kirwan_restrict_all(square_setup, c) == restrict_from_sources(square_setup, c)
 
 
 def test_output_lies_in_residual_span(square, square_setup):
@@ -134,8 +122,9 @@ def test_output_lies_in_residual_span(square, square_setup):
     for _ in range(50):
         val = rand_polyh(r, 2, max_terms=3, deg=2)
         c = {v: val for v in square.vids()}  # constant table is a valid class
+        vals = kirwan_restrict_all(square_setup, c)
         for p in square_setup.points:
-            out = kirwan_restrict(square_setup, c, p.id)
+            out = vals[p.id]
             # rewriting through the basis (residual, edge weight) must show
             # zero degree in the killed edge-weight coordinate
             (res,) = p.residual
@@ -148,11 +137,11 @@ def test_output_lies_in_residual_span(square, square_setup):
 def test_multiplicative_restriction(square, square_setup):
     # same substitution core on character sums: e^(edge weight) -> 1
     c = {v: LaurentPoly.monomial((1, 1)) for v in square.vids()}
+    vals = kirwan_restrict_all(square_setup, c)
     on_w1 = _point_by_source(square_setup, "q1")
-    out = kirwan_restrict(square_setup, c, on_w1.id)
-    assert out == LaurentPoly.monomial((-1, 1))
+    assert vals[on_w1.id] == LaurentPoly.monomial((-1, 1))
     on_w2 = _point_by_source(square_setup, "q2")
-    assert kirwan_restrict(square_setup, c, on_w2.id) == LaurentPoly.monomial((1, -1))
+    assert vals[on_w2.id] == LaurentPoly.monomial((1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +152,7 @@ def test_cut_space_restrictions_match_local_index_parts(hirzebruch):
     basis-change-then-kill-one-weight restrictions at the cut space points."""
     tau = hirzebruch_sample_class(hirzebruch)
     q = "p2"
-    fs, _dens = local_index_parts(hirzebruch, tau, q)
+    fs, _dens = local_index_parts(K, hirzebruch, tau, q)
     pt = hirzebruch.point(q)
     n = hirzebruch.rank
     wplus = list(pt.wplus)
@@ -173,17 +162,17 @@ def test_cut_space_restrictions_match_local_index_parts(hirzebruch):
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n + 1)))
 
     # point 0: kill the auxiliary direction, basis shifted by it
-    basis0 = [wt_add(wt_lift(w), w0) for w in wplus] + \
-        [wt_lift(w) for w in wrest] + [w0]
-    images0 = [wt_add(wt_lift(w), w0) for w in wplus] + \
-        [wt_lift(w) for w in wrest] + [(0,) * (n + 1)]
+    basis0 = [wt_add(lift(w), w0) for w in wplus] + \
+        [lift(w) for w in wrest] + [w0]
+    images0 = [wt_add(lift(w), w0) for w in wplus] + \
+        [lift(w) for w in wrest] + [(0,) * (n + 1)]
     assert substitute_linear(value, basis0, images0) == fs[0]
 
     # point j: kill the cut edge weight w_j, residuals are the differences
     for j, wj in enumerate(wplus):
-        basis = [wt_lift(tuple(a - b for a, b in zip(w, wj)))
+        basis = [lift(tuple(a - b for a, b in zip(w, wj)))
                  for i, w in enumerate(wplus) if i != j]
-        basis += [wt_lift(w) for w in wrest]
-        basis += [wt_neg(wt_add(wt_lift(wj), w0)), wt_lift(wj)]
+        basis += [lift(w) for w in wrest]
+        basis += [wt_neg(wt_add(lift(wj), w0)), lift(wj)]
         images = list(basis[:-1]) + [(0,) * (n + 1)]
         assert substitute_linear(value, basis, images) == fs[j + 1]
