@@ -74,17 +74,18 @@ def euler_minus(ring, g, vid):
 
 
 def check_gkm(ring, g, c):
-    """List of (edge, difference) pairs violating edge divisibility.
+    """The first edge, in edge order, along which c fails edge
+    divisibility; None when c satisfies it on every edge.
 
     Checking the oriented edges suffices: divisibility by the factors of w
-    and of -w agree up to a unit.
+    and of -w agree up to a unit.  The edges after the first failure are not
+    tested.
     """
-    bad = []
     for e in g.edges:
         diff = c[e.src] - c[e.dst]
         if not diff.is_zero() and not ring.divides(diff, e.weight):
-            bad.append((e, diff))
-    return bad
+            return e
+    return None
 
 
 def poincare_dual(ring, g, vid):

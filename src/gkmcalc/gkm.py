@@ -3,7 +3,8 @@
 Input is a list of vertices with exact rational moment images, optionally an
 explicit edge list and a direction vector.  The polytope one-skeleton is
 recovered by a walk along the edges that certifies the tangent cone at every
-vertex it reaches, in O(V^2 n^2) exact integer operations for V vertices in
+vertex it reaches against the facets the vertices share, each computed once,
+in O(V n^3 + F V n) exact integer operations for V vertices and F facets in
 rank n; each vertex is checked for the lattice-basis condition, edges are
 oriented along a generic direction and the combinatorial derived data
 (indices, flow faces, upward closures) is computed.  The graph is built in
@@ -15,10 +16,12 @@ sides.
 
 The inverse that the lattice-basis check computes at a vertex is kept as the
 vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij over its weights
-``wplus + wminus``.  The flow-up faces read their normals from it, and the
-local index builds its lattice maps from it, so no elimination runs after
-the graph is built.  Only flow-up faces are computed: the flow-down face of
-a vertex is its flow-up face in the graph oriented by -xi.
+``wplus + wminus``.  For a vertex-only input that inverse is the walk's, over
+the primitive edge directions, so each vertex costs one elimination.  The
+flow-up faces read their normals from it, and the local index builds its
+lattice maps from it, so no elimination runs after the graph is built.
+Only flow-up faces are computed: the flow-down face of a vertex is its
+flow-up face in the graph oriented by -xi.
 
 Conventions, used consistently everywhere downstream:
 
@@ -200,62 +203,108 @@ def _argmax_ratio(cands, f):
     return top
 
 
-def _certify(ids, pts, v, nbrs):
-    """Coordinates of every point in the integer dual basis at v.
+def _facet(pts, normal, level):
+    """The facet table entry of the hyperplane <normal, x> = level: the
+    slack of every point, the bit mask of the points on it and the first
+    point on its negative side (None if there is none)."""
+    slack = [wt_dot(normal, p) - level for p in pts]
+    tight = sum(1 << w for w, s in enumerate(slack) if not s)
+    bad = next((w for w, s in enumerate(slack) if s < 0), None)
+    return slack, tight, bad
 
-    With rays r_i = pts[nbrs[i]] - pts[v], the dual basis a_i satisfies
-    a_i . r_j = D delta_ij with D > 0.  All coordinates of all points must be
-    non-negative and the only point on each ray must be its neighbour: then
-    the tangent cone of the hull at v is the simplicial cone on the rays, so
-    v is a simple vertex whose edges are exactly [v, nbrs[i]].  Returns
-    (D, coordinates by point index).
+
+def _points(mask):
+    """The points of a bit mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _certify(ids, pts, v, nbrs, facets):
+    """Certify the candidate edges [v, nbrs[i]] at v against its facets.
+
+    With r_i the primitive direction toward nbrs[i], the integer dual basis
+    a_i satisfies a_i . r_j = D delta_ij with D > 0, and the facet i of v is
+    the hyperplane through v with primitive normal along a_i, which contains
+    every edge but the i-th.  No point may lie on the negative side of a
+    facet of v, and the only point on all facets of v but the i-th, and not
+    on the i-th, must be nbrs[i]: then the tangent cone of the hull at v is
+    the simplicial cone on the edges, so v is a simple vertex whose edges
+    are exactly [v, nbrs[i]].  Facets are looked up in, or added to, the
+    table ``facets`` shared by the whole walk.  The first point, by index,
+    that breaks either condition is reported.  Returns the table entries of
+    the facets of v and v's frame, {-r_i: -a_i}, which is None unless D = 1.
     """
     pv = pts[v]
-    inv = scaled_inverse([wt_sub(pts[u], pv) for u in nbrs])
+    rays = [wt_primitive(wt_sub(pts[u], pv))[0] for u in nbrs]
+    inv = scaled_inverse(rays)
     if inv is None:
         raise NotAPolytopeSkeleton(
             f"vertex {ids[v]} fails the skeleton certificate: its candidate "
             f"edges are linearly dependent")
     det, dual = inv
-    coords = []
-    for w, p in enumerate(pts):
-        d = wt_sub(p, pv)
-        c = tuple(wt_dot(a, d) for a in dual)
-        if min(c) < 0:
-            raise NotAPolytopeSkeleton(
-                f"vertex {ids[v]} fails the skeleton certificate: point "
-                f"{ids[w]} lies outside the cone of its candidate edges")
-        supp = [i for i, x in enumerate(c) if x]
-        if len(supp) == 1 and nbrs[supp[0]] != w:
-            raise NotAPolytopeSkeleton(
-                f"vertex {ids[v]} fails the skeleton certificate: point "
-                f"{ids[w]} lies on its edge toward {ids[nbrs[supp[0]]]}")
-        coords.append(c)
-    return det, coords
+    own = []
+    for a in dual:
+        normal = wt_primitive(a)[0]
+        key = (normal, wt_dot(normal, pv))
+        if key not in facets:
+            facets[key] = _facet(pts, *key)
+        own.append(facets[key])
+    masks = [tight for _, tight, _ in own]
+    outside = min((bad for _, _, bad in own if bad is not None), default=None)
+    stray = None  # (first point on an edge but not its end, that end)
+    full = (1 << len(pts)) - 1
+    for i, u in enumerate(nbrs):
+        line = full & ~masks[i] & ~(1 << u)
+        for j, m in enumerate(masks):
+            if j != i:
+                line &= m
+        w = next(_points(line), None)
+        if w is not None and (stray is None or w < stray[0]):
+            stray = (w, u)
+    if outside is not None and (stray is None or outside <= stray[0]):
+        raise NotAPolytopeSkeleton(
+            f"vertex {ids[v]} fails the skeleton certificate: point "
+            f"{ids[outside]} lies outside the cone of its candidate edges")
+    if stray is not None:
+        raise NotAPolytopeSkeleton(
+            f"vertex {ids[v]} fails the skeleton certificate: point "
+            f"{ids[stray[0]]} lies on its edge toward {ids[stray[1]]}")
+    frame = dict(zip(map(wt_neg, rays), map(wt_neg, dual))) if det == 1 else None
+    return own, frame
 
 
-def _next_neighbours(det, coords, rank):
-    """For each edge k at a certified vertex v and each other edge j, the
-    neighbour of u = nbrs[k] along the edge of u in the 2-face spanned by
-    edges j and k; None where the face has no such point.
+def _next_neighbours(own, nbrs, k, full):
+    """The neighbours of u = nbrs[k] other than v, for a certified vertex v:
+    for each other edge j at v, in order, the neighbour of u along the edge
+    of u in the 2-face spanned by edges j and k; None where the face has no
+    such point.
 
-    The 2-face lies in the plane where every coordinate but j and k is zero.
-    Seen from u, a point w of that plane has beta = a_j.(w - u) = c_j(w) and
-    alpha = -a_k.(w - u) = det - c_k(w); the next vertex of the polygon after
-    v and u is the point with beta > 0 and the smallest alpha / beta.
+    The 2-face lies on every facet of v but j and k, and only the points on
+    all of those are scanned.  With s_i the slack on facet i of v, a point w
+    of the 2-face is seen from u at beta = s_j(w) > 0 and
+    alpha = s_k(u) - s_k(w); the next vertex of the polygon after v and u is
+    the point with the smallest alpha / beta, the first by index on a tie.
     """
-    best = [[None] * rank for _ in range(rank)]
-    for w, c in enumerate(coords):
-        supp = [i for i, x in enumerate(c) if x]
-        if not 1 <= len(supp) <= 2:
+    masks = [tight for _, tight, _ in own]
+    sk = own[k][0]
+    top = sk[nbrs[k]]
+    out = []
+    for j, (sj, tight_j, _) in enumerate(own):
+        if j == k:
             continue
-        for j in supp:
-            for k in [i for i in supp if i != j] or [i for i in range(rank) if i != j]:
-                alpha, beta = det - c[k], c[j]
-                cur = best[k][j]
-                if cur is None or alpha * cur[1] < cur[0] * beta:
-                    best[k][j] = (alpha, beta, w)
-    return [[None if b is None else b[2] for b in row] for row in best]
+        face = full & ~tight_j
+        for i, m in enumerate(masks):
+            if i != j and i != k:
+                face &= m
+        best = None
+        for w in _points(face):
+            alpha, beta = top - sk[w], sj[w]
+            if best is None or alpha * best[1] < best[0] * beta:
+                best = (alpha, beta, w)
+        out.append(None if best is None else best[2])
+    return out
 
 
 def _scaled_points(psis):
@@ -266,29 +315,36 @@ def _scaled_points(psis):
 
 
 def detect_edges(rank, ids, psis):
-    """One-skeleton of the convex hull of the points, as sorted index pairs.
+    """One-skeleton of the convex hull of the points, as sorted index pairs,
+    and the frame of each vertex (None where the primitive edge directions
+    are not a lattice basis).
 
     Rational points are scaled to integers, which leaves the skeleton unchanged.
     The walk starts at the lexicographically smallest point, moves along
     edges and certifies every vertex it reaches (``_certify``), so a vertex
     that is not simple, or a point on an edge, raises instead of giving a
     wrong skeleton.  A simple polytope's vertex graph is connected, so a
-    point the walk never reaches is not a vertex.  Each vertex costs
-    O(V n^2) integer operations.
+    point the walk never reaches is not a vertex.  The facets that the
+    vertices share are computed once, at V dot products each, and a vertex
+    costs one n x n inversion and O(n^2) operations on V-bit masks of the
+    points tight on its facets: O(V n^3 + F V n) integer operations for F
+    facets, against O(V^2 n^2) when every vertex tests every point.
     """
     pts = _scaled_points(psis)[0]
+    full = (1 << len(pts)) - 1
     start = min(range(len(pts)), key=pts.__getitem__)
     nbrs = {start: _start_neighbours(pts, start, rank)}
+    facets = {}  # (primitive normal, level): _facet entry
+    frames = [None] * len(pts)
     queue = [start]
     edges = set()
     for v in queue:
-        det, coords = _certify(ids, pts, v, nbrs[v])
-        ahead = _next_neighbours(det, coords, rank)
+        own, frames[v] = _certify(ids, pts, v, nbrs[v], facets)
         for k, u in enumerate(nbrs[v]):
             edges.add((min(u, v), max(u, v)))
             if u in nbrs:
                 continue
-            nbrs[u] = [v] + [ahead[k][j] for j in range(rank) if j != k]
+            nbrs[u] = [v] + _next_neighbours(own, nbrs[v], k, full)
             if None in nbrs[u]:
                 raise NotAPolytopeSkeleton(
                     f"vertex {ids[u]} fails the skeleton certificate: a "
@@ -297,7 +353,7 @@ def detect_edges(rank, ids, psis):
     for w in range(len(pts)):
         if w not in nbrs:
             raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
-    return sorted(edges)
+    return sorted(edges), frames
 
 
 def build_graph(inp):
@@ -309,9 +365,11 @@ def build_graph(inp):
     """
     ids, psis = _validate_input(inp)
     pts, scale = _scaled_points(psis)
-    index = {v: i for i, v in enumerate(ids)}
-    if inp.edges is not None:
-        pairs = []
+    if inp.edges is None:
+        pairs, frames = detect_edges(inp.rank, ids, pts)
+    else:
+        index = {v: i for i, v in enumerate(ids)}
+        pairs, frames = [], None
         seen = set()
         for a, b in inp.edges:
             if a not in index or b not in index or a == b:
@@ -321,8 +379,6 @@ def build_graph(inp):
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
             pairs.append((index[a], index[b]))
-    else:
-        pairs = detect_edges(inp.rank, ids, pts)
 
     degree = {i: 0 for i in range(len(ids))}
     for i, j in pairs:
@@ -334,20 +390,23 @@ def build_graph(inp):
                 f"vertex {ids[i]} has degree {d}, expected {inp.rank}")
 
     # Delzant: primitive incident directions form a lattice basis everywhere.
-    # The basis at a vertex is taken as the isotropy weights there, the
+    # The walk has checked that and kept the frames; for supplied edges the
+    # basis at a vertex is taken as the isotropy weights there, the
     # directions toward it, so that the dual rows are the vertex's frame.
     prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
-    weights_at = {i: [] for i in range(len(ids))}
-    for (i, j), (prim, _) in zip(pairs, prims):
-        weights_at[i].append(wt_neg(prim))
-        weights_at[j].append(prim)
-    frames = []
-    for i, weights in weights_at.items():
-        rows = lattice_dual(weights)
-        if rows is None:
+    if frames is None:
+        weights_at = [[] for _ in ids]
+        for (i, j), (prim, _) in zip(pairs, prims):
+            weights_at[i].append(wt_neg(prim))
+            weights_at[j].append(prim)
+        frames = []
+        for weights in weights_at:
+            rows = lattice_dual(weights)
+            frames.append(None if rows is None else dict(zip(weights, rows)))
+    for i, frame in enumerate(frames):
+        if frame is None:
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
-        frames.append(dict(zip(weights, rows)))
 
     skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames)
     return orient_and_index(skel, choose_generic_xi(skel, inp.xi))

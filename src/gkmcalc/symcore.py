@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,7 @@ def wt_scale(a, k):
 
 
 def wt_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def wt_is_zero(a):
@@ -89,10 +90,7 @@ def wt_is_zero(a):
 
 
 def wt_gcd(a):
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*a)
 
 
 def wt_primitive(a):
@@ -129,13 +127,23 @@ def canonical_sign(a):
 def parse_rational(x):
     """An int or a string in integer, "p/q" or plain decimal notation, as a
     Fraction.  Exponent notation is refused: ``Fraction`` would expand
-    "1e100000000" digit by digit."""
+    "1e100000000" digit by digit.  Plain ASCII integers and "p/q" are read
+    with ``int``, which gives the same values as ``Fraction`` on exactly
+    those strings at about half its cost; every other string goes to
+    ``Fraction``."""
     if isinstance(x, bool):
         raise ValidationError("booleans are not rationals")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str) and "e" not in x.lower():
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] in ("-", "+") else num
         try:
+            if digits.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isascii() and den.isdigit():
+                    return Fraction(int(num), int(den))
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass

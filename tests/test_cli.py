@@ -298,6 +298,20 @@ def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys, power):
     _assert_clean_exit(rc, err)
 
 
+def test_check_stops_at_the_first_failing_edge(tmp_path, capsys):
+    # x1^N + x2^N at p1: p0->p1 fails and is reported; the quotient by the
+    # form of p1 -> p2, a later edge, would take N steps to build
+    n = 400000
+    klass = {"mode": "cohomology",
+             "class": {"p0": [], "p1": [["1", [n, 0]], ["1", [0, n]]], "p2": []}}
+    start = time.perf_counter()
+    rc, _, err = run_cli(["check", "--fixture", "cp2", "--mode", "cohomology",
+                          "--class", _write(tmp_path, "c.json", klass)], capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert json.loads(err)["message"] == "divisibility fails on p0->p1"
+
+
 def test_exponent_overflow_is_contract_error(tmp_path, capsys):
     # the constant class e^(N, N) is valid; at the top of the triangle the
     # local index shears it to e^(2N, 0), and 2N = 2^62 is out of range
@@ -364,6 +378,25 @@ def test_parse_rational_refuses_exponent_notation():
     for text in ("1e3", "1E3", "2.5e-1", "1e100000000"):
         with pytest.raises(ValidationError):
             parse_rational(text)
+
+
+def test_parse_rational_agrees_with_fraction():
+    # the int() fast path must accept and refuse exactly what Fraction does,
+    # exponent notation apart
+    texts = [" 3/2 ", "3/ 2", "1/-1", "1/0", "-0", "+3", "1_000", "0.5", ".5", "1e3",
+             "\u0663", "\u00b2", "", "-", "7" * 5000, "1/" + "7" * 5000,
+             "3/2", "-6/4", "+3/2", "1/+2", "1/2/3", "0/0", "--1", "1.", "\u0661/\u0662"]
+    for text in texts:
+        try:
+            want = None if "e" in text.lower() else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want is None:
+            with pytest.raises(ValidationError):
+                parse_rational(text)
+        else:
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == want, text
 
 
 @pytest.mark.parametrize("graph, klass, mode", [

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import gkm, symcore
 from gkmcalc.errors import (
     NotAPolytopeSkeleton,
     NotDelzant,
@@ -100,26 +101,50 @@ def test_pyramid_apex_degree_rejected():
         ("c", F([0, 1, 0])), ("d", F([1, 1, 0])),
         ("apex", F([0, 0, 1])),
     ])
-    with pytest.raises(NotAPolytopeSkeleton, match="vertex apex fails"):
+    with pytest.raises(NotAPolytopeSkeleton) as info:
         build_graph(inp)
+    assert str(info.value) == ("vertex apex fails the skeleton certificate: "
+                               "point d lies outside the cone of its candidate edges")
+
+
+def test_first_non_delzant_vertex_by_index_is_reported():
+    # (0, 2) and (3, 0) both fail; the walk certifies v2 before v1
+    inp = ToricInput(rank=2, vertices=[("v0", F([0, 0])), ("v1", F([0, 2])), ("v2", F([3, 0]))])
+    with pytest.raises(NotDelzant) as info:
+        build_graph(inp)
+    assert str(info.value) == "edge directions at vertex v1 are not a lattice basis"
 
 
 def _cube(n):
     return [tuple(Fraction(x) for x in p) for p in itertools.product((0, 1), repeat=n)]
 
 
+# v8 = (0, -1, 2) sees (0, 2, 2) on its edge toward (0, 0, 2), and (2, 0, 2)
+# and (2, 2, 2) outside its cone; the first of them by index is reported
+_BOTH = [F(2 * x for x in p) for p in _cube(3)] + [F([0, -1, 2])]
+_BOTH_SWAPPED = _BOTH[:3] + [_BOTH[5], _BOTH[4], _BOTH[3]] + _BOTH[6:]
+
+
 @pytest.mark.parametrize("psis, error, message", [
     ([F(p) for p in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))],
-     NotAPolytopeSkeleton, "fails the skeleton certificate"),
-    (_cube(3) + [F(["1/2", 0, 0])], NotAPolytopeSkeleton, "lies on its edge"),
-    (_cube(3) + [F(["1/2", "1/2", 0])], NotAPolytopeSkeleton, "has degree 0, expected 3"),
+     NotAPolytopeSkeleton, "vertex v1 fails the skeleton certificate: "
+     "point v5 lies outside the cone of its candidate edges"),
+    (_cube(3) + [F(["1/2", 0, 0])], NotAPolytopeSkeleton,
+     "vertex v0 fails the skeleton certificate: point v8 lies on its edge toward v4"),
+    (_cube(3) + [F(["1/2", "1/2", 0])], NotAPolytopeSkeleton, "vertex v8 has degree 0, expected 3"),
     ([F(p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0))],
      NotDelzant, "vertices do not span the ambient space"),
-], ids=["octahedron", "edge-midpoint", "facet-interior", "coplanar"])
+    (_BOTH, NotAPolytopeSkeleton,
+     "vertex v8 fails the skeleton certificate: point v3 lies on its edge toward v1"),
+    (_BOTH_SWAPPED, NotAPolytopeSkeleton, "vertex v8 fails the skeleton certificate: "
+     "point v3 lies outside the cone of its candidate edges"),
+], ids=["octahedron", "edge-midpoint", "facet-interior", "coplanar", "edge-point-first",
+        "outside-point-first"])
 def test_non_skeleton_inputs_rejected(psis, error, message):
     inp = ToricInput(rank=3, vertices=[(f"v{i}", p) for i, p in enumerate(psis)])
-    with pytest.raises(error, match=message):
+    with pytest.raises(error) as info:
         build_graph(inp)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -232,7 +257,36 @@ def test_detect_edges_matches_exhaustive_enumeration():
         r.shuffle(psis)
         ids = [f"v{i}" for i in range(len(psis))]
         assert n <= 4 and len(psis) <= 16
-        assert detect_edges(n, ids, psis) == _exhaustive_edges(n, psis), (factors, s)
+        assert detect_edges(n, ids, psis)[0] == _exhaustive_edges(n, psis), (factors, s)
+
+
+def _product_points(factors, scale=1):
+    return [tuple(scale * Fraction(x) for x in sum(combo, ()))
+            for combo in itertools.product(*factors)]
+
+
+@pytest.mark.parametrize("psis", [
+    _cube(5), _product_points([_trapezoid(2), _simplex(1)], Fraction(3, 2)),
+], ids=["cube5", "dilated-F2xCP1"])
+def test_one_elimination_per_vertex(monkeypatch, psis):
+    # the walk's inverse at a vertex is its Delzant check and its frame; only
+    # supplied edges need lattice_dual, once per vertex
+    orig = symcore.scaled_inverse
+    calls = []
+
+    def counted(cols):
+        calls.append(cols)
+        return orig(cols)
+    monkeypatch.setattr(symcore, "scaled_inverse", counted)
+    monkeypatch.setattr(gkm, "scaled_inverse", counted)
+    vertices = [(f"v{i}", p) for i, p in enumerate(psis)]
+    g = build_graph(ToricInput(rank=len(psis[0]), vertices=vertices))
+    assert len(calls) == len(psis)
+    calls.clear()
+    given = build_graph(ToricInput(rank=len(psis[0]), vertices=vertices,
+                                   edges=[(e.src, e.dst) for e in g.edges]))
+    assert len(calls) == len(psis)
+    assert [(p.id, p.frame) for p in given.points] == [(p.id, p.frame) for p in g.points]
 
 
 def _assert_exact_moment_data(g):

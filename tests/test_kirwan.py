@@ -78,7 +78,7 @@ def test_non_free_action_rejected(square):
 
 def test_square_golden_values(square, square_setup):
     alpha = square_reference_class(square)
-    assert cl.check_gkm(H, square, alpha) == []
+    assert cl.check_gkm(H, square, alpha) is None
     horizontal = _point_by_source(square_setup, "q1")
     vertical = _point_by_source(square_setup, "q2")
     x = form(1, -1)
