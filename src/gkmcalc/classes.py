@@ -22,7 +22,11 @@ H each is an integral polynomial of degree lam_p + lam_q - lam_r.
 The push-forward expands the class in the flow-up duals, which is also the
 membership test.  In K-theory every dual is the class of the structure sheaf
 of a toric subvariety and has index 1; in cohomology only the point class at
-the top vertex has a nonzero integral, 1.  The local index at q is a
+the top vertex has a nonzero integral, 1.  The expansion takes each dual on
+its flow-up face alone (``_face_dual``), the only place it is nonzero; the
+factors come from the graph's adjacency table and are built once per graph
+(``GKMGraph.factor``), and ``poincare_dual`` pads the face values with zeros
+to a full table.  The local index at q is a
 lam_q-th divided difference of the value at q, built by Newton's recursion
 with one exact division per step; its nodes are shears of the value along
 the vertex's frame.
@@ -69,7 +73,7 @@ def euler_minus(ring, g, vid):
     """Product of the factors of the incoming edge labels at vid."""
     out = ring.one(g.rank)
     for w in g.point(vid).wplus:
-        out = out * ring.factor(w)
+        out = out * g.factor(ring, w)
     return out
 
 
@@ -88,18 +92,26 @@ def check_gkm(ring, g, c):
     return None
 
 
+def _face_dual(ring, g, vid):
+    """The dual of the flow-up face at vid on that face alone, where it is
+    nonzero: at each q of the face, the product of the factors of the
+    weights at q along the edges that leave the face."""
+    face = flow_face(g, vid)
+    out = {}
+    for q in face:
+        val = None
+        for other, w in g.adjacency[q].items():
+            if other not in face:
+                f = g.factor(ring, w)
+                val = f if val is None else val * f
+        out[q] = ring.one(g.rank) if val is None else val
+    return out
+
+
 def poincare_dual(ring, g, vid):
     """Restriction table of the dual of the flow-up face at vid: zero off the
     face, the Euler factor of the missing edge directions on it."""
-    face = flow_face(g, vid)
-    c = zero_class(ring, g)
-    for q in face:
-        val = ring.one(g.rank)
-        for other, _e in g.incident(q):
-            if other not in face:
-                val = val * ring.factor(g.weight_toward(other, q))
-        c[q] = val
-    return c
+    return {**zero_class(ring, g), **_face_dual(ring, g, vid)}
 
 
 def is_kirwan_class(ring, g, c, vid):
@@ -176,7 +188,7 @@ def pushforward(ring, g, c):
     ``NonPolynomialIndex`` when c is not a class."""
     try:
         coeffs = triangular_expansion(
-            g, c, lambda r: poincare_dual(ring, g, r), ring.divide)
+            g, c, lambda r: _face_dual(ring, g, r), ring.divide)
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
     return sum((f for r, f in coeffs.items()

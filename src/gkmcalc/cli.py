@@ -80,6 +80,9 @@ def resolve_class(g, spec, ring):
         missing = [vid for vid in g.vids() if vid not in c]
         if missing:
             raise ValidationError(f"class file has no value at vertex {missing[0]}")
+        unknown = [vid for vid in c if vid not in g.adjacency]
+        if unknown:
+            raise ValidationError(f"class file has a value at unknown vertex {unknown[0]}")
         return c
     name = spec.strip()
     if name == "one":

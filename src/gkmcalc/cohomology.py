@@ -30,6 +30,7 @@ from .symcore import (
     H,
     PolyH,
     divide_by_linear_form,
+    int_or_fraction,
     rational_primitive,
     wt_dot,
     wt_primitive,
@@ -110,7 +111,7 @@ def _path_sums(g, vids):
     steps = {p: [] for p in vids}
     for e in ecan_edges(g):
         if e.src in steps:
-            steps[e.src].append((e.dst, e.mult * theta(g, e)))
+            steps[e.src].append((e.dst, int_or_fraction(e.mult * theta(g, e))))
     rows = {}
     for i in reversed(range(len(vids))):
         p = vids[i]
@@ -124,7 +125,7 @@ def _path_sums(g, vids):
             val = divide_by_linear_form(num, prim)
             if val is None:
                 raise IntegralityFailure(f"path sum at ({p}, {q}) left a fraction")
-            val = val * (1 / content)
+            val = val.scaled(1 / content)
             if not val.is_integral():
                 raise IntegralityFailure(f"path sum at ({p}, {q}) is not integral")
             row[q] = val

@@ -23,6 +23,13 @@ lattice maps from it, so no elimination runs after the graph is built.
 Only flow-up faces are computed: the flow-down face of a vertex is its
 flow-up face in the graph oriented by -xi.
 
+The graph keeps one adjacency table: for each vertex, its neighbours and the
+isotropy weight toward each, the label of the edge from that neighbour.  The
+flow-up faces, the duals on them and the circle reductions read it, and
+``weight_toward`` is a lookup in it.  The Euler factor of a label is built
+once per graph and coefficient ring and kept on the graph; nothing outlives
+the graph.
+
 Conventions, used consistently everywhere downstream:
 
 * the label of the oriented edge p -> q is the primitive vector along
@@ -85,6 +92,12 @@ class FixedPoint:
 
 
 class GKMGraph:
+    """The oriented moment graph.  ``adjacency[v]`` maps each neighbour u of
+    v to the isotropy weight at v along their edge, the label of u -> v:
+    the edge's label when the edge comes into v, its negation when it goes
+    out.  ``factors`` holds the Euler factor of a label per coefficient
+    ring, each built once, for this graph only."""
+
     def __init__(self, rank, xi, points, edges):
         self.rank = rank
         self.xi = tuple(xi)
@@ -94,9 +107,13 @@ class GKMGraph:
         self._order = {p.id: i for i, p in enumerate(points)}
         self.out_edges = {p.id: [] for p in points}
         self.in_edges = {p.id: [] for p in points}
+        self.adjacency = {p.id: {} for p in points}
         for e in edges:
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
+            self.adjacency[e.dst][e.src] = e.weight
+            self.adjacency[e.src][e.dst] = wt_neg(e.weight)
+        self.factors = {}  # (ring name, label): factor
 
     # -- lookups ----------------------------------------------------------
     def vids(self):
@@ -111,21 +128,20 @@ class GKMGraph:
     def psi(self, vid):
         return self._by_id[vid].psi
 
-    def incident(self, vid):
-        """Pairs (other_id, edge) over all edges touching vid."""
-        out = [(e.dst, e) for e in self.out_edges[vid]]
-        out += [(e.src, e) for e in self.in_edges[vid]]
-        return out
-
     def weight_toward(self, src, dst):
         """Label of the directed edge src -> dst inside the full edge set."""
-        for e in self.out_edges[src]:
-            if e.dst == dst:
-                return e.weight
-        for e in self.in_edges[src]:
-            if e.src == dst:
-                return wt_neg(e.weight)
-        raise KeyError(f"no edge between {src} and {dst}")
+        try:
+            return self.adjacency[dst][src]
+        except KeyError:
+            raise KeyError(f"no edge between {src} and {dst}") from None
+
+    def factor(self, ring, w):
+        """The Euler factor of the label w in ``ring``, built once per graph."""
+        key = (ring.name, w)
+        f = self.factors.get(key)
+        if f is None:
+            f = self.factors[key] = ring.factor(w)
+        return f
 
     def __repr__(self):
         return f"GKMGraph(rank={self.rank}, points={len(self.points)}, xi={self.xi})"
@@ -240,9 +256,13 @@ def _certify(ids, pts, v, nbrs, facets):
     rays = [wt_primitive(wt_sub(pts[u], pv))[0] for u in nbrs]
     inv = scaled_inverse(rays)
     if inv is None:
-        raise NotAPolytopeSkeleton(
-            f"vertex {ids[v]} fails the skeleton certificate: its candidate "
-            f"edges are linearly dependent")
+        # The walk only proposes independent rays.  At the start vertex each
+        # ray pairs positively with a functional vanishing on the earlier
+        # ones.  At u = nbrs[k] of a certified v, with r_i the rays of v, the
+        # rays are -r_k and, for j != k, a point of the (j, k) 2-face seen
+        # from u, beta_j r_j + alpha_j r_k with beta_j > 0 its slack on the
+        # facet j of v; their determinant is +-prod(beta_j) det(r) != 0.
+        raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
     det, dual = inv
     own = []
     for a in dual:
@@ -278,14 +298,15 @@ def _certify(ids, pts, v, nbrs, facets):
 def _next_neighbours(own, nbrs, k, full):
     """The neighbours of u = nbrs[k] other than v, for a certified vertex v:
     for each other edge j at v, in order, the neighbour of u along the edge
-    of u in the 2-face spanned by edges j and k; None where the face has no
-    such point.
+    of u in the 2-face spanned by edges j and k.
 
     The 2-face lies on every facet of v but j and k, and only the points on
     all of those are scanned.  With s_i the slack on facet i of v, a point w
     of the 2-face is seen from u at beta = s_j(w) > 0 and
     alpha = s_k(u) - s_k(w); the next vertex of the polygon after v and u is
     the point with the smallest alpha / beta, the first by index on a tie.
+    The face is never empty: nbrs[j] lies on every facet of v but j, with
+    positive slack on j.
     """
     masks = [tight for _, tight, _ in own]
     sk = own[k][0]
@@ -303,7 +324,7 @@ def _next_neighbours(own, nbrs, k, full):
             alpha, beta = top - sk[w], sj[w]
             if best is None or alpha * best[1] < best[0] * beta:
                 best = (alpha, beta, w)
-        out.append(None if best is None else best[2])
+        out.append(best[2])
     return out
 
 
@@ -345,10 +366,6 @@ def detect_edges(rank, ids, psis):
             if u in nbrs:
                 continue
             nbrs[u] = [v] + _next_neighbours(own, nbrs[v], k, full)
-            if None in nbrs[u]:
-                raise NotAPolytopeSkeleton(
-                    f"vertex {ids[u]} fails the skeleton certificate: a "
-                    f"2-face through its edge toward {ids[v]} ends there")
             queue.append(u)
     for w in range(len(pts)):
         if w not in nbrs:
@@ -493,10 +510,10 @@ def flow_face(g, vid):
     stack = [vid]
     while stack:
         v = stack.pop()
-        for other, e in g.incident(v):
+        for other, w in g.adjacency[v].items():
             if other in reach:
                 continue
-            if not any(wt_dot(a, e.weight) for a in normals):
+            if not any(wt_dot(a, w) for a in normals):
                 reach.add(other)
                 stack.append(other)
     return frozenset(reach)

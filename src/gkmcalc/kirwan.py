@@ -54,10 +54,8 @@ def reduced_fixed_data(g, pi):
         raise NonUniqueMaximum(f"top value attained at {sorted(tops)}")
     top = tops[0]
 
-    incident = []
-    for other, _e in g.incident(top):
-        incident.append((g.order_index(other), other, g.weight_toward(other, top)))
-    incident.sort()
+    incident = sorted((g.order_index(other), other, w)
+                      for other, w in g.adjacency[top].items())
     weights = [w for _, _, w in incident]
     pairings = [wt_dot(w, pi) for w in weights]
     if any(c == 0 for c in pairings):

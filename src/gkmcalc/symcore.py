@@ -3,7 +3,16 @@
 Weights are integer tuples.  ``LaurentPoly`` models finite character sums
 (exponent vector -> integer coefficient, negative exponents allowed),
 ``PolyH`` models polynomials with exact rational coefficients (multidegree ->
-Fraction); the two share one arithmetic core.
+int or Fraction); the two share one arithmetic core.  A ``PolyH``
+coefficient enters as an int wherever it is an integer: in ``constant``,
+``linear_form`` and scalar coercion, the parsed JSON coefficient, the
+quotient step of the division by a linear form, and ``scaled``.  Sums and
+products of ints stay ints, and an int operation costs a small part of a
+``Fraction`` one, so integral inputs never reach ``Fraction`` arithmetic.
+Fractions can still add up to an integer (1/2 + 1/2) and stay a Fraction;
+an int and a Fraction of equal value compare and hash equal, and
+``format_rational`` prints them alike, so the type never shows in a
+comparison or an output.
 
 Inside that core every monomial is one integer key.  Each coordinate of the
 exponent vector fills a signed 64-bit field, coordinate 0 in the most
@@ -70,11 +79,11 @@ from .errors import ContractError, ValidationError
 # weight vectors (plain int tuples)
 
 def wt_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def wt_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def wt_scale(a, k):
@@ -124,30 +133,40 @@ def canonical_sign(a):
     raise ValueError("zero vector has no canonical sign")
 
 
-def parse_rational(x):
-    """An int or a string in integer, "p/q" or plain decimal notation, as a
-    Fraction.  Exponent notation is refused: ``Fraction`` would expand
-    "1e100000000" digit by digit.  Plain ASCII integers and "p/q" are read
-    with ``int``, which gives the same values as ``Fraction`` on exactly
-    those strings at about half its cost; every other string goes to
-    ``Fraction``."""
+def int_or_fraction(x):
+    """A rational x as an int when it is an integer, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def parse_exact(x):
+    """An int or a string in integer, "p/q" or plain decimal notation, as an
+    int when its value is an integer and as a Fraction otherwise.  Exponent
+    notation is refused: ``Fraction`` would expand "1e100000000" digit by
+    digit.  Plain ASCII integers and "p/q" are read with ``int``, which
+    gives the same values as ``Fraction`` on exactly those strings at about
+    half its cost; every other string goes to ``Fraction``."""
     if isinstance(x, bool):
         raise ValidationError("booleans are not rationals")
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str) and "e" not in x.lower():
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] in ("-", "+") else num
         try:
             if digits.isascii() and digits.isdigit():
                 if not slash:
-                    return Fraction(int(num))
+                    return int(num)
                 if den.isascii() and den.isdigit():
-                    return Fraction(int(num), int(den))
-            return Fraction(x)
+                    return int_or_fraction(Fraction(int(num), int(den)))
+            return int_or_fraction(Fraction(x))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"bad rational {x!r}")
+
+
+def parse_rational(x):
+    """``parse_exact`` as a Fraction."""
+    return Fraction(parse_exact(x))
 
 
 def parse_int(x):
@@ -328,7 +347,7 @@ class _Poly:
 
     def __eq__(self, other):
         if isinstance(other, self.scalars):
-            other = self._new(self.rank, {_zero_key(self.rank): other}, 0)
+            other = self._constant(other)
         return isinstance(other, type(self)) and self.rank == other.rank \
             and self.terms == other.terms
 
@@ -341,8 +360,12 @@ class _Poly:
                 raise ValueError("rank mismatch")
             return other
         if isinstance(other, self.scalars):
-            return self._new(self.rank, {_zero_key(self.rank): other}, 0)
+            return self._constant(other)
         return NotImplemented
+
+    def _constant(self, c):
+        """The scalar c as a value of rank ``self.rank``."""
+        return self._new(self.rank, {_zero_key(self.rank): int_or_fraction(c)}, 0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -360,7 +383,13 @@ class _Poly:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self + (-other)
+        if other is NotImplemented:
+            return other
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms.items():
+            out[e] = get(e, 0) - c
+        return self._new(self.rank, out, max(self.top, other.top))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -435,7 +464,9 @@ class LaurentPoly(_Poly):
 
 
 class PolyH(_Poly):
-    """Polynomial in x1..xk with Fraction coefficients, dense multidegrees."""
+    """Polynomial in x1..xk with rational coefficients, dense multidegrees;
+    ``constant``, ``linear_form``, scalar coercion and ``scaled`` store an
+    integral coefficient as an int."""
 
     __slots__ = ()
     scalars = (int, Fraction)
@@ -444,15 +475,20 @@ class PolyH(_Poly):
 
     @classmethod
     def constant(cls, rank, c):
-        return cls._new(rank, {_zero_key(rank): Fraction(c)}, 0)
+        return cls._new(rank, {_zero_key(rank): int_or_fraction(c)}, 0)
 
     @classmethod
     def linear_form(cls, w):
         """The degree one polynomial <w, x>."""
         rank = len(w)
         zero = _zero_key(rank)
-        return cls._new(rank, {zero + _unit_key(rank, i): Fraction(c)
+        return cls._new(rank, {zero + _unit_key(rank, i): int_or_fraction(c)
                                for i, c in enumerate(w)}, 1)
+
+    def scaled(self, f):
+        """The product with the rational f, its integral coefficients ints."""
+        return self._new(self.rank, {e: int_or_fraction(c * f) for e, c in self.terms.items()},
+                         self.top)
 
     def homogeneous_degree(self):
         """Total degree if homogeneous, None for 0 or mixed degrees."""
@@ -467,7 +503,7 @@ class PolyH(_Poly):
     def constant_value(self):
         """The value of a constant polynomial, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         zero = _zero_key(self.rank)
         if len(self.terms) == 1 and zero in self.terms:
             return self.terms[zero]
@@ -549,7 +585,9 @@ def divide_by_linear_form(p, w):
     nonempty slice.  A term of degree d in x_i reaches at most C(d - 1 + m,
     m) quotient terms, m the number of variables in r, and their sum is
     checked against the budget first.  No intermediate exponent exceeds the
-    total degree of p, at most rank * top; an exact quotient keeps p's bound."""
+    total degree of p, at most rank * top; an exact quotient keeps p's bound.
+    A quotient coefficient is c // w_i, an int, when w_i divides c, and
+    Fraction(c, w_i) otherwise, so integral inputs stay in int arithmetic."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
@@ -558,7 +596,7 @@ def divide_by_linear_form(p, w):
     if rank * p.top >= BIAS:
         raise _too_large("linear form division")
     pivot = next(i for i, c in enumerate(w) if c)
-    inv = Fraction(1, w[pivot])
+    step = w[pivot]
     shift = FIELD * (rank - 1 - pivot)
     unit = 1 << shift
     rest = [(_unit_key(rank, i), c) for i, c in enumerate(w) if c and i != pivot]
@@ -585,7 +623,10 @@ def divide_by_linear_form(p, w):
         carry = {}
         for e, c in cur.items():
             qe = e - unit
-            quot[qe] = qc = c * inv
+            qc, rem = divmod(c, step)
+            if rem:
+                qc = Fraction(c, step)
+            quot[qe] = qc
             for u, wi in rest:
                 ne = qe + u
                 carry[ne] = carry.get(ne, 0) + wi * qc
@@ -715,8 +756,14 @@ class _Ring:
         return [[self.format_coeff(c), list(e)] for e, c in p.sorted_terms()]
 
     def from_terms(self, rank, items):
-        return self.poly(rank, {tuple(parse_int(x) for x in e): self.parse_coeff(c)
-                                for c, e in items})
+        """The value of JSON terms: [coefficient, exponent array] pairs."""
+        terms = {}
+        parse_coeff = self.parse_coeff
+        for c, e in items:
+            if not isinstance(e, (list, tuple)):
+                raise ValidationError(f"exponent {e!r} is not an array")
+            terms[tuple(map(parse_int, e))] = parse_coeff(c)
+        return self.poly(rank, terms)
 
     def fmt(self, p):
         """Text form: signed terms in exponent order, unit factors omitted."""
@@ -760,7 +807,7 @@ class _KRing(_Ring):
 class _HRing(_Ring):
     name, mode, poly, graded = "cohomology", "H", PolyH, True
     format_coeff = staticmethod(format_rational)
-    parse_coeff = staticmethod(parse_rational)
+    parse_coeff = staticmethod(parse_exact)
 
     @staticmethod
     def fmt_monomial(e):

@@ -22,7 +22,7 @@ from gkmcalc.serialize import (
     toric_input_from_dict,
 )
 from gkmcalc.gkm import build_graph
-from gkmcalc.symcore import K
+from gkmcalc.symcore import K, parse_exact
 
 from conftest import rng
 
@@ -245,6 +245,15 @@ def _assert_clean_exit(rc, err):
     (TRIANGLE, None, ["kirwan", "--pi", "1,0", "--class", ""], "unknown class ''"),
     (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", [2 ** 62, 0]]] for v in "abc"}},
      ["--class"], "outside the supported range"),
+    (TRIANGLE, {"mode": "ktheory", "class": {**{v: [["1", [0, 0]]] for v in "abc"},
+                                             "zz": [["5", [0, 0]]]}}, ["--class"],
+     "class file has a value at unknown vertex zz"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", "00"]] for v in "abc"}}, ["--class"],
+     "malformed class file: exponent '00' is not an array"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: [["1", "12"]] for v in "abc"}}, ["--class"],
+     "malformed class file: exponent '12' is not an array"),
+    (TRIANGLE, {"mode": "ktheory", "class": {v: ["1x"] for v in "abc"}}, ["--class"],
+     "malformed class file: exponent 'x' is not an array"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
@@ -259,6 +268,34 @@ def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, 
     assert rc == 2
     _assert_clean_exit(rc, err)
     assert message in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command, mode, extra", [
+    ("index", "ktheory", []),
+    ("index", "cohomology", []),
+    ("check", "ktheory", []),
+    ("local-index", "ktheory", ["--vertex", "p1"]),
+    ("kirwan", "cohomology", ["--pi", "1,0"]),
+])
+def test_class_file_with_an_unknown_vertex_is_refused(tmp_path, capsys, command, mode, extra):
+    klass = {"mode": mode, "class": {v: [["1", [0, 0]]] for v in ("p0", "p1", "p2")}}
+    klass["class"]["zz"] = [["5", [0, 0]]]
+    argv = [command, "--fixture", "cp2", "--mode", mode, *extra,
+            "--class", _write(tmp_path, "c.json", klass)]
+    if command == "kirwan":
+        argv.remove("--mode")
+        argv.remove(mode)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    _assert_clean_exit(rc, err)
+    assert json.loads(err)["message"] == "class file has a value at unknown vertex zz"
+
+
+def test_integer_strings_inside_an_exponent_array_stay_accepted(tmp_path, capsys):
+    klass = {"mode": "ktheory", "class": {v: [["1", ["0", "0"]]] for v in ("p0", "p1", "p2")}}
+    rc, out, _ = run_cli(["index", "--fixture", "cp2", "--class",
+                          _write(tmp_path, "c.json", klass)], capsys)
+    assert rc == 0 and out == "1\n"
 
 
 def test_non_homogeneous_local_index_is_validation_error(tmp_path, capsys):
@@ -397,6 +434,9 @@ def test_parse_rational_agrees_with_fraction():
         else:
             got = parse_rational(text)
             assert type(got) is Fraction and got == want, text
+            exact = parse_exact(text)
+            assert exact == want, text
+            assert type(exact) is (int if want.denominator == 1 else Fraction), text
 
 
 @pytest.mark.parametrize("graph, klass, mode", [

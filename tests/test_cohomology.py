@@ -389,13 +389,16 @@ TRIANGLE = [(0, 0), (1, 0), (0, 1)]
     lambda: fixture_graph("cpn:4"),
     lambda: _product(SEGMENT, SEGMENT, SEGMENT),
     lambda: _product(TRIANGLE, SEGMENT),
-], ids=["cp2", "cpn:3", "cpn:4", "cube^3", "cp2xcp1"])
+    lambda: _product([(0, 0), (2, 0), (0, 2)], [(0,), (Fraction(3, 2),)]),
+], ids=["cp2", "cpn:3", "cpn:4", "cube^3", "cp2xcp1", "dilated-cp2xcp1"])
 def test_gt_basis_matches_path_enumeration(make):
     g = make()
     zetas = gt_basis(g)
     for p in g.vids():
         assert cl.class_equal(zetas[p], _path_sum_class(g, p))
         assert cl.class_equal(gt_class(g, p), zetas[p])
+        # the scaling by 1 / content keeps integral coefficients ints
+        assert all(type(c) is int for v in zetas[p].values() for c in v.terms.values())
 
 
 def test_large_cube_gt_basis_is_fast():

@@ -130,6 +130,36 @@ def test_duals_satisfy_divisibility_everywhere(cp1, cp2, cp3, hirzebruch, square
             assert cl.check_gkm(K, g, cl.poincare_dual(K, g, p)) is None
 
 
+def test_face_only_dual_is_the_dual_on_its_face(cp1, cp2, cp3, hirzebruch, square):
+    from oracles import BASES, blowup, polytope_input
+
+    r = rng(141)
+    graphs = [cp1, cp2, cp3, hirzebruch, square]
+    graphs += [build_graph(polytope_input(blowup(r, base, 2)[0])) for base in sorted(BASES)]
+    for g in graphs:
+        for ring in (K, H):
+            for p in g.vids():
+                face = flow_face(g, p)
+                part = cl._face_dual(ring, g, p)
+                full = cl.poincare_dual(ring, g, p)
+                assert set(part) == face
+                assert all(part[q] == full[q] and not part[q].is_zero() for q in face)
+                assert all(full[q].is_zero() for q in g.vids() if q not in face)
+                assert list(full) == g.vids()
+
+
+def test_euler_factors_are_built_once_per_graph_and_ring():
+    g = build_graph(fixture_input("hirzebruch"))
+    assert g.factors == {}
+    cl.pushforward(K, g, cl.one_class(K, g))
+    cl.pushforward(H, g, cl.one_class(H, g))
+    w = g.point(g.vids()[-1]).wplus[0]
+    assert g.factor(K, w) is g.factor(K, w) == LaurentPoly.one_minus(w)
+    assert g.factor(H, w) == PolyH.linear_form(w)
+    assert {ring for ring, _ in g.factors} == {"ktheory", "cohomology"}
+    assert build_graph(fixture_input("hirzebruch")).factors == {}
+
+
 # ---------------------------------------------------------------------------
 # global push-forward
 

@@ -7,6 +7,7 @@ import pytest
 
 from gkmcalc.errors import ContractError, ValidationError
 from gkmcalc.symcore import (
+    H,
     Irreducible,
     LaurentPoly,
     LocalizedSum,
@@ -593,3 +594,128 @@ def test_numeric_specialization_oracle_h():
         point = (Fraction(3, 7), Fraction(12, 5))
         if all(eval_poly(PolyH.linear_form(w), point) != 0 for w in dens):
             assert eval_poly(out, point) == eval_h(s, point)
+
+
+# ---------------------------------------------------------------------------
+# int coefficients in cohomology
+
+def _ints(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _rand_int_terms(r, rank, n=3, deg=2):
+    return [[str(r.randint(-4, 4)), [r.randint(0, deg) for _ in range(rank)]] for _ in range(n)]
+
+
+def test_integral_h_arithmetic_keeps_int_coefficients():
+    r = rng(131)
+    for _ in range(100):
+        a = H.from_terms(2, _rand_int_terms(r, 2))
+        b = H.from_terms(2, _rand_int_terms(r, 2))
+        w = rand_weight(r, 2, -3, 3)
+        lf = PolyH.linear_form(w)
+        sigma, shift = rand_weight(r, 2, -2, 2, nonzero=False), rand_weight(r, 2)
+        values = [a, b, lf, PolyH.constant(2, r.randint(-3, 3)), a + b, a - b, a * b,
+                  -a, a + 3, 3 - a, a * 2, shear_variables(a, sigma, shift),
+                  divide_by_linear_form(a * lf, w)]
+        for v in values:
+            assert _ints(v), v
+
+
+def test_non_integral_coefficient_stays_a_fraction():
+    p = H.from_terms(2, [["3/2", [1, 0]], ["-4/2", [0, 1]]])
+    assert {type(c) for c in p.terms.values()} == {Fraction, int}
+    assert H.fmt(p) == "-2*x2 + 3/2*x1"
+    assert H.to_terms(p) == [["-2", [0, 1]], ["3/2", [1, 0]]]
+    half = divide_by_linear_form(PolyH.linear_form((1, 0)), (2, 0))
+    assert half == PolyH.constant(2, Fraction(1, 2))
+    assert type(half.constant_value()) is Fraction
+    assert H.fmt(half) == "1/2"
+
+
+def test_integral_fraction_equals_and_hashes_like_its_int():
+    # a product of a Fraction and an int is an integral Fraction
+    a = PolyH.constant(2, Fraction(3, 2)) * PolyH.linear_form((2, 0))
+    b = PolyH(2, {(1, 0): 3})
+    assert type(next(iter(a.terms.values()))) is Fraction
+    assert a == b and hash(a) == hash(b)
+    assert H.fmt(a) == H.fmt(b) and H.to_terms(a) == H.to_terms(b)
+    c = PolyH(2, {(1, 0): Fraction(3)})
+    assert type(next(iter(c.terms.values()))) is Fraction
+    assert c == b and hash(c) == hash(b) and {c: 1}[b] == 1
+    assert PolyH.constant(2, 3) == Fraction(3) and PolyH.constant(2, Fraction(3)) == 3
+    # half plus half is an integral Fraction; it still compares as 1
+    half = PolyH.constant(2, Fraction(1, 2))
+    assert half + half == PolyH.one(2) and hash(half + half) == hash(PolyH.one(2))
+
+
+def _reference_divide_by_linear_form(p, w):
+    """The division by <w, x> in Fraction arithmetic throughout: every
+    quotient coefficient is c * Fraction(1, w_pivot)."""
+    from gkmcalc.symcore import BIAS, FIELD, MASK, _unit_key
+
+    if p.is_zero():
+        return p
+    rank = p.rank
+    pivot = next(i for i, c in enumerate(w) if c)
+    inv = Fraction(1, w[pivot])
+    shift = FIELD * (rank - 1 - pivot)
+    unit = 1 << shift
+    rest = [(_unit_key(rank, i), c) for i, c in enumerate(w) if c and i != pivot]
+    slices = {}
+    for e, c in p.terms.items():
+        slices.setdefault(((e >> shift) & MASK) - BIAS, {})[e] = Fraction(c)
+    quot, carry = {}, {}
+    for d in range(max(slices), -1, -1):
+        cur = slices.get(d, {})
+        for e, c in carry.items():
+            v = cur.get(e, 0) - c
+            if v:
+                cur[e] = v
+            else:
+                cur.pop(e, None)
+        if d == 0:
+            return None if cur else PolyH._new(rank, quot, p.top)
+        carry = {}
+        for e, c in cur.items():
+            qe = e - unit
+            quot[qe] = qc = c * inv
+            for u, wi in rest:
+                carry[qe + u] = carry.get(qe + u, 0) + wi * qc
+
+
+def test_division_by_linear_form_matches_the_fraction_reference():
+    r = rng(137)
+    exact = 0
+    for trial in range(400):
+        rank = r.choice((2, 3))
+        w = rand_weight(r, rank, -3, 3)
+        if trial % 4 == 0:
+            # a pivot of size at least 2, of either sign
+            w = (r.choice((-3, -2, 2, 3)),) + w[1:]
+        p = rand_polyh(r, rank, max_terms=4, coeff=6)
+        if trial % 5 == 1:
+            p = p * PolyH.constant(rank, Fraction(r.randint(1, 5), r.randint(1, 5)))
+        if trial % 2 == 0:
+            p = p * PolyH.linear_form(w)  # divisible
+        got, want = divide_by_linear_form(p, w), _reference_divide_by_linear_form(p, w)
+        assert got == want, (p, w)
+        if got is not None:
+            exact += 1
+            assert all(type(c) is int for c in got.terms.values()
+                       if c.denominator == 1), (p, w)
+            assert all(type(c) is Fraction for c in got.terms.values()
+                       if c.denominator != 1), (p, w)
+    assert exact > 200
+
+
+def test_one_pass_subtraction_equals_adding_the_negation():
+    r = rng(139)
+    for _ in range(200):
+        for a, b in ((rand_laurent(r, 2), rand_laurent(r, 2)),
+                     (rand_polyh(r, 2), rand_polyh(r, 2) * PolyH.constant(2, Fraction(1, 3)))):
+            diff = a - b
+            assert diff == a + (-b)
+            assert diff.terms == (a + (-b)).terms and diff.top == (a + (-b)).top
+            assert all(diff.terms.values())
+            assert a - 2 == a + (-2) and 2 - a == (-a) + 2
