@@ -9,15 +9,20 @@ basis, structure constants, the push-forward to a point and the local index.
 They differ only in what the ring supplies, chiefly the factor attached to a
 weight: ``1 - e^w`` in K-theory and ``<w, x>`` in cohomology.
 
-A canonical class is the flow-up dual at its vertex corrected along the
-upward closure, one dual at a time, until its local indices are the
-prescribed ones: 1 on the flow-up face in K (``canonical``), 1 at the vertex
-alone in K (``point``) and in H.  In H the walk finds nothing to correct:
-the duals already have that profile, which ``verify --level full`` checks.
+A K canonical class has local index 1 on the flow-up face of its vertex and
+0 elsewhere: the flow-up dual, corrected along the upward closure one dual
+at a time unless the orientation is index increasing.  Three facts build
+the rest without a walk:
 
-The structure constants c_pq^r, the coefficients of tau_p tau_q in the
-canonical basis, come from the same triangular elimination in K and in H; in
-H each is an integral polynomial of degree lam_p + lam_q - lam_r.
+* the H canonical classes are the flow-up duals (the path-sum classes when
+  index increasing); ``verify --level full`` still checks their local indices;
+* the local index is additive and determines a class, so tau_p is the sum
+  of the point classes pi_q (index 1 at q alone) over its flow-up face, and
+  pi_p = tau_p - sum of pi_q over q != p in that face, all above p: a
+  Moebius inversion in decreasing moment order;
+* tau_p tau_q for p <= q vanishes below q and is tau_p(q) times the Euler
+  class at q, so c_pq^q = tau_p(q) and only tau_q (tau_p - tau_p(q)) is
+  expanded.  In H each c_pq^r is integral of degree lam_p + lam_q - lam_r.
 
 The push-forward expands the class in the flow-up duals, which is also the
 membership test.  In K-theory every dual is the class of the structure sheaf
@@ -26,13 +31,14 @@ the top vertex has a nonzero integral, 1.  The expansion takes each dual on
 its flow-up face alone (``_face_dual``), the only place it is nonzero; the
 factors come from the graph's adjacency table and are built once per graph
 (``GKMGraph.factor``), and ``poincare_dual`` pads the face values with zeros
-to a full table.  The local index at q is a
-lam_q-th divided difference of the value at q, built by Newton's recursion
-with one exact division per step; its nodes are shears of the value along
-the vertex's frame.
+to a full table.  The local index at q is a lam_q-th divided difference
+of the value at q, built by Newton's recursion with one exact division per
+step; its nodes are shears of the value along the vertex's frame.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
@@ -126,21 +132,14 @@ def is_kirwan_class(ring, g, c, vid):
 # ---------------------------------------------------------------------------
 # canonical classes
 
-def canonical_class(ring, g, p, normalization="canonical", eta=None):
-    """The Kirwan class at p with local index 1 on the flow-up face of p
-    (K, ``canonical``) or at p alone (K ``point``, and H for both) and 0 at
-    every other vertex.  The flow-up dual at p is corrected along the upward
-    closure: at each q the local index is made what it should be by adding a
-    multiple of the dual at q.  On an index increasing orientation the K
-    canonical class is the dual itself.  ``eta`` gives the flow-up dual at a
-    vertex, by default built on demand."""
+def canonical_class(ring, g, p, eta=None):
+    """The canonical class at p; ``eta`` gives the flow-up dual at a vertex,
+    by default built on demand.  The K walk adds at each q the multiple of
+    the dual at q that makes the local index what it should be."""
     eta = eta or (lambda r: poincare_dual(ring, g, r))
-    if normalization == "point" or ring.graded:
-        face = {p}
-    elif is_index_increasing(g):
+    if ring.graded or is_index_increasing(g):
         return eta(p)
-    else:
-        face = flow_face(g, p)
+    face = flow_face(g, p)
     a = dict(eta(p))
     for q in upward_closure(g, p)[1:]:
         want = ring.one(g.rank) if q in face else ring.zero(g.rank)
@@ -150,11 +149,32 @@ def canonical_class(ring, g, p, normalization="canonical", eta=None):
     return a
 
 
+def point_classes(ring, g, vids):
+    """The K point class at each vertex of ``vids`` and of the flow-up faces
+    they reach, by Moebius inversion over those faces alone."""
+    eta = functools.cache(lambda r: poincare_dual(ring, g, r))
+    faces, stack = {}, list(vids)
+    while stack:
+        p = stack.pop()
+        if p not in faces:
+            faces[p] = flow_face(g, p)
+            stack.extend(faces[p])
+    out = {}
+    for p in sorted(faces, key=g.order_index, reverse=True):
+        a = canonical_class(ring, g, p, eta)
+        for q in faces[p] - {p}:
+            a = {**a, **{v: a[v] - x for v, x in out[q].items() if not x.is_zero()}}
+        out[p] = a
+    return out
+
+
 def basis(ring, g, normalization="canonical"):
-    """The canonical class at every vertex, sharing the flow-up duals."""
-    etas = {p: poincare_dual(ring, g, p) for p in g.vids()}
-    return {p: canonical_class(ring, g, p, normalization, etas.__getitem__)
-            for p in g.vids()}
+    """The canonical class at every vertex, or in K under ``point``
+    normalization the point class."""
+    if normalization == "point" and not ring.graded:
+        return point_classes(ring, g, g.vids())
+    eta = functools.cache(lambda r: poincare_dual(ring, g, r))
+    return {p: canonical_class(ring, g, p, eta) for p in g.vids()}
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +188,22 @@ def expand_in_basis(ring, g, basis, c):
 
 def structure_constants(ring, g, basis):
     """Expansion coefficients of pairwise products; only pairs p <= q in the
-    moment order are stored, products being symmetric."""
+    moment order are stored, products being symmetric.  Each expansion opens
+    with c_pq^q = tau_p(q), and each class is taken on its support."""
     vids = g.vids()
+    zero = ring.zero(g.rank)
+    supp = {p: {v: x for v, x in basis[p].items() if not x.is_zero()} for p in vids}
     table = {}
     for i, p in enumerate(vids):
+        tp = supp[p]
         for q in vids[i:]:
-            prod = class_mul(basis[p], basis[q])
-            for r, f in expand_in_basis(ring, g, basis, prod).items():
+            c = tp.get(q)
+            if c is None:
+                prod = {v: tp[v] * x for v, x in supp[q].items() if v in tp}
+            else:
+                table[(p, q, q)] = c
+                prod = {v: (tp.get(v, zero) - c) * x for v, x in supp[q].items() if v != q}
+            for r, f in triangular_expansion(g, prod, supp.__getitem__, ring.divide).items():
                 table[(p, q, r)] = f
     return table
 
@@ -211,25 +240,34 @@ def local_index(ring, g, c, q):
     The lattice map behind Q(a) fixes the outgoing weights and moves each
     w_i by -a, so it is the shear v -> v - <sigma, v> a with sigma = a_1 +
     ... + a_lam, the sum of the frame rows dual to the incoming labels: one
-    pass over the terms per node, with no change of basis."""
+    pass over the terms per node, with no change of basis.  sigma, the node
+    differences and the units are built once per graph, ring and vertex and
+    kept in ``g.newton``."""
     value = c[q]
     if value.is_zero():
         return ring.zero(g.rank)
-    pt = g.point(q)
     if ring.graded:
         deg = value.homogeneous_degree()
         if deg is None:
             raise ValidationError("local index needs a homogeneous restriction")
-        if deg < pt.lam:
+        if deg < g.point(q).lam:
             return ring.zero(g.rank)
-    sigma = tuple(map(sum, zip(*pt.frame[:pt.lam])))
-    nodes = [(0,) * g.rank] + list(pt.wplus)
-    dd = [value] + [-ring.flip(wt_scale(a, pt.lam)) * ring.shear(value, sigma, a)
-                    for a in pt.wplus]
-    for k in range(1, len(nodes)):
-        for j in range(len(nodes) - k):
-            quot = ring.divide(dd[j + 1] - dd[j], wt_sub(nodes[j + k], nodes[j]))
+    key = (ring.name, q)
+    if key not in g.newton:
+        pt = g.point(q)
+        nodes = [(0,) * g.rank] + list(pt.wplus)
+        g.newton[key] = (  # sigma; each a_j with the unit of its start value;
+            # per step k, each a_(j+k) - a_j with the unit flip(-a_j)
+            tuple(map(sum, zip(*pt.frame[:pt.lam]))),
+            [(a, -ring.flip(wt_scale(a, pt.lam))) for a in pt.wplus],
+            [[(wt_sub(nodes[j + k], nodes[j]), ring.flip(wt_neg(nodes[j])))
+              for j in range(len(nodes) - k)] for k in range(1, len(nodes))])
+    sigma, starts, steps = g.newton[key]
+    dd = [value] + [unit * ring.shear(value, sigma, a) for a, unit in starts]
+    for row in steps:
+        for j, (diff, unit) in enumerate(row):
+            quot = ring.divide(dd[j + 1] - dd[j], diff)
             if quot is None:
                 raise ContractError(f"local index at {q}: inexact divided difference")
-            dd[j] = ring.flip(wt_neg(nodes[j])) * quot
+            dd[j] = unit * quot
     return dd[0]

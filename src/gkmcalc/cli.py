@@ -101,7 +101,7 @@ def resolve_class(g, spec, ring):
         if kind == "point":
             if ring is not K:
                 raise ValidationError("point normalization is a K-side construction")
-            return cl.canonical_class(ring, g, vid, "point")
+            return cl.point_classes(ring, g, [vid])[vid]
         if kind == "gt":
             if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")

@@ -26,9 +26,9 @@ flow-up face in the graph oriented by -xi.
 The graph keeps one adjacency table: for each vertex, its neighbours and the
 isotropy weight toward each, the label of the edge from that neighbour.  The
 flow-up faces, the duals on them and the circle reductions read it, and
-``weight_toward`` is a lookup in it.  The Euler factor of a label is built
-once per graph and coefficient ring and kept on the graph; nothing outlives
-the graph.
+``weight_toward`` is a lookup in it.  Euler factors and the local index's
+Newton data are built once per graph and ring and kept on the graph;
+nothing outlives the graph.
 
 Conventions, used consistently everywhere downstream:
 
@@ -95,8 +95,8 @@ class GKMGraph:
     """The oriented moment graph.  ``adjacency[v]`` maps each neighbour u of
     v to the isotropy weight at v along their edge, the label of u -> v:
     the edge's label when the edge comes into v, its negation when it goes
-    out.  ``factors`` holds the Euler factor of a label per coefficient
-    ring, each built once, for this graph only."""
+    out.  ``factors`` and ``newton`` hold each label's Euler factor and each
+    vertex's local index data per ring, built once, for this graph only."""
 
     def __init__(self, rank, xi, points, edges):
         self.rank = rank
@@ -114,6 +114,7 @@ class GKMGraph:
             self.adjacency[e.dst][e.src] = e.weight
             self.adjacency[e.src][e.dst] = wt_neg(e.weight)
         self.factors = {}  # (ring name, label): factor
+        self.newton = {}  # (ring name, vid): the local index's Newton data
 
     # -- lookups ----------------------------------------------------------
     def vids(self):
@@ -545,17 +546,18 @@ def triangular_expansion(g, c, basis_of, divide):
     """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
     increasing moment order.
 
-    ``basis_of(r)`` is a Kirwan class at r, needed only where a_r is nonzero
-    and only on its support; ``divide(f, w)`` is the exact division by the
-    Euler factor of weight w, returning None when it does not divide.  The
-    elimination runs to the end, so a nonzero residual or a failed division
-    certifies that c is not in the span (``DivisionFailure``).
+    ``c`` and ``basis_of(r)``, a Kirwan class at r needed only where a_r is
+    nonzero, may be given on their supports alone; ``divide(f, w)`` is the
+    exact division by the Euler factor of weight w, returning None when it
+    does not divide.  The elimination runs to the end, so a nonzero residual
+    or a failed division certifies that c is not in the span
+    (``DivisionFailure``).
     """
     residual = dict(c)
     coeffs = {}
     for r in g.vids():
-        f = residual[r]
-        if f.is_zero():
+        f = residual.get(r)
+        if f is None or f.is_zero():
             continue
         for w in g.point(r).wplus:
             f = divide(f, w)
@@ -565,7 +567,7 @@ def triangular_expansion(g, c, basis_of, divide):
         coeffs[r] = f
         for v, b in basis_of(r).items():
             if not b.is_zero():
-                residual[v] = residual[v] - f * b
+                residual[v] = residual[v] - f * b if v in residual else -(f * b)
     if any(not v.is_zero() for v in residual.values()):
         raise DivisionFailure("basis does not span: nonzero residual remains")
     return coeffs

@@ -12,8 +12,11 @@ computes another way, or a fixture builder:
   the lower end of each cut edge;
 * ``cpn_prequantization_basis`` and ``hirzebruch_reference_basis`` are
   closed-form canonical classes;
+* ``corrected_class`` is the local-index correction walk that once built
+  every basis, and ``full_structure_constants`` expands each whole product
+  from the bottom vertex up;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
-  cuts imply.
+  cuts imply, and ``cut_cube`` is the cube with one such corner cut.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from gkmcalc import classes as cl
 from gkmcalc.fixtures import cp_input, fixture_input
-from gkmcalc.gkm import ToricInput, build_graph, flow_face
+from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
     K,
     LaurentPoly,
@@ -189,6 +192,32 @@ def hirzebruch_reference_basis(g):
     return {p: cl.one_class(K, g) if i == 0 else point[p] for i, p in enumerate(g.vids())}
 
 
+def corrected_class(ring, g, p, face):
+    """The flow-up dual at p corrected along the upward closure, one dual at
+    a time, until its local index is 1 on ``face`` and 0 at every other
+    vertex."""
+    a = cl.poincare_dual(ring, g, p)
+    for q in upward_closure(g, p)[1:]:
+        want = ring.one(g.rank) if q in face else ring.zero(g.rank)
+        delta = want - cl.local_index(ring, g, a, q)
+        if not delta.is_zero():
+            a = cl.class_add(a, cl.class_scale(cl.poincare_dual(ring, g, q), delta))
+    return a
+
+
+def full_structure_constants(ring, g, basis):
+    """c_pq^r for p <= q in the moment order, each whole product expanded by
+    triangular elimination over full restriction tables."""
+    vids = g.vids()
+    table = {}
+    for i, p in enumerate(vids):
+        for q in vids[i:]:
+            prod = cl.class_mul(basis[p], basis[q])
+            for r, f in cl.expand_in_basis(ring, g, basis, prod).items():
+                table[(p, q, r)] = f
+    return table
+
+
 # ---------------------------------------------------------------------------
 # toric blow-ups
 
@@ -256,6 +285,14 @@ def blowup(r, base, cuts):
                        for e in edges if v in e for u in e if u != v)
         cut_corner(verts, edges, v, shortest * Fraction(r.randint(1, 3), 4))
     return verts, edges
+
+
+def cut_cube():
+    """Vertices and edges of the unit cube with the corner (0,0,1) cut at
+    lattice distance 1/3."""
+    verts, edges = product_polytope(BASES["cube3"])
+    corner = next(v for v, psi in verts.items() if psi == (0, 0, 1))
+    return cut_corner(verts, edges, corner, Fraction(1, 3))
 
 
 def polytope_input(verts):

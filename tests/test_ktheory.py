@@ -160,6 +160,29 @@ def test_euler_factors_are_built_once_per_graph_and_ring():
     assert build_graph(fixture_input("hirzebruch")).factors == {}
 
 
+def test_newton_tables_are_built_once_per_graph_ring_and_vertex():
+    g = build_graph(fixture_input("hirzebruch"))
+    assert g.newton == {}
+    vids = g.vids()
+    classes = {K: [cl.one_class(K, g)] + list(cl.basis(K, g, "point").values()),
+               H: list(cl.basis(H, g).values())}
+    first = [cl.local_index(ring, g, c, q)
+             for ring, cs in classes.items() for c in cs for q in vids]
+    tables = dict(g.newton)
+    assert {key for key in tables if key[0] == "ktheory"} == {("ktheory", q) for q in vids}
+    assert {key[0] for key in tables} == {"ktheory", "cohomology"}
+    again = [cl.local_index(ring, g, c, q)
+             for ring, cs in classes.items() for c in cs for q in vids]
+    assert again == first
+    assert g.newton.keys() == tables.keys()
+    assert all(g.newton[key] is tables[key] for key in tables)
+    # nothing outlives the graph: a new graph starts empty, and the module
+    # keeps no table of its own
+    assert build_graph(fixture_input("hirzebruch")).newton == {}
+    assert not [name for name, v in vars(cl).items()
+                if not name.startswith("__") and isinstance(v, (dict, list, set))]
+
+
 # ---------------------------------------------------------------------------
 # global push-forward
 

@@ -1,10 +1,9 @@
 """Structure constants over both coefficient rings.
 
 c_pq^r are the coefficients of tau_p tau_q in the canonical basis, computed
-by the same triangular elimination in K and in H.
+by the same triangular elimination in K and in H.  The package opens each
+expansion with c_pq^q = tau_p(q); the reference expands each whole product.
 """
-
-from fractions import Fraction
 
 import pytest
 
@@ -13,19 +12,12 @@ from gkmcalc.gkm import build_graph, upward_closure
 from gkmcalc.symcore import H, K
 
 from conftest import rng
-from oracles import BASES, blowup, cut_corner, fixture_graph, polytope_input, product_polytope
-
-
-def _cut_cube():
-    """The unit cube with the corner (0,0,1) cut at lattice distance 1/3."""
-    verts, edges = product_polytope(BASES["cube3"])
-    corner = next(v for v, psi in verts.items() if psi == (0, 0, 1))
-    return build_graph(polytope_input(cut_corner(verts, edges, corner, Fraction(1, 3))[0]))
+from oracles import BASES, blowup, cut_cube, fixture_graph, full_structure_constants, polytope_input
 
 
 def _graphs():
     graphs = {name: fixture_graph(name) for name in ("cp2", "square", "hirzebruch", "cpn:3")}
-    graphs["cut-cube"] = _cut_cube()
+    graphs["cut-cube"] = build_graph(polytope_input(cut_cube()[0]))
     r = rng(903)
     for base in BASES:
         graphs[f"{base}-blowup"] = build_graph(polytope_input(blowup(r, base, 2)[0]))
@@ -59,3 +51,11 @@ def test_structure_constants_recombine(ring, name):
             assert f.is_integral(), (p, q, r, f)
             assert f.homogeneous_degree() == lam, (p, q, r, f)
     assert table[(vids[0], vids[0], vids[0])] == ring.one(g.rank)
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_structure_constants_match_the_full_expansion(ring, name):
+    g = GRAPHS[name]
+    basis = cl.basis(ring, g)
+    assert cl.structure_constants(ring, g, basis) == full_structure_constants(ring, g, basis)
