@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
-from .gkm import flow_face, is_index_increasing, triangular_expansion, upward_closure
+from .gkm import is_index_increasing, triangular_expansion, upward_closure
 from .symcore import wt_neg, wt_scale, wt_sub
 
 
@@ -102,7 +102,7 @@ def _face_dual(ring, g, vid):
     """The dual of the flow-up face at vid on that face alone, where it is
     nonzero: at each q of the face, the product of the factors of the
     weights at q along the edges that leave the face."""
-    face = flow_face(g, vid)
+    face = g.face(vid)
     out = {}
     for q in face:
         val = None
@@ -139,7 +139,7 @@ def canonical_class(ring, g, p, eta=None):
     eta = eta or (lambda r: poincare_dual(ring, g, r))
     if ring.graded or is_index_increasing(g):
         return eta(p)
-    face = flow_face(g, p)
+    face = g.face(p)
     a = dict(eta(p))
     for q in upward_closure(g, p)[1:]:
         want = ring.one(g.rank) if q in face else ring.zero(g.rank)
@@ -157,7 +157,7 @@ def point_classes(ring, g, vids):
     while stack:
         p = stack.pop()
         if p not in faces:
-            faces[p] = flow_face(g, p)
+            faces[p] = g.face(p)
             stack.extend(faces[p])
     out = {}
     for p in sorted(faces, key=g.order_index, reverse=True):

@@ -21,7 +21,7 @@ from .fixtures import (
     hirzebruch_sample_class,
     square_reference_class,
 )
-from .gkm import build_graph, flow_face, index_violations, is_index_increasing, upward_closure
+from .gkm import build_graph, index_violations, is_index_increasing, upward_closure
 from .kirwan import kirwan_restrict_all, reduced_fixed_data
 from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
 from .symcore import RINGS, H, K
@@ -284,10 +284,10 @@ def _verify_checks(g, full):
     add("unique minimum", lambda: [g.point(v).lam for v in vids].count(0) == 1)
     add("unique maximum", lambda: [g.point(v).lam for v in vids].count(g.rank) == 1)
     add("flow-up inside upward closure",
-        lambda: all(flow_face(g, p) <= set(upward_closure(g, p)) for p in vids))
+        lambda: all(g.face(p) <= set(upward_closure(g, p)) for p in vids))
     if increasing:
         add("flow-up equals upward closure",
-            lambda: all(flow_face(g, p) == set(upward_closure(g, p)) for p in vids))
+            lambda: all(g.face(p) == set(upward_closure(g, p)) for p in vids))
 
     etas = {p: cl.poincare_dual(K, g, p) for p in vids}
     add("duals satisfy divisibility",
@@ -311,7 +311,7 @@ def _verify_checks(g, full):
                     return False
         return True
     add("canonical index profile",
-        lambda: index_profile(K, taus, lambda p: flow_face(g, p)))
+        lambda: index_profile(K, taus, g.face))
 
     add("push-forward of 1 equals 1",
         lambda: cl.pushforward(K, g, cl.one_class(K, g)) == K.one(g.rank))

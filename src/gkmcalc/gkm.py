@@ -16,8 +16,13 @@ sides.
 
 The inverse that the lattice-basis check computes at a vertex is kept as the
 vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij over its weights
-``wplus + wminus``.  For a vertex-only input that inverse is the walk's, over
-the primitive edge directions, so each vertex costs one elimination.  The
+``wplus + wminus``.  Both the walk and supplied edges take the frames the
+same way (``_frame``): one elimination at the first vertex of each connected
+component, then one simplex pivot per further vertex from the frame of the
+vertex it was reached from, since adjacent vertices of a simple polytope
+share n - 1 facets.  A pivot is kept only when it is exactly the inverse;
+any other vertex is eliminated on its own.  For a vertex-only input the
+walk's inverse, over the primitive edge directions, is that frame.  The
 flow-up faces read their normals from it, and the local index builds its
 lattice maps from it, so no elimination runs after the graph is built.
 Only flow-up faces are computed: the flow-down face of a vertex is its
@@ -26,9 +31,9 @@ flow-up face in the graph oriented by -xi.
 The graph keeps one adjacency table: for each vertex, its neighbours and the
 isotropy weight toward each, the label of the edge from that neighbour.  The
 flow-up faces, the duals on them and the circle reductions read it, and
-``weight_toward`` is a lookup in it.  Euler factors and the local index's
-Newton data are built once per graph and ring and kept on the graph;
-nothing outlives the graph.
+``weight_toward`` is a lookup in it.  Euler factors, flow-up faces and the
+local index's Newton data are built once per graph (and ring) and kept on
+the graph; nothing outlives the graph.
 
 Conventions, used consistently everywhere downstream:
 
@@ -54,7 +59,6 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
-    lattice_dual,
     scaled_inverse,
     wt_dot,
     wt_neg,
@@ -67,7 +71,7 @@ from .symcore import (
 @dataclass
 class ToricInput:
     rank: int
-    vertices: list  # [(id, psi tuple of Fractions)]
+    vertices: list  # [(id, psi tuple of ints and Fractions)]
     edges: list | None = None  # [(id, id)] undirected, optional
     xi: tuple | None = None
 
@@ -95,8 +99,9 @@ class GKMGraph:
     """The oriented moment graph.  ``adjacency[v]`` maps each neighbour u of
     v to the isotropy weight at v along their edge, the label of u -> v:
     the edge's label when the edge comes into v, its negation when it goes
-    out.  ``factors`` and ``newton`` hold each label's Euler factor and each
-    vertex's local index data per ring, built once, for this graph only."""
+    out.  ``factors``, ``faces`` and ``newton`` hold each label's Euler
+    factor per ring, each vertex's flow-up face and each vertex's local
+    index data per ring, built once, for this graph only."""
 
     def __init__(self, rank, xi, points, edges):
         self.rank = rank
@@ -114,6 +119,7 @@ class GKMGraph:
             self.adjacency[e.dst][e.src] = e.weight
             self.adjacency[e.src][e.dst] = wt_neg(e.weight)
         self.factors = {}  # (ring name, label): factor
+        self.faces = {}  # vid: its flow-up face
         self.newton = {}  # (ring name, vid): the local index's Newton data
 
     # -- lookups ----------------------------------------------------------
@@ -144,6 +150,13 @@ class GKMGraph:
             f = self.factors[key] = ring.factor(w)
         return f
 
+    def face(self, vid):
+        """The flow-up face at vid (``flow_face``), built once per graph."""
+        f = self.faces.get(vid)
+        if f is None:
+            f = self.faces[vid] = flow_face(self, vid)
+        return f
+
     def __repr__(self):
         return f"GKMGraph(rank={self.rank}, points={len(self.points)}, xi={self.xi})"
 
@@ -152,6 +165,9 @@ class GKMGraph:
 # skeleton construction
 
 def _validate_input(inp):
+    """The ids, the moment images as given (exact ints and Fractions, read
+    once), the images scaled to integers and the scale.  Distinctness is
+    checked on the integer points."""
     if inp.rank < 1:
         raise ValidationError("rank must be at least 1")
     if len(inp.vertices) < inp.rank + 1:
@@ -159,12 +175,13 @@ def _validate_input(inp):
     ids = [v[0] for v in inp.vertices]
     if len(set(ids)) != len(ids):
         raise ValidationError("vertex ids must be unique")
-    psis = [tuple(Fraction(x) for x in v[1]) for v in inp.vertices]
+    psis = [tuple(v[1]) for v in inp.vertices]
     if any(len(p) != inp.rank for p in psis):
         raise ValidationError("moment image dimension mismatch")
-    if len(set(psis)) != len(psis):
+    pts, scale = _scaled_points(psis)
+    if len(set(pts)) != len(pts):
         raise ValidationError("moment images must be distinct")
-    return ids, psis
+    return ids, psis, pts, scale
 
 
 def _start_neighbours(pts, v, rank):
@@ -238,24 +255,79 @@ def _points(mask):
         mask ^= low
 
 
-def _certify(ids, pts, v, nbrs, facets):
+def _frame(weights, parent=None, back=0):
+    """(D, rows) with D = |det W| > 0 and <rows[i], weights[j]> = D delta_ij,
+    W having the isotropy weights at a vertex as columns; None when they are
+    dependent.  The rows are the vertex's frame when D = 1.
+
+    ``parent`` is the frame {weight: row} of the vertex this one was reached
+    from, and ``weights[back]`` the weight along that edge.  One pivot from
+    it (``_pivot``) gives the rows when they are exactly the inverse; a
+    vertex with no parent frame, or where the pivot fails, is eliminated.
+    """
+    if parent is not None:
+        rows = _pivot(parent, weights, back)
+        if rows is not None:
+            return 1, rows
+    return scaled_inverse(weights)
+
+
+def _pivot(parent, weights, back):
+    """The inverse rows over ``weights`` by one simplex pivot from a
+    neighbour's frame, or None unless that is exactly the inverse.
+
+    On a simple polytope adjacent vertices v and u share the n - 1 facets of
+    v that hold their edge, so the rows of v off the edge serve u unchanged.
+    With w_k = -weights[back] the weight at v along the edge and a_k its
+    row, each other weight w of u must pair nonzero with exactly one other
+    row of v, to 1, and no row may serve two weights; the back weight gets
+    -a_k + sum over those w of <a_k, w> times the row of w.  Then every
+    pairing is exact: a kept row pairs to 1 with its weight and to 0 with
+    every other weight of u, -w_k included since v's rows are dual to v's
+    weights, and the new row pairs to 0 with each other weight and to
+    <a_k, w_k> = 1 with -w_k.
+    """
+    wk = wt_neg(weights[back])
+    ak = parent[wk]
+    kept = [a for w, a in parent.items() if w != wk]
+    rows, used, new = [], set(), wt_neg(ak)
+    for i, w in enumerate(weights):
+        if i == back:
+            rows.append(None)
+            continue
+        pairs = [wt_dot(a, w) for a in kept]
+        hits = [j for j, s in enumerate(pairs) if s]
+        if len(hits) != 1 or pairs[hits[0]] != 1 or hits[0] in used:
+            return None
+        used.add(hits[0])
+        a = kept[hits[0]]
+        rows.append(a)
+        c = wt_dot(ak, w)
+        if c:
+            new = tuple(x + c * y for x, y in zip(new, a))
+    rows[back] = new
+    return rows
+
+
+def _certify(ids, pts, v, nbrs, facets, parent):
     """Certify the candidate edges [v, nbrs[i]] at v against its facets.
 
-    With r_i the primitive direction toward nbrs[i], the integer dual basis
-    a_i satisfies a_i . r_j = D delta_ij with D > 0, and the facet i of v is
-    the hyperplane through v with primitive normal along a_i, which contains
-    every edge but the i-th.  No point may lie on the negative side of a
-    facet of v, and the only point on all facets of v but the i-th, and not
-    on the i-th, must be nbrs[i]: then the tangent cone of the hull at v is
-    the simplicial cone on the edges, so v is a simple vertex whose edges
+    With w_i the primitive direction from nbrs[i] toward v and the integer
+    rows a_i with a_i . w_j = D delta_ij, D > 0 (``_frame``, pivoted from
+    ``parent``, the frame of nbrs[0], when it has one), the facet i of v is
+    the hyperplane through v with primitive normal along -a_i, which
+    contains every edge but the i-th.  No point may lie on the negative side
+    of a facet of v, and the only point on all facets of v but the i-th, and
+    not on the i-th, must be nbrs[i]: then the tangent cone of the hull at v
+    is the simplicial cone on the edges, so v is a simple vertex whose edges
     are exactly [v, nbrs[i]].  Facets are looked up in, or added to, the
     table ``facets`` shared by the whole walk.  The first point, by index,
     that breaks either condition is reported.  Returns the table entries of
-    the facets of v and v's frame, {-r_i: -a_i}, which is None unless D = 1.
+    the facets of v and v's frame, {w_i: a_i}, which is None unless D = 1.
     """
     pv = pts[v]
-    rays = [wt_primitive(wt_sub(pts[u], pv))[0] for u in nbrs]
-    inv = scaled_inverse(rays)
+    weights = [wt_primitive(wt_sub(pv, pts[u]))[0] for u in nbrs]
+    inv = _frame(weights, parent)
     if inv is None:
         # The walk only proposes independent rays.  At the start vertex each
         # ray pairs positively with a functional vanishing on the earlier
@@ -264,10 +336,11 @@ def _certify(ids, pts, v, nbrs, facets):
         # from u, beta_j r_j + alpha_j r_k with beta_j > 0 its slack on the
         # facet j of v; their determinant is +-prod(beta_j) det(r) != 0.
         raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
-    det, dual = inv
+    det, rows = inv
     own = []
-    for a in dual:
-        normal = wt_primitive(a)[0]
+    for a in rows:
+        # the rows of a unimodular inverse are primitive
+        normal = wt_neg(a) if det == 1 else wt_primitive(wt_neg(a))[0]
         key = (normal, wt_dot(normal, pv))
         if key not in facets:
             facets[key] = _facet(pts, *key)
@@ -292,8 +365,7 @@ def _certify(ids, pts, v, nbrs, facets):
         raise NotAPolytopeSkeleton(
             f"vertex {ids[v]} fails the skeleton certificate: point "
             f"{ids[stray[0]]} lies on its edge toward {ids[stray[1]]}")
-    frame = dict(zip(map(wt_neg, rays), map(wt_neg, dual))) if det == 1 else None
-    return own, frame
+    return own, dict(zip(weights, rows)) if det == 1 else None
 
 
 def _next_neighbours(own, nbrs, k, full):
@@ -347,10 +419,12 @@ def detect_edges(rank, ids, psis):
     that is not simple, or a point on an edge, raises instead of giving a
     wrong skeleton.  A simple polytope's vertex graph is connected, so a
     point the walk never reaches is not a vertex.  The facets that the
-    vertices share are computed once, at V dot products each, and a vertex
-    costs one n x n inversion and O(n^2) operations on V-bit masks of the
-    points tight on its facets: O(V n^3 + F V n) integer operations for F
-    facets, against O(V^2 n^2) when every vertex tests every point.
+    vertices share are computed once, at V dot products each.  The start
+    costs one n x n inversion, and every further vertex one pivot from the
+    frame of the vertex it was reached from (``_frame``), plus O(n^2)
+    operations on V-bit masks of the points tight on its facets:
+    O(n^3 + V n^2 + F V n) integer operations for F facets, against
+    O(V^2 n^2) when every vertex tests every point.
     """
     pts = _scaled_points(psis)[0]
     full = (1 << len(pts)) - 1
@@ -361,7 +435,9 @@ def detect_edges(rank, ids, psis):
     queue = [start]
     edges = set()
     for v in queue:
-        own, frames[v] = _certify(ids, pts, v, nbrs[v], facets)
+        # nbrs[v][0] is the vertex v was reached from, certified before v;
+        # the start's first neighbour has no frame yet
+        own, frames[v] = _certify(ids, pts, v, nbrs[v], facets, frames[nbrs[v][0]])
         for k, u in enumerate(nbrs[v]):
             edges.add((min(u, v), max(u, v)))
             if u in nbrs:
@@ -381,8 +457,7 @@ def build_graph(inp):
     is detected.  A direction vector in ``inp.xi`` is only checked;
     otherwise a deterministic search picks one.
     """
-    ids, psis = _validate_input(inp)
-    pts, scale = _scaled_points(psis)
+    ids, psis, pts, scale = _validate_input(inp)
     if inp.edges is None:
         pairs, frames = detect_edges(inp.rank, ids, pts)
     else:
@@ -413,14 +488,7 @@ def build_graph(inp):
     # directions toward it, so that the dual rows are the vertex's frame.
     prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
     if frames is None:
-        weights_at = [[] for _ in ids]
-        for (i, j), (prim, _) in zip(pairs, prims):
-            weights_at[i].append(wt_neg(prim))
-            weights_at[j].append(prim)
-        frames = []
-        for weights in weights_at:
-            rows = lattice_dual(weights)
-            frames.append(None if rows is None else dict(zip(weights, rows)))
+        frames = _edge_frames(len(ids), pairs, prims)
     for i, frame in enumerate(frames):
         if frame is None:
             raise NotDelzant(
@@ -428,6 +496,36 @@ def build_graph(inp):
 
     skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames)
     return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
+
+
+def _edge_frames(count, pairs, prims):
+    """The frame of each vertex over supplied edges, None where its weights
+    are not a lattice basis.  A breadth-first search from the first vertex,
+    by index, of each connected component takes every other frame by one
+    pivot from the vertex it was reached from (``_frame``)."""
+    weights = [[] for _ in range(count)]
+    others = [[] for _ in range(count)]
+    for (i, j), (prim, _) in zip(pairs, prims):
+        weights[i].append(wt_neg(prim))
+        others[i].append(j)
+        weights[j].append(prim)
+        others[j].append(i)
+    frames = [None] * count
+    seen = [False] * count
+    for root in range(count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [(root, None, 0)]
+        for v, parent, back in queue:
+            inv = _frame(weights[v], parent, back)
+            if inv is not None and inv[0] == 1:
+                frames[v] = dict(zip(weights[v], inv[1]))
+            for u in others[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append((u, frames[v], others[u].index(v)))
+    return frames
 
 
 @dataclass

@@ -10,15 +10,22 @@ with coefficients as decimal strings (K) or "p/q" strings (H) so any integer
 width survives; the coefficient ring of the mode reads and writes the terms.
 Basis files carry a map of vertex id to class under "basis".  Emission is
 sorted everywhere, so emit / read / emit is byte-stable.
+
+``dumps`` writes exactly what ``json.dumps(data, indent=2, sort_keys=True)``
+writes, in one pass over the values the commands emit: strs, ints, floats,
+bools, None, lists, tuples and dicts with string keys (any other key raises
+``TypeError``).  Strings are quoted by ``json``'s own ASCII quoter; ``json``
+itself would take its pure-Python encoder, which ``indent`` forces.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
 from .gkm import ToricInput
-from .symcore import RINGS, parse_int, parse_rational
+from .symcore import RINGS, parse_exact, parse_int
 
 
 def toric_input_from_dict(data):
@@ -26,7 +33,7 @@ def toric_input_from_dict(data):
         raise ValidationError("malformed graph file: not a JSON object")
     try:
         rank = parse_int(data["rank"])
-        vertices = [(str(v["id"]), tuple(parse_rational(x) for x in v["psi"]))
+        vertices = [(str(v["id"]), tuple(map(parse_exact, v["psi"])))
                     for v in data["vertices"]]
         edges = None
         if data.get("edges") is not None:
@@ -98,7 +105,30 @@ def basis_from_dict(data, rank):
 
 
 def dumps(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(x, nl):
+    """The JSON text of x, its lines after the first opening with ``nl``."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]) + nl + "}"
+    if x is None or t is bool or t is float:
+        return json.dumps(x)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def load_class_file(path, rank):

@@ -164,11 +164,6 @@ def parse_exact(x):
     raise ValidationError(f"bad rational {x!r}")
 
 
-def parse_rational(x):
-    """``parse_exact`` as a Fraction."""
-    return Fraction(parse_exact(x))
-
-
 def parse_int(x):
     """An int or an integer string; floats and booleans are refused."""
     if type(x) is int:

@@ -16,7 +16,9 @@ computes another way, or a fixture builder:
   every basis, and ``full_structure_constants`` expands each whole product
   from the bottom vertex up;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
-  cuts imply, and ``cut_cube`` is the cube with one such corner cut.
+  cuts imply, and ``cut_cube`` is the cube with one such corner cut;
+* ``eliminated_graph`` is ``build_graph`` with every frame taken by its own
+  elimination, as the frames were before they were pivoted.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 from fractions import Fraction
 
 from gkmcalc import classes as cl
+from gkmcalc import gkm
 from gkmcalc.fixtures import cp_input, fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
@@ -46,6 +49,18 @@ def wt_add(a, b):
 
 def fixture_graph(name):
     return build_graph(fixture_input(name))
+
+
+def eliminated_graph(inp):
+    """``build_graph`` with the pivot switched off, so that every vertex,
+    walked or given by supplied edges, is inverted on its own: the graph,
+    frames and exceptions that the pivoted frames must reproduce."""
+    pivot = gkm._pivot
+    gkm._pivot = lambda parent, weights, back: None
+    try:
+        return build_graph(inp)
+    finally:
+        gkm._pivot = pivot
 
 
 def support(c):

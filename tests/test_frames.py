@@ -1,0 +1,115 @@
+"""Pivoted vertex frames against per-vertex elimination.
+
+``build_graph`` eliminates once per connected component and pivots every
+other frame from a neighbour's; ``oracles.eliminated_graph`` inverts every
+vertex on its own.  On seeded valid inputs, and on inputs with rewired or
+swapped edges, moved or doubled vertices and points on edges, both must
+raise the same exception with the same message, or give the same graph with
+the same frames, in the walk and with supplied edges alike.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from gkmcalc import gkm
+from gkmcalc.errors import ContractError, NotAPolytopeSkeleton, NotDelzant, ValidationError
+from gkmcalc.gkm import ToricInput, build_graph
+from gkmcalc.symcore import lattice_dual, wt_dot
+
+from conftest import rng
+from oracles import BASES, blowup, eliminated_graph
+from test_gkm import _random_unimodular
+
+
+def _outcome(build, inp):
+    try:
+        g = build(inp)
+    except (ValidationError, ContractError) as exc:
+        return type(exc), str(exc)
+    return (g.xi,
+            [(p.id, p.psi, p.mu, p.lam, p.wplus, p.wminus, p.frame) for p in g.points],
+            [(e.src, e.dst, e.weight, e.mult) for e in g.edges])
+
+
+def _placed(r, verts):
+    """The vertices under a seeded unimodular change of coordinates, an
+    integer translation and a dilation."""
+    n = len(next(iter(verts.values())))
+    a = _random_unimodular(r, n)
+    t = [r.randint(-4, 4) for _ in range(n)]
+    s = r.choice((Fraction(1), Fraction(2), Fraction(3, 2)))
+    return {v: tuple(s * wt_dot(row, p) + c for row, c in zip(a, t)) for v, p in verts.items()}
+
+
+def _variants(r, verts, edges):
+    """(name, vertices, edges or None) for the input and its corruptions."""
+    ids = sorted(verts)
+    pairs = [tuple(r.sample(sorted(e), 2)) for e in sorted(edges, key=sorted)]
+    r.shuffle(pairs)
+    yield "valid", verts, pairs
+    (a, b), (c, d) = r.sample(pairs, 2)
+    rewired = [p for p in pairs if p not in ((a, b), (c, d))] + [(a, d), (c, b)]
+    yield "rewired", verts, rewired
+    u, v = r.sample(ids, 2)
+    yield "swapped", {**verts, u: verts[v], v: verts[u]}, pairs
+    u = r.choice(ids)
+    step = tuple(Fraction(r.randint(-2, 2), r.choice((1, 2))) for _ in verts[u])
+    yield "moved", {**verts, u: tuple(x + y for x, y in zip(verts[u], step))}, pairs
+    u, v = r.sample(ids, 2)
+    yield "doubled", {**verts, u: verts[v]}, pairs
+    a, b = r.choice(pairs)
+    mid = tuple((x + y) / 2 for x, y in zip(verts[a], verts[b]))
+    yield "on an edge", {**verts, "mid": mid}, pairs
+
+
+def _cases():
+    r = rng(905)
+    out = []
+    for copy in range(20):
+        for base in sorted(BASES):
+            verts, edges = blowup(r, base, copy % 3)
+            out += _variants(r, _placed(r, verts), edges)
+    return out
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["walk", "supplied"])
+def test_pivoted_frames_equal_per_vertex_elimination(given):
+    kinds = {}
+    for name, verts, pairs in CASES:
+        inp = ToricInput(rank=len(next(iter(verts.values()))), vertices=sorted(verts.items()),
+                         edges=pairs if given else None)
+        got = _outcome(build_graph, inp)
+        assert got == _outcome(eliminated_graph, inp), (name, verts, pairs)
+        kinds.setdefault(name, set()).add(got[0] if isinstance(got[0], type) else "graph")
+        if not isinstance(got[0], type):
+            # and each frame is the inverse of the vertex's weights
+            for _, _, _, _, wplus, wminus, frame in got[1]:
+                assert frame == lattice_dual(list(wplus + wminus))
+    assert kinds["valid"] == {"graph"}
+    assert ValidationError in kinds["doubled"]
+    assert NotAPolytopeSkeleton in kinds["on an edge"]
+    seen = set().union(*kinds.values())
+    assert {"graph", NotDelzant, NotAPolytopeSkeleton} <= seen, kinds
+
+
+def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
+    # two disjoint triangles: each component's first vertex is eliminated,
+    # the other four frames are pivoted
+    calls = []
+    orig = gkm.scaled_inverse
+
+    def counted(cols):
+        calls.append(cols)
+        return orig(cols)
+    monkeypatch.setattr(gkm, "scaled_inverse", counted)
+    tri = [(0, 0), (1, 0), (0, 1)]
+    vertices = [(f"a{i}", p) for i, p in enumerate(tri)]
+    vertices += [(f"b{i}", (x + 5, y + 7)) for i, (x, y) in enumerate(tri)]
+    edges = [(f"{s}{i}", f"{s}{j}") for s in "ab" for i, j in ((0, 1), (1, 2), (0, 2))]
+    with pytest.raises(ContractError, match="one source and one sink"):
+        build_graph(ToricInput(rank=2, vertices=vertices, edges=edges, xi=(1, 3)))
+    assert len(calls) == 2

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc import classes as cl
-from gkmcalc import symcore
+from gkmcalc import gkm, symcore
 from gkmcalc.classes import euler_minus, is_kirwan_class
 from gkmcalc.errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from gkmcalc.fixtures import fixture_input, hirzebruch_sample_class, hirzebruch_input
@@ -181,6 +181,31 @@ def test_newton_tables_are_built_once_per_graph_ring_and_vertex():
     assert build_graph(fixture_input("hirzebruch")).newton == {}
     assert not [name for name, v in vars(cl).items()
                 if not name.startswith("__") and isinstance(v, (dict, list, set))]
+
+
+@pytest.mark.parametrize("make", [lambda: fixture_input("hirzebruch"),
+                                  lambda: _product_input(SIMPLE_SHAPES[8])],
+                         ids=["hirzebruch", "F2xCP1"])
+def test_flow_up_faces_are_built_once_per_graph_and_vertex(monkeypatch, make):
+    # the point classes, the canonical walk, the duals and the push-forward
+    # all read the graph's faces; each vertex's face is computed once
+    g = build_graph(make())
+    assert g.faces == {}
+    orig = gkm.flow_face
+    calls = []
+
+    def counted(graph, vid):
+        calls.append(vid)
+        return orig(graph, vid)
+    monkeypatch.setattr(gkm, "flow_face", counted)
+    point = cl.basis(K, g, "point")
+    cl.basis(K, g)
+    for p in g.vids():
+        cl.pushforward(K, g, point[p])
+        cl.pushforward(H, g, cl.poincare_dual(H, g, p))
+    assert sorted(calls) == sorted(g.vids())
+    assert g.faces == {p: orig(g, p) for p in g.vids()}
+    assert build_graph(make()).faces == {}
 
 
 # ---------------------------------------------------------------------------
