@@ -4,22 +4,26 @@ A class is a plain dict mapping vertex id to a value of a ring from
 ``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  Every
 construction on classes is written here once, for both rings: the class
 helpers, the negative Euler class, the edge divisibility check, duals of
-flow-up faces, the Kirwan test, the canonical classes, expansion in a Kirwan
+faces, the Kirwan test, the canonical classes, expansion in a Kirwan
 basis, structure constants, the push-forward to a point and the local index.
 They differ only in what the ring supplies, chiefly the factor attached to a
 weight: ``1 - e^w`` in K-theory and ``<w, x>`` in cohomology.
 
-A K canonical class has local index 1 on the flow-up face of its vertex and
-0 elsewhere: the flow-up dual, corrected along the upward closure one dual
-at a time unless the orientation is index increasing.  Three facts build
-the rest without a walk:
+The canonical class at p has local index 1 on the flow-up face F_p of p and
+0 elsewhere, and the K point class pi_p index 1 at p alone.  Three facts
+build them, and the structure constants, without a local index:
 
 * the H canonical classes are the flow-up duals (the path-sum classes when
   index increasing); ``verify --level full`` still checks their local indices;
-* the local index is additive and determines a class, so tau_p is the sum
-  of the point classes pi_q (index 1 at q alone) over its flow-up face, and
-  pi_p = tau_p - sum of pi_q over q != p in that face, all above p: a
-  Moebius inversion in decreasing moment order;
+* pi_p is the class of the ideal sheaf of the boundary of the closed cell
+  F_p, the part of F_p on the facets that meet it but miss p.  That
+  boundary has normal crossings, so its Koszul resolution gives
+  pi_p = sum over sets T of those facets of (-1)^|T| times the dual of the
+  face F_p n (n T) (Graham-Kumar, IMRN 2008).  The local index is additive
+  and determines a class, so the K canonical class tau_p is the sum of pi_q
+  over q in F_p; on an index increasing orientation it is the flow-up dual.
+  The face coefficients are summed as integers first, and each face dual,
+  built once per basis, is added once into the values at its vertices;
 * tau_p tau_q for p <= q vanishes below q and is tau_p(q) times the Euler
   class at q, so c_pq^q = tau_p(q) and only tau_q (tau_p - tau_p(q)) is
   expanded.  In H each c_pq^r is integral of degree lam_p + lam_q - lam_r.
@@ -38,11 +42,9 @@ step; its nodes are shears of the value along the vertex's frame.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
-from .gkm import is_index_increasing, triangular_expansion, upward_closure
-from .symcore import wt_neg, wt_scale, wt_sub
+from .gkm import is_index_increasing, triangular_expansion
+from .symcore import TermSum, wt_neg, wt_scale, wt_sub
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +101,14 @@ def check_gkm(ring, g, c):
 
 
 def _face_dual(ring, g, vid):
-    """The dual of the flow-up face at vid on that face alone, where it is
-    nonzero: at each q of the face, the product of the factors of the
-    weights at q along the edges that leave the face."""
-    face = g.face(vid)
+    """The dual of the flow-up face at vid on that face alone."""
+    return _dual_on(ring, g, g.face(vid))
+
+
+def _dual_on(ring, g, face):
+    """The dual of a face, given by its vertex set, on that face alone,
+    where it is nonzero: at each q of the face, the product of the factors
+    of the weights at q along the edges that leave the face."""
     out = {}
     for q in face:
         val = None
@@ -132,40 +138,66 @@ def is_kirwan_class(ring, g, c, vid):
 # ---------------------------------------------------------------------------
 # canonical classes
 
-def canonical_class(ring, g, p, eta=None):
-    """The canonical class at p; ``eta`` gives the flow-up dual at a vertex,
-    by default built on demand.  The K walk adds at each q the multiple of
-    the dual at q that makes the local index what it should be."""
-    eta = eta or (lambda r: poincare_dual(ring, g, r))
+def _boundary(g, p):
+    """The face coefficients of the point class at p: (-1)^|T| at the face
+    F_p n (n T), for every set T of facets that meet the flow-up face F_p
+    but miss p and whose intersection with F_p is not empty.  A depth-first
+    search over the facets in table order; only the facets that meet the
+    face reached so far can continue it."""
+    fp, bit = g.face_mask(p), g.bit(p)
+    coeffs = {}
+    stack = [(fp, 1, [m for m in g.facets if m & fp and not m & bit])]
+    while stack:
+        face, sign, cuts = stack.pop()
+        coeffs[face] = coeffs.get(face, 0) + sign
+        for i, m in enumerate(cuts):
+            sub = face & m
+            if sub:
+                stack.append((sub, -sign, [n for n in cuts[i + 1:] if n & sub]))
+    return coeffs
+
+
+def _face_sum(ring, g, coeffs, duals):
+    """The class sum of c times the dual of each face in ``coeffs``, as a
+    full table.  The duals are kept in ``duals`` by face mask, and each is
+    added once, in place, into the values at its vertices."""
+    sums = {}
+    for mask, c in coeffs.items():
+        if not c:
+            continue
+        dual = duals.get(mask)
+        if dual is None:
+            dual = duals[mask] = _dual_on(ring, g, frozenset(g.members(mask)))
+        for q, val in dual.items():
+            s = sums.get(q)
+            if s is None:
+                s = sums[q] = TermSum(ring.zero(g.rank))
+            s.add(val, c)
+    return {v: sums[v].value() if v in sums else ring.zero(g.rank) for v in g.vids()}
+
+
+def canonical_class(ring, g, p, duals=None, bounds=None):
+    """The canonical class at p: the flow-up dual in H and on index
+    increasing orientations, otherwise in K the sum of the point classes
+    over the flow-up face.  ``duals`` and ``bounds`` keep face duals and
+    point-class face coefficients across calls on one graph."""
     if ring.graded or is_index_increasing(g):
-        return eta(p)
-    face = g.face(p)
-    a = dict(eta(p))
-    for q in upward_closure(g, p)[1:]:
-        want = ring.one(g.rank) if q in face else ring.zero(g.rank)
-        delta = want - local_index(ring, g, a, q)
-        if not delta.is_zero():
-            a = class_add(a, class_scale(eta(q), delta))
-    return a
+        return poincare_dual(ring, g, p)
+    bounds = {} if bounds is None else bounds
+    coeffs = {}
+    for q in g.members(g.face_mask(p)):
+        if q not in bounds:
+            bounds[q] = _boundary(g, q)
+        for face, c in bounds[q].items():
+            coeffs[face] = coeffs.get(face, 0) + c
+    return _face_sum(ring, g, coeffs, {} if duals is None else duals)
 
 
 def point_classes(ring, g, vids):
-    """The K point class at each vertex of ``vids`` and of the flow-up faces
-    they reach, by Moebius inversion over those faces alone."""
-    eta = functools.cache(lambda r: poincare_dual(ring, g, r))
-    faces, stack = {}, list(vids)
-    while stack:
-        p = stack.pop()
-        if p not in faces:
-            faces[p] = g.face(p)
-            stack.extend(faces[p])
-    out = {}
-    for p in sorted(faces, key=g.order_index, reverse=True):
-        a = canonical_class(ring, g, p, eta)
-        for q in faces[p] - {p}:
-            a = {**a, **{v: a[v] - x for v, x in out[q].items() if not x.is_zero()}}
-        out[p] = a
-    return out
+    """The K point class at each vertex of ``vids``: the ideal sheaf of the
+    boundary of its flow-up face, as a signed sum of face duals."""
+    duals = {}
+    return {p: _face_sum(ring, g, _boundary(g, p), duals) for p in vids}
 
 
 def basis(ring, g, normalization="canonical"):
@@ -173,8 +205,8 @@ def basis(ring, g, normalization="canonical"):
     normalization the point class."""
     if normalization == "point" and not ring.graded:
         return point_classes(ring, g, g.vids())
-    eta = functools.cache(lambda r: poincare_dual(ring, g, r))
-    return {p: canonical_class(ring, g, p, eta) for p in g.vids()}
+    duals, bounds = {}, {}
+    return {p: canonical_class(ring, g, p, duals, bounds) for p in g.vids()}
 
 
 # ---------------------------------------------------------------------------

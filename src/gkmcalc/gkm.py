@@ -22,18 +22,29 @@ component, then one simplex pivot per further vertex from the frame of the
 vertex it was reached from, since adjacent vertices of a simple polytope
 share n - 1 facets.  A pivot is kept only when it is exactly the inverse;
 any other vertex is eliminated on its own.  For a vertex-only input the
-walk's inverse, over the primitive edge directions, is that frame.  The
-flow-up faces read their normals from it, and the local index builds its
-lattice maps from it, so no elimination runs after the graph is built.
-Only flow-up faces are computed: the flow-down face of a vertex is its
-flow-up face in the graph oriented by -xi.
+walk's inverse, over the primitive edge directions, is that frame, and the
+local index builds its lattice maps from it, so no elimination runs after
+the graph is built.
+
+Both input forms keep one facet table per graph (``_FacetTable``), built by
+one certificate (``_certify``).  The walk certifies each vertex as it
+reaches it; supplied edges get their frames first and then every vertex is
+certified with its frame as the inverse (``_certify_edges``).  Either way an
+accepted graph is the one-skeleton of a Delzant polytope, and the graph
+keeps each facet as a bit mask of its vertices in input order
+(``GKMGraph.facets``) and, at each vertex, the facet opposite each of its
+edges (``FixedPoint.facets``).  The flow-up face of a vertex, the face
+spanned by its outgoing edges, is then the AND of the masks of the facets
+opposite its incoming edges (``GKMGraph.face_mask``); no search runs.  Only
+flow-up faces are computed: the flow-down face of a vertex is its flow-up
+face in the graph oriented by -xi.
 
 The graph keeps one adjacency table: for each vertex, its neighbours and the
 isotropy weight toward each, the label of the edge from that neighbour.  The
-flow-up faces, the duals on them and the circle reductions read it, and
-``weight_toward`` is a lookup in it.  Euler factors, flow-up faces and the
-local index's Newton data are built once per graph (and ring) and kept on
-the graph; nothing outlives the graph.
+duals on faces and the circle reductions read it, and ``weight_toward`` is a
+lookup in it.  Euler factors, flow-up faces and the local index's Newton
+data are built once per graph (and ring) and kept on the graph; nothing
+outlives the graph.
 
 Conventions, used consistently everywhere downstream:
 
@@ -47,6 +58,7 @@ Conventions, used consistently everywhere downstream:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .symcore import (
+    TermSum,
     scaled_inverse,
     wt_dot,
     wt_neg,
@@ -93,21 +106,29 @@ class FixedPoint:
     wplus: tuple = ()
     wminus: tuple = ()
     frame: tuple = ()  # rows a_i, <a_i, w_j> = delta_ij over wplus + wminus
+    facets: tuple = ()  # masks of the facets opposite wplus + wminus
 
 
 class GKMGraph:
     """The oriented moment graph.  ``adjacency[v]`` maps each neighbour u of
     v to the isotropy weight at v along their edge, the label of u -> v:
     the edge's label when the edge comes into v, its negation when it goes
-    out.  ``factors``, ``faces`` and ``newton`` hold each label's Euler
-    factor per ring, each vertex's flow-up face and each vertex's local
-    index data per ring, built once, for this graph only."""
+    out.  ``facets`` is the polytope's facet table: each facet as a bit
+    mask of its vertices, bit i standing for ``slots[i]``, the i-th vertex
+    of the input.  ``factors``,
+    ``faces`` and ``newton`` hold each label's Euler factor per ring, each
+    vertex's flow-up face and each vertex's local index data per ring,
+    built once, for this graph only."""
 
-    def __init__(self, rank, xi, points, edges):
+    def __init__(self, rank, xi, points, edges, slots, facets):
         self.rank = rank
         self.xi = tuple(xi)
         self.points = points  # sorted by mu
         self.edges = edges
+        self.slots = slots  # vertex ids in input order
+        self._bit = {v: 1 << i for i, v in enumerate(slots)}
+        self.facets = facets  # sorted masks
+        self.full = (1 << len(points)) - 1
         self._by_id = {p.id: p for p in points}
         self._order = {p.id: i for i, p in enumerate(points)}
         self.out_edges = {p.id: [] for p in points}
@@ -156,6 +177,24 @@ class GKMGraph:
         if f is None:
             f = self.faces[vid] = flow_face(self, vid)
         return f
+
+    def face_mask(self, vid):
+        """The flow-up face at vid as a mask: the vertices on every facet
+        opposite an incoming edge, all of them at the minimum."""
+        p = self._by_id[vid]
+        mask = self.full
+        for tight in p.facets[:p.lam]:
+            mask &= tight
+        return mask
+
+    def bit(self, vid):
+        """The mask of the single vertex vid."""
+        return self._bit[vid]
+
+    def members(self, mask):
+        """The ids of the vertices of a mask, in input order."""
+        slots = self.slots
+        return [slots[i] for i in _points(mask)]
 
     def __repr__(self):
         return f"GKMGraph(rank={self.rank}, points={len(self.points)}, xi={self.xi})"
@@ -237,14 +276,33 @@ def _argmax_ratio(cands, f):
     return top
 
 
-def _facet(pts, normal, level):
-    """The facet table entry of the hyperplane <normal, x> = level: the
-    slack of every point, the bit mask of the points on it and the first
-    point on its negative side (None if there is none)."""
-    slack = [wt_dot(normal, p) - level for p in pts]
-    tight = sum(1 << w for w, s in enumerate(slack) if not s)
-    bad = next((w for w, s in enumerate(slack) if s < 0), None)
-    return slack, tight, bad
+class _FacetTable:
+    """The facets of the hull met so far, shared by every vertex of one
+    graph and keyed by primitive row a: the hyperplane <a, x> = level, on
+    whose nonpositive side the polytope lies.  An entry is the slack
+    level - <a, p> of every point p, the bit mask of the points on the
+    hyperplane and the first point on its negative side (None if there is
+    none)."""
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.cols = list(zip(*pts))
+        self.full = (1 << len(pts)) - 1
+        self.entries = {}
+
+    def add(self, v, a):
+        """The entry of the hyperplane <a, x> = <a, pts[v]>, kept unless the
+        table already holds a parallel one."""
+        level = wt_dot(a, self.pts[v])
+        slack = [level] * len(self.pts)
+        for x, col in zip(a, self.cols):
+            if x:
+                slack = list(map(operator.sub, slack, map(x.__mul__, col)))
+        tight = sum(1 << w for w, s in enumerate(slack) if not s)
+        bad = next(w for w, s in enumerate(slack) if s < 0) if min(slack) < 0 else None
+        entry = slack, tight, bad
+        self.entries.setdefault(a, entry)
+        return entry
 
 
 def _points(mask):
@@ -309,54 +367,53 @@ def _pivot(parent, weights, back):
     return rows
 
 
-def _certify(ids, pts, v, nbrs, facets, parent):
-    """Certify the candidate edges [v, nbrs[i]] at v against its facets.
+def _certify(ids, table, v, nbrs, inv):
+    """Certify the edges [v, nbrs[i]] at v against its facets.
 
-    With w_i the primitive direction from nbrs[i] toward v and the integer
-    rows a_i with a_i . w_j = D delta_ij, D > 0 (``_frame``, pivoted from
-    ``parent``, the frame of nbrs[0], when it has one), the facet i of v is
-    the hyperplane through v with primitive normal along -a_i, which
-    contains every edge but the i-th.  No point may lie on the negative side
-    of a facet of v, and the only point on all facets of v but the i-th, and
-    not on the i-th, must be nbrs[i]: then the tangent cone of the hull at v
-    is the simplicial cone on the edges, so v is a simple vertex whose edges
-    are exactly [v, nbrs[i]].  Facets are looked up in, or added to, the
-    table ``facets`` shared by the whole walk.  The first point, by index,
-    that breaks either condition is reported.  Returns the table entries of
-    the facets of v and v's frame, {w_i: a_i}, which is None unless D = 1.
+    With w_i the primitive direction from nbrs[i] toward v and ``inv`` the
+    integer rows a_i with a_i . w_j = D delta_ij, D > 0 (``_frame``), the
+    facet i of v is the hyperplane through v with primitive normal along
+    -a_i, which contains every edge but the i-th.  No point may lie on the
+    negative side of a facet of v, and the only point on all facets of v but
+    the i-th, and not on the i-th, must be nbrs[i]: then the tangent cone of
+    the hull at v is the simplicial cone on the edges, so v is a simple
+    vertex whose edges are exactly [v, nbrs[i]].  The first point, by index,
+    that breaks either condition is reported.  Returns the ``table`` entries
+    of the facets of v, the i-th opposite the edge to nbrs[i].
+
+    Every entry in the table has passed the certificate at some vertex u,
+    so a parallel facet through v, on which v does not lie, has u on its
+    negative side and fails here: one entry per primitive row suffices.
     """
-    pv = pts[v]
-    weights = [wt_primitive(wt_sub(pv, pts[u]))[0] for u in nbrs]
-    inv = _frame(weights, parent)
-    if inv is None:
-        # The walk only proposes independent rays.  At the start vertex each
-        # ray pairs positively with a functional vanishing on the earlier
-        # ones.  At u = nbrs[k] of a certified v, with r_i the rays of v, the
-        # rays are -r_k and, for j != k, a point of the (j, k) 2-face seen
-        # from u, beta_j r_j + alpha_j r_k with beta_j > 0 its slack on the
-        # facet j of v; their determinant is +-prod(beta_j) det(r) != 0.
-        raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
+    bit = 1 << v
     det, rows = inv
+    entries = table.entries
     own = []
     for a in rows:
-        # the rows of a unimodular inverse are primitive
-        normal = wt_neg(a) if det == 1 else wt_primitive(wt_neg(a))[0]
-        key = (normal, wt_dot(normal, pv))
-        if key not in facets:
-            facets[key] = _facet(pts, *key)
-        own.append(facets[key])
-    masks = [tight for _, tight, _ in own]
-    outside = min((bad for _, _, bad in own if bad is not None), default=None)
+        if det != 1:  # the rows of a unimodular inverse are primitive
+            a = wt_primitive(a)[0]
+        entry = entries.get(a)
+        if entry is None or not entry[1] & bit:
+            entry = table.add(v, a)
+        own.append(entry)
+    outside = min([bad for _, _, bad in own if bad is not None], default=None)
+    # The points on every facet of v but one lie on the line of an edge;
+    # v is the only point on all of them, as their normals are independent.
+    # Counted bitwise: ``once`` holds the points off at least one facet,
+    # ``twice`` those off at least two.
+    once = twice = 0
+    for _, tight, _ in own:
+        off = table.full ^ tight
+        twice |= once & off
+        once |= off
+    line = once & ~twice
+    for (_, tight, _), u in zip(own, nbrs):
+        if not tight >> u & 1:
+            line &= ~(1 << u)  # the end of its own edge
     stray = None  # (first point on an edge but not its end, that end)
-    full = (1 << len(pts)) - 1
-    for i, u in enumerate(nbrs):
-        line = full & ~masks[i] & ~(1 << u)
-        for j, m in enumerate(masks):
-            if j != i:
-                line &= m
-        w = next(_points(line), None)
-        if w is not None and (stray is None or w < stray[0]):
-            stray = (w, u)
+    if line:
+        w = (line & -line).bit_length() - 1
+        stray = w, next(u for (_, tight, _), u in zip(own, nbrs) if not tight >> w & 1)
     if outside is not None and (stray is None or outside <= stray[0]):
         raise NotAPolytopeSkeleton(
             f"vertex {ids[v]} fails the skeleton certificate: point "
@@ -365,7 +422,7 @@ def _certify(ids, pts, v, nbrs, facets, parent):
         raise NotAPolytopeSkeleton(
             f"vertex {ids[v]} fails the skeleton certificate: point "
             f"{ids[stray[0]]} lies on its edge toward {ids[stray[1]]}")
-    return own, dict(zip(weights, rows)) if det == 1 else None
+    return own
 
 
 def _next_neighbours(own, nbrs, k, full):
@@ -410,8 +467,8 @@ def _scaled_points(psis):
 
 def detect_edges(rank, ids, psis):
     """One-skeleton of the convex hull of the points, as sorted index pairs,
-    and the frame of each vertex (None where the primitive edge directions
-    are not a lattice basis).
+    the frame of each vertex (None where the primitive edge directions are
+    not a lattice basis) and each vertex's facets (``_tights``).
 
     Rational points are scaled to integers, which leaves the skeleton unchanged.
     The walk starts at the lexicographically smallest point, moves along
@@ -430,14 +487,29 @@ def detect_edges(rank, ids, psis):
     full = (1 << len(pts)) - 1
     start = min(range(len(pts)), key=pts.__getitem__)
     nbrs = {start: _start_neighbours(pts, start, rank)}
-    facets = {}  # (primitive normal, level): _facet entry
+    table = _FacetTable(pts)
     frames = [None] * len(pts)
+    tights = [None] * len(pts)
     queue = [start]
     edges = set()
     for v in queue:
         # nbrs[v][0] is the vertex v was reached from, certified before v;
         # the start's first neighbour has no frame yet
-        own, frames[v] = _certify(ids, pts, v, nbrs[v], facets, frames[nbrs[v][0]])
+        weights = [wt_primitive(wt_sub(pts[v], pts[u]))[0] for u in nbrs[v]]
+        inv = _frame(weights, frames[nbrs[v][0]])
+        if inv is None:
+            # The walk only proposes independent rays.  At the start vertex
+            # each ray pairs positively with a functional vanishing on the
+            # earlier ones.  At u = nbrs[k] of a certified v, with r_i the
+            # rays of v, the rays are -r_k and, for j != k, a point of the
+            # (j, k) 2-face seen from u, beta_j r_j + alpha_j r_k with
+            # beta_j > 0 its slack on the facet j of v; their determinant is
+            # +-prod(beta_j) det(r) != 0.
+            raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
+        own = _certify(ids, table, v, nbrs[v], inv)
+        if inv[0] == 1:
+            frames[v] = dict(zip(weights, inv[1]))
+        tights[v] = _tights(weights, own)
         for k, u in enumerate(nbrs[v]):
             edges.add((min(u, v), max(u, v)))
             if u in nbrs:
@@ -447,22 +519,29 @@ def detect_edges(rank, ids, psis):
     for w in range(len(pts)):
         if w not in nbrs:
             raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
-    return sorted(edges), frames
+    return sorted(edges), frames, tights
+
+
+def _tights(weights, own):
+    """{isotropy weight: bit mask of the points on the facet opposite its
+    edge}, from the facet table entries that ``_certify`` returns."""
+    return dict(zip(weights, map(operator.itemgetter(1), own)))
 
 
 def build_graph(inp):
     """Validate a toric input and return the oriented moment graph.
 
-    Supplied edges are validated as-is; otherwise the polytope one-skeleton
-    is detected.  A direction vector in ``inp.xi`` is only checked;
-    otherwise a deterministic search picks one.
+    Without edges the polytope one-skeleton is detected.  Supplied edges
+    must pass the degree and lattice-basis checks and then the walk's
+    certificate (``_certify_edges``), so either way the graph is the hull's
+    one-skeleton and carries its facets.  A direction vector in ``inp.xi``
+    is only checked; otherwise a deterministic search picks one.
     """
     ids, psis, pts, scale = _validate_input(inp)
-    if inp.edges is None:
-        pairs, frames = detect_edges(inp.rank, ids, pts)
-    else:
+    supplied = inp.edges is not None
+    if supplied:
         index = {v: i for i, v in enumerate(ids)}
-        pairs, frames = [], None
+        pairs = []
         seen = set()
         for a, b in inp.edges:
             if a not in index or b not in index or a == b:
@@ -472,6 +551,8 @@ def build_graph(inp):
                 raise ValidationError(f"duplicate edge ({a}, {b})")
             seen.add(key)
             pairs.append((index[a], index[b]))
+    else:
+        pairs, frames, tights = detect_edges(inp.rank, ids, pts)
 
     degree = {i: 0 for i in range(len(ids))}
     for i, j in pairs:
@@ -487,22 +568,23 @@ def build_graph(inp):
     # basis at a vertex is taken as the isotropy weights there, the
     # directions toward it, so that the dual rows are the vertex's frame.
     prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
-    if frames is None:
-        frames = _edge_frames(len(ids), pairs, prims)
+    if supplied:
+        weights, others = _incidence(len(ids), pairs, prims)
+        frames = _edge_frames(weights, others)
     for i, frame in enumerate(frames):
         if frame is None:
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
+    if supplied:
+        tights = _certify_edges(ids, pts, weights, others, frames)
 
-    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames)
+    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames, tights)
     return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
 
 
-def _edge_frames(count, pairs, prims):
-    """The frame of each vertex over supplied edges, None where its weights
-    are not a lattice basis.  A breadth-first search from the first vertex,
-    by index, of each connected component takes every other frame by one
-    pivot from the vertex it was reached from (``_frame``)."""
+def _incidence(count, pairs, prims):
+    """The isotropy weights at each vertex, the directions toward it along
+    its edges, and the neighbour along each."""
     weights = [[] for _ in range(count)]
     others = [[] for _ in range(count)]
     for (i, j), (prim, _) in zip(pairs, prims):
@@ -510,6 +592,15 @@ def _edge_frames(count, pairs, prims):
         others[i].append(j)
         weights[j].append(prim)
         others[j].append(i)
+    return weights, others
+
+
+def _edge_frames(weights, others):
+    """The frame of each vertex over supplied edges, None where its weights
+    are not a lattice basis.  A breadth-first search from the first vertex,
+    by index, of each connected component takes every other frame by one
+    pivot from the vertex it was reached from (``_frame``)."""
+    count = len(weights)
     frames = [None] * count
     seen = [False] * count
     for root in range(count):
@@ -528,6 +619,21 @@ def _edge_frames(count, pairs, prims):
     return frames
 
 
+def _certify_edges(ids, pts, weights, others, frames):
+    """Each vertex's facets over supplied edges, by the walk's certificate
+    (``_certify``) with the frame as the inverse, vertex by vertex in index
+    order over one facet table.  Every point is then a simple vertex of the
+    hull whose edges are exactly its supplied ones, so the edges are the
+    hull's one-skeleton; the first vertex that fails raises."""
+    table = _FacetTable(pts)
+    tights = []
+    for v, frame in enumerate(frames):
+        # a frame's rows are in the order of the vertex's weights
+        own = _certify(ids, table, v, others[v], (1, list(frame.values())))
+        tights.append(_tights(weights[v], own))
+    return tights
+
+
 @dataclass
 class _Skeleton:
     rank: int
@@ -538,6 +644,7 @@ class _Skeleton:
     pairs: list  # index pairs
     prims: list  # (primitive direction, lattice length in pts) of each pair
     frames: list  # per vertex: {isotropy weight: its dual row}
+    tights: list  # per vertex: {isotropy weight: mask of its opposite facet}
 
 
 def choose_generic_xi(skel, xi):
@@ -581,13 +688,15 @@ def orient_and_index(skel, xi):
     edges = [Edge(src=skel.ids[i], dst=skel.ids[j], weight=prim,
                   mult=Fraction(length, skel.scale))
              for _, _, i, j, prim, length in arcs]
-    g = GKMGraph(skel.rank, xi, points, edges)
+    facets = sorted(set().union(*(tight.values() for tight in skel.tights)))
+    g = GKMGraph(skel.rank, xi, points, edges, skel.ids, facets)
     for i, p in zip(order, points):
         frame = skel.frames[i]  # keyed by every weight at p
         p.wplus = tuple(sorted(e.weight for e in g.in_edges[p.id]))
         p.wminus = tuple(sorted(w for w in frame if w not in p.wplus))
         p.lam = len(p.wplus)
         p.frame = tuple(map(frame.__getitem__, p.wplus + p.wminus))
+        p.facets = tuple(map(skel.tights[i].__getitem__, p.wplus + p.wminus))
     lams = [p.lam for p in points]
     if lams.count(0) != 1 or lams.count(skel.rank) != 1 or points[0].lam != 0:
         raise ContractError("orientation needs one source and one sink vertex")
@@ -599,23 +708,10 @@ def orient_and_index(skel, xi):
 
 def flow_face(g, vid):
     """Vertex set of the flow-up face through vid, the face spanned by its
-    negative weights, computed as the span closure.  The face's normals are
-    the frame rows of the positive weights, and an edge stays in the face
-    when every normal vanishes on its label.  The flow-down face is the
-    flow-up face of the graph oriented by -xi."""
-    p = g.point(vid)
-    normals = p.frame[:p.lam]
-    reach = {vid}
-    stack = [vid]
-    while stack:
-        v = stack.pop()
-        for other, w in g.adjacency[v].items():
-            if other in reach:
-                continue
-            if not any(wt_dot(a, w) for a in normals):
-                reach.add(other)
-                stack.append(other)
-    return frozenset(reach)
+    negative weights: the points on every facet opposite an incoming edge
+    (``GKMGraph.face_mask``).  The flow-down face is the flow-up face of the
+    graph oriented by -xi."""
+    return frozenset(g.members(g.face_mask(vid)))
 
 
 def upward_closure(g, vid):
@@ -647,14 +743,15 @@ def triangular_expansion(g, c, basis_of, divide):
     ``c`` and ``basis_of(r)``, a Kirwan class at r needed only where a_r is
     nonzero, may be given on their supports alone; ``divide(f, w)`` is the
     exact division by the Euler factor of weight w, returning None when it
-    does not divide.  The elimination runs to the end, so a nonzero residual
-    or a failed division certifies that c is not in the span
-    (``DivisionFailure``).
+    does not divide.  Each step subtracts a_r times the class at r in place
+    from the residual at every vertex it touches (``TermSum``).  The
+    elimination runs to the end, so a nonzero residual or a failed division
+    certifies that c is not in the span (``DivisionFailure``).
     """
-    residual = dict(c)
+    sums = {}  # vertex: its residual, once a step has touched it
     coeffs = {}
     for r in g.vids():
-        f = residual.get(r)
+        f = sums[r].value() if r in sums else c.get(r)
         if f is None or f.is_zero():
             continue
         for w in g.point(r).wplus:
@@ -665,7 +762,11 @@ def triangular_expansion(g, c, basis_of, divide):
         coeffs[r] = f
         for v, b in basis_of(r).items():
             if not b.is_zero():
-                residual[v] = residual[v] - f * b if v in residual else -(f * b)
-    if any(not v.is_zero() for v in residual.values()):
+                s = sums.get(v)
+                if s is None:
+                    s = sums[v] = TermSum(c[v] if v in c else b.zero(b.rank))
+                s.sub_product(f, b)
+    if any(not s.is_zero() for s in sums.values()) \
+            or any(not x.is_zero() for v, x in c.items() if v not in sums):
         raise DivisionFailure("basis does not span: nonzero residual remains")
     return coeffs

@@ -244,6 +244,7 @@ BIAS = 1 << (FIELD - 1)
 MASK = (1 << FIELD) - 1
 LIMIT = 1 << 62
 TERM_BUDGET = 1 << 20
+_INT = frozenset((int,))
 
 
 @functools.cache
@@ -255,6 +256,11 @@ def _zero_key(rank):
 @functools.cache
 def _fields(rank):
     return struct.Struct(f">{rank}q").unpack
+
+
+@functools.cache
+def _packer(rank):
+    return struct.Struct(f">{rank}q").pack
 
 
 def _pack_delta(v):
@@ -430,6 +436,49 @@ class _Poly:
     def __repr__(self):
         bits = [f"{c}*{self.symbol}{list(e)}" for e, c in self.sorted_terms()]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class TermSum:
+    """A value under construction: sums and products are added into one
+    term dict in place, with the bound on its exponents that the same
+    additions would give.  ``value`` returns the value so far."""
+
+    __slots__ = ("poly", "rank", "terms", "top")
+
+    def __init__(self, start):
+        self.poly, self.rank = type(start), start.rank
+        self.terms, self.top = dict(start.terms), start.top
+
+    def add(self, p, c=1):
+        """Add c * p for an integer c."""
+        terms = self.terms
+        get = terms.get
+        for e, x in p.terms.items():
+            terms[e] = get(e, 0) + c * x
+        self.top = max(self.top, p.top)
+
+    def sub_product(self, f, b):
+        """Subtract f * b.  Past the product's bound it is built whole, so
+        it raises as the product would."""
+        top = f.top + b.top
+        if top >= LIMIT:
+            self.add(f * b, -1)
+            return
+        zero = _zero_key(self.rank)
+        terms = self.terms
+        get = terms.get
+        for e1, c1 in f.terms.items():
+            e1 -= zero
+            for e2, c2 in b.terms.items():
+                e = e1 + e2
+                terms[e] = get(e, 0) - c1 * c2
+        self.top = max(self.top, top)
+
+    def is_zero(self):
+        return not any(self.terms.values())
+
+    def value(self):
+        return self.poly._new(self.rank, {e: c for e, c in self.terms.items() if c}, self.top)
 
 
 class LaurentPoly(_Poly):
@@ -751,13 +800,48 @@ class _Ring:
         return [[self.format_coeff(c), list(e)] for e, c in p.sorted_terms()]
 
     def from_terms(self, rank, items):
-        """The value of JSON terms: [coefficient, exponent array] pairs."""
-        terms = {}
+        """The value of JSON terms, [coefficient, exponent array] pairs,
+        read in one pass: each exponent of plain ints is packed by one
+        ``struct`` call, and the range and sign of the exponents of the
+        nonzero terms are checked together at the end.  A later term with
+        the same exponent replaces an earlier one.  An exponent that does
+        not pack (a length other than ``rank``, an entry past 64 bits) or
+        fails the check sends the items through the constructor
+        (``_from_parsed``), so every input gives the value, the bound and
+        the exception that ``poly(rank, terms)`` gives over the parsed
+        terms."""
+        pack, zero, ints = _packer(rank), _zero_key(rank), _INT.issuperset
         parse_coeff = self.parse_coeff
+        terms, nonzero, zeros = {}, [], 0
+        try:
+            for c, e in items:
+                if not isinstance(e, (list, tuple)):
+                    raise ValidationError(f"exponent {e!r} is not an array")
+                c = parse_coeff(c)
+                if not ints(map(type, e)):
+                    e = tuple(map(parse_int, e))
+                terms[int.from_bytes(pack(*e), "big") ^ zero] = c
+                if c:
+                    nonzero.append(e)
+                else:
+                    zeros += 1
+        except struct.error:
+            return self._from_parsed(rank, items)
+        lo, hi = min(map(min, nonzero), default=0), max(map(max, nonzero), default=0)
+        if lo < max(self.poly.lowest, 1 - LIMIT) or hi >= LIMIT:
+            return self._from_parsed(rank, items)
+        p = self.poly._new(rank, terms, max(hi, -lo))
+        if len(terms) < len(nonzero) + zeros:  # a replaced term may have set the bound
+            p.top = _exact_top(p)
+        return p
+
+    def _from_parsed(self, rank, items):
+        """``from_terms`` term by term, through the constructor."""
+        terms = {}
         for c, e in items:
             if not isinstance(e, (list, tuple)):
                 raise ValidationError(f"exponent {e!r} is not an array")
-            terms[tuple(map(parse_int, e))] = parse_coeff(c)
+            terms[tuple(map(parse_int, e))] = self.parse_coeff(c)
         return self.poly(rank, terms)
 
     def fmt(self, p):

@@ -15,6 +15,10 @@ computes another way, or a fixture builder:
 * ``corrected_class`` is the local-index correction walk that once built
   every basis, and ``full_structure_constants`` expands each whole product
   from the bottom vertex up;
+* ``closure_face`` is the flow-up face as the span closure along edges,
+  the breadth-first search that the facet masks replace;
+* ``parsed_terms`` reads JSON terms entry by entry through the constructor,
+  as ``from_terms`` once did;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
   cuts imply, and ``cut_cube`` is the cube with one such corner cut;
 * ``eliminated_graph`` is ``build_graph`` with every frame taken by its own
@@ -28,12 +32,14 @@ from fractions import Fraction
 
 from gkmcalc import classes as cl
 from gkmcalc import gkm
+from gkmcalc.errors import ValidationError
 from gkmcalc.fixtures import cp_input, fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
     K,
     LaurentPoly,
     LocalizedSum,
+    parse_int,
     rational_primitive,
     substitute_linear,
     substitute_linear_h,
@@ -53,8 +59,9 @@ def fixture_graph(name):
 
 def eliminated_graph(inp):
     """``build_graph`` with the pivot switched off, so that every vertex,
-    walked or given by supplied edges, is inverted on its own: the graph,
-    frames and exceptions that the pivoted frames must reproduce."""
+    walked or given by supplied edges, is inverted on its own and then
+    certified as ``build_graph`` certifies it: the graph, frames and
+    exceptions that the pivoted frames must reproduce."""
     pivot = gkm._pivot
     gkm._pivot = lambda parent, weights, back: None
     try:
@@ -218,6 +225,34 @@ def corrected_class(ring, g, p, face):
         if not delta.is_zero():
             a = cl.class_add(a, cl.class_scale(cl.poincare_dual(ring, g, q), delta))
     return a
+
+
+def closure_face(g, vid):
+    """Vertex set of the flow-up face through vid as the span closure: the
+    face's normals are the frame rows of the positive weights, and an edge
+    stays in the face when every normal vanishes on its label."""
+    p = g.point(vid)
+    normals = p.frame[:p.lam]
+    reach = {vid}
+    stack = [vid]
+    while stack:
+        v = stack.pop()
+        for other, w in g.adjacency[v].items():
+            if other not in reach and not any(wt_dot(a, w) for a in normals):
+                reach.add(other)
+                stack.append(other)
+    return frozenset(reach)
+
+
+def parsed_terms(ring, rank, items):
+    """The value of JSON terms, each exponent entry read by ``parse_int``
+    and every term checked by the constructor."""
+    terms = {}
+    for c, e in items:
+        if not isinstance(e, (list, tuple)):
+            raise ValidationError(f"exponent {e!r} is not an array")
+        terms[tuple(map(parse_int, e))] = ring.parse_coeff(c)
+    return ring.poly(rank, terms)
 
 
 def full_structure_constants(ring, g, basis):

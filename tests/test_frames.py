@@ -96,9 +96,35 @@ def test_pivoted_frames_equal_per_vertex_elimination(given):
     assert {"graph", NotDelzant, NotAPolytopeSkeleton} <= seen, kinds
 
 
+def _edge_set(g):
+    return {frozenset((e.src, e.dst)) for e in g.edges}
+
+
+def test_supplied_edges_are_accepted_only_as_the_walks_skeleton():
+    # every supplied-edge input either raises or is given exactly the edges
+    # that the walk finds on its vertices; some are refused by the skeleton
+    # certificate alone, having passed the degree and lattice-basis checks
+    refused = 0
+    for name, verts, pairs in CASES:
+        vertices = sorted(verts.items())
+        rank = len(vertices[0][1])
+        try:
+            given = build_graph(ToricInput(rank=rank, vertices=vertices, edges=pairs))
+        except NotAPolytopeSkeleton as exc:
+            refused += "skeleton certificate" in str(exc)
+            continue
+        except (ValidationError, ContractError):
+            continue
+        walked = build_graph(ToricInput(rank=rank, vertices=vertices))
+        assert _edge_set(given) == _edge_set(walked), (name, verts, pairs)
+        assert given.facets == walked.facets
+    assert refused
+
+
 def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
     # two disjoint triangles: each component's first vertex is eliminated,
-    # the other four frames are pivoted
+    # the other four frames are pivoted, and then the skeleton certificate
+    # finds the other triangle outside a facet of the first
     calls = []
     orig = gkm.scaled_inverse
 
@@ -110,6 +136,7 @@ def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
     vertices = [(f"a{i}", p) for i, p in enumerate(tri)]
     vertices += [(f"b{i}", (x + 5, y + 7)) for i, (x, y) in enumerate(tri)]
     edges = [(f"{s}{i}", f"{s}{j}") for s in "ab" for i, j in ((0, 1), (1, 2), (0, 2))]
-    with pytest.raises(ContractError, match="one source and one sink"):
+    with pytest.raises(NotAPolytopeSkeleton, match="vertex a1 fails the skeleton certificate: "
+                       "point b0 lies outside the cone"):
         build_graph(ToricInput(rank=2, vertices=vertices, edges=edges, xi=(1, 3)))
     assert len(calls) == 2

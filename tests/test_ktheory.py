@@ -187,8 +187,8 @@ def test_newton_tables_are_built_once_per_graph_ring_and_vertex():
                                   lambda: _product_input(SIMPLE_SHAPES[8])],
                          ids=["hirzebruch", "F2xCP1"])
 def test_flow_up_faces_are_built_once_per_graph_and_vertex(monkeypatch, make):
-    # the point classes, the canonical walk, the duals and the push-forward
-    # all read the graph's faces; each vertex's face is computed once
+    # the duals and the push-forward read the graph's faces, the bases
+    # their facet masks; each vertex's face is computed once
     g = build_graph(make())
     assert g.faces == {}
     orig = gkm.flow_face

@@ -7,7 +7,9 @@ import pytest
 
 from gkmcalc.errors import ContractError, ValidationError
 from gkmcalc.symcore import (
+    LIMIT,
     H,
+    K,
     Irreducible,
     LaurentPoly,
     LocalizedSum,
@@ -25,7 +27,7 @@ from gkmcalc.symcore import (
 )
 
 from conftest import rand_laurent, rand_polyh, rand_weight, rng
-from oracles import eval_h, eval_k, eval_laurent, eval_poly
+from oracles import eval_h, eval_k, eval_laurent, eval_poly, parsed_terms
 
 
 def e(*expo):
@@ -719,3 +721,94 @@ def test_one_pass_subtraction_equals_adding_the_negation():
             assert diff.terms == (a + (-b)).terms and diff.top == (a + (-b)).top
             assert all(diff.terms.values())
             assert a - 2 == a + (-2) and 2 - a == (-a) + 2
+
+
+# ---------------------------------------------------------------------------
+# reading JSON terms
+
+def _outcome_of(read, ring, rank, items):
+    try:
+        p = read(ring, rank, items)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return p, p.top, type(p)
+
+
+def _entry(r, ring):
+    """One exponent entry, mostly an int, sometimes an integer string,
+    sometimes near the limit."""
+    low = 0 if ring is H else -5
+    x = r.choice([r.randint(low, 5)] * 6 + [LIMIT - 1, r.randint(low, 9) * 10 ** 15]
+                  + ([1 - LIMIT] if ring is K else []))
+    return str(x) if r.random() < 0.1 else x
+
+
+def _rand_items(r, ring, rank):
+    """Valid JSON terms: repeated exponents, zero coefficients, integer and
+    string spellings of one exponent."""
+    items = []
+    for _ in range(r.randint(0, 8)):
+        if items and r.random() < 0.2:
+            e = list(r.choice(items)[1])  # the same exponent again
+        else:
+            e = [_entry(r, ring) for _ in range(rank)]
+        c = r.choice([0, 0, 1, -1, 2, 7, -12])
+        coeff = str(c) if ring is K or r.random() < 0.5 else f"{c}/{r.randint(1, 4)}"
+        items.append([coeff, e])
+    return items
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["K", "H"])
+def test_terms_read_in_one_pass_equal_the_constructor(ring):
+    r = rng(171)
+    for _ in range(1500):
+        rank = r.randint(1, 5)
+        items = _rand_items(r, ring, rank)
+        got = _outcome_of(lambda ring, rank, items: ring.from_terms(rank, items), ring, rank,
+                          items)
+        assert got == _outcome_of(parsed_terms, ring, rank, items), items
+        assert not isinstance(got[0], type), (items, got)
+
+
+MALFORMED = [
+    [["1", [0, 0, 0]]],
+    [["1", [0]]],
+    [["1", []]],
+    [["1", [True, 0]]],
+    [["1", [0, False]]],
+    [["1", [0.5, 0]]],
+    [["1", ["x", 0]]],
+    [["1", [None, 0]]],
+    [["1", [LIMIT, 0]]],
+    [["1", [0, -LIMIT]]],
+    [["1", [2 ** 63, 0]]],
+    [["1", [-2 ** 63 - 1, 0]]],
+    [["1", [0, 10 ** 30]]],
+    [["1", [-1, 0]]],
+    [["1", [0, 0]], ["2", [LIMIT, 1]], ["3", [1, 2, 3]]],
+    [["1", [1, 2, 3]], ["2", [LIMIT, 1]]],
+    [["0", [1, 2, 3]], ["0", [LIMIT, 0]], ["4", [1, 1]]],
+    [["5", [1, 2, 3]], ["0", [1, 2, 3]]],
+    [["5", [LIMIT, 0]], ["0", [str(LIMIT), 0]]],
+    [["5", [LIMIT, 0]], ["bad", [0, 0]]],
+    [["1", [0, 0]], ["1", "00"]],
+    [["1", [0, 0]], ["1", 7]],
+    [["1.5", [0, 0]]],
+    [["x", [1, 2, 3]]],
+    [[None, [0, 0]]],
+    [["1", [0, 0], 3]],
+    [["1"]],
+    ["1x"],
+    [7],
+    "ab",
+    {"ab": 1},
+    [],
+    {},
+]
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["K", "H"])
+@pytest.mark.parametrize("items", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_terms_raise_as_the_constructor(ring, items):
+    got = _outcome_of(lambda ring, rank, items: ring.from_terms(rank, items), ring, 2, items)
+    assert got == _outcome_of(parsed_terms, ring, 2, items)
