@@ -22,7 +22,8 @@ class NotDelzant(ValidationError):
 
 
 class NotAPolytopeSkeleton(ValidationError):
-    """Detected or supplied edges do not give every vertex degree n."""
+    """The points and edges are not a simple polytope's one-skeleton: a
+    vertex has degree other than n, or fails the skeleton certificate."""
 
 
 class SuppliedXiNotGeneric(ValidationError):

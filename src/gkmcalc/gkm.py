@@ -14,23 +14,22 @@ divided back into rationals.  The triangular elimination of a class in a
 Kirwan basis, which follows the moment order, is shared here by the K and H
 sides.
 
-The inverse that the lattice-basis check computes at a vertex is kept as the
-vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij over its weights
-``wplus + wminus``.  Both the walk and supplied edges take the frames the
-same way (``_frame``): one elimination at the first vertex of each connected
-component, then one simplex pivot per further vertex from the frame of the
-vertex it was reached from, since adjacent vertices of a simple polytope
-share n - 1 facets.  A pivot is kept only when it is exactly the inverse;
-any other vertex is eliminated on its own.  For a vertex-only input the
-walk's inverse, over the primitive edge directions, is that frame, and the
-local index builds its lattice maps from it, so no elimination runs after
-the graph is built.
+Both input forms reach the skeleton by one breadth-first traversal
+(``_traverse``); they differ only in where a vertex's neighbours come from:
+the facets of the vertex it was reached from for a vertex-only input, the
+supplied adjacency otherwise.  At each vertex the traversal takes the
+inverse of the isotropy weights, which is also its lattice-basis check, and
+keeps it as the vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij
+over its weights ``wplus + wminus``.  The frame is one simplex pivot from
+the frame of the vertex it was reached from, since adjacent vertices of a
+simple polytope share n - 1 facets; a pivot is kept only when it is exactly
+the inverse, and each root, or a vertex where the pivot fails, is
+eliminated on its own.  The local index builds its lattice maps from the
+frames, so no elimination runs after the graph is built.
 
-Both input forms keep one facet table per graph (``_FacetTable``), built by
-one certificate (``_certify``).  The walk certifies each vertex as it
-reaches it; supplied edges get their frames first and then every vertex is
-certified with its frame as the inverse (``_certify_edges``).  Either way an
-accepted graph is the one-skeleton of a Delzant polytope, and the graph
+The traversal then certifies each vertex (``_certify``) against one facet
+table per graph (``_FacetTable``), and the first vertex that fails raises,
+so an accepted graph is the one-skeleton of a Delzant polytope.  The graph
 keeps each facet as a bit mask of its vertices in input order
 (``GKMGraph.facets``) and, at each vertex, the facet opposite each of its
 edges (``FixedPoint.facets``).  The flow-up face of a vertex, the face
@@ -313,46 +312,30 @@ def _points(mask):
         mask ^= low
 
 
-def _frame(weights, parent=None, back=0):
-    """(D, rows) with D = |det W| > 0 and <rows[i], weights[j]> = D delta_ij,
-    W having the isotropy weights at a vertex as columns; None when they are
-    dependent.  The rows are the vertex's frame when D = 1.
-
-    ``parent`` is the frame {weight: row} of the vertex this one was reached
-    from, and ``weights[back]`` the weight along that edge.  One pivot from
-    it (``_pivot``) gives the rows when they are exactly the inverse; a
-    vertex with no parent frame, or where the pivot fails, is eliminated.
-    """
-    if parent is not None:
-        rows = _pivot(parent, weights, back)
-        if rows is not None:
-            return 1, rows
-    return scaled_inverse(weights)
-
-
-def _pivot(parent, weights, back):
-    """The inverse rows over ``weights`` by one simplex pivot from a
-    neighbour's frame, or None unless that is exactly the inverse.
+def _pivot(parent, weights):
+    """The inverse rows over ``weights``, the isotropy weights at a vertex,
+    by one simplex pivot from the frame {weight: row} of the vertex it was
+    reached from along the edge of ``weights[0]``; None when there is no
+    such frame or the pivot is not exactly the inverse.
 
     On a simple polytope adjacent vertices v and u share the n - 1 facets of
     v that hold their edge, so the rows of v off the edge serve u unchanged.
-    With w_k = -weights[back] the weight at v along the edge and a_k its
-    row, each other weight w of u must pair nonzero with exactly one other
-    row of v, to 1, and no row may serve two weights; the back weight gets
+    With w_k = -weights[0] the weight at v along the edge and a_k its row,
+    each other weight w of u must pair nonzero with exactly one other row of
+    v, to 1, and no row may serve two weights; the back weight gets
     -a_k + sum over those w of <a_k, w> times the row of w.  Then every
     pairing is exact: a kept row pairs to 1 with its weight and to 0 with
     every other weight of u, -w_k included since v's rows are dual to v's
     weights, and the new row pairs to 0 with each other weight and to
     <a_k, w_k> = 1 with -w_k.
     """
-    wk = wt_neg(weights[back])
+    if parent is None:
+        return None
+    wk = wt_neg(weights[0])
     ak = parent[wk]
     kept = [a for w, a in parent.items() if w != wk]
-    rows, used, new = [], set(), wt_neg(ak)
-    for i, w in enumerate(weights):
-        if i == back:
-            rows.append(None)
-            continue
+    rows, used, new = [None], set(), wt_neg(ak)
+    for w in weights[1:]:
         pairs = [wt_dot(a, w) for a in kept]
         hits = [j for j, s in enumerate(pairs) if s]
         if len(hits) != 1 or pairs[hits[0]] != 1 or hits[0] in used:
@@ -363,7 +346,7 @@ def _pivot(parent, weights, back):
         c = wt_dot(ak, w)
         if c:
             new = tuple(x + c * y for x, y in zip(new, a))
-    rows[back] = new
+    rows[0] = new
     return rows
 
 
@@ -371,7 +354,7 @@ def _certify(ids, table, v, nbrs, inv):
     """Certify the edges [v, nbrs[i]] at v against its facets.
 
     With w_i the primitive direction from nbrs[i] toward v and ``inv`` the
-    integer rows a_i with a_i . w_j = D delta_ij, D > 0 (``_frame``), the
+    integer rows a_i with a_i . w_j = D delta_ij, D > 0, the
     facet i of v is the hyperplane through v with primitive normal along
     -a_i, which contains every edge but the i-th.  No point may lie on the
     negative side of a facet of v, and the only point on all facets of v but
@@ -466,172 +449,144 @@ def _scaled_points(psis):
 
 
 def detect_edges(rank, ids, psis):
-    """One-skeleton of the convex hull of the points, as sorted index pairs,
-    the frame of each vertex (None where the primitive edge directions are
-    not a lattice basis) and each vertex's facets (``_tights``).
+    """The certified one-skeleton of the convex hull of the points, from the
+    points alone (``_traverse``).
 
-    Rational points are scaled to integers, which leaves the skeleton unchanged.
-    The walk starts at the lexicographically smallest point, moves along
-    edges and certifies every vertex it reaches (``_certify``), so a vertex
-    that is not simple, or a point on an edge, raises instead of giving a
-    wrong skeleton.  A simple polytope's vertex graph is connected, so a
-    point the walk never reaches is not a vertex.  The facets that the
-    vertices share are computed once, at V dot products each.  The start
-    costs one n x n inversion, and every further vertex one pivot from the
-    frame of the vertex it was reached from (``_frame``), plus O(n^2)
-    operations on V-bit masks of the points tight on its facets:
-    O(n^3 + V n^2 + F V n) integer operations for F facets, against
-    O(V^2 n^2) when every vertex tests every point.
+    Rational points are scaled to integers, which leaves the skeleton
+    unchanged.  The walk starts at the lexicographically smallest point and
+    finds each further vertex's neighbours from the facets of the vertex it
+    was reached from, so a vertex that is not simple, or a point on an edge,
+    fails the certificate instead of giving a wrong skeleton.  A simple
+    polytope's vertex graph is connected, so a point the walk never reaches
+    is not a vertex.  The facets that the vertices share are computed once,
+    at V dot products each.  The start costs one n x n inversion, and every
+    further vertex one pivot plus O(n^2) operations on V-bit masks of the
+    points tight on its facets: O(n^3 + V n^2 + F V n) integer operations
+    for F facets, against O(V^2 n^2) when every vertex tests every point.
     """
-    pts = _scaled_points(psis)[0]
+    return _traverse(rank, ids, _scaled_points(psis)[0])
+
+
+def _traverse(rank, ids, pts, others=None):
+    """The one-skeleton of the integer points, certified by one
+    breadth-first traversal: the edges as sorted index pairs, each edge's
+    (primitive direction of pts[j] - pts[i], lattice length) in that order,
+    and per vertex its frame {isotropy weight: dual row}, None where the
+    weights are independent but not a lattice basis, and its facets
+    {isotropy weight: mask of the points on the facet opposite its edge}.
+
+    With ``others`` None the neighbours come from the points alone: the
+    root is the lexicographically smallest point (``_start_neighbours``),
+    and each further vertex's neighbours come from the facets of the vertex
+    it was reached from (``_next_neighbours``).  Otherwise ``others[v]``
+    lists the supplied neighbours of v, and each connected component is
+    rooted at its first vertex by index.  Either way the vertex a vertex was
+    reached from is its first neighbour, its frame is one pivot from that
+    vertex's (``_pivot``), and a root, or a vertex where the pivot fails,
+    is eliminated.  Each vertex is then certified against one facet table
+    (``_certify``): the first vertex in traversal order that fails, or
+    whose weights are dependent, raises, and once every vertex has passed
+    the edges are the hull's one-skeleton.  Each edge's direction is
+    computed once, at the first of its ends reached.
+    """
     full = (1 << len(pts)) - 1
-    start = min(range(len(pts)), key=pts.__getitem__)
-    nbrs = {start: _start_neighbours(pts, start, rank)}
     table = _FacetTable(pts)
+    nbrs = [None] * len(pts)
     frames = [None] * len(pts)
     tights = [None] * len(pts)
-    queue = [start]
-    edges = set()
-    for v in queue:
-        # nbrs[v][0] is the vertex v was reached from, certified before v;
-        # the start's first neighbour has no frame yet
-        weights = [wt_primitive(wt_sub(pts[v], pts[u]))[0] for u in nbrs[v]]
-        inv = _frame(weights, frames[nbrs[v][0]])
-        if inv is None:
-            # The walk only proposes independent rays.  At the start vertex
-            # each ray pairs positively with a functional vanishing on the
-            # earlier ones.  At u = nbrs[k] of a certified v, with r_i the
-            # rays of v, the rays are -r_k and, for j != k, a point of the
-            # (j, k) 2-face seen from u, beta_j r_j + alpha_j r_k with
-            # beta_j > 0 its slack on the facet j of v; their determinant is
-            # +-prod(beta_j) det(r) != 0.
-            raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
-        own = _certify(ids, table, v, nbrs[v], inv)
-        if inv[0] == 1:
-            frames[v] = dict(zip(weights, inv[1]))
-        tights[v] = _tights(weights, own)
-        for k, u in enumerate(nbrs[v]):
-            edges.add((min(u, v), max(u, v)))
-            if u in nbrs:
-                continue
-            nbrs[u] = [v] + _next_neighbours(own, nbrs[v], k, full)
-            queue.append(u)
-    for w in range(len(pts)):
-        if w not in nbrs:
+    edges = {}  # (i, j), i < j: (primitive direction of pts[j] - pts[i], length)
+    roots = [min(range(len(pts)), key=pts.__getitem__)] if others is None else range(len(pts))
+    for root in roots:
+        if nbrs[root] is not None:
+            continue
+        nbrs[root] = _start_neighbours(pts, root, rank) if others is None else others[root]
+        queue = [root]
+        for v in queue:
+            weights = []
+            for u in nbrs[v]:
+                key = (u, v) if u < v else (v, u)
+                prim = edges.get(key)
+                if prim is None:
+                    prim = edges[key] = wt_primitive(wt_sub(pts[key[1]], pts[key[0]]))
+                weights.append(prim[0] if u < v else wt_neg(prim[0]))
+            # nbrs[v][0] is the vertex v was reached from, certified before v;
+            # a root's first neighbour has no frame yet
+            rows = _pivot(frames[nbrs[v][0]], weights)
+            inv = scaled_inverse(weights) if rows is None else (1, rows)
+            if inv is None:
+                if others is not None:
+                    raise NotDelzant(
+                        f"edge directions at vertex {ids[v]} are not a lattice basis")
+                # The walk only proposes independent rays.  At the start
+                # vertex each ray pairs positively with a functional
+                # vanishing on the earlier ones.  At u = nbrs[k] of a
+                # certified v, with r_i the rays of v, the rays are -r_k and,
+                # for j != k, a point of the (j, k) 2-face seen from u,
+                # beta_j r_j + alpha_j r_k with beta_j > 0 its slack on the
+                # facet j of v; their determinant is +-prod(beta_j) det(r) != 0.
+                raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
+            own = _certify(ids, table, v, nbrs[v], inv)
+            if inv[0] == 1:
+                frames[v] = dict(zip(weights, inv[1]))
+            tights[v] = dict(zip(weights, map(operator.itemgetter(1), own)))
+            for k, u in enumerate(nbrs[v]):
+                if nbrs[u] is None:
+                    nbrs[u] = [v] + (_next_neighbours(own, nbrs[v], k, full) if others is None
+                                     else [w for w in others[u] if w != v])
+                    queue.append(u)
+    for w, nb in enumerate(nbrs):
+        if nb is None:
             raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
-    return sorted(edges), frames, tights
+    pairs = sorted(edges)
+    return pairs, [edges[key] for key in pairs], frames, tights
 
 
-def _tights(weights, own):
-    """{isotropy weight: bit mask of the points on the facet opposite its
-    edge}, from the facet table entries that ``_certify`` returns."""
-    return dict(zip(weights, map(operator.itemgetter(1), own)))
+def _adjacency(rank, ids, edges):
+    """The neighbours of each vertex over supplied edges, in the order
+    given; each edge must join two distinct vertices of the input, once, and
+    every vertex must have degree ``rank``."""
+    index = {v: i for i, v in enumerate(ids)}
+    others = [[] for _ in ids]
+    seen = set()
+    for a, b in edges:
+        if a not in index or b not in index or a == b:
+            raise ValidationError(f"bad edge ({a}, {b})")
+        key = frozenset((a, b))
+        if key in seen:
+            raise ValidationError(f"duplicate edge ({a}, {b})")
+        seen.add(key)
+        others[index[a]].append(index[b])
+        others[index[b]].append(index[a])
+    for i, nb in enumerate(others):
+        if len(nb) != rank:
+            raise NotAPolytopeSkeleton(
+                f"vertex {ids[i]} has degree {len(nb)}, expected {rank}")
+    return others
 
 
 def build_graph(inp):
     """Validate a toric input and return the oriented moment graph.
 
-    Without edges the polytope one-skeleton is detected.  Supplied edges
-    must pass the degree and lattice-basis checks and then the walk's
-    certificate (``_certify_edges``), so either way the graph is the hull's
-    one-skeleton and carries its facets.  A direction vector in ``inp.xi``
-    is only checked; otherwise a deterministic search picks one.
+    Without edges the polytope one-skeleton is detected (``detect_edges``).
+    Supplied edges must pass the edge and degree checks (``_adjacency``) and
+    then the same traversal and certificate (``_traverse``), so either way
+    the graph is the hull's one-skeleton and carries its facets.  Every
+    vertex's primitive edge directions must be a lattice basis (Delzant),
+    which each vertex's frame records.  A direction vector in ``inp.xi`` is
+    only checked; otherwise a deterministic search picks one.
     """
     ids, psis, pts, scale = _validate_input(inp)
-    supplied = inp.edges is not None
-    if supplied:
-        index = {v: i for i, v in enumerate(ids)}
-        pairs = []
-        seen = set()
-        for a, b in inp.edges:
-            if a not in index or b not in index or a == b:
-                raise ValidationError(f"bad edge ({a}, {b})")
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({a}, {b})")
-            seen.add(key)
-            pairs.append((index[a], index[b]))
+    if inp.edges is None:
+        pairs, prims, frames, tights = detect_edges(inp.rank, ids, pts)
     else:
-        pairs, frames, tights = detect_edges(inp.rank, ids, pts)
-
-    degree = {i: 0 for i in range(len(ids))}
-    for i, j in pairs:
-        degree[i] += 1
-        degree[j] += 1
-    for i, d in degree.items():
-        if d != inp.rank:
-            raise NotAPolytopeSkeleton(
-                f"vertex {ids[i]} has degree {d}, expected {inp.rank}")
-
-    # Delzant: primitive incident directions form a lattice basis everywhere.
-    # The walk has checked that and kept the frames; for supplied edges the
-    # basis at a vertex is taken as the isotropy weights there, the
-    # directions toward it, so that the dual rows are the vertex's frame.
-    prims = [wt_primitive(wt_sub(pts[j], pts[i])) for i, j in pairs]
-    if supplied:
-        weights, others = _incidence(len(ids), pairs, prims)
-        frames = _edge_frames(weights, others)
+        pairs, prims, frames, tights = _traverse(
+            inp.rank, ids, pts, _adjacency(inp.rank, ids, inp.edges))
     for i, frame in enumerate(frames):
         if frame is None:
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
-    if supplied:
-        tights = _certify_edges(ids, pts, weights, others, frames)
-
     skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames, tights)
     return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
-
-
-def _incidence(count, pairs, prims):
-    """The isotropy weights at each vertex, the directions toward it along
-    its edges, and the neighbour along each."""
-    weights = [[] for _ in range(count)]
-    others = [[] for _ in range(count)]
-    for (i, j), (prim, _) in zip(pairs, prims):
-        weights[i].append(wt_neg(prim))
-        others[i].append(j)
-        weights[j].append(prim)
-        others[j].append(i)
-    return weights, others
-
-
-def _edge_frames(weights, others):
-    """The frame of each vertex over supplied edges, None where its weights
-    are not a lattice basis.  A breadth-first search from the first vertex,
-    by index, of each connected component takes every other frame by one
-    pivot from the vertex it was reached from (``_frame``)."""
-    count = len(weights)
-    frames = [None] * count
-    seen = [False] * count
-    for root in range(count):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [(root, None, 0)]
-        for v, parent, back in queue:
-            inv = _frame(weights[v], parent, back)
-            if inv is not None and inv[0] == 1:
-                frames[v] = dict(zip(weights[v], inv[1]))
-            for u in others[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append((u, frames[v], others[u].index(v)))
-    return frames
-
-
-def _certify_edges(ids, pts, weights, others, frames):
-    """Each vertex's facets over supplied edges, by the walk's certificate
-    (``_certify``) with the frame as the inverse, vertex by vertex in index
-    order over one facet table.  Every point is then a simple vertex of the
-    hull whose edges are exactly its supplied ones, so the edges are the
-    hull's one-skeleton; the first vertex that fails raises."""
-    table = _FacetTable(pts)
-    tights = []
-    for v, frame in enumerate(frames):
-        # a frame's rows are in the order of the vertex's weights
-        own = _certify(ids, table, v, others[v], (1, list(frame.values())))
-        tights.append(_tights(weights[v], own))
-    return tights
 
 
 @dataclass

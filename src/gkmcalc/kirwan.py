@@ -6,19 +6,20 @@ point per edge into that maximum.  Restricting a class to a reduced point is
 a change of lattice basis followed by killing the edge weight v: the lattice
 map fixing the residual weights and sending v to 0.  That map is the shear
 u -> u - <sigma, u> v, where sigma is the row of the inverse of the basis
-(residuals, v) dual to v; the lattice-basis check that makes a reduced point
-free computes that inverse, and the point keeps sigma.  The value's
-coefficient ring applies the shear.  The module computes the residual weight
-data, rejecting non-free actions.
+(residuals, v) dual to v.  That row is sigma = pi / <pi, v>: it pairs to 1
+with v and to 0 with each residual u_t = v_t - (<pi, v_t> / <pi, v>) v, and
+it is integral wherever those ratios are, since pi = sum of <pi, v_t> a_t
+over the top vertex's frame rows a_t.  The point keeps sigma, and the
+value's coefficient ring applies the shear.  The module computes the
+residual weight data, rejecting non-free actions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonUniqueMaximum, NotFreeAction, ValidationError
-from .symcore import lattice_dual, wt_dot, wt_scale, wt_sub
+from .symcore import wt_dot, wt_scale, wt_sub
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,13 @@ def reduced_fixed_data(g, pi):
         for t, v_t in enumerate(weights):
             if t == i:
                 continue
-            ratio = Fraction(pairings[t], c_i)
-            if ratio.denominator != 1:
+            if pairings[t] % c_i:
                 raise NotFreeAction(
                     f"weight at the reduced point on {source}->{top} is fractional")
-            residual.append(wt_sub(v_t, wt_scale(v_i, int(ratio))))
-        dual = lattice_dual(residual + [v_i])
-        if dual is None:
-            raise NotFreeAction("reduced weights fail the lattice basis test")
+            residual.append(wt_sub(v_t, wt_scale(v_i, pairings[t] // c_i)))
         points.append(ReducedPoint(
             id=f"r{i + 1}", source=source, edge_weight=v_i,
-            residual=tuple(residual), edge_dual=dual[-1]))
+            residual=tuple(residual), edge_dual=tuple(x // c_i for x in pi)))
     return ReductionSetup(graph=g, pi=pi, top=top, points=points)
 
 

@@ -269,6 +269,24 @@ def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, 
     assert message in json.loads(err)["message"]
 
 
+def test_supplied_edges_are_refused_by_the_certificate_in_traversal_order(tmp_path, capsys):
+    # a quadrilateral with two vertices swapped and its edges kept, from the
+    # corruptions of tests/test_frames.py: the traversal is rooted at v0,
+    # whose cone misses v2, before it reaches v1, whose edge directions are
+    # not a lattice basis
+    graph = {"rank": 2,
+             "vertices": [{"id": v, "psi": p} for v, p in (
+                 ("v0", [4, 3]), ("v1", [-12, 12]), ("v2", [-10, 11]), ("v3", [-19, 16]))],
+             "edges": [["v0", "v3"], ["v0", "v1"], ["v1", "v2"], ["v3", "v2"]]}
+    rc, out, err = run_cli(["graph", "--input", _write(tmp_path, "g.json", graph)], capsys)
+    assert rc == 2 and out == ""
+    _assert_clean_exit(rc, err)
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": "vertex v0 fails the skeleton certificate: "
+                   "point v2 lies outside the cone of its candidate edges"}
+
+
 @pytest.mark.parametrize("command, mode, extra", [
     ("index", "ktheory", []),
     ("index", "cohomology", []),

@@ -121,10 +121,7 @@ def test_supplied_edges_are_accepted_only_as_the_walks_skeleton():
     assert refused
 
 
-def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
-    # two disjoint triangles: each component's first vertex is eliminated,
-    # the other four frames are pivoted, and then the skeleton certificate
-    # finds the other triangle outside a facet of the first
+def _count_eliminations(monkeypatch):
     calls = []
     orig = gkm.scaled_inverse
 
@@ -132,11 +129,37 @@ def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
         calls.append(cols)
         return orig(cols)
     monkeypatch.setattr(gkm, "scaled_inverse", counted)
-    tri = [(0, 0), (1, 0), (0, 1)]
-    vertices = [(f"a{i}", p) for i, p in enumerate(tri)]
-    vertices += [(f"b{i}", (x + 5, y + 7)) for i, (x, y) in enumerate(tri)]
+    return calls
+
+
+def _two_triangles(a, b):
+    """Two triangles a0 a1 a2 and b0 b1 b2, each with its three edges."""
+    vertices = [(f"{s}{i}", p) for s, tri in (("a", a), ("b", b)) for i, p in enumerate(tri)]
     edges = [(f"{s}{i}", f"{s}{j}") for s in "ab" for i, j in ((0, 1), (1, 2), (0, 2))]
+    return vertices, edges
+
+
+def test_supplied_edges_take_one_elimination_per_component(monkeypatch):
+    # a small triangle inside a large one: the large triangle's component is
+    # rooted at a0, eliminated once and pivoted twice, and passes; the small
+    # one's root b0 is eliminated too, and the certificate then finds a0
+    # outside its cone
+    calls = _count_eliminations(monkeypatch)
+    vertices, edges = _two_triangles([(0, 0), (6, 0), (0, 6)], [(1, 1), (2, 1), (1, 2)])
+    with pytest.raises(NotAPolytopeSkeleton, match="vertex b0 fails the skeleton certificate: "
+                       "point a0 lies outside the cone of its candidate edges"):
+        build_graph(ToricInput(rank=2, vertices=vertices, edges=edges))
+    assert len(calls) == 2
+
+
+def test_supplied_edges_are_refused_at_the_first_failing_vertex(monkeypatch):
+    # two disjoint triangles: the traversal certifies a0, pivots a1 from it
+    # and refuses a1, since b0 lies outside a facet of a1, before component
+    # b is reached
+    calls = _count_eliminations(monkeypatch)
+    tri = [(0, 0), (1, 0), (0, 1)]
+    vertices, edges = _two_triangles(tri, [(x + 5, y + 7) for x, y in tri])
     with pytest.raises(NotAPolytopeSkeleton, match="vertex a1 fails the skeleton certificate: "
                        "point b0 lies outside the cone"):
         build_graph(ToricInput(rank=2, vertices=vertices, edges=edges, xi=(1, 3)))
-    assert len(calls) == 2
+    assert len(calls) == 1

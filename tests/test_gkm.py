@@ -115,6 +115,17 @@ def test_first_non_delzant_vertex_by_index_is_reported():
     assert str(info.value) == "edge directions at vertex v1 are not a lattice basis"
 
 
+def test_supplied_edges_with_dependent_weights_are_not_delzant():
+    # the edges a-b and a-d point the same way from a, where the traversal
+    # is rooted: a validation error there, not the walk's contract error
+    inp = ToricInput(rank=2, vertices=[("a", F([0, 0])), ("b", F([1, 0])),
+                                       ("c", F([0, 1])), ("d", F([2, 0]))],
+                     edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    with pytest.raises(NotDelzant) as info:
+        build_graph(inp)
+    assert str(info.value) == "edge directions at vertex a are not a lattice basis"
+
+
 def _cube(n):
     return [tuple(Fraction(x) for x in p) for p in itertools.product((0, 1), repeat=n)]
 
@@ -288,6 +299,49 @@ def test_one_elimination_per_connected_input(monkeypatch, psis):
                                    edges=[(e.src, e.dst) for e in g.edges]))
     assert len(calls) == 1
     assert [(p.id, p.frame) for p in given.points] == [(p.id, p.frame) for p in g.points]
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through the module's global."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("psis", [
+    _cube(4), _product_points([_trapezoid(2), _simplex(1)], Fraction(3, 2)),
+    _product_points([_simplex(2), _simplex(2)]),
+], ids=["cube4", "dilated-F2xCP1", "CP2xCP2"])
+def test_each_edge_direction_is_computed_once(monkeypatch, psis):
+    # the traversal takes each edge's primitive direction once; the walk's
+    # start adds n(n - 1)/2 for the functionals that find its rays
+    calls = _counted(monkeypatch, gkm, "wt_primitive")
+    n = len(psis[0])
+    vertices = [(f"v{i}", p) for i, p in enumerate(psis)]
+    g = build_graph(ToricInput(rank=n, vertices=vertices))
+    assert len(calls) == len(g.edges) + n * (n - 1) // 2
+    calls.clear()
+    build_graph(ToricInput(rank=n, vertices=vertices,
+                           edges=[(e.src, e.dst) for e in g.edges]))
+    assert len(calls) == len(g.edges)
+
+
+def test_detect_edges_runs_only_without_supplied_edges(monkeypatch):
+    # build_graph reaches the walk through the module's global, which is the
+    # name that a tracer rebinds
+    calls = _counted(monkeypatch, gkm, "detect_edges")
+    inp = hirzebruch_input()
+    g = build_graph(inp)
+    assert len(calls) == 1
+    calls.clear()
+    build_graph(ToricInput(rank=2, vertices=inp.vertices,
+                           edges=[(e.src, e.dst) for e in g.edges]))
+    assert calls == []
 
 
 def _assert_exact_moment_data(g):

@@ -3,13 +3,19 @@
 import pytest
 
 from gkmcalc import classes as cl
-from gkmcalc.errors import NonUniqueMaximum, NotFreeAction
+from gkmcalc.errors import NonUniqueMaximum, NotFreeAction, ValidationError
 from gkmcalc.fixtures import hirzebruch_sample_class, square_reference_class
+from gkmcalc.gkm import build_graph
 from gkmcalc.kirwan import kirwan_restrict_all, reduced_fixed_data
-from gkmcalc.symcore import H, K, LaurentPoly, PolyH, lattice_dual, substitute_linear, wt_neg
+from gkmcalc.symcore import (
+    H, K, LaurentPoly, PolyH, lattice_dual, substitute_linear, wt_dot, wt_neg,
+)
 
 from conftest import rand_polyh, rng
-from oracles import lift, local_index_parts, restrict_from_sources, wt_add
+from oracles import (
+    BASES, blowup, fixture_graph, lift, local_index_parts, polytope_input,
+    restrict_from_sources, wt_add,
+)
 
 
 def form(*w):
@@ -61,6 +67,30 @@ def test_triangle_non_free_covector(cp2):
     # pairings 2 and 1 at the top leave a half-integral residual weight
     with pytest.raises(NotFreeAction):
         reduced_fixed_data(cp2, (1, 2))
+
+
+def test_edge_dual_is_the_row_dual_to_the_edge_weight():
+    # sigma = pi / <pi, v> on seeded covectors: it pairs to 1 with the edge
+    # weight and to 0 with each residual, so it is the row of the inverse
+    # of (residuals, v) dual to v
+    r = rng(503)
+    graphs = [fixture_graph(name) for name in ("cp1", "cp2", "cpn:3", "hirzebruch", "square")]
+    graphs += [build_graph(polytope_input(blowup(r, base, cuts)[0]))
+               for base in sorted(BASES) for cuts in (1, 2)]
+    checked = 0
+    for g in graphs:
+        for _ in range(100):
+            pi = tuple(r.randint(-3, 3) for _ in range(g.rank))
+            try:
+                setup = reduced_fixed_data(g, pi)
+            except ValidationError:  # not a free circle, or no unique top
+                continue
+            for p in setup.points:
+                assert wt_dot(p.edge_dual, p.edge_weight) == 1
+                assert [wt_dot(p.edge_dual, u) for u in p.residual] == [0] * len(p.residual)
+                assert p.edge_dual == lattice_dual(list(p.residual) + [p.edge_weight])[-1]
+                checked += 1
+    assert checked > 400
 
 
 def test_tied_maximum_rejected(cp2):
