@@ -1,13 +1,14 @@
 """Restriction tables over a coefficient ring.
 
-A class is a plain dict mapping vertex id to a value of a ring from
-``symcore``: ``K`` (a ``LaurentPoly``) or ``H`` (a ``PolyH``).  Every
+A class is a plain dict mapping vertex id to a value of one of the ring
+classes of ``symcore``: ``K`` (``LaurentPoly``) or ``H`` (``PolyH``).  Every
 construction on classes is written here once, for both rings: the class
 helpers, the negative Euler class, the edge divisibility check, duals of
-faces, the Kirwan test, the canonical classes, expansion in a Kirwan
-basis, structure constants, the push-forward to a point and the local index.
-They differ only in what the ring supplies, chiefly the factor attached to a
-weight: ``1 - e^w`` in K-theory and ``<w, x>`` in cohomology.
+faces, the Kirwan test, the canonical classes, the triangular elimination in
+a Kirwan basis and the expansions built on it (structure constants, the
+push-forward to a point) and the local index.  They differ only in what the
+ring supplies, chiefly the factor attached to a weight: ``1 - e^w`` in
+K-theory and ``<w, x>`` in cohomology.
 
 The canonical class at p has local index 1 on the flow-up face F_p of p and
 0 elsewhere, and the K point class pi_p index 1 at p alone.  Three facts
@@ -43,7 +44,7 @@ step; its nodes are shears of the value along the vertex's frame.
 from __future__ import annotations
 
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
-from .gkm import is_index_increasing, triangular_expansion
+from .gkm import is_index_increasing
 from .symcore import TermSum, wt_neg, wt_scale, wt_sub
 
 
@@ -212,10 +213,46 @@ def basis(ring, g, normalization="canonical"):
 # ---------------------------------------------------------------------------
 # expansion and structure constants
 
+def triangular_expansion(g, c, basis_of):
+    """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
+    increasing moment order.
+
+    ``c`` and ``basis_of(r)``, a Kirwan class at r needed only where a_r is
+    nonzero, may be given on their supports alone.  Each step divides the
+    residual at r by the Euler factors of its incoming labels, in the ring
+    of the value, and subtracts a_r times the class at r in place from the
+    residual at every vertex it touches (``TermSum``).  The elimination runs
+    to the end, so a nonzero residual or a failed division certifies that c
+    is not in the span (``DivisionFailure``).
+    """
+    sums = {}  # vertex: its residual, once a step has touched it
+    coeffs = {}
+    for r in g.vids():
+        f = sums[r].value() if r in sums else c.get(r)
+        if f is None or f.is_zero():
+            continue
+        for w in g.point(r).wplus:
+            f = f.divide(w)
+            if f is None:
+                raise DivisionFailure(
+                    f"value at {r} is not a multiple of its Euler class")
+        coeffs[r] = f
+        for v, b in basis_of(r).items():
+            if not b.is_zero():
+                s = sums.get(v)
+                if s is None:
+                    s = sums[v] = TermSum(c[v] if v in c else b.zero(b.rank))
+                s.sub_product(f, b)
+    if any(not s.is_zero() for s in sums.values()) \
+            or any(not x.is_zero() for v, x in c.items() if v not in sums):
+        raise DivisionFailure("basis does not span: nonzero residual remains")
+    return coeffs
+
+
 def expand_in_basis(ring, g, basis, c):
     """Coefficients of c in a Kirwan basis by triangular elimination in
     increasing moment order."""
-    return triangular_expansion(g, c, basis.__getitem__, ring.divide)
+    return triangular_expansion(g, c, basis.__getitem__)
 
 
 def structure_constants(ring, g, basis):
@@ -235,7 +272,7 @@ def structure_constants(ring, g, basis):
             else:
                 table[(p, q, q)] = c
                 prod = {v: (tp.get(v, zero) - c) * x for v, x in supp[q].items() if v != q}
-            for r, f in triangular_expansion(g, prod, supp.__getitem__, ring.divide).items():
+            for r, f in triangular_expansion(g, prod, supp.__getitem__).items():
                 table[(p, q, r)] = f
     return table
 
@@ -248,8 +285,7 @@ def pushforward(ring, g, c):
     is 1: every dual in K-theory, the top one in cohomology.  Raises
     ``NonPolynomialIndex`` when c is not a class."""
     try:
-        coeffs = triangular_expansion(
-            g, c, lambda r: _face_dual(ring, g, r), ring.divide)
+        coeffs = triangular_expansion(g, c, lambda r: _face_dual(ring, g, r))
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
     return sum((f for r, f in coeffs.items()

@@ -172,31 +172,29 @@ def cmd_check(args, out):
 
 def cmd_basis(args, out):
     g = load_graph(args)
-    basis = cl.basis(RINGS[args.mode], g, args.normalization)
-    return _emit_basis(args, out, g, basis, "tau")
+    ring = RINGS[args.mode]
+    return _emit_basis(args, out, g, ring, cl.basis(ring, g, args.normalization), "tau")
 
 
 def cmd_pd(args, out):
     g = load_graph(args)
     ring = RINGS[args.mode]
     basis = {p: cl.poincare_dual(ring, g, p) for p in g.vids()}
-    return _emit_basis(args, out, g, basis, "pd")
+    return _emit_basis(args, out, g, ring, basis, "pd")
 
 
 def cmd_gt(args, out):
     g = load_graph(args)
-    basis = ch.gt_basis(g)
-    return _emit_basis(args, out, g, basis, "gt")
+    return _emit_basis(args, out, g, H, ch.gt_basis(g), "gt")
 
 
-def _emit_basis(args, out, g, basis, label):
-    mode = getattr(args, "mode", "cohomology")
+def _emit_basis(args, out, g, ring, basis, label):
     if args.format == "json":
-        out.write(dumps(basis_to_dict(basis, mode)))
+        out.write(dumps(basis_to_dict(basis, ring.name)))
         return 0
     lines = []
     for vid in g.vids():
-        emit_class(RINGS[mode], g, f"{label}:{vid}", basis[vid], lines)
+        emit_class(ring, g, f"{label}:{vid}", basis[vid], lines)
     out.write("\n".join(lines) + "\n")
     return 0
 
@@ -268,8 +266,6 @@ def cmd_kirwan(args, out):
 # verification matrix
 
 def _verify_checks(g, full):
-    from fractions import Fraction
-
     checks = []
 
     def add(name, fn):
@@ -323,7 +319,7 @@ def _verify_checks(g, full):
     # weight to an outgoing one, and the projected factors need not divide
     if increasing:
         add("jump-one ratios are 1",
-            lambda: all(ch.theta(g, e) == Fraction(1) for e in ch.ecan_edges(g)))
+            lambda: all(ch.theta(g, e) == 1 for e in ch.ecan_edges(g)))
 
     hbasis = {p: cl.poincare_dual(H, g, p) for p in vids}
     add("cohomology duals satisfy divisibility",

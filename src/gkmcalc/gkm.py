@@ -10,9 +10,7 @@ oriented along a generic direction and the combinatorial derived data
 (indices, flow faces, upward closures) is computed.  The graph is built in
 integer arithmetic: the points are scaled once, by the lcm of their
 denominators, and only the moment values ``mu`` and edge lengths ``mult`` are
-divided back into rationals.  The triangular elimination of a class in a
-Kirwan basis, which follows the moment order, is shared here by the K and H
-sides.
+divided back into rationals.
 
 Both input forms reach the skeleton by one breadth-first traversal
 (``_traverse``); they differ only in where a vertex's neighbours come from:
@@ -40,10 +38,9 @@ face in the graph oriented by -xi.
 
 The graph keeps one adjacency table: for each vertex, its neighbours and the
 isotropy weight toward each, the label of the edge from that neighbour.  The
-duals on faces and the circle reductions read it, and ``weight_toward`` is a
-lookup in it.  Euler factors, flow-up faces and the local index's Newton
-data are built once per graph (and ring) and kept on the graph; nothing
-outlives the graph.
+duals on faces and the circle reductions read it.  Euler factors, flow-up
+faces and the local index's Newton data are built once per graph (and ring)
+and kept on the graph; nothing outlives the graph.
 
 Conventions, used consistently everywhere downstream:
 
@@ -63,14 +60,12 @@ from fractions import Fraction
 
 from .errors import (
     ContractError,
-    DivisionFailure,
     NotAPolytopeSkeleton,
     NotDelzant,
     SuppliedXiNotGeneric,
     ValidationError,
 )
 from .symcore import (
-    TermSum,
     scaled_inverse,
     wt_dot,
     wt_neg,
@@ -154,13 +149,6 @@ class GKMGraph:
 
     def psi(self, vid):
         return self._by_id[vid].psi
-
-    def weight_toward(self, src, dst):
-        """Label of the directed edge src -> dst inside the full edge set."""
-        try:
-            return self.adjacency[dst][src]
-        except KeyError:
-            raise KeyError(f"no edge between {src} and {dst}") from None
 
     def factor(self, ring, w):
         """The Euler factor of the label w in ``ring``, built once per graph."""
@@ -689,39 +677,3 @@ def index_violations(g):
 
 def is_index_increasing(g):
     return not index_violations(g)
-
-
-def triangular_expansion(g, c, basis_of, divide):
-    """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
-    increasing moment order.
-
-    ``c`` and ``basis_of(r)``, a Kirwan class at r needed only where a_r is
-    nonzero, may be given on their supports alone; ``divide(f, w)`` is the
-    exact division by the Euler factor of weight w, returning None when it
-    does not divide.  Each step subtracts a_r times the class at r in place
-    from the residual at every vertex it touches (``TermSum``).  The
-    elimination runs to the end, so a nonzero residual or a failed division
-    certifies that c is not in the span (``DivisionFailure``).
-    """
-    sums = {}  # vertex: its residual, once a step has touched it
-    coeffs = {}
-    for r in g.vids():
-        f = sums[r].value() if r in sums else c.get(r)
-        if f is None or f.is_zero():
-            continue
-        for w in g.point(r).wplus:
-            f = divide(f, w)
-            if f is None:
-                raise DivisionFailure(
-                    f"value at {r} is not a multiple of its Euler class")
-        coeffs[r] = f
-        for v, b in basis_of(r).items():
-            if not b.is_zero():
-                s = sums.get(v)
-                if s is None:
-                    s = sums[v] = TermSum(c[v] if v in c else b.zero(b.rank))
-                s.sub_product(f, b)
-    if any(not s.is_zero() for s in sums.values()) \
-            or any(not x.is_zero() for v, x in c.items() if v not in sums):
-        raise DivisionFailure("basis does not span: nonzero residual remains")
-    return coeffs

@@ -10,7 +10,7 @@ u -> u - <sigma, u> v, where sigma is the row of the inverse of the basis
 with v and to 0 with each residual u_t = v_t - (<pi, v_t> / <pi, v>) v, and
 it is integral wherever those ratios are, since pi = sum of <pi, v_t> a_t
 over the top vertex's frame rows a_t.  The point keeps sigma, and the
-value's coefficient ring applies the shear.  The module computes the
+value applies the shear in its own ring.  The module computes the
 residual weight data, rejecting non-free actions.
 """
 
@@ -84,4 +84,4 @@ def kirwan_restrict_all(setup, c):
     the top vertex.  For a class satisfying the edge divisibility condition
     the lower end of each cut edge gives the same value."""
     value = c[setup.top]
-    return {p.id: value.ring.shear(value, p.edge_dual, p.edge_weight) for p in setup.points}
+    return {p.id: value.shear(p.edge_dual, p.edge_weight) for p in setup.points}

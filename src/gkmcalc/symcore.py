@@ -39,19 +39,24 @@ raises ``ContractError``:
 No exact division or power builds more than ``TERM_BUDGET`` terms.  Each
 counts its terms before it builds one and raises ``ContractError`` past the
 budget: a quotient by ``1 - e^w`` from the gaps of its coset chains, a
-quotient by ``<w, x>`` from the pivot degrees of its slices, a power of a
-linear form with m terms to the d-th as C(d + m - 1, m - 1), and a product
-in the shear as the product of its factors' term counts.  Exponents of
-a valid class may lie 2^62 apart, so without it a single division could try
-to fill a gap of that length.
+quotient by ``<w, x>`` from the pivot degrees of its slices, the
+restriction that tests divisibility by ``<w, x>`` from the pivot degree of
+each term, a power of a linear form with m terms to the d-th as
+C(d + m - 1, m - 1), and a product in the shear as the product of its
+factors' term counts.  Exponents of a valid class may lie 2^62 apart, so
+without it a single division could try to fill a gap of that length.
 
-A coefficient ring, ``K`` for K-theory and ``H`` for cohomology, is what a
-construction needs to know about its mode: zero and one, the factor attached
-to a weight w (``1 - e^w`` in K, the linear form ``w`` in H), the unit that
-flipping the sign of w costs, exact division and the divisibility test, the
-shear e -> e - <sigma, e> a that the local index and the Kirwan restriction
-apply, and the JSON and text forms of a value.  ``RINGS`` maps the CLI mode
-names to the rings.
+Each coefficient ring is one class, ``K = LaurentPoly`` for K-theory and
+``H = PolyH`` for cohomology, and holds what a construction needs to know
+about its mode: zero and one, the factor attached to a weight w (``1 - e^w``
+in K, the linear form ``w`` in H) and the unit that flipping the sign of w
+costs, as class methods; exact division, the divisibility test, the shear
+e -> e - <sigma, e> a that the local index and the Kirwan restriction apply,
+and the JSON and text forms, as methods of each value, which also work
+called on the class (``H.divide(p, w)``).  H tests divisibility by
+restricting to the hyperplane <w, x> = 0, K by the coset sums of
+``cyclotomic_divides``; neither builds a quotient.  ``RINGS`` maps the CLI
+mode names to the classes.
 
 ``LocalizedSum`` (sums of fractions whose denominators are products of
 factors, reduced over a least common denominator with the two exact
@@ -299,9 +304,13 @@ def _exact_top(p):
 
 class _Poly:
     """Finite map from packed exponent key to nonzero coefficient, with ring
-    arithmetic; scalars of the types in ``scalars`` coerce to constants and
-    ``ring`` is the coefficient ring of the subclass.  ``top`` bounds the
-    absolute value of every exponent."""
+    arithmetic; scalars of the types in ``scalars`` coerce to constants.
+    ``top`` bounds the absolute value of every exponent.
+
+    Each subclass is a coefficient ring.  ``name`` is its CLI mode, ``mode``
+    its ``LocalizedSum`` tag; a ``graded`` ring has a degree, so a class
+    integrates to zero on a space of larger dimension.  Division and the
+    shear look their routines up by module-global name at call time."""
 
     __slots__ = ("rank", "terms", "top")
 
@@ -340,6 +349,10 @@ class _Poly:
     def one(cls, rank):
         return cls._new(rank, {_zero_key(rank): 1}, 0)
 
+    @classmethod
+    def constant(cls, rank, c):
+        return cls._new(rank, {_zero_key(rank): int_or_fraction(c)}, 0)
+
     def is_zero(self):
         return not self.terms
 
@@ -348,7 +361,7 @@ class _Poly:
 
     def __eq__(self, other):
         if isinstance(other, self.scalars):
-            other = self._constant(other)
+            other = self.constant(self.rank, other)
         return isinstance(other, type(self)) and self.rank == other.rank \
             and self.terms == other.terms
 
@@ -361,12 +374,8 @@ class _Poly:
                 raise ValueError("rank mismatch")
             return other
         if isinstance(other, self.scalars):
-            return self._constant(other)
+            return self.constant(self.rank, other)
         return NotImplemented
-
-    def _constant(self, c):
-        """The scalar c as a value of rank ``self.rank``."""
-        return self._new(self.rank, {_zero_key(self.rank): int_or_fraction(c)}, 0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -433,6 +442,67 @@ class _Poly:
         """(exponent tuple, coefficient) pairs in exponent order."""
         return [(_unpack(e, self.rank), c) for e, c in sorted(self.terms.items())]
 
+    def to_terms(self):
+        """JSON form: sorted [coefficient string, exponent list] pairs."""
+        return [[self.format_coeff(c), list(e)] for e, c in self.sorted_terms()]
+
+    @classmethod
+    def from_terms(cls, rank, items):
+        """The value of JSON terms, [coefficient, exponent array] pairs,
+        read in one pass: each exponent of plain ints is packed by one
+        ``struct`` call, and the range and sign of the exponents of the
+        nonzero terms are checked together at the end.  A later term with
+        the same exponent replaces an earlier one.  An exponent that does
+        not pack (a length other than ``rank``, an entry past 64 bits) or
+        fails the check sends the items through the constructor
+        (``_from_parsed``), so every input gives the value, the bound and
+        the exception that ``cls(rank, terms)`` gives over the parsed
+        terms."""
+        pack, zero, ints = _packer(rank), _zero_key(rank), _INT.issuperset
+        parse_coeff = cls.parse_coeff
+        terms, nonzero, zeros = {}, [], 0
+        try:
+            for c, e in items:
+                if not isinstance(e, (list, tuple)):
+                    raise ValidationError(f"exponent {e!r} is not an array")
+                c = parse_coeff(c)
+                if not ints(map(type, e)):
+                    e = tuple(map(parse_int, e))
+                terms[int.from_bytes(pack(*e), "big") ^ zero] = c
+                if c:
+                    nonzero.append(e)
+                else:
+                    zeros += 1
+        except struct.error:
+            return cls._from_parsed(rank, items)
+        lo, hi = min(map(min, nonzero), default=0), max(map(max, nonzero), default=0)
+        if lo < max(cls.lowest, 1 - LIMIT) or hi >= LIMIT:
+            return cls._from_parsed(rank, items)
+        p = cls._new(rank, terms, max(hi, -lo))
+        if len(terms) < len(nonzero) + zeros:  # a replaced term may have set the bound
+            p.top = _exact_top(p)
+        return p
+
+    @classmethod
+    def _from_parsed(cls, rank, items):
+        """``from_terms`` term by term, through the constructor."""
+        terms = {}
+        for c, e in items:
+            if not isinstance(e, (list, tuple)):
+                raise ValidationError(f"exponent {e!r} is not an array")
+            terms[tuple(map(parse_int, e))] = cls.parse_coeff(c)
+        return cls(rank, terms)
+
+    def fmt(self):
+        """Text form: signed terms in exponent order, unit factors omitted."""
+        out = ""
+        for e, c in self.sorted_terms():
+            mono, a = self.fmt_monomial(e), abs(c)
+            piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+            sign = "-" if c < 0 else "+"
+            out = f"{out} {sign} {piece}" if out else ("-" if c < 0 else "") + piece
+        return out or "0"
+
     def __repr__(self):
         bits = [f"{c}*{self.symbol}{list(e)}" for e, c in self.sorted_terms()]
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
@@ -443,10 +513,10 @@ class TermSum:
     term dict in place, with the bound on its exponents that the same
     additions would give.  ``value`` returns the value so far."""
 
-    __slots__ = ("poly", "rank", "terms", "top")
+    __slots__ = ("cls", "rank", "terms", "top")
 
     def __init__(self, start):
-        self.poly, self.rank = type(start), start.rank
+        self.cls, self.rank = type(start), start.rank
         self.terms, self.top = dict(start.terms), start.top
 
     def add(self, p, c=1):
@@ -478,25 +548,48 @@ class TermSum:
         return not any(self.terms.values())
 
     def value(self):
-        return self.poly._new(self.rank, {e: c for e, c in self.terms.items() if c}, self.top)
+        return self.cls._new(self.rank, {e: c for e, c in self.terms.items() if c}, self.top)
 
 
 class LaurentPoly(_Poly):
-    """Finite sum of integer multiples of formal exponentials e^v."""
+    """Finite sum of integer multiples of formal exponentials e^v: the ring
+    ``K``."""
 
     __slots__ = ()
+    name, mode, graded = "ktheory", "K", False
     scalars = (int,)
     lowest = -math.inf
     symbol = "e"
+    format_coeff = staticmethod(str)
+    parse_coeff = staticmethod(parse_int)
+
+    @staticmethod
+    def fmt_monomial(e):
+        return "e[" + ",".join(map(str, e)) + "]" if any(e) else "1"
 
     @classmethod
     def monomial(cls, expo, coeff=1):
         return cls(len(expo), {tuple(expo): coeff})
 
     @classmethod
-    def one_minus(cls, w):
+    def factor(cls, w):
         """The factor 1 - e^w."""
         return cls(len(w), {(0,) * len(w): 1, tuple(w): -1})
+
+    @classmethod
+    def flip(cls, w):
+        """1 - e^-w = -e^-w (1 - e^w): the unit -e^w moves to the numerator."""
+        return cls.monomial(w, -1)
+
+    def divide(self, w):
+        return divide_by_cyclotomic(self, w)
+
+    def divides(self, w):
+        return cyclotomic_divides(self, w)
+
+    def shear(self, sigma, a):
+        """The lattice map v -> v - <sigma, v> a applied to the value."""
+        return shear_exponents(self, sigma, a)
 
     def apply_matrix(self, m):
         """Push exponents through v -> m @ v; m may change the rank."""
@@ -508,18 +601,22 @@ class LaurentPoly(_Poly):
 
 
 class PolyH(_Poly):
-    """Polynomial in x1..xk with rational coefficients, dense multidegrees;
-    ``constant``, ``linear_form``, scalar coercion and ``scaled`` store an
-    integral coefficient as an int."""
+    """Polynomial in x1..xk with rational coefficients, dense multidegrees:
+    the ring ``H``.  ``constant``, ``linear_form``, scalar coercion and
+    ``scaled`` store an integral coefficient as an int."""
 
     __slots__ = ()
+    name, mode, graded = "cohomology", "H", True
     scalars = (int, Fraction)
     lowest = 0
     symbol = "x^"
+    format_coeff = staticmethod(format_rational)
+    parse_coeff = staticmethod(parse_exact)
 
-    @classmethod
-    def constant(cls, rank, c):
-        return cls._new(rank, {_zero_key(rank): int_or_fraction(c)}, 0)
+    @staticmethod
+    def fmt_monomial(e):
+        return "*".join(f"x{i + 1}" + (f"^{d}" if d > 1 else "")
+                        for i, d in enumerate(e) if d) or "1"
 
     @classmethod
     def linear_form(cls, w):
@@ -528,6 +625,47 @@ class PolyH(_Poly):
         zero = _zero_key(rank)
         return cls._new(rank, {zero + _unit_key(rank, i): int_or_fraction(c)
                                for i, c in enumerate(w)}, 1)
+
+    factor = linear_form
+
+    @classmethod
+    def flip(cls, w):
+        return cls.constant(len(w), -1)
+
+    def divide(self, w):
+        return divide_by_linear_form(self, w)
+
+    def divides(self, w):
+        """Whether <w, x> divides the value: its restriction to the
+        hyperplane <w, x> = 0, the shear that sends a pivot x_i to
+        x_i - <w, x> / w_i, is zero.  No quotient is built.
+
+        The image of x_i is a form in the m other variables of w.  Where it
+        is +-x_j, each power of it is one term of coefficient +-1.  Any
+        other power of degree d grows its coefficients with d, as the
+        quotient's do, so its term counts against the budget as the
+        quotient counts it, C(d + m - 1, m), before anything is built.  The
+        pivot is one of least count, and among those of least |w_i|."""
+        if wt_is_zero(w):
+            raise ValueError("zero weight")
+        support = [i for i, c in enumerate(w) if c]
+        m = len(support) - 1
+        counts = dict.fromkeys(support, 0)
+        if m > 1 or m and abs(w[support[0]]) != abs(w[support[1]]):
+            for i in support:
+                shift = FIELD * (self.rank - 1 - i)
+                counts[i] = sum(math.comb(((e >> shift) & MASK) - BIAS + m - 1, m)
+                                for e in self.terms)
+        pivot = min(support, key=lambda i: (counts[i], abs(w[i])))
+        if counts[pivot] > TERM_BUDGET:
+            raise _too_many("divisibility test")
+        sigma = [0] * self.rank
+        sigma[pivot] = int_or_fraction(Fraction(1, w[pivot]))
+        return shear_variables(self, sigma, w).is_zero()
+
+    def shear(self, sigma, a):
+        """The lattice map v -> v - <sigma, v> a applied to the value."""
+        return shear_variables(self, sigma, a)
 
     def scaled(self, f):
         """The product with the rational f, its integral coefficients ints."""
@@ -552,6 +690,10 @@ class PolyH(_Poly):
         if len(self.terms) == 1 and zero in self.terms:
             return self.terms[zero]
         return None
+
+
+K, H = LaurentPoly, PolyH
+RINGS = {"ktheory": K, "cohomology": H}
 
 
 # ---------------------------------------------------------------------------
@@ -778,144 +920,6 @@ def substitute_linear_h(p, basis, images):
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
-
-class _Ring:
-    """What a construction needs to know about its coefficient mode.
-
-    ``name`` is the CLI mode, ``mode`` the ``LocalizedSum`` tag, ``poly``
-    the value class; ``graded`` rings have a degree, so a class integrates
-    to zero on a space of larger dimension.  Division and the shear look
-    their routines up by module-global name at call time.
-    """
-
-    def zero(self, rank):
-        return self.poly.zero(rank)
-
-    def one(self, rank):
-        return self.poly.one(rank)
-
-    def to_terms(self, p):
-        """JSON form: sorted [coefficient string, exponent list] pairs."""
-        return [[self.format_coeff(c), list(e)] for e, c in p.sorted_terms()]
-
-    def from_terms(self, rank, items):
-        """The value of JSON terms, [coefficient, exponent array] pairs,
-        read in one pass: each exponent of plain ints is packed by one
-        ``struct`` call, and the range and sign of the exponents of the
-        nonzero terms are checked together at the end.  A later term with
-        the same exponent replaces an earlier one.  An exponent that does
-        not pack (a length other than ``rank``, an entry past 64 bits) or
-        fails the check sends the items through the constructor
-        (``_from_parsed``), so every input gives the value, the bound and
-        the exception that ``poly(rank, terms)`` gives over the parsed
-        terms."""
-        pack, zero, ints = _packer(rank), _zero_key(rank), _INT.issuperset
-        parse_coeff = self.parse_coeff
-        terms, nonzero, zeros = {}, [], 0
-        try:
-            for c, e in items:
-                if not isinstance(e, (list, tuple)):
-                    raise ValidationError(f"exponent {e!r} is not an array")
-                c = parse_coeff(c)
-                if not ints(map(type, e)):
-                    e = tuple(map(parse_int, e))
-                terms[int.from_bytes(pack(*e), "big") ^ zero] = c
-                if c:
-                    nonzero.append(e)
-                else:
-                    zeros += 1
-        except struct.error:
-            return self._from_parsed(rank, items)
-        lo, hi = min(map(min, nonzero), default=0), max(map(max, nonzero), default=0)
-        if lo < max(self.poly.lowest, 1 - LIMIT) or hi >= LIMIT:
-            return self._from_parsed(rank, items)
-        p = self.poly._new(rank, terms, max(hi, -lo))
-        if len(terms) < len(nonzero) + zeros:  # a replaced term may have set the bound
-            p.top = _exact_top(p)
-        return p
-
-    def _from_parsed(self, rank, items):
-        """``from_terms`` term by term, through the constructor."""
-        terms = {}
-        for c, e in items:
-            if not isinstance(e, (list, tuple)):
-                raise ValidationError(f"exponent {e!r} is not an array")
-            terms[tuple(map(parse_int, e))] = self.parse_coeff(c)
-        return self.poly(rank, terms)
-
-    def fmt(self, p):
-        """Text form: signed terms in exponent order, unit factors omitted."""
-        out = ""
-        for e, c in p.sorted_terms():
-            mono, a = self.fmt_monomial(e), abs(c)
-            piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
-            sign = "-" if c < 0 else "+"
-            out = f"{out} {sign} {piece}" if out else ("-" if c < 0 else "") + piece
-        return out or "0"
-
-
-class _KRing(_Ring):
-    name, mode, poly, graded = "ktheory", "K", LaurentPoly, False
-    format_coeff = staticmethod(str)
-
-    parse_coeff = staticmethod(parse_int)
-
-    @staticmethod
-    def fmt_monomial(e):
-        return "e[" + ",".join(map(str, e)) + "]" if any(e) else "1"
-
-    def factor(self, w):
-        return LaurentPoly.one_minus(w)
-
-    def flip(self, w):
-        """1 - e^-w = -e^-w (1 - e^w): the unit -e^w moves to the numerator."""
-        return LaurentPoly.monomial(w, -1)
-
-    def divide(self, p, w):
-        return divide_by_cyclotomic(p, w)
-
-    def divides(self, p, w):
-        return cyclotomic_divides(p, w)
-
-    def shear(self, p, sigma, a):
-        """The lattice map v -> v - <sigma, v> a applied to p."""
-        return shear_exponents(p, sigma, a)
-
-
-class _HRing(_Ring):
-    name, mode, poly, graded = "cohomology", "H", PolyH, True
-    format_coeff = staticmethod(format_rational)
-    parse_coeff = staticmethod(parse_exact)
-
-    @staticmethod
-    def fmt_monomial(e):
-        return "*".join(f"x{i + 1}" + (f"^{d}" if d > 1 else "")
-                        for i, d in enumerate(e) if d) or "1"
-
-    def factor(self, w):
-        return PolyH.linear_form(w)
-
-    def flip(self, w):
-        return PolyH.constant(len(w), -1)
-
-    def divide(self, p, w):
-        return divide_by_linear_form(p, w)
-
-    def divides(self, p, w):
-        return divide_by_linear_form(p, w) is not None
-
-    def shear(self, p, sigma, a):
-        """The lattice map v -> v - <sigma, v> a applied to p."""
-        return shear_variables(p, sigma, a)
-
-
-K, H = _KRing(), _HRing()
-RINGS = {"ktheory": K, "cohomology": H}
-LaurentPoly.ring, PolyH.ring = K, H
-
-
-# ---------------------------------------------------------------------------
 # localized sums
 
 @dataclass(frozen=True)
@@ -977,7 +981,7 @@ class LocalizedSum:
         remaining = dict(lcd)
         for w in sorted(lcd):
             while remaining[w] > 0:
-                quot = ring.divide(total, w)
+                quot = total.divide(w)
                 if quot is None:
                     break
                 total = quot

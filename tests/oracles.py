@@ -177,7 +177,7 @@ def restrict_from_sources(setup, c):
     out = {}
     for p in setup.points:
         value = c[p.source]
-        out[p.id] = value.ring.shear(value, p.edge_dual, p.edge_weight)
+        out[p.id] = value.shear(p.edge_dual, p.edge_weight)
     return out
 
 
@@ -252,7 +252,7 @@ def parsed_terms(ring, rank, items):
         if not isinstance(e, (list, tuple)):
             raise ValidationError(f"exponent {e!r} is not an array")
         terms[tuple(map(parse_int, e))] = ring.parse_coeff(c)
-    return ring.poly(rank, terms)
+    return ring(rank, terms)
 
 
 def full_structure_constants(ring, g, basis):

@@ -259,7 +259,7 @@ def test_criterion_8_property_suites(capsys):
             numer = rand_laurent(r, rank, 2)
             dens = [rand_weight(r, rank, -2, 2) for _ in range(r.randint(0, 2))]
             for w in dens:
-                numer = numer * LaurentPoly.one_minus(w)
+                numer = numer * LaurentPoly.factor(w)
             parts.append((numer, dens))
         fwd = LocalizedSum("K", rank)
         rev = LocalizedSum("K", rank)

@@ -340,9 +340,9 @@ def test_check_does_not_build_the_quotient(tmp_path, capsys):
 
 @pytest.mark.parametrize("power", [10000, 100000])
 def test_check_divides_a_high_power_in_linear_time(tmp_path, capsys, power):
-    # x1^power at p1: the division by each edge form steps through power
-    # pivot degrees, which must neither rebuild the quotient nor copy the
-    # remainder at every step
+    # x1^power at p1: each difference is restricted to the hyperplane of
+    # its edge form term by term, where a quotient would step through power
+    # pivot degrees
     klass = {"mode": "cohomology", "class": {"p0": [], "p1": [["1", [power, 0]]], "p2": []}}
     start = time.perf_counter()
     rc, _, err = run_cli(["check", "--fixture", "cp2", "--mode", "cohomology",
@@ -388,8 +388,6 @@ HUGE_CASES = {
                             {v: [["1", [2 ** 62 - 1, 0]]] for v in ("p0", "p1", "p2")}),
     # x1^HUGE at p1 alone: the quotient by the form of the edge p1 -> p2
     # would have HUGE terms
-    "cohomology-check": (["check"], "cohomology",
-                         {"p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}),
     "cohomology-index": (["index"], "cohomology",
                          {"p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}),
     # x2^HUGE everywhere: its shear (x2 - x1)^HUGE would have HUGE + 1 terms
@@ -410,6 +408,20 @@ def test_results_past_the_term_budget_are_contract_errors(tmp_path, capsys, case
     assert out == ""
     _assert_clean_exit(rc, err)
     assert "more than 1048576 terms" in json.loads(err)["message"]
+
+
+def test_check_refutes_a_huge_power_without_a_quotient(tmp_path, capsys):
+    # x1^HUGE at p1 alone: on the hyperplane of the form of p1 -> p2 it
+    # restricts to one nonzero term, where the quotient would have HUGE terms
+    path = _write(tmp_path, "c.json", {"mode": "cohomology", "class": {
+        "p0": [], "p1": [["1", [HUGE, 0]]], "p2": []}})
+    start = time.perf_counter()
+    rc, out, err = run_cli(["check", "--fixture", "cp2", "--mode", "cohomology",
+                            "--class", path], capsys)
+    assert time.perf_counter() - start < 3
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "divisibility fails on p1->p2"
 
 
 def test_local_index_of_a_huge_power_the_shear_kills(tmp_path, capsys):

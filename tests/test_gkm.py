@@ -502,20 +502,18 @@ def test_face_indices_strictly_larger_when_increasing(cp2, cp3):
                     assert g.point(q).lam > lam
 
 
-def test_weight_toward_is_antisymmetric(cp2):
-    w = cp2.weight_toward("p0", "p1")
-    assert cp2.weight_toward("p1", "p0") == tuple(-x for x in w)
+def test_adjacency_weights_are_antisymmetric(cp2):
+    w = cp2.adjacency["p1"]["p0"]
+    assert cp2.adjacency["p0"]["p1"] == tuple(-x for x in w)
 
 
 def test_adjacency_holds_the_weights_at_each_vertex(cp2, cp3, hirzebruch, square):
     for g in (cp2, cp3, hirzebruch, square):
         for e in g.edges:
-            assert g.adjacency[e.dst][e.src] == e.weight == g.weight_toward(e.src, e.dst)
+            assert g.adjacency[e.dst][e.src] == e.weight
             assert g.adjacency[e.src][e.dst] == tuple(-x for x in e.weight)
         for p in g.points:
             assert sorted(g.adjacency[p.id].values()) == sorted(p.wplus + p.wminus)
-    with pytest.raises(KeyError):
-        cp2.weight_toward("p0", "p0")
 
 
 def test_edge_labels_primitive_with_positive_multiplicity(cp2, cp3, hirzebruch, square):

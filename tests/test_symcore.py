@@ -1,13 +1,16 @@
 """Exact arithmetic layer: ring ops, packed keys, lattice tools, division,
 localization."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from gkmcalc.errors import ContractError, ValidationError
+from gkmcalc import classes as cl
+from gkmcalc.errors import ContractError, DivisionFailure, ValidationError
 from gkmcalc.symcore import (
     LIMIT,
+    RINGS,
     H,
     K,
     Irreducible,
@@ -119,7 +122,7 @@ def test_cyclotomic_roundtrip_random():
         rank = r.randint(1, 3)
         p = rand_laurent(r, rank)
         w = rand_weight(r, rank, -3, 3)
-        prod = LaurentPoly.one_minus(w) * p
+        prod = LaurentPoly.factor(w) * p
         assert divide_by_cyclotomic(prod, w) == p
 
 
@@ -147,7 +150,7 @@ def test_cyclotomic_roundtrip_non_primitive_weight():
         rank = r.randint(1, 4)
         w = wt_scale(rand_weight(r, rank, -3, 3), r.randint(2, 4))
         p = rand_laurent(r, rank, max_terms=4, expo=3)
-        assert divide_by_cyclotomic(LaurentPoly.one_minus(w) * p, w) == p
+        assert divide_by_cyclotomic(LaurentPoly.factor(w) * p, w) == p
 
 
 def test_cyclotomic_roundtrip_negative_first_entry():
@@ -156,7 +159,7 @@ def test_cyclotomic_roundtrip_negative_first_entry():
         rank = r.randint(1, 4)
         w = (-r.randint(1, 5),) + rand_weight(r, rank - 1, -5, 5, nonzero=False)
         p = rand_laurent(r, rank, max_terms=4, expo=3)
-        assert divide_by_cyclotomic(LaurentPoly.one_minus(w) * p, w) == p
+        assert divide_by_cyclotomic(LaurentPoly.factor(w) * p, w) == p
 
 
 def test_cyclotomic_rejects_nonzero_coset_sum():
@@ -166,7 +169,7 @@ def test_cyclotomic_rejects_nonzero_coset_sum():
     for _ in range(200):
         rank = r.randint(1, 4)
         w = rand_weight(r, rank, -4, 4)
-        prod = LaurentPoly.one_minus(w) * rand_laurent(r, rank, max_terms=4, expo=3)
+        prod = LaurentPoly.factor(w) * rand_laurent(r, rank, max_terms=4, expo=3)
         v = tuple(r.randint(-4, 4) for _ in range(rank))
         bump = LaurentPoly.monomial(v, r.choice([-2, -1, 1, 2]))
         assert divide_by_cyclotomic(prod + bump, w) is None
@@ -200,14 +203,14 @@ def test_cyclotomic_divides_iff_every_coset_sums_to_zero():
         w = rand_weight(r, rank, -3, 3)
         p = rand_laurent(r, rank, max_terms=4, expo=2)
         if r.random() < 0.5:
-            p = LaurentPoly.one_minus(w) * p
+            p = LaurentPoly.factor(w) * p
         q = divide_by_cyclotomic(p, w)
         divisible = all(s == 0 for s in _coset_sums(p, w))
         assert (q is not None) == divisible
         assert cyclotomic_divides(p, w) == divisible
         if q is not None:
             hits += 1
-            assert LaurentPoly.one_minus(w) * q == p
+            assert LaurentPoly.factor(w) * q == p
     assert 0 < hits < 400
 
 
@@ -224,6 +227,15 @@ def test_linear_division_example():
 def test_linear_division_failure():
     p = PolyH.linear_form((1, 0))
     assert divide_by_linear_form(p, (0, 1)) is None
+
+
+@pytest.mark.parametrize("power", [10000, 100000])
+def test_linear_division_of_a_high_power_takes_linear_time(power):
+    # x1^power by x2 - x1 steps through power pivot degrees, which must
+    # neither rebuild the quotient nor copy the remainder at every step
+    start = time.perf_counter()
+    assert divide_by_linear_form(PolyH(2, {(power, 0): 1}), (-1, 1)) is None
+    assert time.perf_counter() - start < 3
 
 
 def test_linear_division_zero_dividend():
@@ -570,7 +582,7 @@ def test_numeric_specialization_oracle_k():
         dens = [rand_weight(r, rank, -2, 2) for _ in range(2)]
         numer = rand_laurent(r, rank)
         for w in dens:
-            numer = numer * LaurentPoly.one_minus(w)
+            numer = numer * LaurentPoly.factor(w)
         s.add_term(numer, dens)
         extra = rand_laurent(r, rank)
         s.add_term(extra, [])
@@ -702,6 +714,7 @@ def test_division_by_linear_form_matches_the_fraction_reference():
             p = p * PolyH.linear_form(w)  # divisible
         got, want = divide_by_linear_form(p, w), _reference_divide_by_linear_form(p, w)
         assert got == want, (p, w)
+        assert H.divides(p, w) == (want is not None), (p, w)
         if got is not None:
             exact += 1
             assert all(type(c) is int for c in got.terms.values()
@@ -709,6 +722,23 @@ def test_division_by_linear_form_matches_the_fraction_reference():
             assert all(type(c) is Fraction for c in got.terms.values()
                        if c.denominator != 1), (p, w)
     assert exact > 200
+
+
+def test_h_divisibility_counts_the_restriction_before_building_it():
+    # with every pivot, (x1 x2 x3)^d restricts to a power of degree d of a
+    # form other than +-x_j; each counts as the quotient by the form would
+    d = TERM_BUDGET + 1
+    p = PolyH(3, {(d, d, d): 1})
+    for w in ((1, 1, 1), (1, 2, 0)):
+        with pytest.raises(ContractError, match="divisibility test: more than"):
+            p.divides(w)
+    # on x1 = x3 the image of x1 is the one unit term x3
+    assert not p.divides((1, 0, -1))
+    # x1^d is refuted with a pivot it does not contain
+    q = PolyH(3, {(d, 0, 0): 1})
+    assert not q.divides((1, 1, 1)) and not q.divides((1, 2, 0)) and q.divides((2, 0, 0))
+    with pytest.raises(ValueError):
+        q.divides((0, 0, 0))
 
 
 def test_one_pass_subtraction_equals_adding_the_negation():
@@ -812,3 +842,27 @@ MALFORMED = [
 def test_malformed_terms_raise_as_the_constructor(ring, items):
     got = _outcome_of(lambda ring, rank, items: ring.from_terms(rank, items), ring, 2, items)
     assert got == _outcome_of(parsed_terms, ring, 2, items)
+
+
+# ---------------------------------------------------------------------------
+# coefficient rings
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_each_ring_is_its_value_class(name, cp2):
+    ring = RINGS[name]
+    assert ring is {"ktheory": LaurentPoly, "cohomology": PolyH}[name] and ring.name == name
+    w = (1, -2)
+    values = [ring.factor(w), ring.flip(w), ring.zero(2), ring.one(2),
+              ring.from_terms(2, [["3", [1, 2]]]), (ring.factor(w) ** 2).divide(w),
+              ring.factor(w).shear((1, 0), (0, 1))]
+    assert all(type(v) is ring for v in values), values
+    assert values[5] == ring.factor(w)
+    # the elimination divides in the ring of the value, and a non-class
+    # still raises as it did
+    with pytest.raises(DivisionFailure) as exc:
+        cl.triangular_expansion(cp2, {"p1": ring.one(2)},
+                                lambda r: cl.poincare_dual(ring, cp2, r))
+    assert str(exc.value) == "value at p1 is not a multiple of its Euler class"
+    with pytest.raises(DivisionFailure) as exc:
+        cl.triangular_expansion(cp2, {"p0": ring.one(2)}, lambda r: {})
+    assert str(exc.value) == "basis does not span: nonzero residual remains"
