@@ -126,19 +126,19 @@ def cmd_graph(args, out):
     if args.format == "json":
         data = {
             "rank": g.rank,
-            "xi": list(g.xi),
+            "xi": g.xi,
             "vertices": [
                 {
                     "id": p.id,
                     "psi": [str(x) for x in p.psi],
                     "mu": str(p.mu),
                     "lambda": p.lam,
-                    "wplus": [list(w) for w in p.wplus],
+                    "wplus": list(p.wplus),
                 }
                 for p in g.points
             ],
             "edges": [
-                {"src": e.src, "dst": e.dst, "weight": list(e.weight), "mult": str(e.mult)}
+                {"src": e.src, "dst": e.dst, "weight": e.weight, "mult": str(e.mult)}
                 for e in g.edges
             ],
             "index_increasing": is_index_increasing(g),

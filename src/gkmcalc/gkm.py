@@ -4,13 +4,14 @@ Input is a list of vertices with exact rational moment images, optionally an
 explicit edge list and a direction vector.  The polytope one-skeleton is
 recovered by a walk along the edges that certifies the tangent cone at every
 vertex it reaches against the facets the vertices share, each computed once,
-in O(V n^3 + F V n) exact integer operations for V vertices and F facets in
-rank n; each vertex is checked for the lattice-basis condition, edges are
+in O(n^3 + V n^2 + F V n) exact integer operations for V vertices and F
+facets in rank n, the n^3 being the root's one elimination; each vertex is
+checked for the lattice-basis condition, edges are
 oriented along a generic direction and the combinatorial derived data
 (indices, flow faces, upward closures) is computed.  The graph is built in
 integer arithmetic: the points are scaled once, by the lcm of their
 denominators, and only the moment values ``mu`` and edge lengths ``mult`` are
-divided back into rationals.
+divided back into rationals, and only when that lcm is not 1.
 
 Both input forms reach the skeleton by one breadth-first traversal
 (``_traverse``); they differ only in where a vertex's neighbours come from:
@@ -20,9 +21,10 @@ inverse of the isotropy weights, which is also its lattice-basis check, and
 keeps it as the vertex's ``frame``: the rows a_i with <a_i, w_j> = delta_ij
 over its weights ``wplus + wminus``.  The frame is one simplex pivot from
 the frame of the vertex it was reached from, since adjacent vertices of a
-simple polytope share n - 1 facets; a pivot is kept only when it is exactly
-the inverse, and each root, or a vertex where the pivot fails, is
-eliminated on its own.  The local index builds its lattice maps from the
+simple polytope share n - 1 facets, and it reads every pairing it needs off
+the slacks of those facets in the facet table, with no dot product; a pivot
+is kept only when it is exactly the inverse, and each root, or a vertex
+where the pivot fails, is eliminated on its own.  The local index builds its lattice maps from the
 frames, so no elimination runs after the graph is built.
 
 The traversal then certifies each vertex (``_certify``) against one facet
@@ -36,9 +38,12 @@ opposite its incoming edges (``GKMGraph.face_mask``); no search runs.  Only
 flow-up faces are computed: the flow-down face of a vertex is its flow-up
 face in the graph oriented by -xi.
 
-The graph keeps one adjacency table: for each vertex, its neighbours and the
-isotropy weight toward each, the label of the edge from that neighbour.  The
-duals on faces and the circle reductions read it.  Euler factors, flow-up
+The traversal hands over each vertex's star, its neighbours with the
+weight, edge length, frame row and opposite facet of each edge, and the
+orientation (``orient_and_index``) splits every star into ``wplus`` and
+``wminus`` by the heights of the neighbours in one pass.  The graph keeps
+one adjacency table: for each vertex, its neighbours and the isotropy weight
+toward each, the label of the edge from that neighbour.  The duals on faces and the circle reductions read it.  Euler factors, flow-up
 faces and the local index's Newton data are built once per graph (and ring)
 and kept on the graph; nothing outlives the graph.
 
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -75,32 +80,27 @@ from .symcore import (
 )
 
 
-@dataclass
 class ToricInput:
-    rank: int
-    vertices: list  # [(id, psi tuple of ints and Fractions)]
-    edges: list | None = None  # [(id, id)] undirected, optional
-    xi: tuple | None = None
+    """A polytope as read: ``rank``, ``vertices`` [(id, psi tuple of ints
+    and Fractions)], optional undirected ``edges`` [(id, id)] and an
+    optional direction ``xi``; the CLI and tests set ``xi`` and ``edges``
+    after construction."""
+
+    __slots__ = ("rank", "vertices", "edges", "xi")
+
+    def __init__(self, rank, vertices, edges=None, xi=None):
+        self.rank = rank
+        self.vertices = vertices
+        self.edges = edges
+        self.xi = xi
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    weight: tuple  # primitive, pairs positively with xi
-    mult: Fraction  # psi(dst) - psi(src) = mult * weight
+# weight: primitive, pairs positively with xi; psi(dst) - psi(src) = mult * weight
+Edge = namedtuple("Edge", "src dst weight mult")
 
-
-@dataclass
-class FixedPoint:
-    id: str
-    psi: tuple
-    mu: Fraction
-    lam: int = 0
-    wplus: tuple = ()
-    wminus: tuple = ()
-    frame: tuple = ()  # rows a_i, <a_i, w_j> = delta_ij over wplus + wminus
-    facets: tuple = ()  # masks of the facets opposite wplus + wminus
+# lam: the index, len(wplus); frame: the rows a_i, <a_i, w_j> = delta_ij
+# over wplus + wminus; facets: the masks of the facets opposite wplus + wminus
+FixedPoint = namedtuple("FixedPoint", "id psi mu lam wplus wminus frame facets")
 
 
 class GKMGraph:
@@ -114,7 +114,7 @@ class GKMGraph:
     vertex's flow-up face and each vertex's local index data per ring,
     built once, for this graph only."""
 
-    def __init__(self, rank, xi, points, edges, slots, facets):
+    def __init__(self, rank, xi, points, edges, slots, facets, adjacency):
         self.rank = rank
         self.xi = tuple(xi)
         self.points = points  # sorted by mu
@@ -126,13 +126,9 @@ class GKMGraph:
         self._by_id = {p.id: p for p in points}
         self._order = {p.id: i for i, p in enumerate(points)}
         self.out_edges = {p.id: [] for p in points}
-        self.in_edges = {p.id: [] for p in points}
-        self.adjacency = {p.id: {} for p in points}
         for e in edges:
             self.out_edges[e.src].append(e)
-            self.in_edges[e.dst].append(e)
-            self.adjacency[e.dst][e.src] = e.weight
-            self.adjacency[e.src][e.dst] = wt_neg(e.weight)
+        self.adjacency = adjacency
         self.factors = {}  # (ring name, label): factor
         self.faces = {}  # vid: its flow-up face
         self.newton = {}  # (ring name, vid): the local index's Newton data
@@ -218,7 +214,8 @@ def _start_neighbours(pts, v, rank):
     through the points (w - v) / <xi0, w - v>.  Each round maximizes, over
     that section, a functional vanishing on the rays found so far, breaking
     ties lexicographically; the maximizer is a vertex of the section off the
-    span of the earlier rays.  Ratios are compared by cross-multiplication.
+    span of the earlier rays.  Ratios are compared by cross-multiplication,
+    and each functional's pairings are taken once.
     """
     spread = max(max(col) - min(col) for col in zip(*pts))
     xi0 = tuple((spread + 2) ** (rank - 1 - i) for i in range(rank))
@@ -227,22 +224,23 @@ def _start_neighbours(pts, v, rank):
         if w != v:
             d = wt_sub(p, pts[v])
             cands.append((w, d, wt_dot(xi0, d)))
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    kernel = list(units)  # basis of the functionals vanishing on found rays
+    kernel = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     found = []
     for _ in range(rank):
-        p = next((i for i, b in enumerate(kernel)
-                  if any(wt_dot(b, d) for _, d, _ in cands)), None)
-        if p is None:
+        # the first functional vanishing on the found rays but not on them all
+        for p, g in enumerate(kernel):
+            nums = [wt_dot(g, d) for _, d, _ in cands]
+            if any(nums):
+                break
+        else:
             raise NotDelzant("vertices do not span the ambient space")
-        g = kernel[p]
-        if not any(wt_dot(g, d) > 0 for _, d, _ in cands):
-            g = wt_neg(g)
-        top = _argmax_ratio(cands, g)
-        for u in units:
+        if max(nums) <= 0:
+            nums = [-x for x in nums]
+        top = _argmax_ratio(cands, nums)
+        for i in range(rank):  # the unit functionals read coordinates
             if len(top) == 1:
                 break
-            top = _argmax_ratio(top, u)
+            top = _argmax_ratio(top, [d[i] for _, d, _ in top])
         w, ray, _ = top[0]
         found.append(w)
         s = [wt_dot(b, ray) for b in kernel]
@@ -251,11 +249,11 @@ def _start_neighbours(pts, v, rank):
     return found
 
 
-def _argmax_ratio(cands, f):
-    """The candidates (w, d, h), h > 0, maximizing <f, d> / h."""
+def _argmax_ratio(cands, nums):
+    """The candidates (w, d, h), h > 0, maximizing num / h, with nums[i]
+    the num of cands[i]."""
     best, top = None, []
-    for c in cands:
-        num = wt_dot(f, c[1])
+    for c, num in zip(cands, nums):
         if best is None or num * best[1] > best[0] * c[2]:
             best, top = (num, c[2]), [c]
         elif num * best[1] == best[0] * c[2]:
@@ -300,42 +298,48 @@ def _points(mask):
         mask ^= low
 
 
-def _pivot(parent, weights):
-    """The inverse rows over ``weights``, the isotropy weights at a vertex,
-    by one simplex pivot from the frame {weight: row} of the vertex it was
-    reached from along the edge of ``weights[0]``; None when there is no
-    such frame or the pivot is not exactly the inverse.
+def _pivot(parent, k, nbrs, lengths):
+    """The inverse rows over the isotropy weights at a vertex u, those
+    toward ``nbrs`` along edges of lattice ``lengths``, by one simplex pivot
+    from ``parent``, the frame (rows, slacks of their facets) of the
+    certified vertex v = nbrs[0] that u was reached from along the k-th edge
+    of v; None when v has no frame or the pivot is not exactly the inverse.
 
     On a simple polytope adjacent vertices v and u share the n - 1 facets of
     v that hold their edge, so the rows of v off the edge serve u unchanged.
-    With w_k = -weights[0] the weight at v along the edge and a_k its row,
-    each other weight w of u must pair nonzero with exactly one other row of
-    v, to 1, and no row may serve two weights; the back weight gets
-    -a_k + sum over those w of <a_k, w> times the row of w.  Then every
-    pairing is exact: a kept row pairs to 1 with its weight and to 0 with
-    every other weight of u, -w_k included since v's rows are dual to v's
-    weights, and the new row pairs to 0 with each other weight and to
-    <a_k, w_k> = 1 with -w_k.
+    With w_k the weight at v toward u and a_k its row, each other weight w
+    of u must pair nonzero with exactly one other row of v, to 1, and no row
+    may serve two weights; the back weight gets -a_k + sum over those w of
+    <a_k, w> times the row of w.  Then every pairing is exact: a kept row
+    pairs to 1 with its weight and to 0 with every other weight of u, -w_k
+    included since v's rows are dual to v's weights, and the new row pairs
+    to 0 with each other weight and to <a_k, w_k> = 1 with -w_k.
+
+    The pairings are slack differences, read off the facet table: with S
+    the slacks of the facet of a row a of v and w the weight at u toward x,
+    u - x = len(u, x) w gives <a, w> = (S[x] - S[u]) / len(u, x), an exact
+    division.  The facet of a kept row holds u, so S[u] = 0 there, and the
+    row pairs to 1 with w exactly when S[x] = len(u, x); on the facet of a_k,
+    S[u] = len(u, v) <a_k, w_k> = len(u, v).  No dot product is taken.
     """
     if parent is None:
         return None
-    wk = wt_neg(weights[0])
-    ak = parent[wk]
-    kept = [a for w, a in parent.items() if w != wk]
-    rows, used, new = [None], set(), wt_neg(ak)
-    for w in weights[1:]:
-        pairs = [wt_dot(a, w) for a in kept]
-        hits = [j for j, s in enumerate(pairs) if s]
-        if len(hits) != 1 or pairs[hits[0]] != 1 or hits[0] in used:
+    rows, slacks = parent
+    ak, sk, top = rows[k], slacks[k], lengths[0]
+    kept, kept_slacks = rows[:k] + rows[k + 1:], slacks[:k] + slacks[k + 1:]
+    out, used, new = [None], set(), wt_neg(ak)
+    for x, length in zip(nbrs[1:], lengths[1:]):
+        hits = [i for i, s in enumerate(kept_slacks) if s[x]]
+        if len(hits) != 1 or kept_slacks[hits[0]][x] != length or hits[0] in used:
             return None
         used.add(hits[0])
         a = kept[hits[0]]
-        rows.append(a)
-        c = wt_dot(ak, w)
+        out.append(a)
+        c = (sk[x] - top) // length
         if c:
-            new = tuple(x + c * y for x, y in zip(new, a))
-    rows[0] = new
-    return rows
+            new = tuple(map(operator.add, new, map(c.__mul__, a)))
+    out[0] = new
+    return out
 
 
 def _certify(ids, table, v, nbrs, inv):
@@ -431,7 +435,10 @@ def _next_neighbours(own, nbrs, k, full):
 
 def _scaled_points(psis):
     """The points times the lcm of their denominators, as integer tuples,
-    and that lcm."""
+    and that lcm; points that are all ints already come back as they are,
+    with scale 1."""
+    if all(type(x) is int for p in psis for x in p):
+        return psis, 1
     scale = math.lcm(*(x.denominator for p in psis for x in p))
     return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in psis], scale
 
@@ -447,10 +454,11 @@ def detect_edges(rank, ids, psis):
     fails the certificate instead of giving a wrong skeleton.  A simple
     polytope's vertex graph is connected, so a point the walk never reaches
     is not a vertex.  The facets that the vertices share are computed once,
-    at V dot products each.  The start costs one n x n inversion, and every
-    further vertex one pivot plus O(n^2) operations on V-bit masks of the
-    points tight on its facets: O(n^3 + V n^2 + F V n) integer operations
-    for F facets, against O(V^2 n^2) when every vertex tests every point.
+    at V dot products each.  The start costs one n x n elimination, and
+    every further vertex one pivot that reads its pairings off those facets'
+    slacks plus O(n^2) operations on V-bit masks of the points tight on its
+    facets: O(n^3 + V n^2 + F V n) integer operations for F facets, against
+    O(V^2 n^2) when every vertex tests every point.
     """
     return _traverse(rank, ids, _scaled_points(psis)[0])
 
@@ -459,9 +467,10 @@ def _traverse(rank, ids, pts, others=None):
     """The one-skeleton of the integer points, certified by one
     breadth-first traversal: the edges as sorted index pairs, each edge's
     (primitive direction of pts[j] - pts[i], lattice length) in that order,
-    and per vertex its frame {isotropy weight: dual row}, None where the
-    weights are independent but not a lattice basis, and its facets
-    {isotropy weight: mask of the points on the facet opposite its edge}.
+    and per vertex its star, one (neighbour, isotropy weight toward it,
+    lattice length of the edge, frame row, mask of the points on the facet
+    opposite the edge) per edge, with the rows None where the weights are
+    independent but not a lattice basis.
 
     With ``others`` None the neighbours come from the points alone: the
     root is the lexicographically smallest point (``_start_neighbours``),
@@ -480,8 +489,9 @@ def _traverse(rank, ids, pts, others=None):
     full = (1 << len(pts)) - 1
     table = _FacetTable(pts)
     nbrs = [None] * len(pts)
-    frames = [None] * len(pts)
-    tights = [None] * len(pts)
+    frames = [None] * len(pts)  # (rows, slacks of their facets), in neighbour order
+    via = [None] * len(pts)  # the edge of nbrs[v][0] that reached v
+    stars = [None] * len(pts)
     edges = {}  # (i, j), i < j: (primitive direction of pts[j] - pts[i], length)
     roots = [min(range(len(pts)), key=pts.__getitem__)] if others is None else range(len(pts))
     for root in roots:
@@ -490,16 +500,17 @@ def _traverse(rank, ids, pts, others=None):
         nbrs[root] = _start_neighbours(pts, root, rank) if others is None else others[root]
         queue = [root]
         for v in queue:
-            weights = []
+            weights, lengths = [], []
             for u in nbrs[v]:
                 key = (u, v) if u < v else (v, u)
                 prim = edges.get(key)
                 if prim is None:
                     prim = edges[key] = wt_primitive(wt_sub(pts[key[1]], pts[key[0]]))
                 weights.append(prim[0] if u < v else wt_neg(prim[0]))
+                lengths.append(prim[1])
             # nbrs[v][0] is the vertex v was reached from, certified before v;
             # a root's first neighbour has no frame yet
-            rows = _pivot(frames[nbrs[v][0]], weights)
+            rows = _pivot(frames[nbrs[v][0]], via[v], nbrs[v], lengths)
             inv = scaled_inverse(weights) if rows is None else (1, rows)
             if inv is None:
                 if others is not None:
@@ -515,10 +526,15 @@ def _traverse(rank, ids, pts, others=None):
                 raise ContractError(f"vertex {ids[v]}: the walk proposed dependent edges")
             own = _certify(ids, table, v, nbrs[v], inv)
             if inv[0] == 1:
-                frames[v] = dict(zip(weights, inv[1]))
-            tights[v] = dict(zip(weights, map(operator.itemgetter(1), own)))
+                rows = inv[1]
+                frames[v] = rows, [slack for slack, _, _ in own]
+            else:
+                rows = [None] * len(weights)
+            stars[v] = list(zip(nbrs[v], weights, lengths, rows,
+                                map(operator.itemgetter(1), own)))
             for k, u in enumerate(nbrs[v]):
                 if nbrs[u] is None:
+                    via[u] = k
                     nbrs[u] = [v] + (_next_neighbours(own, nbrs[v], k, full) if others is None
                                      else [w for w in others[u] if w != v])
                     queue.append(u)
@@ -526,7 +542,7 @@ def _traverse(rank, ids, pts, others=None):
         if nb is None:
             raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
     pairs = sorted(edges)
-    return pairs, [edges[key] for key in pairs], frames, tights
+    return pairs, [edges[key] for key in pairs], stars
 
 
 def _adjacency(rank, ids, edges):
@@ -565,29 +581,20 @@ def build_graph(inp):
     """
     ids, psis, pts, scale = _validate_input(inp)
     if inp.edges is None:
-        pairs, prims, frames, tights = detect_edges(inp.rank, ids, pts)
+        pairs, prims, stars = detect_edges(inp.rank, ids, pts)
     else:
-        pairs, prims, frames, tights = _traverse(
-            inp.rank, ids, pts, _adjacency(inp.rank, ids, inp.edges))
-    for i, frame in enumerate(frames):
-        if frame is None:
+        pairs, prims, stars = _traverse(inp.rank, ids, pts, _adjacency(inp.rank, ids, inp.edges))
+    for i, star in enumerate(stars):
+        if star[0][3] is None:  # no frame rows
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
-    skel = _Skeleton(inp.rank, ids, psis, pts, scale, pairs, prims, frames, tights)
+    skel = _Skeleton(inp.rank, ids, psis, pts, scale, prims, stars)
     return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
 
 
-@dataclass
-class _Skeleton:
-    rank: int
-    ids: list
-    psis: list
-    pts: list  # psis * scale, integer
-    scale: int
-    pairs: list  # index pairs
-    prims: list  # (primitive direction, lattice length in pts) of each pair
-    frames: list  # per vertex: {isotropy weight: its dual row}
-    tights: list  # per vertex: {isotropy weight: mask of its opposite facet}
+# pts: psis * scale, integer; prims: (primitive direction, lattice length in
+# pts) of each edge; stars: per vertex, as ``_traverse`` returns them
+_Skeleton = namedtuple("_Skeleton", "rank ids psis pts scale prims stars")
 
 
 def choose_generic_xi(skel, xi):
@@ -616,30 +623,39 @@ def choose_generic_xi(skel, xi):
 
 
 def orient_and_index(skel, xi):
+    """The graph oriented by xi, built in one pass over the vertices in
+    order of <psi, xi>.  At each vertex the star is sorted by the height of
+    the neighbours, which is the order of its adjacency table; the weights
+    toward lower neighbours, the labels of the incoming edges, are ``wplus``
+    and the rest ``wminus``, each sorted, and the frame rows and facet masks
+    follow them.  ``mu`` and ``mult`` are ints when the scale is 1."""
     dots = [wt_dot(p, xi) for p in skel.pts]
-    order = sorted(range(len(skel.ids)), key=dots.__getitem__)
-    points = [
-        FixedPoint(id=skel.ids[i], psi=skel.psis[i], mu=Fraction(dots[i], skel.scale))
-        for i in order
-    ]
-    arcs = []
-    for (i, j), (prim, length) in zip(skel.pairs, skel.prims):
-        if dots[i] > dots[j]:
-            i, j, prim = j, i, wt_neg(prim)
-        arcs.append((dots[i], dots[j], i, j, prim, length))
-    arcs.sort()
-    edges = [Edge(src=skel.ids[i], dst=skel.ids[j], weight=prim,
-                  mult=Fraction(length, skel.scale))
-             for _, _, i, j, prim, length in arcs]
-    facets = sorted(set().union(*(tight.values() for tight in skel.tights)))
-    g = GKMGraph(skel.rank, xi, points, edges, skel.ids, facets)
-    for i, p in zip(order, points):
-        frame = skel.frames[i]  # keyed by every weight at p
-        p.wplus = tuple(sorted(e.weight for e in g.in_edges[p.id]))
-        p.wminus = tuple(sorted(w for w in frame if w not in p.wplus))
-        p.lam = len(p.wplus)
-        p.frame = tuple(map(frame.__getitem__, p.wplus + p.wminus))
-        p.facets = tuple(map(skel.tights[i].__getitem__, p.wplus + p.wminus))
+    ids, scale = skel.ids, skel.scale
+    mults = {}  # lattice length: mult, for this graph
+    points, arcs, adjacency = [], [], {}
+    for i in sorted(range(len(ids)), key=dots.__getitem__):
+        d, vid = dots[i], ids[i]
+        star = sorted([(dots[end[0]], end) for end in skel.stars[i]])  # the heights differ
+        adjacency[vid] = {ids[u]: w for _, (u, w, _, _, _) in star}
+        lower, upper = [], []
+        for h, (u, w, length, row, mask) in star:
+            if h < d:
+                lower.append((w, row, mask))
+                mult = mults.get(length)
+                if mult is None:
+                    mult = mults[length] = length if scale == 1 else Fraction(length, scale)
+                arcs.append((h, d, Edge(ids[u], vid, w, mult)))
+            else:
+                upper.append((w, row, mask))
+        lower.sort()
+        upper.sort()
+        lam = len(lower)
+        ws, rows, masks = zip(*(lower + upper))
+        points.append(FixedPoint(vid, skel.psis[i], d if scale == 1 else Fraction(d, scale),
+                                 lam, ws[:lam], ws[lam:], rows, masks))
+    arcs.sort()  # the heights of the two ends differ from edge to edge
+    facets = sorted({mask for star in skel.stars for *_, mask in star})
+    g = GKMGraph(skel.rank, xi, points, [arc[2] for arc in arcs], ids, facets, adjacency)
     lams = [p.lam for p in points]
     if lams.count(0) != 1 or lams.count(skel.rank) != 1 or points[0].lam != 0:
         raise ContractError("orientation needs one source and one sink vertex")

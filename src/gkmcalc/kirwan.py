@@ -16,27 +16,18 @@ residual weight data, rejecting non-free actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonUniqueMaximum, NotFreeAction, ValidationError
 from .symcore import wt_dot, wt_scale, wt_sub
 
+# source: the lower end of the cut edge; edge_weight: directed into the top
+# vertex; residual: the weights of the quotient action, inside the
+# covector's kernel; edge_dual: pairs to 1 with edge_weight and to 0 with
+# the residuals
+ReducedPoint = namedtuple("ReducedPoint", "id source edge_weight residual edge_dual")
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    id: str
-    source: str        # lower endpoint of the cut edge
-    edge_weight: tuple  # directed into the top vertex
-    residual: tuple    # weights of the quotient action, inside the covector's kernel
-    edge_dual: tuple   # pairs to 1 with edge_weight and to 0 with the residuals
-
-
-@dataclass
-class ReductionSetup:
-    graph: object
-    pi: tuple
-    top: str
-    points: list
+ReductionSetup = namedtuple("ReductionSetup", "graph pi top points")
 
 
 def reduced_fixed_data(g, pi):

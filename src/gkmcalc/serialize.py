@@ -15,7 +15,10 @@ sorted everywhere, so emit / read / emit is byte-stable.
 writes, in one pass over the values the commands emit: strs, ints, floats,
 bools, None, lists, tuples and dicts with string keys (any other key raises
 ``TypeError``).  Strings are quoted by ``json``'s own ASCII quoter; ``json``
-itself would take its pure-Python encoder, which ``indent`` forces.
+itself would take its pure-Python encoder, which ``indent`` forces.  The
+strs and ints of a container are written in place, and a tuple of ints is
+rendered once per indentation within one call, since a graph repeats its
+weights.
 """
 
 from __future__ import annotations
@@ -105,11 +108,14 @@ def basis_from_dict(data, rank):
 
 
 def dumps(data):
-    return _encode(data, "\n") + "\n"
+    return _encode(data, "\n", {}) + "\n"
 
 
-def _encode(x, nl):
-    """The JSON text of x, its lines after the first opening with ``nl``."""
+def _encode(x, nl, memo):
+    """The JSON text of x, its lines after the first opening with ``nl``.
+    Strs and ints inside a container are written in place; ``memo`` holds
+    the text of each all-int tuple at each indentation, for one call of
+    ``dumps``."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -119,13 +125,24 @@ def _encode(x, nl):
         if not x:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + nl + "]"
+        if t is tuple and all([type(v) is int for v in x]):
+            key = nl, x
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = ("[" + inner + ("," + inner).join(map(int.__repr__, x))
+                                    + nl + "]")
+            return text
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else _encode(v, inner, memo) for v in x]) + nl + "]"
     if t is dict:
         if not x:
             return "{}"
         inner = nl + "  "
-        return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]) + nl + "}"
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else int.__repr__(v)
+                                if type(v) is int else _encode(v, inner, memo))
+            for k, v in sorted(x.items())]) + nl + "}"
     if x is None or t is bool or t is float:
         return json.dumps(x)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

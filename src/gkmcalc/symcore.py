@@ -74,7 +74,7 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ContractError, ValidationError
@@ -110,9 +110,11 @@ def wt_gcd(a):
 def wt_primitive(a):
     """Split a nonzero integer vector as g * u with u primitive, g > 0."""
     g = wt_gcd(a)
+    if g == 1:
+        return tuple(a), 1
     if g == 0:
         raise ValueError("zero vector has no primitive part")
-    return tuple(x // g for x in a), g
+    return tuple(map(g.__rfloordiv__, a)), g
 
 
 def rational_primitive(a):
@@ -150,11 +152,7 @@ def parse_exact(x):
     digit.  Plain ASCII integers and "p/q" are read with ``int``, which
     gives the same values as ``Fraction`` on exactly those strings at about
     half its cost; every other string goes to ``Fraction``."""
-    if isinstance(x, bool):
-        raise ValidationError("booleans are not rationals")
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, str) and "e" not in x.lower():
+    if isinstance(x, str):
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] in ("-", "+") else num
         try:
@@ -163,9 +161,14 @@ def parse_exact(x):
                     return int(num)
                 if den.isascii() and den.isdigit():
                     return int_or_fraction(Fraction(int(num), int(den)))
-            return int_or_fraction(Fraction(x))
+            if "e" not in x.lower():
+                return int_or_fraction(Fraction(x))
         except (ValueError, ZeroDivisionError):
             pass
+    elif isinstance(x, bool):
+        raise ValidationError("booleans are not rationals")
+    elif isinstance(x, int):
+        return int(x)
     raise ValidationError(f"bad rational {x!r}")
 
 
@@ -922,12 +925,9 @@ def substitute_linear_h(p, basis, images):
 # ---------------------------------------------------------------------------
 # localized sums
 
-@dataclass(frozen=True)
-class Irreducible:
-    """A fraction left over after all possible factor cancellations."""
-    numerator: object
-    denominator: tuple  # sorted ((weight, multiplicity), ...)
-    mode: str
+# a fraction left over after all possible factor cancellations; the
+# denominator is sorted ((weight, multiplicity), ...)
+Irreducible = namedtuple("Irreducible", "numerator denominator mode")
 
 
 class LocalizedSum:

@@ -3,8 +3,9 @@
 ``serialize.dumps`` must write exactly ``json.dumps(x, indent=2,
 sort_keys=True)`` and a newline: on every JSON output of the golden command
 lines, and on seeded nested values with non-ASCII, quote, backslash and
-control-character strings, empty containers, bools, None and 100-digit ints.
-Keys are strings, the only keys the commands emit.
+control-character strings, empty containers, bools, None and 100-digit ints,
+and on tuples that hold other values than ints or meet again at another
+indentation.  Keys are strings, the only keys the commands emit.
 """
 
 import contextlib
@@ -83,6 +84,27 @@ def test_dumps_equals_json_on_seeded_nested_values():
     for _ in range(2000):
         value = _value(r, r.randint(0, 5))
         assert dumps(value) == _reference(value), value
+
+
+def test_dumps_writes_one_int_tuple_at_each_indentation():
+    # the same all-int tuple at three indentations in one call, and again
+    t = (1, -2, 10 ** 30)
+    value = {"a": t, "b": [t, [t, ()]], "c": [t]}
+    assert dumps(value) == _reference(value)
+    assert dumps([value, t]) == _reference([value, t])
+
+
+@pytest.mark.parametrize("value", [
+    [(1, [2, 3])],
+    [(1, 1), (1, True), (True, 1), (1, 1)],  # (1, True) == (1, 1)
+    [(0, 0), (False, 0), (0.0, 0), (0, None), (None,)],
+    {"a": (1, 2), "b": ((1, 2), [(1, 2)]), "c": ([1], {"d": (1, 2)})},
+], ids=["list", "bool", "falsy", "nested"])
+def test_dumps_writes_tuples_of_any_values(value):
+    # only tuples of exact ints share text: a tuple equal to an int tuple
+    # but holding a bool or a float, or one holding a list, is written as
+    # itself
+    assert dumps(value) == _reference(value)
 
 
 def test_dumps_refuses_what_json_refuses_and_keys_that_are_not_strings():

@@ -5,7 +5,8 @@ other frame from a neighbour's; ``oracles.eliminated_graph`` inverts every
 vertex on its own.  On seeded valid inputs, and on inputs with rewired or
 swapped edges, moved or doubled vertices and points on edges, both must
 raise the same exception with the same message, or give the same graph with
-the same frames, in the walk and with supplied edges alike.
+the same frames, facets and adjacency, in the walk and with supplied edges
+alike.
 """
 
 from fractions import Fraction
@@ -28,8 +29,10 @@ def _outcome(build, inp):
     except (ValidationError, ContractError) as exc:
         return type(exc), str(exc)
     return (g.xi,
-            [(p.id, p.psi, p.mu, p.lam, p.wplus, p.wminus, p.frame) for p in g.points],
-            [(e.src, e.dst, e.weight, e.mult) for e in g.edges])
+            [(p.id, p.psi, p.mu, p.lam, p.wplus, p.wminus, p.frame, p.facets)
+             for p in g.points],
+            [(e.src, e.dst, e.weight, e.mult) for e in g.edges],
+            g.facets, {v: dict(nb) for v, nb in g.adjacency.items()})
 
 
 def _placed(r, verts):
@@ -87,13 +90,36 @@ def test_pivoted_frames_equal_per_vertex_elimination(given):
         kinds.setdefault(name, set()).add(got[0] if isinstance(got[0], type) else "graph")
         if not isinstance(got[0], type):
             # and each frame is the inverse of the vertex's weights
-            for _, _, _, _, wplus, wminus, frame in got[1]:
+            for _, _, _, _, wplus, wminus, frame, _ in got[1]:
                 assert frame == lattice_dual(list(wplus + wminus))
     assert kinds["valid"] == {"graph"}
     assert ValidationError in kinds["doubled"]
     assert NotAPolytopeSkeleton in kinds["on an edge"]
     seen = set().union(*kinds.values())
     assert {"graph", NotDelzant, NotAPolytopeSkeleton} <= seen, kinds
+
+
+def test_each_point_lists_its_weights_in_order_with_rows_and_facets_in_step():
+    # the one-pass orientation: the adjacency of a point lists its
+    # neighbours by height, wplus and wminus are the sorted weights toward
+    # the lower and the higher ones, and the i-th facet mask holds the point
+    # and every neighbour but the one along the i-th weight
+    for name, verts, _ in CASES[::6]:
+        assert name == "valid"
+        g = build_graph(ToricInput(rank=len(next(iter(verts.values()))),
+                                   vertices=sorted(verts.items())))
+        for p in g.points:
+            nb, h = g.adjacency[p.id], g.order_index(p.id)
+            assert list(nb) == sorted(nb, key=g.order_index)
+            assert p.wplus == tuple(sorted(w for q, w in nb.items() if g.order_index(q) < h))
+            assert p.wminus == tuple(sorted(w for q, w in nb.items() if g.order_index(q) > h))
+            assert p.lam == len(p.wplus)
+            toward = {w: q for q, w in nb.items()}
+            for w, mask in zip(p.wplus + p.wminus, p.facets):
+                on = set(g.members(mask))
+                assert p.id in on and toward[w] not in on
+                assert set(nb) - {toward[w]} <= on
+        assert g.facets == sorted({mask for p in g.points for mask in p.facets})
 
 
 def _edge_set(g):

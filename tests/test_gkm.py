@@ -331,6 +331,57 @@ def test_each_edge_direction_is_computed_once(monkeypatch, psis):
     assert len(calls) == len(g.edges)
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["walk", "supplied"])
+def test_pivots_take_no_dot_products(monkeypatch, given):
+    # a pivot reads its pairings off the facet slacks: on cube^6 each vertex
+    # but the root is pivoted, and no pivot calls wt_dot
+    vertices = [(f"v{i}", p) for i, p in enumerate(_cube(6))]
+    edges = None
+    if given:
+        edges = [(e.src, e.dst) for e in build_graph(ToricInput(rank=6, vertices=vertices)).edges]
+    dots = _counted(monkeypatch, gkm, "wt_dot")
+    pivot, pivots = gkm._pivot, []
+
+    def counted(*args):
+        before = len(dots)
+        rows = pivot(*args)
+        pivots.append((rows is not None, len(dots) - before))
+        return rows
+    monkeypatch.setattr(gkm, "_pivot", counted)
+    build_graph(ToricInput(rank=6, vertices=vertices, edges=edges))
+    assert len(pivots) == 64
+    assert sum(ok for ok, _ in pivots) == 63
+    assert [n for _, n in pivots] == [0] * 64
+    assert dots  # the rest of the build calls wt_dot through the counted name
+
+
+def test_integer_points_are_not_rescaled():
+    # build_graph scales the points once; detect_edges hands integer points
+    # back as they are, and still scales rational ones
+    pts = [(0, 0), (2, 0), (0, 2)]
+    got, scale = gkm._scaled_points(pts)
+    assert got is pts and scale == 1
+    assert gkm._scaled_points([(0, Fraction(1, 2)), (Fraction(2, 3), 1)]) == \
+        ([(0, 3), (4, 6)], 6)
+    assert gkm._scaled_points([(Fraction(2), 0)]) == ([(2, 0)], 1)
+
+
+def test_moment_values_are_ints_at_scale_one():
+    # mu and mult stay ints when the points scale by 1, whether given as
+    # ints or as Fractions of denominator 1, and are Fractions otherwise,
+    # with the same text either way
+    verts = hirzebruch_input().vertices
+    graphs = [build_graph(ToricInput(rank=2, vertices=[(v, tuple(f(x) for x in p))
+                                                       for v, p in verts]))
+              for f in (int, Fraction, lambda x: Fraction(x, 2))]
+    for g, kind in zip(graphs, (int, int, Fraction)):
+        assert {type(p.mu) for p in g.points} == {type(e.mult) for e in g.edges} == {kind}
+    whole, half = graphs[0], graphs[2]
+    assert [str(2 * p.mu) for p in half.points] == [str(p.mu) for p in whole.points]
+    assert [str(2 * e.mult) for e in half.edges] == [str(e.mult) for e in whole.edges]
+    assert [str(p.mu) for p in half.points] == ["0", "3/2", "5/2", "3"]
+
+
 def test_detect_edges_runs_only_without_supplied_edges(monkeypatch):
     # build_graph reaches the walk through the module's global, which is the
     # name that a tracer rebinds

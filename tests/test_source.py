@@ -54,14 +54,14 @@ UNCALLED = {
 
 
 def _public_definitions(tree):
-    """Top-level functions, classes and ``partial`` bindings not starting
-    with an underscore, as {name: node}."""
+    """Top-level functions, classes and ``partial`` and ``namedtuple``
+    bindings not starting with an underscore, as {name: node}."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out[node.name] = node
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
-                and getattr(node.value.func, "id", None) == "partial":
+                and getattr(node.value.func, "id", None) in ("partial", "namedtuple"):
             out.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
     return {name: node for name, node in out.items() if not name.startswith("_")}
 
@@ -114,5 +114,16 @@ def test_traced_layers_load_with_the_cli():
     code = ("import sys, gkmcalc.cli; "
             f"print([m for m in {layers!r} if 'gkmcalc.' + m not in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_cli_starts_without_dataclasses_or_typing():
+    # the records are namedtuples or __slots__ classes: ``dataclasses``
+    # would load ``inspect`` and its dependencies at every start.  ``-S``
+    # keeps what the site hooks of an installation load out of the check.
+    code = ("import sys, gkmcalc.cli; "
+            "print([m for m in ('dataclasses', 'typing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert out.stdout.strip() == "[]"
