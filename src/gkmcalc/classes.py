@@ -33,12 +33,14 @@ The push-forward expands the class in the flow-up duals, which is also the
 membership test.  In K-theory every dual is the class of the structure sheaf
 of a toric subvariety and has index 1; in cohomology only the point class at
 the top vertex has a nonzero integral, 1.  The expansion takes each dual on
-its flow-up face alone (``_face_dual``), the only place it is nonzero; the
-factors come from the graph's adjacency table and are built once per graph
-(``GKMGraph.factor``), and ``poincare_dual`` pads the face values with zeros
-to a full table.  The local index at q is a lam_q-th divided difference
-of the value at q, built by Newton's recursion with one exact division per
-step; its nodes are shears of the value along the vertex's frame.
+its flow-up face alone (``_dual_on``), the only place it is nonzero, and
+not at its own vertex, where it is the Euler class the elimination divides
+by; the factors come from the graph's adjacency table and are built once
+per graph (``GKMGraph.factor``), and ``poincare_dual`` pads the face values
+with zeros to a full table.  The local index at q is a lam_q-th divided
+difference of the value at q, built by Newton's recursion with one exact
+division per step; its nodes are shears of the value along the vertex's
+frame.
 """
 
 from __future__ import annotations
@@ -106,12 +108,15 @@ def _face_dual(ring, g, vid):
     return _dual_on(ring, g, g.face(vid))
 
 
-def _dual_on(ring, g, face):
+def _dual_on(ring, g, face, skip=None):
     """The dual of a face, given by its vertex set, on that face alone,
-    where it is nonzero: at each q of the face, the product of the factors
-    of the weights at q along the edges that leave the face."""
+    where it is nonzero, but for the vertex ``skip``: at each q of the face,
+    the product of the factors of the weights at q along the edges that
+    leave the face."""
     out = {}
     for q in face:
+        if q == skip:
+            continue
         val = None
         for other, w in g.adjacency[q].items():
             if other not in face:
@@ -213,7 +218,7 @@ def basis(ring, g, normalization="canonical"):
 # ---------------------------------------------------------------------------
 # expansion and structure constants
 
-def triangular_expansion(g, c, basis_of):
+def triangular_expansion(g, c, basis_of, euler=()):
     """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
     increasing moment order.
 
@@ -221,7 +226,10 @@ def triangular_expansion(g, c, basis_of):
     nonzero, may be given on their supports alone.  Each step divides the
     residual at r by the Euler factors of its incoming labels, in the ring
     of the value, and subtracts a_r times the class at r in place from the
-    residual at every vertex it touches (``TermSum``).  The elimination runs
+    residual at every vertex it touches (``TermSum``).  At a vertex r of
+    ``euler`` the class at r takes the value that the step divided by, the
+    Euler class at r, so the residual there becomes exactly zero: no product
+    is built at r, and ``basis_of(r)`` leaves r out.  The elimination runs
     to the end, so a nonzero residual or a failed division certifies that c
     is not in the span (``DivisionFailure``).
     """
@@ -237,6 +245,8 @@ def triangular_expansion(g, c, basis_of):
                 raise DivisionFailure(
                     f"value at {r} is not a multiple of its Euler class")
         coeffs[r] = f
+        if r in euler:
+            sums[r] = TermSum(f.zero(f.rank))
         for v, b in basis_of(r).items():
             if not b.is_zero():
                 s = sums.get(v)
@@ -258,10 +268,15 @@ def expand_in_basis(ring, g, basis, c):
 def structure_constants(ring, g, basis):
     """Expansion coefficients of pairwise products; only pairs p <= q in the
     moment order are stored, products being symmetric.  Each expansion opens
-    with c_pq^q = tau_p(q), and each class is taken on its support."""
+    with c_pq^q = tau_p(q), and each class is taken on its support; a class
+    whose value at its own vertex is the Euler class there is expanded in
+    without it (``triangular_expansion``)."""
     vids = g.vids()
     zero = ring.zero(g.rank)
     supp = {p: {v: x for v, x in basis[p].items() if not x.is_zero()} for p in vids}
+    euler = {p for p in vids if supp[p].get(p) == euler_minus(ring, g, p)}
+    rest = {p: {v: x for v, x in supp[p].items() if v != p} if p in euler else supp[p]
+            for p in vids}
     table = {}
     for i, p in enumerate(vids):
         tp = supp[p]
@@ -272,7 +287,7 @@ def structure_constants(ring, g, basis):
             else:
                 table[(p, q, q)] = c
                 prod = {v: (tp.get(v, zero) - c) * x for v, x in supp[q].items() if v != q}
-            for r, f in triangular_expansion(g, prod, supp.__getitem__).items():
+            for r, f in triangular_expansion(g, prod, rest.__getitem__, euler).items():
                 table[(p, q, r)] = f
     return table
 
@@ -285,7 +300,8 @@ def pushforward(ring, g, c):
     is 1: every dual in K-theory, the top one in cohomology.  Raises
     ``NonPolynomialIndex`` when c is not a class."""
     try:
-        coeffs = triangular_expansion(g, c, lambda r: _face_dual(ring, g, r))
+        coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face(r), r),
+                                      set(g.vids()))
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
     return sum((f for r, f in coeffs.items()

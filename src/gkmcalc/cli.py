@@ -39,7 +39,7 @@ def emit_class(ring, g, name, c, lines):
 def emit_value(args, out, ring, data, value):
     """One ring value, in JSON under "value" next to ``data`` or as text."""
     if args.format == "json":
-        out.write(dumps({**data, "value": ring.to_terms(value)}))
+        out.write(dumps({**data, "value": value}))
     else:
         out.write(ring.fmt(value) + "\n")
     return 0
@@ -219,8 +219,7 @@ def cmd_structure(args, out):
     ring = RINGS[args.mode]
     table = cl.structure_constants(ring, g, cl.basis(ring, g))
     if args.format == "json":
-        data = {f"{p}*{q}->{r}": ring.to_terms(f) for (p, q, r), f in sorted(table.items())}
-        out.write(dumps(data))
+        out.write(dumps({f"{p}*{q}->{r}": f for (p, q, r), f in sorted(table.items())}))
         return 0
     for (p, q, r), f in sorted(table.items()):
         out.write(f"{p} * {q} -> {r}: {ring.fmt(f)}\n")
@@ -249,7 +248,7 @@ def cmd_kirwan(args, out):
                     "source": p.source,
                     "edge_weight": list(p.edge_weight),
                     "residual": [list(w) for w in p.residual],
-                    "value": H.to_terms(vals[p.id]),
+                    "value": vals[p.id],
                 }
                 for p in setup.points
             ],

@@ -7,18 +7,23 @@ with rationals written as integers or as "p/q" or plain decimal strings
 
 Class files:  {"mode": "ktheory"|"cohomology", "class": {vid: [[coeff, [e...]], ...]}}
 with coefficients as decimal strings (K) or "p/q" strings (H) so any integer
-width survives; the coefficient ring of the mode reads and writes the terms.
-Basis files carry a map of vertex id to class under "basis".  Emission is
-sorted everywhere, so emit / read / emit is byte-stable.
+width survives; the coefficient ring of the mode reads the terms, and each
+value writes its own.  Basis files carry a map of vertex id to class under
+"basis".  Emission is sorted everywhere, so emit / read / emit is
+byte-stable.
 
 ``dumps`` writes exactly what ``json.dumps(data, indent=2, sort_keys=True)``
 writes, in one pass over the values the commands emit: strs, ints, floats,
 bools, None, lists, tuples and dicts with string keys (any other key raises
-``TypeError``).  Strings are quoted by ``json``'s own ASCII quoter; ``json``
-itself would take its pure-Python encoder, which ``indent`` forces.  The
-strs and ints of a container are written in place, and a tuple of ints is
-rendered once per indentation within one call, since a graph repeats its
-weights.
+``TypeError``), and the ring values ``K`` and ``H``, written as ``json``
+would write their JSON form, sorted [coefficient string, exponent array]
+pairs.  Strings are quoted by ``json``'s own ASCII quoter; ``json`` itself
+would take its pure-Python encoder, which ``indent`` forces.  The strs and
+ints of a container are written in place, and a tuple of ints is rendered
+once per indentation within one call, since a graph repeats its weights.
+A ring value writes itself from its packed terms (``json_text``), which
+only ``symcore`` can decode, so the writers here and in the CLI hand
+``dumps`` the values themselves and no term list is built.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
 from .gkm import ToricInput
-from .symcore import RINGS, parse_exact, parse_int
+from .symcore import RINGS, H, K, parse_exact, parse_int
 
 
 def toric_input_from_dict(data):
@@ -72,10 +77,7 @@ def _ring(data):
 
 
 def class_to_dict(c, mode):
-    return {
-        "mode": mode,
-        "class": {vid: RINGS[mode].to_terms(val) for vid, val in sorted(c.items())},
-    }
+    return {"mode": mode, "class": c}
 
 
 def class_from_dict(data, rank):
@@ -89,14 +91,7 @@ def class_from_dict(data, rank):
 
 
 def basis_to_dict(basis, mode):
-    ring = RINGS[mode]
-    return {
-        "mode": mode,
-        "basis": {
-            vid: {q: ring.to_terms(val) for q, val in sorted(c.items())}
-            for vid, c in sorted(basis.items())
-        },
-    }
+    return {"mode": mode, "basis": basis}
 
 
 def basis_from_dict(data, rank):
@@ -114,8 +109,8 @@ def dumps(data):
 def _encode(x, nl, memo):
     """The JSON text of x, its lines after the first opening with ``nl``.
     Strs and ints inside a container are written in place; ``memo`` holds
-    the text of each all-int tuple at each indentation, for one call of
-    ``dumps``."""
+    the text of each all-int tuple at each indentation, and what ring values
+    keep under ``nl`` (``json_text``), for one call of ``dumps``."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -143,6 +138,8 @@ def _encode(x, nl, memo):
             _quote(k) + ": " + (_quote(v) if type(v) is str else int.__repr__(v)
                                 if type(v) is int else _encode(v, inner, memo))
             for k, v in sorted(x.items())]) + nl + "}"
+    if t is K or t is H:
+        return x.json_text(nl, memo)
     if x is None or t is bool or t is float:
         return json.dumps(x)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

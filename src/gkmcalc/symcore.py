@@ -21,7 +21,9 @@ is the lexicographic order of the exponent tuples.  Multiplying monomials is
 adding their keys and taking off one bias; the exact divisions step along a
 weight by adding its packed vector, and the shear moves a key the same way.
 Only this module knows the format: the constructors take exponent tuples,
-and ``sorted_terms``, the JSON and the text forms decode.
+and ``sorted_terms`` and the text form decode.  The JSON text is written
+here too (``json_text``), straight from the sorted keys, each exponent
+decoded once per key and indentation in one ``serialize.dumps`` call.
 
 No answer is ever wrapped.  Every stored exponent has |e_i| < 2^62
 (``LIMIT``), so the sum of two fits a field and no carry crosses into the
@@ -185,6 +187,8 @@ def parse_int(x):
 
 
 def format_rational(f):
+    if type(f) is int:
+        return int.__repr__(f)
     f = Fraction(f)
     if f.denominator == 1:
         return str(f.numerator)
@@ -445,9 +449,37 @@ class _Poly:
         """(exponent tuple, coefficient) pairs in exponent order."""
         return [(_unpack(e, self.rank), c) for e, c in sorted(self.terms.items())]
 
-    def to_terms(self):
-        """JSON form: sorted [coefficient string, exponent list] pairs."""
-        return [[self.format_coeff(c), list(e)] for e, c in self.sorted_terms()]
+    def json_text(self, nl, memo):
+        """The JSON form, [coefficient string, exponent array] pairs in
+        exponent order, as ``json.dumps(..., indent=2)`` lays it out when the
+        value opens a line and each of its later lines opens with ``nl``.
+
+        It is written from the sorted keys.  A coefficient string is digits,
+        a sign and a slash, so it is quoted without escaping.  The text after
+        it, the exponent array with its indentation, is decoded once per
+        indentation and key into ``memo``, a dict that lives for one
+        ``dumps`` call, under ``nl`` with the other fixed pieces of the
+        layout; keys of different ranks differ, as every field is at least
+        2^62, so values of any rank share it."""
+        terms = self.terms
+        if not terms:
+            return "[]"
+        layout = memo.get(nl)
+        if layout is None:
+            inner = nl + "  "
+            deep = inner + "  "
+            layout = memo[nl] = ({}, "[" + deep + '"', '",' + deep, "," + deep + "  ",
+                                 deep + "]", inner, "," + inner)
+        tails, head, mid, sep, close, inner, comma = layout
+        fmt, rank, parts = self.format_coeff, self.rank, []
+        for e, c in sorted(terms.items()):
+            tail = tails.get(e)
+            if tail is None:
+                expo = _unpack(e, rank)
+                array = "[" + sep[1:] + sep.join(map(int.__repr__, expo)) + close if expo else "[]"
+                tail = tails[e] = mid + array + inner + "]"
+            parts.append(head + fmt(c) + tail)
+        return "[" + inner + comma.join(parts) + nl + "]"
 
     @classmethod
     def from_terms(cls, rank, items):

@@ -18,7 +18,8 @@ computes another way, or a fixture builder:
 * ``closure_face`` is the flow-up face as the span closure along edges,
   the breadth-first search that the facet masks replace;
 * ``parsed_terms`` reads JSON terms entry by entry through the constructor,
-  as ``from_terms`` once did;
+  as ``from_terms`` once did, and ``to_terms`` is the JSON form of a value
+  as plain lists, the reference for the text ``json_text`` writes;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
   cuts imply, and ``cut_cube`` is the cube with one such corner cut;
 * ``eliminated_graph`` is ``build_graph`` with every frame taken by its own
@@ -253,6 +254,12 @@ def parsed_terms(ring, rank, items):
             raise ValidationError(f"exponent {e!r} is not an array")
         terms[tuple(map(parse_int, e))] = ring.parse_coeff(c)
     return ring(rank, terms)
+
+
+def to_terms(v):
+    """The JSON form of a ring value, [coefficient string, exponent list]
+    pairs in exponent order: what ``json_text`` writes, as plain lists."""
+    return [[v.format_coeff(c), list(e)] for e, c in v.sorted_terms()]
 
 
 def full_structure_constants(ring, g, basis):

@@ -24,6 +24,7 @@ from gkmcalc.gkm import build_graph
 from gkmcalc.symcore import K, parse_exact
 
 from conftest import rng
+from oracles import to_terms
 
 
 def run_cli(args, capsys):
@@ -558,6 +559,8 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
 def test_basis_json_roundtrip_bytes(cp2):
     basis = cl.basis(K, cp2)
     blob = dumps(basis_to_dict(basis, "ktheory"))
+    assert json.loads(blob) == {"mode": "ktheory", "basis": {
+        p: {q: to_terms(x) for q, x in c.items()} for p, c in basis.items()}}
     loaded, mode = basis_from_dict(json.loads(blob), cp2.rank)
     assert mode == "ktheory"
     blob2 = dumps(basis_to_dict(loaded, mode))
@@ -569,6 +572,8 @@ def test_basis_json_roundtrip_bytes(cp2):
 def test_class_json_roundtrip(cp2):
     c = cl.one_class(K, cp2)
     blob = dumps(class_to_dict(c, "ktheory"))
+    assert json.loads(blob) == {"mode": "ktheory",
+                                "class": {v: to_terms(x) for v, x in c.items()}}
     loaded, _ = class_from_dict(json.loads(blob), cp2.rank)
     assert cl.class_equal(loaded, c)
     assert dumps(class_to_dict(loaded, "ktheory")) == blob

@@ -5,19 +5,25 @@ sort_keys=True)`` and a newline: on every JSON output of the golden command
 lines, and on seeded nested values with non-ASCII, quote, backslash and
 control-character strings, empty containers, bools, None and 100-digit ints,
 and on tuples that hold other values than ints or meet again at another
-indentation.  Keys are strings, the only keys the commands emit.
+indentation.  Keys are strings, the only keys the commands emit.  A ring
+value is written as ``json`` writes its JSON form, ``oracles.to_terms``, at
+any rank and depth, whatever other values of the same call share its
+exponents.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from gkmcalc.cli import main
 from gkmcalc.serialize import dumps
+from gkmcalc.symcore import LIMIT, H, K
 
 from conftest import rng
+from oracles import to_terms
 from test_golden import FIXTURES, cases
 
 
@@ -115,3 +121,80 @@ def test_dumps_refuses_what_json_refuses_and_keys_that_are_not_strings():
             dumps(value)
     with pytest.raises(TypeError):
         dumps({1: "a"})
+
+
+def _plain(x):
+    """x with every ring value replaced by its JSON form as plain lists."""
+    if type(x) in (K, H):
+        return to_terms(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+def _ring_value(r, ring, rank, pool):
+    """A seeded value with up to 5 terms whose exponents come from ``pool``
+    or are drawn afresh, with Fraction coefficients in H."""
+    terms = {}
+    for _ in range(r.randint(0, 5)):
+        e = r.choice(pool[rank]) if r.random() < 0.5 else tuple(
+            r.choice((0, 1, 3, -2, LIMIT - 1, 1 - LIMIT)) for _ in range(rank))
+        if ring is H:
+            e = tuple(map(abs, e))
+            c = r.choice((Fraction(r.randint(-9, 9), r.randint(1, 4)), r.randint(-9, 9)))
+        else:
+            c = r.choice((r.randint(-9, 9), r.randint(-10 ** 30, 10 ** 30)))
+        terms[e] = c
+    return ring(rank, terms)
+
+
+def _nest(r, x, depth):
+    for _ in range(depth):
+        x = r.choice(([x], {"v": x, "w": 1}, (x, [])))
+    return x
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+def test_dumps_writes_ring_values_as_json_writes_their_terms(ring, rank):
+    r = rng(931 + rank)
+    pool = {rank: [tuple(r.randint(-3, 3) for _ in range(rank)) for _ in range(4)]
+            + [(LIMIT - 1,) * rank, (1 - LIMIT,) * rank]}
+    zero = ring.zero(rank)
+    assert dumps(zero) == _reference([]) == "[]\n"
+    for depth in range(5):
+        for _ in range(40):
+            value = _nest(r, _ring_value(r, ring, rank, pool), depth)
+            assert dumps(value) == _reference(_plain(value)), value
+        nested = _nest(r, zero, depth)
+        assert dumps(nested) == _reference(_plain(nested))
+
+
+def test_dumps_writes_values_that_share_exponents_at_every_depth_in_one_call():
+    # one memo serves the whole call: the text of an exponent written at
+    # one depth must not be reused at another, nor across ranks or rings
+    r = rng(937)
+    pool = {rank: [tuple(r.randint(-2, 2) for _ in range(rank)) for _ in range(3)]
+            + [(LIMIT - 1,) * rank, (1 - LIMIT,) * rank] for rank in range(1, 6)}
+    items = []
+    for _ in range(300):
+        ring, rank = r.choice((K, H)), r.randint(1, 5)
+        items.append(_nest(r, _ring_value(r, ring, rank, pool), r.randint(0, 4)))
+    value = {"items": items, "again": items[::-1], "one": items[:1]}
+    assert dumps(value) == _reference(_plain(value))
+    assert sum(type(v) in (K, H) and v.top == LIMIT - 1 for v in _values(value)) >= 10
+    assert any(v.terms and min(min(e) for e, _ in v.sorted_terms()) < 0 for v in _values(value))
+    assert any(type(c) is Fraction for v in _values(value) for c in v.terms.values())
+
+
+def _values(x):
+    if type(x) in (K, H):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _values(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _values(v)

@@ -8,6 +8,7 @@ expansion with c_pq^q = tau_p(q); the reference expands each whole product.
 import pytest
 
 from gkmcalc import classes as cl
+from gkmcalc.errors import DivisionFailure
 from gkmcalc.gkm import build_graph, upward_closure
 from gkmcalc.symcore import H, K
 
@@ -59,3 +60,18 @@ def test_structure_constants_match_the_full_expansion(ring, name):
     g = GRAPHS[name]
     basis = cl.basis(ring, g)
     assert cl.structure_constants(ring, g, basis) == full_structure_constants(ring, g, basis)
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+@pytest.mark.parametrize("name", ["cp2", "hirzebruch", "cut-cube"])
+def test_a_class_off_the_euler_class_at_its_vertex_is_subtracted_there(ring, name):
+    # an expansion leaves a class out at its own vertex only where its value
+    # there is the Euler class the step divides by; doubled there, the
+    # class is subtracted in full and the residual it leaves is caught
+    g = GRAPHS[name]
+    basis = cl.basis(ring, g)
+    top = g.vids()[-1]
+    broken = {**basis, top: {**basis[top], top: 2 * basis[top][top]}}
+    with pytest.raises(DivisionFailure) as exc:
+        cl.structure_constants(ring, g, broken)
+    assert str(exc.value) == "basis does not span: nonzero residual remains"
