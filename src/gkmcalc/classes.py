@@ -29,18 +29,21 @@ build them, and the structure constants, without a local index:
   class at q, so c_pq^q = tau_p(q) and only tau_q (tau_p - tau_p(q)) is
   expanded.  In H each c_pq^r is integral of degree lam_p + lam_q - lam_r.
 
-The push-forward expands the class in the flow-up duals, which is also the
-membership test.  In K-theory every dual is the class of the structure sheaf
-of a toric subvariety and has index 1; in cohomology only the point class at
-the top vertex has a nonzero integral, 1.  The expansion takes each dual on
-its flow-up face alone (``_dual_on``), the only place it is nonzero, and
-not at its own vertex, where it is the Euler class the elimination divides
-by; the factors come from the graph's adjacency table and are built once
-per graph (``GKMGraph.factor``), and ``poincare_dual`` pads the face values
-with zeros to a full table.  The local index at q is a lam_q-th divided
-difference of the value at q, built by Newton's recursion with one exact
-division per step; its nodes are shears of the value along the vertex's
-frame.
+Every face here is a bit mask of its vertices (``GKMGraph.face_mask``, the
+faces of ``_boundary``), and a dual is taken on its face alone
+(``_dual_on``), the only place it is nonzero: at each vertex of the mask,
+the factors of the edges whose far end is off it.  The factors come from
+the graph's adjacency table and are built once per graph
+(``GKMGraph.factor``), and ``poincare_dual`` pads the face values with
+zeros to a full table.  The push-forward expands the class in the flow-up
+duals, which is also the membership test.  In K-theory every dual is the
+class of the structure sheaf of a toric subvariety and has index 1; in
+cohomology only the point class at the top vertex has a nonzero integral,
+1.  The expansion takes each dual off its own vertex, where it is the Euler
+class the elimination divides by.  The local index at q is a lam_q-th
+divided difference of the value at q, built by Newton's recursion with one
+exact division per step; its nodes are shears of the value along the
+vertex's frame, built on each call.
 """
 
 from __future__ import annotations
@@ -103,23 +106,19 @@ def check_gkm(ring, g, c):
     return None
 
 
-def _face_dual(ring, g, vid):
-    """The dual of the flow-up face at vid on that face alone."""
-    return _dual_on(ring, g, g.face(vid))
-
-
-def _dual_on(ring, g, face, skip=None):
-    """The dual of a face, given by its vertex set, on that face alone,
+def _dual_on(ring, g, mask, skip=None):
+    """The dual of a face, given by its vertex mask, on that face alone,
     where it is nonzero, but for the vertex ``skip``: at each q of the face,
-    the product of the factors of the weights at q along the edges that
-    leave the face."""
+    in input order, the product of the factors of the weights at q along
+    the edges whose far end is off the face."""
+    bits = g.bits
     out = {}
-    for q in face:
+    for q in g.members(mask):
         if q == skip:
             continue
         val = None
         for other, w in g.adjacency[q].items():
-            if other not in face:
+            if not bits[other] & mask:
                 f = g.factor(ring, w)
                 val = f if val is None else val * f
         out[q] = ring.one(g.rank) if val is None else val
@@ -129,7 +128,7 @@ def _dual_on(ring, g, face, skip=None):
 def poincare_dual(ring, g, vid):
     """Restriction table of the dual of the flow-up face at vid: zero off the
     face, the Euler factor of the missing edge directions on it."""
-    return {**zero_class(ring, g), **_face_dual(ring, g, vid)}
+    return {**zero_class(ring, g), **_dual_on(ring, g, g.face_mask(vid))}
 
 
 def is_kirwan_class(ring, g, c, vid):
@@ -150,7 +149,7 @@ def _boundary(g, p):
     but miss p and whose intersection with F_p is not empty.  A depth-first
     search over the facets in table order; only the facets that meet the
     face reached so far can continue it."""
-    fp, bit = g.face_mask(p), g.bit(p)
+    fp, bit = g.face_mask(p), g.bits[p]
     coeffs = {}
     stack = [(fp, 1, [m for m in g.facets if m & fp and not m & bit])]
     while stack:
@@ -173,7 +172,7 @@ def _face_sum(ring, g, coeffs, duals):
             continue
         dual = duals.get(mask)
         if dual is None:
-            dual = duals[mask] = _dual_on(ring, g, frozenset(g.members(mask)))
+            dual = duals[mask] = _dual_on(ring, g, mask)
         for q, val in dual.items():
             s = sums.get(q)
             if s is None:
@@ -300,7 +299,7 @@ def pushforward(ring, g, c):
     is 1: every dual in K-theory, the top one in cohomology.  Raises
     ``NonPolynomialIndex`` when c is not a class."""
     try:
-        coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face(r), r),
+        coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face_mask(r), r),
                                       set(g.vids()))
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
@@ -325,33 +324,27 @@ def local_index(ring, g, c, q):
     w_i by -a, so it is the shear v -> v - <sigma, v> a with sigma = a_1 +
     ... + a_lam, the sum of the frame rows dual to the incoming labels: one
     pass over the terms per node, with no change of basis.  sigma, the node
-    differences and the units are built once per graph, ring and vertex and
-    kept in ``g.newton``."""
+    differences and the units are built on each call, from the vertex's
+    frame and labels; nothing is kept on the graph."""
     value = c[q]
     if value.is_zero():
         return ring.zero(g.rank)
+    pt = g.point(q)
     if ring.graded:
         deg = value.homogeneous_degree()
         if deg is None:
             raise ValidationError("local index needs a homogeneous restriction")
-        if deg < g.point(q).lam:
+        if deg < pt.lam:
             return ring.zero(g.rank)
-    key = (ring.name, q)
-    if key not in g.newton:
-        pt = g.point(q)
-        nodes = [(0,) * g.rank] + list(pt.wplus)
-        g.newton[key] = (  # sigma; each a_j with the unit of its start value;
-            # per step k, each a_(j+k) - a_j with the unit flip(-a_j)
-            tuple(map(sum, zip(*pt.frame[:pt.lam]))),
-            [(a, -ring.flip(wt_scale(a, pt.lam))) for a in pt.wplus],
-            [[(wt_sub(nodes[j + k], nodes[j]), ring.flip(wt_neg(nodes[j])))
-              for j in range(len(nodes) - k)] for k in range(1, len(nodes))])
-    sigma, starts, steps = g.newton[key]
-    dd = [value] + [unit * ring.shear(value, sigma, a) for a, unit in starts]
-    for row in steps:
-        for j, (diff, unit) in enumerate(row):
-            quot = ring.divide(dd[j + 1] - dd[j], diff)
+    sigma = tuple(map(sum, zip(*pt.frame[:pt.lam])))
+    nodes = [(0,) * g.rank] + list(pt.wplus)
+    units = [ring.flip(wt_neg(a)) for a in nodes]  # flip(-a_j)
+    dd = [value] + [-ring.flip(wt_scale(a, pt.lam)) * ring.shear(value, sigma, a)
+                    for a in pt.wplus]
+    for k in range(1, len(nodes)):
+        for j in range(len(nodes) - k):
+            quot = ring.divide(dd[j + 1] - dd[j], wt_sub(nodes[j + k], nodes[j]))
             if quot is None:
                 raise ContractError(f"local index at {q}: inexact divided difference")
-            dd[j] = unit * quot
+            dd[j] = units[j] * quot
     return dd[0]

@@ -21,7 +21,7 @@ from .fixtures import (
     hirzebruch_sample_class,
     square_reference_class,
 )
-from .gkm import build_graph, index_violations, is_index_increasing, upward_closure
+from .gkm import build_graph, flow_face, index_violations, is_index_increasing, upward_closure
 from .kirwan import kirwan_restrict_all, reduced_fixed_data
 from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
 from .symcore import RINGS, H, K
@@ -110,12 +110,17 @@ def resolve_class(g, spec, ring):
 
 
 def _resolve_vid(g, vid):
-    if vid in g.vids():
+    """A vertex id, or a position 0 to V - 1 in the moment order."""
+    vids = g.vids()
+    if vid in vids:
         return vid
     try:
-        return g.vids()[int(vid)]
-    except (ValueError, IndexError):
-        raise ValidationError(f"unknown vertex {vid!r}") from None
+        pos = int(vid)
+    except ValueError:
+        pos = -1
+    if not 0 <= pos < len(vids):
+        raise ValidationError(f"unknown vertex {vid!r}")
+    return vids[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +284,10 @@ def _verify_checks(g, full):
     add("unique minimum", lambda: [g.point(v).lam for v in vids].count(0) == 1)
     add("unique maximum", lambda: [g.point(v).lam for v in vids].count(g.rank) == 1)
     add("flow-up inside upward closure",
-        lambda: all(g.face(p) <= set(upward_closure(g, p)) for p in vids))
+        lambda: all(flow_face(g, p) <= set(upward_closure(g, p)) for p in vids))
     if increasing:
         add("flow-up equals upward closure",
-            lambda: all(g.face(p) == set(upward_closure(g, p)) for p in vids))
+            lambda: all(flow_face(g, p) == set(upward_closure(g, p)) for p in vids))
 
     etas = {p: cl.poincare_dual(K, g, p) for p in vids}
     add("duals satisfy divisibility",
@@ -306,7 +311,7 @@ def _verify_checks(g, full):
                     return False
         return True
     add("canonical index profile",
-        lambda: index_profile(K, taus, g.face))
+        lambda: index_profile(K, taus, lambda p: flow_face(g, p)))
 
     add("push-forward of 1 equals 1",
         lambda: cl.pushforward(K, g, cl.one_class(K, g)) == K.one(g.rank))
@@ -377,11 +382,20 @@ def cmd_verify(args, out):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValidationError``, so
+    they end, like every other refused input, in one JSON line and exit 2;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def make_parser():
     """The argument parser, built once per process: ``parse_args`` returns a
     new namespace per call and no option has a mutable default."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkmcalc",
         description="Canonical bases for equivariant K-theory and cohomology "
                     "of toric manifolds from moment polytope data.")
@@ -450,9 +464,8 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.out is not None:
             with open(args.out, "w") as fh:
                 return args.fn(args, fh)

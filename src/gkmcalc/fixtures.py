@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .gkm import ToricInput
-from .symcore import LaurentPoly, PolyH, parse_int
+from .symcore import TERM_BUDGET, LaurentPoly, PolyH, parse_int
 
 
 def _fr(seq):
@@ -22,8 +22,14 @@ def _fr(seq):
 
 
 def cp_input(n):
+    """CP^n, refused before any list is built when the graph's frames, n
+    rows of n entries at each of n + 1 vertices, exceed the term budget."""
     if n < 1:
         raise ValidationError("projective fixture needs n >= 1")
+    if (n + 1) * n * n > TERM_BUDGET:
+        raise ValidationError(
+            f"projective fixture cpn:{n} is too large: its frames hold (n+1)*n^2 "
+            f"entries, more than {TERM_BUDGET}")
     vertices = [("p0", _fr([0] * n))]
     for i in range(n):
         psi = [0] * n

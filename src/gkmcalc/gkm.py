@@ -34,18 +34,21 @@ keeps each facet as a bit mask of its vertices in input order
 (``GKMGraph.facets``) and, at each vertex, the facet opposite each of its
 edges (``FixedPoint.facets``).  The flow-up face of a vertex, the face
 spanned by its outgoing edges, is then the AND of the masks of the facets
-opposite its incoming edges (``GKMGraph.face_mask``); no search runs.  Only
-flow-up faces are computed: the flow-down face of a vertex is its flow-up
-face in the graph oriented by -xi.
+opposite its incoming edges (``GKMGraph.face_mask``); no search runs.  A
+face is always such a mask, and ``flow_face`` is its one view as a set of
+ids.  Only flow-up faces are computed: the flow-down face of a vertex is
+its flow-up face in the graph oriented by -xi.
 
 The traversal hands over each vertex's star, its neighbours with the
 weight, edge length, frame row and opposite facet of each edge, and the
 orientation (``orient_and_index``) splits every star into ``wplus`` and
 ``wminus`` by the heights of the neighbours in one pass.  The graph keeps
 one adjacency table: for each vertex, its neighbours and the isotropy weight
-toward each, the label of the edge from that neighbour.  The duals on faces and the circle reductions read it.  Euler factors, flow-up
-faces and the local index's Newton data are built once per graph (and ring)
-and kept on the graph; nothing outlives the graph.
+toward each, the label of the edge from that neighbour.  The duals on
+faces, the upward closures and the circle reductions read it.  The only
+table built after the graph is the Euler factor of each label, once per
+ring, kept on the graph; the graph keeps no faces and no local index data,
+and nothing outlives it.
 
 Conventions, used consistently everywhere downstream:
 
@@ -109,10 +112,9 @@ class GKMGraph:
     the edge's label when the edge comes into v, its negation when it goes
     out.  ``facets`` is the polytope's facet table: each facet as a bit
     mask of its vertices, bit i standing for ``slots[i]``, the i-th vertex
-    of the input.  ``factors``,
-    ``faces`` and ``newton`` hold each label's Euler factor per ring, each
-    vertex's flow-up face and each vertex's local index data per ring,
-    built once, for this graph only."""
+    of the input, and ``bits`` maps each vertex id to its bit.  A face is
+    always such a mask (``face_mask``, ``members``).  ``factors`` holds each
+    label's Euler factor per ring, built once, for this graph only."""
 
     def __init__(self, rank, xi, points, edges, slots, facets, adjacency):
         self.rank = rank
@@ -120,18 +122,13 @@ class GKMGraph:
         self.points = points  # sorted by mu
         self.edges = edges
         self.slots = slots  # vertex ids in input order
-        self._bit = {v: 1 << i for i, v in enumerate(slots)}
+        self.bits = {v: 1 << i for i, v in enumerate(slots)}
         self.facets = facets  # sorted masks
         self.full = (1 << len(points)) - 1
         self._by_id = {p.id: p for p in points}
         self._order = {p.id: i for i, p in enumerate(points)}
-        self.out_edges = {p.id: [] for p in points}
-        for e in edges:
-            self.out_edges[e.src].append(e)
         self.adjacency = adjacency
         self.factors = {}  # (ring name, label): factor
-        self.faces = {}  # vid: its flow-up face
-        self.newton = {}  # (ring name, vid): the local index's Newton data
 
     # -- lookups ----------------------------------------------------------
     def vids(self):
@@ -154,13 +151,6 @@ class GKMGraph:
             f = self.factors[key] = ring.factor(w)
         return f
 
-    def face(self, vid):
-        """The flow-up face at vid (``flow_face``), built once per graph."""
-        f = self.faces.get(vid)
-        if f is None:
-            f = self.faces[vid] = flow_face(self, vid)
-        return f
-
     def face_mask(self, vid):
         """The flow-up face at vid as a mask: the vertices on every facet
         opposite an incoming edge, all of them at the minimum."""
@@ -169,10 +159,6 @@ class GKMGraph:
         for tight in p.facets[:p.lam]:
             mask &= tight
         return mask
-
-    def bit(self, vid):
-        """The mask of the single vertex vid."""
-        return self._bit[vid]
 
     def members(self, mask):
         """The ids of the vertices of a mask, in input order."""
@@ -674,16 +660,19 @@ def flow_face(g, vid):
 
 
 def upward_closure(g, vid):
-    """Vertices reachable from vid along oriented edges, sorted by order."""
+    """Vertices reachable from vid along oriented edges, sorted by order:
+    an edge leads up from v to each neighbour later in the moment order."""
+    order = g.order_index
     reach = {vid}
     stack = [vid]
     while stack:
         v = stack.pop()
-        for e in g.out_edges[v]:
-            if e.dst not in reach:
-                reach.add(e.dst)
-                stack.append(e.dst)
-    return sorted(reach, key=g.order_index)
+        up = order(v)
+        for u in g.adjacency[v]:
+            if u not in reach and order(u) > up:
+                reach.add(u)
+                stack.append(u)
+    return sorted(reach, key=order)
 
 
 def index_violations(g):

@@ -76,10 +76,6 @@ def _ring(data):
     return mode, RINGS[mode]
 
 
-def class_to_dict(c, mode):
-    return {"mode": mode, "class": c}
-
-
 def class_from_dict(data, rank):
     if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
         raise ValidationError("malformed class file: no \"class\" object")
@@ -92,14 +88,6 @@ def class_from_dict(data, rank):
 
 def basis_to_dict(basis, mode):
     return {"mode": mode, "basis": basis}
-
-
-def basis_from_dict(data, rank):
-    mode, ring = _ring(data)
-    basis = {}
-    for vid, tbl in data["basis"].items():
-        basis[vid] = {q: ring.from_terms(rank, items) for q, items in tbl.items()}
-    return basis, mode
 
 
 def dumps(data):

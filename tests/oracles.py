@@ -20,6 +20,8 @@ computes another way, or a fixture builder:
 * ``parsed_terms`` reads JSON terms entry by entry through the constructor,
   as ``from_terms`` once did, and ``to_terms`` is the JSON form of a value
   as plain lists, the reference for the text ``json_text`` writes;
+  ``class_to_dict`` and ``basis_from_dict`` are the inverses of the
+  class and basis file forms that ``serialize`` reads and writes;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
   cuts imply, and ``cut_cube`` is the cube with one such corner cut;
 * ``eliminated_graph`` is ``build_graph`` with every frame taken by its own
@@ -37,6 +39,7 @@ from gkmcalc.errors import ValidationError
 from gkmcalc.fixtures import cp_input, fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
+    RINGS,
     K,
     LaurentPoly,
     LocalizedSum,
@@ -260,6 +263,20 @@ def to_terms(v):
     """The JSON form of a ring value, [coefficient string, exponent list]
     pairs in exponent order: what ``json_text`` writes, as plain lists."""
     return [[v.format_coeff(c), list(e)] for e, c in v.sorted_terms()]
+
+
+def class_to_dict(c, mode):
+    """The data of a class file, the inverse of ``class_from_dict``."""
+    return {"mode": mode, "class": c}
+
+
+def basis_from_dict(data, rank):
+    """A basis file's data read back, the inverse of ``basis_to_dict``: the
+    basis and its mode."""
+    mode = data.get("mode", "ktheory")
+    ring = RINGS[mode]
+    return {vid: {q: ring.from_terms(rank, items) for q, items in tbl.items()}
+            for vid, tbl in data["basis"].items()}, mode
 
 
 def full_structure_constants(ring, g, basis):

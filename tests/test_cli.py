@@ -13,18 +13,17 @@ from gkmcalc import cohomology
 from gkmcalc.cli import main, make_parser
 from gkmcalc.errors import NonConstantQuotient, ValidationError
 from gkmcalc.serialize import (
-    basis_from_dict,
     basis_to_dict,
     class_from_dict,
-    class_to_dict,
     dumps,
     toric_input_from_dict,
 )
+from gkmcalc.fixtures import fixture_input
 from gkmcalc.gkm import build_graph
-from gkmcalc.symcore import K, parse_exact
+from gkmcalc.symcore import K, TERM_BUDGET, parse_exact
 
 from conftest import rng
-from oracles import to_terms
+from oracles import basis_from_dict, class_to_dict, to_terms
 
 
 def run_cli(args, capsys):
@@ -627,9 +626,52 @@ def test_out_file(tmp_path):
     assert target.read_text() == GOLDEN_TRIANGLE_BASIS
 
 
-def test_parser_rejects_missing_command():
-    with pytest.raises(SystemExit):
+def _assert_refused(rc, out, err, message):
+    assert (rc, out) == (2, "")
+    _assert_clean_exit(rc, err)
+    assert json.loads(err) == {"error": "validation", "message": message}
+
+
+def test_parser_rejects_missing_command(capsys):
+    _assert_refused(*run_cli([], capsys),
+                    "gkmcalc: the following arguments are required: command")
+    with pytest.raises(ValidationError):
         make_parser().parse_args([])
+
+
+def test_usage_errors_are_one_json_line(capsys):
+    rc, out, err = run_cli(["basis", "--fixture", "cp2", "--mode", "nope"], capsys)
+    assert (rc, out) == (2, "")
+    _assert_clean_exit(rc, err)
+    assert json.loads(err)["message"].startswith("gkmcalc basis: argument --mode: invalid choice")
+    rc, out, err = run_cli(["basis", "--fixture", "cp2", "--bogus"], capsys)
+    _assert_refused(rc, out, err, "gkmcalc: unrecognized arguments: --bogus")
+    # --help still prints its usage and exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gkmcalc basis")
+
+
+@pytest.mark.parametrize("n", [102, 200000000000])
+def test_huge_projective_fixture_is_refused(capsys, n):
+    # 102 is the first n whose frames, (n+1)*n^2 entries, exceed the budget
+    assert 102 * 101 ** 2 <= TERM_BUDGET < 103 * 102 ** 2
+    assert fixture_input("cpn:101").rank == 101
+    _assert_refused(*run_cli(["graph", "--fixture", f"cpn:{n}"], capsys),
+                    f"projective fixture cpn:{n} is too large: its frames hold (n+1)*n^2 "
+                    f"entries, more than {TERM_BUDGET}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["local-index", "--class", "one", "--vertex", "-1"],
+    ["local-index", "--class", "one", "--vertex", "3"],
+    ["index", "--class", "tau:-3"],
+])
+def test_vertex_positions_do_not_wrap(capsys, argv):
+    vid = argv[-1].split(":")[-1]
+    _assert_refused(*run_cli(argv + ["--fixture", "cp2"], capsys),
+                    f"unknown vertex {vid!r}")
 
 
 def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
@@ -638,9 +680,9 @@ def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
     first_k, first_h = run_cli(k_run, capsys), run_cli(h_run, capsys)
     assert first_k == (0, GOLDEN_TRIANGLE_BASIS, "")
     assert first_h[0] == 0 and json.loads(first_h[1])["mode"] == "cohomology"
-    with pytest.raises(SystemExit):
-        main(["basis", "--fixture", "cp2", "--mode", "nope"])
-    capsys.readouterr()
+    rc, out, err = run_cli(["basis", "--fixture", "cp2", "--mode", "nope"], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "validation"
     target = tmp_path / "index.json"
     rc, out, _ = run_cli(["index", "--fixture", "cp2", "--class", "one", "--mode",
                           "cohomology", "--format", "json", "--out", str(target)], capsys)

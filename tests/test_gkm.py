@@ -525,6 +525,31 @@ def test_upward_closure(cp2, cp3, hirzebruch):
     assert upward_closure(cp3, "p0") == cp3.vids()
 
 
+def test_upward_closure_is_reachability_along_the_edges():
+    # the closure walks the adjacency toward later vertices in the moment
+    # order; the reference searches along the oriented edges themselves
+    from oracles import BASES, blowup, polytope_input
+
+    r = rng(524)
+    increasing = set()
+    for base in sorted(BASES):
+        for cuts in (1, 2, 3):
+            g = build_graph(polytope_input(blowup(r, base, cuts)[0]))
+            increasing.add(is_index_increasing(g))
+            up = {v: [] for v in g.vids()}
+            for e in g.edges:
+                up[e.src].append(e.dst)
+            for p in g.vids():
+                reach, stack = {p}, [p]
+                while stack:
+                    for u in up[stack.pop()]:
+                        if u not in reach:
+                            reach.add(u)
+                            stack.append(u)
+                assert upward_closure(g, p) == sorted(reach, key=g.order_index), (base, p)
+    assert increasing == {True, False}
+
+
 def test_index_increasing(cp1, cp2, cp3, hirzebruch):
     assert is_index_increasing(cp1)
     assert is_index_increasing(cp2)

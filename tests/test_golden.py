@@ -35,7 +35,9 @@ def cases(fixture):
             runs.append(["index", "--class", klass] + m)
         for klass in ("one", "tau:1", "pd:1"):
             runs.append(["index", "--class", klass] + m)
-            for vertex in ("1", "2", "-1"):
+            # "3" is the top vertex of the four-vertex fixtures and past the
+            # end of cp2's three; "-1" is no position and is refused
+            for vertex in ("1", "2", "3", "-1"):
                 runs.append(["local-index", "--class", klass, "--vertex", vertex] + m)
     return [r[:1] + ["--fixture", fixture, "--format", fmt] + r[1:]
             for r in runs for fmt in ("text", "json")]
@@ -156,9 +158,9 @@ GOLDEN = {
         'kirwan --fixture cp2 --format text --pi 0,1 --class pd:1':
             '2a4ede8d2a5197dc8a2b28e7dfc383f560af27417c9fef3ba224e409d2af7fb8',
         'local-index --fixture cp2 --format json --class one --vertex -1 --mode cohomology':
-            '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class one --vertex -1 --mode ktheory':
-            '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class one --vertex 1 --mode cohomology':
             '2b3f2b6ce61f584f1dc1b1d94dd38c0fc3d7c3669bd68e9b2357fdabb4c331d2',
         'local-index --fixture cp2 --format json --class one --vertex 1 --mode ktheory':
@@ -167,10 +169,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cp2 --format json --class one --vertex 2 --mode ktheory':
             '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+        'local-index --fixture cp2 --format json --class one --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format json --class one --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class pd:1 --vertex -1 --mode cohomology':
-            '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class pd:1 --vertex -1 --mode ktheory':
-            '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class pd:1 --vertex 1 --mode cohomology':
             '413145808bce73c022387c94ff27846c1e6a522f4ef5ca5f0fa8e0353dfdd06b',
         'local-index --fixture cp2 --format json --class pd:1 --vertex 1 --mode ktheory':
@@ -179,10 +185,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cp2 --format json --class pd:1 --vertex 2 --mode ktheory':
             '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+        'local-index --fixture cp2 --format json --class pd:1 --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format json --class pd:1 --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class tau:1 --vertex -1 --mode cohomology':
-            '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class tau:1 --vertex -1 --mode ktheory':
-            '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format json --class tau:1 --vertex 1 --mode cohomology':
             '413145808bce73c022387c94ff27846c1e6a522f4ef5ca5f0fa8e0353dfdd06b',
         'local-index --fixture cp2 --format json --class tau:1 --vertex 1 --mode ktheory':
@@ -191,10 +201,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cp2 --format json --class tau:1 --vertex 2 --mode ktheory':
             '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+        'local-index --fixture cp2 --format json --class tau:1 --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format json --class tau:1 --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class one --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class one --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class one --vertex 1 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cp2 --format text --class one --vertex 1 --mode ktheory':
@@ -203,10 +217,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cp2 --format text --class one --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cp2 --format text --class one --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format text --class one --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class pd:1 --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class pd:1 --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class pd:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture cp2 --format text --class pd:1 --vertex 1 --mode ktheory':
@@ -215,10 +233,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cp2 --format text --class pd:1 --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cp2 --format text --class pd:1 --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format text --class pd:1 --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class tau:1 --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class tau:1 --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cp2 --format text --class tau:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture cp2 --format text --class tau:1 --vertex 1 --mode ktheory':
@@ -227,6 +249,10 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cp2 --format text --class tau:1 --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cp2 --format text --class tau:1 --vertex 3 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cp2 --format text --class tau:1 --vertex 3 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'pd --fixture cp2 --format json --mode cohomology':
             '0de76f65f990920ef8636a594d048f6dacf4b14f20c3c27a28d7f45f27389d66',
         'pd --fixture cp2 --format json --mode ktheory':
@@ -346,9 +372,9 @@ GOLDEN = {
         'kirwan --fixture cpn:3 --format text --pi 0,0,1 --class pd:1':
             'f64dc73e0cc1b16fe5fca2f5df3e7f93bf48f221aa58e179ccc0376e020cc05f',
         'local-index --fixture cpn:3 --format json --class one --vertex -1 --mode cohomology':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format json --class one --vertex -1 --mode ktheory':
-            'f3e9fbd8df126df8df582de2ceb2a40a35e500a9fdbb89ed81feb8164d4ec79f',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format json --class one --vertex 1 --mode cohomology':
             '2b3f2b6ce61f584f1dc1b1d94dd38c0fc3d7c3669bd68e9b2357fdabb4c331d2',
         'local-index --fixture cpn:3 --format json --class one --vertex 1 --mode ktheory':
@@ -357,10 +383,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cpn:3 --format json --class one --vertex 2 --mode ktheory':
             '29733dce2ca98e640f5ea3f7988f0e99444e404a136790f1ee494e4713a617b4',
-        'local-index --fixture cpn:3 --format json --class pd:1 --vertex -1 --mode cohomology':
+        'local-index --fixture cpn:3 --format json --class one --vertex 3 --mode cohomology':
             'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
-        'local-index --fixture cpn:3 --format json --class pd:1 --vertex -1 --mode ktheory':
+        'local-index --fixture cpn:3 --format json --class one --vertex 3 --mode ktheory':
             'f3e9fbd8df126df8df582de2ceb2a40a35e500a9fdbb89ed81feb8164d4ec79f',
+        'local-index --fixture cpn:3 --format json --class pd:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cpn:3 --format json --class pd:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format json --class pd:1 --vertex 1 --mode cohomology':
             'b1d8d56860b071a41b056e0fb54ef9f4095e74ba9c8a545ce7c7cf3209c45f4c',
         'local-index --fixture cpn:3 --format json --class pd:1 --vertex 1 --mode ktheory':
@@ -369,10 +399,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cpn:3 --format json --class pd:1 --vertex 2 --mode ktheory':
             '29733dce2ca98e640f5ea3f7988f0e99444e404a136790f1ee494e4713a617b4',
-        'local-index --fixture cpn:3 --format json --class tau:1 --vertex -1 --mode cohomology':
+        'local-index --fixture cpn:3 --format json --class pd:1 --vertex 3 --mode cohomology':
             'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
-        'local-index --fixture cpn:3 --format json --class tau:1 --vertex -1 --mode ktheory':
+        'local-index --fixture cpn:3 --format json --class pd:1 --vertex 3 --mode ktheory':
             'f3e9fbd8df126df8df582de2ceb2a40a35e500a9fdbb89ed81feb8164d4ec79f',
+        'local-index --fixture cpn:3 --format json --class tau:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cpn:3 --format json --class tau:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format json --class tau:1 --vertex 1 --mode cohomology':
             'b1d8d56860b071a41b056e0fb54ef9f4095e74ba9c8a545ce7c7cf3209c45f4c',
         'local-index --fixture cpn:3 --format json --class tau:1 --vertex 1 --mode ktheory':
@@ -381,10 +415,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture cpn:3 --format json --class tau:1 --vertex 2 --mode ktheory':
             '29733dce2ca98e640f5ea3f7988f0e99444e404a136790f1ee494e4713a617b4',
+        'local-index --fixture cpn:3 --format json --class tau:1 --vertex 3 --mode cohomology':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+        'local-index --fixture cpn:3 --format json --class tau:1 --vertex 3 --mode ktheory':
+            'f3e9fbd8df126df8df582de2ceb2a40a35e500a9fdbb89ed81feb8164d4ec79f',
         'local-index --fixture cpn:3 --format text --class one --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format text --class one --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format text --class one --vertex 1 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cpn:3 --format text --class one --vertex 1 --mode ktheory':
@@ -393,10 +431,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cpn:3 --format text --class one --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
-        'local-index --fixture cpn:3 --format text --class pd:1 --vertex -1 --mode cohomology':
+        'local-index --fixture cpn:3 --format text --class one --vertex 3 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
-        'local-index --fixture cpn:3 --format text --class pd:1 --vertex -1 --mode ktheory':
+        'local-index --fixture cpn:3 --format text --class one --vertex 3 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cpn:3 --format text --class pd:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cpn:3 --format text --class pd:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format text --class pd:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture cpn:3 --format text --class pd:1 --vertex 1 --mode ktheory':
@@ -405,10 +447,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cpn:3 --format text --class pd:1 --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
-        'local-index --fixture cpn:3 --format text --class tau:1 --vertex -1 --mode cohomology':
+        'local-index --fixture cpn:3 --format text --class pd:1 --vertex 3 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
-        'local-index --fixture cpn:3 --format text --class tau:1 --vertex -1 --mode ktheory':
+        'local-index --fixture cpn:3 --format text --class pd:1 --vertex 3 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cpn:3 --format text --class tau:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture cpn:3 --format text --class tau:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture cpn:3 --format text --class tau:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture cpn:3 --format text --class tau:1 --vertex 1 --mode ktheory':
@@ -416,6 +462,10 @@ GOLDEN = {
         'local-index --fixture cpn:3 --format text --class tau:1 --vertex 2 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture cpn:3 --format text --class tau:1 --vertex 2 --mode ktheory':
+            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture cpn:3 --format text --class tau:1 --vertex 3 --mode cohomology':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture cpn:3 --format text --class tau:1 --vertex 3 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'pd --fixture cpn:3 --format json --mode cohomology':
             'f91a95c7e0a0624f14cffeaf0033e2055c2f714c6f8f54b63a77c1141acdef04',
@@ -536,9 +586,9 @@ GOLDEN = {
         'kirwan --fixture hirzebruch --format text --pi 0,1 --class pd:1':
             '7077dc455b6f3ff9efe54621a0da8cfa0c3fda41f11e15da2288a01710035d19',
         'local-index --fixture hirzebruch --format json --class one --vertex -1 --mode cohomology':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class one --vertex -1 --mode ktheory':
-            '878c4bf1e0b0e05792f2f045dd41f8bcbc842f85c7bb624cd0b1a0cf48640a8e',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class one --vertex 1 --mode cohomology':
             '2b3f2b6ce61f584f1dc1b1d94dd38c0fc3d7c3669bd68e9b2357fdabb4c331d2',
         'local-index --fixture hirzebruch --format json --class one --vertex 1 --mode ktheory':
@@ -547,10 +597,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture hirzebruch --format json --class one --vertex 2 --mode ktheory':
             '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+        'local-index --fixture hirzebruch --format json --class one --vertex 3 --mode cohomology':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+        'local-index --fixture hirzebruch --format json --class one --vertex 3 --mode ktheory':
+            '878c4bf1e0b0e05792f2f045dd41f8bcbc842f85c7bb624cd0b1a0cf48640a8e',
         'local-index --fixture hirzebruch --format json --class pd:1 --vertex -1 --mode cohomology':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class pd:1 --vertex -1 --mode ktheory':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class pd:1 --vertex 1 --mode cohomology':
             '413145808bce73c022387c94ff27846c1e6a522f4ef5ca5f0fa8e0353dfdd06b',
         'local-index --fixture hirzebruch --format json --class pd:1 --vertex 1 --mode ktheory':
@@ -559,10 +613,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture hirzebruch --format json --class pd:1 --vertex 2 --mode ktheory':
             'e3db6ebfc0694971337f6f71ff3ab45b26c468afb8e97ffb84960ba95db5d637',
+        'local-index --fixture hirzebruch --format json --class pd:1 --vertex 3 --mode cohomology':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+        'local-index --fixture hirzebruch --format json --class pd:1 --vertex 3 --mode ktheory':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
         'local-index --fixture hirzebruch --format json --class tau:1 --vertex -1 --mode cohomology':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class tau:1 --vertex -1 --mode ktheory':
-            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format json --class tau:1 --vertex 1 --mode cohomology':
             '413145808bce73c022387c94ff27846c1e6a522f4ef5ca5f0fa8e0353dfdd06b',
         'local-index --fixture hirzebruch --format json --class tau:1 --vertex 1 --mode ktheory':
@@ -571,10 +629,14 @@ GOLDEN = {
             '95591ea5bbdad75665e8061b78751f77d07407ae41db2f8277f600bef19bd939',
         'local-index --fixture hirzebruch --format json --class tau:1 --vertex 2 --mode ktheory':
             '18b0b773cd08734102b738b3d9c55c7cffb56e720898f1420f9f97e395dccc33',
+        'local-index --fixture hirzebruch --format json --class tau:1 --vertex 3 --mode cohomology':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
+        'local-index --fixture hirzebruch --format json --class tau:1 --vertex 3 --mode ktheory':
+            'a5da45277e955835e2f34370d50af9f04d350ebfa293db46a4c5734d09694bbc',
         'local-index --fixture hirzebruch --format text --class one --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class one --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class one --vertex 1 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture hirzebruch --format text --class one --vertex 1 --mode ktheory':
@@ -583,10 +645,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture hirzebruch --format text --class one --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture hirzebruch --format text --class one --vertex 3 --mode cohomology':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture hirzebruch --format text --class one --vertex 3 --mode ktheory':
+            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture hirzebruch --format text --class pd:1 --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class pd:1 --vertex -1 --mode ktheory':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class pd:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture hirzebruch --format text --class pd:1 --vertex 1 --mode ktheory':
@@ -595,10 +661,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture hirzebruch --format text --class pd:1 --vertex 2 --mode ktheory':
             'fde733aa3dd6e31bebe7727cb3867c4f39fb1fade73397d683713cedf32ac99e',
+        'local-index --fixture hirzebruch --format text --class pd:1 --vertex 3 --mode cohomology':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture hirzebruch --format text --class pd:1 --vertex 3 --mode ktheory':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture hirzebruch --format text --class tau:1 --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class tau:1 --vertex -1 --mode ktheory':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture hirzebruch --format text --class tau:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture hirzebruch --format text --class tau:1 --vertex 1 --mode ktheory':
@@ -607,6 +677,10 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture hirzebruch --format text --class tau:1 --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture hirzebruch --format text --class tau:1 --vertex 3 --mode cohomology':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture hirzebruch --format text --class tau:1 --vertex 3 --mode ktheory':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'pd --fixture hirzebruch --format json --mode cohomology':
             '482a8657d4c4870fbaac863558eebd5b6ee1bbc8e26eef634b4d85eb24283b6b',
         'pd --fixture hirzebruch --format json --mode ktheory':
@@ -726,9 +800,9 @@ GOLDEN = {
         'kirwan --fixture square --format text --pi 1,1 --class pd:1':
             'ece67c60894882cdb1603c1beb8e13a569a7f442cf194af8aa377cfee23183f9',
         'local-index --fixture square --format json --class one --vertex -1 --mode cohomology':
-            'adef47f4e8278215d4954e800e39a29d7ed95838d2bd99957bb7ab9c3997864a',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format json --class one --vertex -1 --mode ktheory':
-            '153709443c09d0a1e0083a5940fc7882442ebb9878690e160acc595cb1ba146b',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format json --class one --vertex 1 --mode cohomology':
             'a4bb1c344671a737d8852d09c914cb6956a42a0e6ff1ebebd764161c7c52bb03',
         'local-index --fixture square --format json --class one --vertex 1 --mode ktheory':
@@ -737,10 +811,14 @@ GOLDEN = {
             'd4c58e180cf42ef1bad28fbee5c3dd91e862927b19a37d36b10b8536ec381333',
         'local-index --fixture square --format json --class one --vertex 2 --mode ktheory':
             'eb4081d40da6fc04196ec214dabde8dc2cc53047200d9022354cbcefddc85eed',
-        'local-index --fixture square --format json --class pd:1 --vertex -1 --mode cohomology':
+        'local-index --fixture square --format json --class one --vertex 3 --mode cohomology':
             'adef47f4e8278215d4954e800e39a29d7ed95838d2bd99957bb7ab9c3997864a',
-        'local-index --fixture square --format json --class pd:1 --vertex -1 --mode ktheory':
+        'local-index --fixture square --format json --class one --vertex 3 --mode ktheory':
             '153709443c09d0a1e0083a5940fc7882442ebb9878690e160acc595cb1ba146b',
+        'local-index --fixture square --format json --class pd:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture square --format json --class pd:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format json --class pd:1 --vertex 1 --mode cohomology':
             '9a2d4219e1446b30625a09bff37fbf4f3615add998dd8d9062fff69206f4343c',
         'local-index --fixture square --format json --class pd:1 --vertex 1 --mode ktheory':
@@ -749,10 +827,14 @@ GOLDEN = {
             'd4c58e180cf42ef1bad28fbee5c3dd91e862927b19a37d36b10b8536ec381333',
         'local-index --fixture square --format json --class pd:1 --vertex 2 --mode ktheory':
             'd4c58e180cf42ef1bad28fbee5c3dd91e862927b19a37d36b10b8536ec381333',
-        'local-index --fixture square --format json --class tau:1 --vertex -1 --mode cohomology':
+        'local-index --fixture square --format json --class pd:1 --vertex 3 --mode cohomology':
             'adef47f4e8278215d4954e800e39a29d7ed95838d2bd99957bb7ab9c3997864a',
-        'local-index --fixture square --format json --class tau:1 --vertex -1 --mode ktheory':
+        'local-index --fixture square --format json --class pd:1 --vertex 3 --mode ktheory':
             '153709443c09d0a1e0083a5940fc7882442ebb9878690e160acc595cb1ba146b',
+        'local-index --fixture square --format json --class tau:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture square --format json --class tau:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format json --class tau:1 --vertex 1 --mode cohomology':
             '9a2d4219e1446b30625a09bff37fbf4f3615add998dd8d9062fff69206f4343c',
         'local-index --fixture square --format json --class tau:1 --vertex 1 --mode ktheory':
@@ -761,10 +843,14 @@ GOLDEN = {
             'd4c58e180cf42ef1bad28fbee5c3dd91e862927b19a37d36b10b8536ec381333',
         'local-index --fixture square --format json --class tau:1 --vertex 2 --mode ktheory':
             'd4c58e180cf42ef1bad28fbee5c3dd91e862927b19a37d36b10b8536ec381333',
+        'local-index --fixture square --format json --class tau:1 --vertex 3 --mode cohomology':
+            'adef47f4e8278215d4954e800e39a29d7ed95838d2bd99957bb7ab9c3997864a',
+        'local-index --fixture square --format json --class tau:1 --vertex 3 --mode ktheory':
+            '153709443c09d0a1e0083a5940fc7882442ebb9878690e160acc595cb1ba146b',
         'local-index --fixture square --format text --class one --vertex -1 --mode cohomology':
-            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format text --class one --vertex -1 --mode ktheory':
-            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format text --class one --vertex 1 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture square --format text --class one --vertex 1 --mode ktheory':
@@ -773,10 +859,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture square --format text --class one --vertex 2 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
-        'local-index --fixture square --format text --class pd:1 --vertex -1 --mode cohomology':
+        'local-index --fixture square --format text --class one --vertex 3 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
-        'local-index --fixture square --format text --class pd:1 --vertex -1 --mode ktheory':
+        'local-index --fixture square --format text --class one --vertex 3 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture square --format text --class pd:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture square --format text --class pd:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format text --class pd:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture square --format text --class pd:1 --vertex 1 --mode ktheory':
@@ -785,10 +875,14 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture square --format text --class pd:1 --vertex 2 --mode ktheory':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
-        'local-index --fixture square --format text --class tau:1 --vertex -1 --mode cohomology':
+        'local-index --fixture square --format text --class pd:1 --vertex 3 --mode cohomology':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
-        'local-index --fixture square --format text --class tau:1 --vertex -1 --mode ktheory':
+        'local-index --fixture square --format text --class pd:1 --vertex 3 --mode ktheory':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
+        'local-index --fixture square --format text --class tau:1 --vertex -1 --mode cohomology':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
+        'local-index --fixture square --format text --class tau:1 --vertex -1 --mode ktheory':
+            '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3',
         'local-index --fixture square --format text --class tau:1 --vertex 1 --mode cohomology':
             '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'local-index --fixture square --format text --class tau:1 --vertex 1 --mode ktheory':
@@ -797,6 +891,10 @@ GOLDEN = {
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
         'local-index --fixture square --format text --class tau:1 --vertex 2 --mode ktheory':
             '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture square --format text --class tau:1 --vertex 3 --mode cohomology':
+            '52f96c26a39ed25108a6db43d6e11c6051eba8a498a5baab1891adfa7ac7c262',
+        'local-index --fixture square --format text --class tau:1 --vertex 3 --mode ktheory':
+            '82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae',
         'pd --fixture square --format json --mode cohomology':
             'bd082f172f9efbf24cdd04e20103af14e0373ce1f45cc8049f34ab46a069d344',
         'pd --fixture square --format json --mode ktheory':

@@ -140,10 +140,20 @@ def test_face_only_dual_is_the_dual_on_its_face(cp1, cp2, cp3, hirzebruch, squar
         for ring in (K, H):
             for p in g.vids():
                 face = flow_face(g, p)
-                part = cl._face_dual(ring, g, p)
+                # the dual on the face as a set: the factors of the edges
+                # that leave it
+                want = {}
+                for q in face:
+                    want[q] = ring.one(g.rank)
+                    for other, w in g.adjacency[q].items():
+                        if other not in face:
+                            want[q] = want[q] * ring.factor(w)
+                mask = g.face_mask(p)
+                part = cl._dual_on(ring, g, mask)
                 full = cl.poincare_dual(ring, g, p)
-                assert set(part) == face
-                assert all(part[q] == full[q] and not part[q].is_zero() for q in face)
+                assert part == want and list(part) == g.members(mask)
+                assert cl._dual_on(ring, g, mask, p) == {q: x for q, x in want.items() if q != p}
+                assert all(full[q] == want[q] and not want[q].is_zero() for q in face)
                 assert all(full[q].is_zero() for q in g.vids() if q not in face)
                 assert list(full) == g.vids()
 
@@ -160,52 +170,24 @@ def test_euler_factors_are_built_once_per_graph_and_ring():
     assert build_graph(fixture_input("hirzebruch")).factors == {}
 
 
-def test_newton_tables_are_built_once_per_graph_ring_and_vertex():
+def test_local_index_keeps_no_table():
     g = build_graph(fixture_input("hirzebruch"))
-    assert g.newton == {}
     vids = g.vids()
     classes = {K: [cl.one_class(K, g)] + list(cl.basis(K, g, "point").values()),
                H: list(cl.basis(H, g).values())}
+
+    def state():
+        return {name: dict(v) if isinstance(v, dict) else v for name, v in vars(g).items()}
+    before = state()
     first = [cl.local_index(ring, g, c, q)
              for ring, cs in classes.items() for c in cs for q in vids]
-    tables = dict(g.newton)
-    assert {key for key in tables if key[0] == "ktheory"} == {("ktheory", q) for q in vids}
-    assert {key[0] for key in tables} == {"ktheory", "cohomology"}
+    assert state() == before
     again = [cl.local_index(ring, g, c, q)
              for ring, cs in classes.items() for c in cs for q in vids]
     assert again == first
-    assert g.newton.keys() == tables.keys()
-    assert all(g.newton[key] is tables[key] for key in tables)
-    # nothing outlives the graph: a new graph starts empty, and the module
-    # keeps no table of its own
-    assert build_graph(fixture_input("hirzebruch")).newton == {}
+    # the module keeps no table of its own either
     assert not [name for name, v in vars(cl).items()
                 if not name.startswith("__") and isinstance(v, (dict, list, set))]
-
-
-@pytest.mark.parametrize("make", [lambda: fixture_input("hirzebruch"),
-                                  lambda: _product_input(SIMPLE_SHAPES[8])],
-                         ids=["hirzebruch", "F2xCP1"])
-def test_flow_up_faces_are_built_once_per_graph_and_vertex(monkeypatch, make):
-    # the duals and the push-forward read the graph's faces, the bases
-    # their facet masks; each vertex's face is computed once
-    g = build_graph(make())
-    assert g.faces == {}
-    orig = gkm.flow_face
-    calls = []
-
-    def counted(graph, vid):
-        calls.append(vid)
-        return orig(graph, vid)
-    monkeypatch.setattr(gkm, "flow_face", counted)
-    point = cl.basis(K, g, "point")
-    cl.basis(K, g)
-    for p in g.vids():
-        cl.pushforward(K, g, point[p])
-        cl.pushforward(H, g, cl.poincare_dual(H, g, p))
-    assert sorted(calls) == sorted(g.vids())
-    assert g.faces == {p: orig(g, p) for p in g.vids()}
-    assert build_graph(make()).faces == {}
 
 
 # ---------------------------------------------------------------------------

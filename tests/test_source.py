@@ -48,8 +48,6 @@ def _traced_names():
 # stays; the names the traced run wraps are allowed as well
 UNCALLED = {
     "symcore.LocalizedSum": "the traced run wraps LocalizedSum.reduce",
-    "serialize.class_to_dict": "writes class files; the inverse of class_from_dict",
-    "serialize.basis_from_dict": "reads basis files; the inverse of basis_to_dict",
 }
 
 
