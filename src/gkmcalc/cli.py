@@ -17,6 +17,7 @@ from . import cohomology as ch
 from .errors import ContractError, ValidationError
 from .fixtures import (
     fixture_input,
+    fixture_key,
     fixture_names,
     hirzebruch_sample_class,
     square_reference_class,
@@ -105,7 +106,8 @@ def resolve_class(g, spec, ring):
         if kind == "gt":
             if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")
-            return ch.gt_class(g, vid)
+            ch.require_index_increasing(g)
+            return cl.poincare_dual(H, g, vid)
     raise ValidationError(f"unknown class {spec!r}")
 
 
@@ -189,8 +191,10 @@ def cmd_pd(args, out):
 
 
 def cmd_gt(args, out):
+    """The path-sum basis, built as the flow-up duals it equals."""
     g = load_graph(args)
-    return _emit_basis(args, out, g, H, ch.gt_basis(g), "gt")
+    ch.require_index_increasing(g)
+    return _emit_basis(args, out, g, H, cl.basis(H, g), "gt")
 
 
 def _emit_basis(args, out, g, ring, basis, label):
@@ -239,7 +243,7 @@ def cmd_kirwan(args, out):
     setup = reduced_fixed_data(g, pi)
     if args.klass is not None:
         c = resolve_class(g, args.klass, H)
-    elif args.fixture == "square":
+    elif args.fixture and fixture_key(args.fixture) == "square":
         c = square_reference_class(g)
     else:
         c = cl.one_class(H, g)
@@ -394,12 +398,19 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def make_parser():
     """The argument parser, built once per process: ``parse_args`` returns a
-    new namespace per call and no option has a mutable default."""
+    new namespace per call and no option has a mutable default.  Each
+    command's parser is also kept in ``parser.commands`` under its name."""
     parser = _Parser(
         prog="gkmcalc",
         description="Canonical bases for equivariant K-theory and cohomology "
                     "of toric manifolds from moment polytope data.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def command(name, fn, summary):
+        p = parser.commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        return p
 
     def common(p, mode=True):
         p.add_argument("--fixture", help="one of: " + ", ".join(fixture_names()))
@@ -411,61 +422,67 @@ def make_parser():
             p.add_argument("--mode", choices=("ktheory", "cohomology"),
                            default="ktheory")
 
-    p = sub.add_parser("graph", help="build, orient and report the moment graph")
+    p = command("graph", cmd_graph, "build, orient and report the moment graph")
     common(p, mode=False)
-    p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("check", help="validate input and optionally a class")
+    p = command("check", cmd_check, "validate input and optionally a class")
     common(p)
     p.add_argument("--class", dest="klass")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("basis", help="canonical basis in the chosen mode")
+    p = command("basis", cmd_basis, "canonical basis in the chosen mode")
     common(p)
     p.add_argument("--normalization", choices=("canonical", "point"),
                    default="canonical")
-    p.set_defaults(fn=cmd_basis)
 
-    p = sub.add_parser("pd", help="duals of the flow-up faces")
+    p = command("pd", cmd_pd, "duals of the flow-up faces")
     common(p)
-    p.set_defaults(fn=cmd_pd)
 
-    p = sub.add_parser("gt", help="path-sum basis (cohomology, index increasing)")
+    p = command("gt", cmd_gt, "path-sum basis (cohomology, index increasing)")
     common(p, mode=False)
-    p.set_defaults(fn=cmd_gt)
 
-    p = sub.add_parser("local-index", help="local index of a class at a vertex")
+    p = command("local-index", cmd_local_index, "local index of a class at a vertex")
     common(p)
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--vertex", required=True)
-    p.set_defaults(fn=cmd_local_index)
 
-    p = sub.add_parser("index", help="global push-forward / integral")
+    p = command("index", cmd_index, "global push-forward / integral")
     common(p)
     p.add_argument("--class", dest="klass", required=True)
-    p.set_defaults(fn=cmd_index)
 
-    p = sub.add_parser("structure", help="structure constants of the canonical basis")
+    p = command("structure", cmd_structure, "structure constants of the canonical basis")
     common(p)
-    p.set_defaults(fn=cmd_structure)
 
-    p = sub.add_parser("kirwan", help="reduced restrictions near the top vertex")
+    p = command("kirwan", cmd_kirwan, "reduced restrictions near the top vertex")
     common(p, mode=False)
     p.add_argument("--pi", required=True, help="comma separated covector")
     p.add_argument("--class", dest="klass")
-    p.set_defaults(fn=cmd_kirwan)
 
-    p = sub.add_parser("verify", help="run the invariant matrix on a fixture")
+    p = command("verify", cmd_verify, "run the invariant matrix on a fixture")
     common(p, mode=False)
     p.add_argument("--level", choices=("fast", "full"), default="fast")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
+def parse_args(argv):
+    """The namespace ``make_parser().parse_args(argv)`` returns, parsed by
+    the command's own parser when ``argv[0]`` names one: the whole parser
+    would hand it everything after the name anyway.  Leftover tokens are
+    refused by the whole parser, as it would refuse them."""
+    parser = make_parser()
+    cmd = parser.commands.get(argv[0]) if argv else None
+    if cmd is None:
+        return parser.parse_args(argv)
+    args, extra = cmd.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
     try:
-        args = make_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.out is not None:
             with open(args.out, "w") as fh:
                 return args.fn(args, fh)

@@ -6,6 +6,14 @@ construction on classes lives in ``classes``.  Its three bindings of
 ``classes`` functions to ``H`` have no caller in the package and stay only
 because the benchmark's traced run wraps them by name.
 
+When the orientation is index increasing, the path-sum classes are the
+equivariant Poincare duals of the closures of the unstable manifolds, the
+flow-up duals, so the CLI's ``gt`` command and ``gt:<v>`` class build those
+(``classes.basis``, ``classes.poincare_dual``) after the one shared check,
+``require_index_increasing``.  The recursion here is the independent
+reference: ``verify`` checks Theta and the path sums against the duals, and
+the tests compare the two.
+
 A path-sum class is a sum over jump-one paths, but it is built without
 listing them, by the one-step recursion in decreasing moment order:
 gt_q(q) is the negative Euler class at q and gt_p(q) is the sum over
@@ -89,6 +97,13 @@ def ecan_edges(g):
             if g.point(e.dst).lam == g.point(e.src).lam + 1]
 
 
+def require_index_increasing(g):
+    """Refuse an orientation that is not index increasing, where the
+    path-sum classes do not exist."""
+    if not is_index_increasing(g):
+        raise NotIndexIncreasing("path-sum classes need an index increasing orientation")
+
+
 def _path_sums(g, vids):
     """Path-sum classes at every vertex of ``vids``, a list in moment order
     closed under oriented edges, each as a dict on ``vids``.
@@ -106,8 +121,7 @@ def _path_sums(g, vids):
     Running p in decreasing moment order, each pair (p, q) costs one exact
     division by the primitive form of psi(q) - psi(p) and its content.
     """
-    if not is_index_increasing(g):
-        raise NotIndexIncreasing("path-sum classes need an index increasing orientation")
+    require_index_increasing(g)
     steps = {p: [] for p in vids}
     for e in ecan_edges(g):
         if e.src in steps:

@@ -64,8 +64,13 @@ _FIXTURES = {
 }
 
 
+def fixture_key(name):
+    """A fixture name as the table spells it: stripped and lower case."""
+    return name.strip().lower()
+
+
 def fixture_input(name):
-    name = name.strip().lower()
+    name = fixture_key(name)
     if name.startswith("cpn:"):
         return cp_input(parse_int(name.split(":", 1)[1]))
     if name in _FIXTURES:

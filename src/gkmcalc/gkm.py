@@ -451,9 +451,8 @@ def detect_edges(rank, ids, psis):
 
 def _traverse(rank, ids, pts, others=None):
     """The one-skeleton of the integer points, certified by one
-    breadth-first traversal: the edges as sorted index pairs, each edge's
-    (primitive direction of pts[j] - pts[i], lattice length) in that order,
-    and per vertex its star, one (neighbour, isotropy weight toward it,
+    breadth-first traversal: the edges as sorted index pairs and per
+    vertex its star, one (neighbour, isotropy weight toward it,
     lattice length of the edge, frame row, mask of the points on the facet
     opposite the edge) per edge, with the rows None where the weights are
     independent but not a lattice basis.
@@ -527,8 +526,7 @@ def _traverse(rank, ids, pts, others=None):
     for w, nb in enumerate(nbrs):
         if nb is None:
             raise NotAPolytopeSkeleton(f"vertex {ids[w]} has degree 0, expected {rank}")
-    pairs = sorted(edges)
-    return pairs, [edges[key] for key in pairs], stars
+    return sorted(edges), stars
 
 
 def _adjacency(rank, ids, edges):
@@ -567,55 +565,57 @@ def build_graph(inp):
     """
     ids, psis, pts, scale = _validate_input(inp)
     if inp.edges is None:
-        pairs, prims, stars = detect_edges(inp.rank, ids, pts)
+        stars = detect_edges(inp.rank, ids, pts)[1]
     else:
-        pairs, prims, stars = _traverse(inp.rank, ids, pts, _adjacency(inp.rank, ids, inp.edges))
+        stars = _traverse(inp.rank, ids, pts, _adjacency(inp.rank, ids, inp.edges))[1]
     for i, star in enumerate(stars):
         if star[0][3] is None:  # no frame rows
             raise NotDelzant(
                 f"edge directions at vertex {ids[i]} are not a lattice basis")
-    skel = _Skeleton(inp.rank, ids, psis, pts, scale, prims, stars)
-    return orient_and_index(skel, choose_generic_xi(skel, inp.xi))
+    skel = _Skeleton(inp.rank, ids, psis, pts, scale, stars)
+    return orient_and_index(skel, *choose_generic_xi(skel, inp.xi))
 
 
-# pts: psis * scale, integer; prims: (primitive direction, lattice length in
-# pts) of each edge; stars: per vertex, as ``_traverse`` returns them
-_Skeleton = namedtuple("_Skeleton", "rank ids psis pts scale prims stars")
+# pts: psis * scale, integer; stars: per vertex, as ``_traverse`` returns them
+_Skeleton = namedtuple("_Skeleton", "rank ids psis pts scale stars")
 
 
 def choose_generic_xi(skel, xi):
-    """Pick or validate a direction pairing nonzero with every edge weight
-    and separating the vertices."""
-    weights = [prim for prim, _ in skel.prims]
+    """Pick or validate a direction separating the vertices, and return it
+    with the vertices' heights <psi, xi> (scaled).  Separating the vertices
+    is enough: an edge weight is a positive multiple of the difference of
+    its ends, so it pairs to zero with xi exactly when its ends share a
+    height."""
 
-    def ok(cand):
-        if any(wt_dot(w, cand) == 0 for w in weights):
-            return False
-        mus = {wt_dot(p, cand) for p in skel.pts}
-        return len(mus) == len(skel.pts)
+    def heights(cand):
+        dots = [wt_dot(p, cand) for p in skel.pts]
+        return dots if len(set(dots)) == len(dots) else None
 
     if xi is not None:
         xi = tuple(int(x) for x in xi)
         if len(xi) != skel.rank:
             raise SuppliedXiNotGeneric(f"xi has {len(xi)} entries, expected {skel.rank}")
-        if not ok(xi):
+        dots = heights(xi)
+        if dots is None:
             raise SuppliedXiNotGeneric(f"xi={xi} is not generic here")
-        return xi
+        return xi, dots
     for c in range(2, 10000):
         cand = tuple(c ** k for k in range(skel.rank))
-        if ok(cand):
-            return cand
+        dots = heights(cand)
+        if dots is not None:
+            return cand, dots
     raise SuppliedXiNotGeneric("no generic direction found")
 
 
-def orient_and_index(skel, xi):
+def orient_and_index(skel, xi, dots):
     """The graph oriented by xi, built in one pass over the vertices in
-    order of <psi, xi>.  At each vertex the star is sorted by the height of
-    the neighbours, which is the order of its adjacency table; the weights
-    toward lower neighbours, the labels of the incoming edges, are ``wplus``
-    and the rest ``wminus``, each sorted, and the frame rows and facet masks
-    follow them.  ``mu`` and ``mult`` are ints when the scale is 1."""
-    dots = [wt_dot(p, xi) for p in skel.pts]
+    order of their heights ``dots``, <psi, xi> scaled, as
+    ``choose_generic_xi`` returns them.  At each vertex the star is sorted
+    by the height of the neighbours, which is the order of its adjacency
+    table; the weights toward lower neighbours, the labels of the incoming
+    edges, are ``wplus`` and the rest ``wminus``, each sorted, and the frame
+    rows and facet masks follow them.  ``mu`` and ``mult`` are ints when the
+    scale is 1."""
     ids, scale = skel.ids, skel.scale
     mults = {}  # lattice length: mult, for this graph
     points, arcs, adjacency = [], [], {}

@@ -10,7 +10,7 @@ import pytest
 
 from gkmcalc import classes as cl
 from gkmcalc import cohomology
-from gkmcalc.cli import main, make_parser
+from gkmcalc.cli import main, make_parser, parse_args
 from gkmcalc.errors import NonConstantQuotient, ValidationError
 from gkmcalc.serialize import (
     basis_to_dict,
@@ -87,6 +87,10 @@ def test_kirwan_square(capsys):
     rc, out, _ = run_cli(["kirwan", "--fixture", "square", "--pi", "1,1"], capsys)
     assert rc == 0
     assert "top vertex: q0" in out
+    assert "r1 (edge q2 -> q0): -x2 + x1" in out  # the reference class, not 1
+    # the fixture's name picks the class however it is spelled
+    for spelling in ("SQUARE", " Square "):
+        assert run_cli(["kirwan", "--fixture", spelling, "--pi=1,1"], capsys) == (0, out, "")
 
 
 def test_structure_table(capsys):
@@ -145,14 +149,21 @@ def test_verify_names_the_exception_behind_a_fail(capsys, monkeypatch):
     assert json.loads(err)["error"] == "validation"
 
 
-def test_fractional_theta_makes_gt_exit_3(capsys, monkeypatch):
+def test_fractional_theta_fails_verify_full(capsys, monkeypatch):
+    # the path sums are verify's check of the duals that ``gt`` prints, so a
+    # wrong Theta shows there, naming the exception the recursion raised
     monkeypatch.setattr(cohomology, "theta", lambda g, edge: Fraction(1, 2))
-    rc, out, err = run_cli(["gt", "--fixture", "cp2"], capsys)
-    assert rc == 3
-    assert out == ""
+    rc, out, err = run_cli(["verify", "--level", "full", "--fixture", "cp2"], capsys)
+    assert rc == 2
+    verdicts = {name: verdict.strip() for name, verdict in
+                (line.split("  ", 1) for line in out.splitlines())}
+    assert verdicts["jump-one ratios are 1"] == "FAIL"
+    assert verdicts["path-sum classes equal duals"].startswith(
+        "FAIL (IntegralityFailure: ")
+    assert sum(v.startswith("FAIL") for v in verdicts.values()) == 2
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "contract"
+    assert json.loads(lines[0])["error"] == "validation"
 
 
 # ---------------------------------------------------------------------------
@@ -694,3 +705,40 @@ def test_parser_reuse_carries_nothing_over(tmp_path, capsys):
     assert make_parser() is make_parser()
     args = make_parser().parse_args(k_run)
     assert (args.mode, args.format, args.out) == ("ktheory", "text", None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--fixture", "cp2"],
+    ["basis", "--norm", "point", "--fixture", "cp2"],
+    ["basis", "--fixture=hirzebruch", "--mode=cohomology", "--format", "json", "--out", "b.json"],
+    ["kirwan", "--fixture", "square", "--pi=1,1"],
+    ["local-index", "--input", "g.json", "--class", "tau:1", "--vertex", "2", "--xi", "1,3",
+     "--mode", "cohomology"],
+    ["verify", "--lev", "full", "--fixture", "cp1"],
+    ["gt", "--fixture", "cp2", "--fixture", "cpn:3"],
+])
+def test_command_parser_gives_the_whole_parsers_namespace(argv):
+    # the defaults included: every option of the command is in both
+    assert vars(parse_args(argv)) == vars(make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nope", "--fixture", "cp2"],
+    ["graph", "--fixture", "cp2", "--bogus", "x"],
+    ["gt", "--fixture", "cp2", "--mode", "cohomology"],
+    ["basis", "--fixture", "cp2", "--mode", "nope"],
+    ["local-index", "--fixture", "cp2"],
+], ids=["missing command", "unknown command", "unknown option", "option of another command",
+        "bad choice", "missing required option"])
+def test_usage_error_line_is_the_whole_parsers(capsys, argv):
+    with pytest.raises(ValidationError) as exc:
+        make_parser().parse_args(argv)
+    _assert_refused(*run_cli(argv, capsys), str(exc.value))
+
+
+def test_top_level_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gkmcalc")

@@ -1,6 +1,7 @@
 """Rational side: duals, integration, local index, ratio lemma, path sums."""
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -8,14 +9,26 @@ import pytest
 
 from gkmcalc import classes as cl
 from gkmcalc.classes import euler_minus, is_kirwan_class, zero_class
+from gkmcalc.cli import main
 from gkmcalc.errors import NonPolynomialIndex, NotECanEdge, NotIndexIncreasing
 from gkmcalc.fixtures import fixture_input
-from gkmcalc.gkm import ToricInput, build_graph
+from gkmcalc.gkm import ToricInput, build_graph, is_index_increasing
 from gkmcalc.cohomology import ecan_edges, gt_basis, gt_class, theta
+from gkmcalc.serialize import basis_to_dict, dumps
 from gkmcalc.symcore import H, Irreducible, LocalizedSum, PolyH, rational_primitive, wt_sub
 
 from conftest import rand_polyh, rng
-from oracles import eval_h, eval_poly, fixture_graph, localized_sum
+from oracles import (
+    BASES,
+    blowup,
+    eval_h,
+    eval_poly,
+    fixture_graph,
+    localized_sum,
+    polytope_input,
+    polytope_json,
+    product_polytope,
+)
 
 
 def form(*w):
@@ -408,3 +421,80 @@ def test_large_cube_gt_basis_is_fast():
     assert time.perf_counter() - t0 < 2.0
     for p in g.vids():
         assert cl.class_equal(zetas[p], cl.poincare_dual(H, g, p))
+
+
+# ---------------------------------------------------------------------------
+# the CLI's path-sum classes, built as the flow-up duals, against the
+# recursion above
+
+def _gt_sources():
+    """Index increasing inputs as (name, graph, CLI source options): the
+    fixtures, product polytopes and seeded one-cut blow-ups of CP^2 and
+    CP^3, kept where the default direction orients them index increasing."""
+    out = [(name, fixture_graph(name), ["--fixture", name])
+           for name in ("cp1", "cp2", "cpn:3", "square")]
+    products = {"cube3": BASES["cube3"], "cube4": BASES["cube3"] + BASES["cube3"][:1],
+                "cp2xcp1": BASES["cp2xcp1"], "cp2xcp2": BASES["cp2"] * 2}
+    polytopes = [(name, product_polytope(factors)[0]) for name, factors in products.items()]
+    r = rng(911)
+    cuts = [(f"{base}-cut{i}", blowup(r, base, 1)[0]) for i in range(4) for base in ("cp2", "cp3")]
+    for name, verts in polytopes + cuts:
+        g = build_graph(polytope_input(verts))
+        if is_index_increasing(g):
+            out.append((name, g, polytope_json(verts)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def gt_sources(tmp_path_factory):
+    sources = []
+    for name, g, src in _gt_sources():
+        if isinstance(src, dict):
+            path = tmp_path_factory.mktemp("gt") / f"{name}.json"
+            path.write_text(json.dumps(src))
+            src = ["--input", str(path)]
+        sources.append((name, g, src))
+    return sources
+
+
+def _run(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == "", (argv, captured.err)
+    return captured.out
+
+
+def test_gt_sources_cover_products_and_blowups(gt_sources):
+    names = [name for name, _, _ in gt_sources]
+    assert {"cube3", "cube4", "cp2xcp1", "cp2xcp2"} <= set(names)
+    assert sum("-cut" in name for name in names) >= 3
+
+
+def test_cli_gt_basis_is_the_path_sum_basis(gt_sources, capsys):
+    for name, g, src in gt_sources:
+        out = _run(["gt", "--format", "json"] + src, capsys)
+        assert out == dumps(basis_to_dict(gt_basis(g), "cohomology")), name
+
+
+def test_cli_gt_class_is_the_path_sum_class(gt_sources, capsys):
+    for name, g, src in gt_sources:
+        for p in g.vids():
+            ref = gt_class(g, p)
+            klass = ["--mode", "cohomology", "--class", f"gt:{p}"]
+            out = _run(["index"] + klass + src, capsys)
+            assert out == H.fmt(cl.pushforward(H, g, ref)) + "\n", (name, p)
+            for q in g.vids():
+                out = _run(["local-index", "--vertex", q] + klass + src, capsys)
+                assert out == H.fmt(cl.local_index(H, g, ref, q)) + "\n", (name, p, q)
+
+
+def test_cli_gt_refuses_an_orientation_that_is_not_index_increasing(capsys):
+    want = {"error": "validation",
+            "message": "path-sum classes need an index increasing orientation"}
+    for argv in (["gt"], ["gt", "--format", "json"],
+                 ["index", "--mode", "cohomology", "--class", "gt:p1"],
+                 ["local-index", "--mode", "cohomology", "--class", "gt:1", "--vertex", "2"]):
+        rc = main(argv + ["--fixture", "hirzebruch"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", argv
+        assert json.loads(captured.err) == want, argv

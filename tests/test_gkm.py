@@ -454,6 +454,24 @@ def test_non_generic_direction_rejected():
             build_graph(inp)
 
 
+@pytest.mark.parametrize("xi", [None, (1, 3, 9)], ids=["chosen", "supplied"])
+def test_heights_are_computed_once(monkeypatch, xi):
+    # choose_generic_xi pairs each vertex with the accepted direction once
+    # and hands the heights to orient_and_index, which pairs nothing
+    dots = _counted(monkeypatch, gkm, "wt_dot")
+    made = {}
+    for name in ("choose_generic_xi", "orient_and_index"):
+        def counted(*args, fn=getattr(gkm, name), name=name):
+            before = len(dots)
+            out = fn(*args)
+            made[name] = len(dots) - before
+            return out
+        monkeypatch.setattr(gkm, name, counted)
+    build_graph(ToricInput(rank=3, vertices=[(f"v{i}", p) for i, p in enumerate(_cube(3))],
+                           xi=xi))
+    assert made == {"choose_generic_xi": 8, "orient_and_index": 0}
+
+
 def test_segment_direction(cp1):
     assert cp1.xi == (1,)
 
