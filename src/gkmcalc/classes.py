@@ -181,21 +181,26 @@ def _face_sum(ring, g, coeffs, duals):
     return {v: sums[v].value() if v in sums else ring.zero(g.rank) for v in g.vids()}
 
 
-def canonical_class(ring, g, p, duals=None, bounds=None):
+def canonical_class(ring, g, p):
     """The canonical class at p: the flow-up dual in H and on index
     increasing orientations, otherwise in K the sum of the point classes
-    over the flow-up face.  ``duals`` and ``bounds`` keep face duals and
-    point-class face coefficients across calls on one graph."""
+    over the flow-up face."""
     if ring.graded or is_index_increasing(g):
         return poincare_dual(ring, g, p)
-    bounds = {} if bounds is None else bounds
+    return _point_class_sum(ring, g, p, {}, {})
+
+
+def _point_class_sum(ring, g, p, duals, bounds):
+    """The sum of the K point classes over the flow-up face of p.  ``duals``
+    and ``bounds`` keep face duals and point-class face coefficients across
+    calls on one graph."""
     coeffs = {}
     for q in g.members(g.face_mask(p)):
         if q not in bounds:
             bounds[q] = _boundary(g, q)
         for face, c in bounds[q].items():
             coeffs[face] = coeffs.get(face, 0) + c
-    return _face_sum(ring, g, coeffs, {} if duals is None else duals)
+    return _face_sum(ring, g, coeffs, duals)
 
 
 def point_classes(ring, g, vids):
@@ -207,11 +212,14 @@ def point_classes(ring, g, vids):
 
 def basis(ring, g, normalization="canonical"):
     """The canonical class at every vertex, or in K under ``point``
-    normalization the point class."""
+    normalization the point class.  Whether the orientation is index
+    increasing is tested once for the whole basis."""
     if normalization == "point" and not ring.graded:
         return point_classes(ring, g, g.vids())
+    if ring.graded or is_index_increasing(g):
+        return {p: poincare_dual(ring, g, p) for p in g.vids()}
     duals, bounds = {}, {}
-    return {p: canonical_class(ring, g, p, duals, bounds) for p in g.vids()}
+    return {p: _point_class_sum(ring, g, p, duals, bounds) for p in g.vids()}
 
 
 # ---------------------------------------------------------------------------

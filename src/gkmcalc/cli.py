@@ -131,26 +131,7 @@ def _resolve_vid(g, vid):
 def cmd_graph(args, out):
     g = load_graph(args)
     if args.format == "json":
-        data = {
-            "rank": g.rank,
-            "xi": g.xi,
-            "vertices": [
-                {
-                    "id": p.id,
-                    "psi": [str(x) for x in p.psi],
-                    "mu": str(p.mu),
-                    "lambda": p.lam,
-                    "wplus": list(p.wplus),
-                }
-                for p in g.points
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "weight": e.weight, "mult": str(e.mult)}
-                for e in g.edges
-            ],
-            "index_increasing": is_index_increasing(g),
-        }
-        out.write(dumps(data))
+        out.write(dumps(g))
         return 0
     out.write(f"rank {g.rank}, xi = ({','.join(map(str, g.xi))})\n")
     for p in g.points:
@@ -159,9 +140,9 @@ def cmd_graph(args, out):
     for e in g.edges:
         out.write(f"edge {e.src} -> {e.dst}: weight=({','.join(map(str, e.weight))})"
                   f" mult={e.mult}\n")
-    ii = is_index_increasing(g)
-    out.write(f"index increasing: {'yes' if ii else 'no'}\n")
-    for e in index_violations(g):
+    bad = index_violations(g)
+    out.write(f"index increasing: {'no' if bad else 'yes'}\n")
+    for e in bad:
         out.write(f"  violated on {e.src} -> {e.dst}\n")
     return 0
 
@@ -480,12 +461,33 @@ def parse_args(argv):
     return args
 
 
+class _OutFile:
+    """The ``--out`` file, opened at the command's first write, so a
+    command that fails before it writes leaves an existing file as it was."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = None
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = open(self.path, "w")
+        self.fh.write(text)
+
+    def close(self):
+        if self.fh is not None:
+            self.fh.close()
+
+
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.out is not None:
-            with open(args.out, "w") as fh:
-                return args.fn(args, fh)
+            out = _OutFile(args.out)
+            try:
+                return args.fn(args, out)
+            finally:
+                out.close()
         return args.fn(args, sys.stdout)
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}),

@@ -681,4 +681,7 @@ def index_violations(g):
 
 
 def is_index_increasing(g):
-    return not index_violations(g)
+    """Whether the index rises along every oriented edge; the test stops
+    at the first edge where it does not."""
+    by_id = g._by_id
+    return all(by_id[e.src].lam < by_id[e.dst].lam for e in g.edges)

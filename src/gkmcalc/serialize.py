@@ -15,15 +15,17 @@ byte-stable.
 ``dumps`` writes exactly what ``json.dumps(data, indent=2, sort_keys=True)``
 writes, in one pass over the values the commands emit: strs, ints, floats,
 bools, None, lists, tuples and dicts with string keys (any other key raises
-``TypeError``), and the ring values ``K`` and ``H``, written as ``json``
-would write their JSON form, sorted [coefficient string, exponent array]
-pairs.  Strings are quoted by ``json``'s own ASCII quoter; ``json`` itself
-would take its pure-Python encoder, which ``indent`` forces.  The strs and
-ints of a container are written in place, and a tuple of ints is rendered
-once per indentation within one call, since a graph repeats its weights.
-A ring value writes itself from its packed terms (``json_text``), which
-only ``symcore`` can decode, so the writers here and in the CLI hand
-``dumps`` the values themselves and no term list is built.
+``TypeError``), the ring values ``K`` and ``H``, written as ``json`` would
+write their JSON form, sorted [coefficient string, exponent array] pairs,
+and the moment graph ``GKMGraph``, written as ``json`` would write the
+dict of the ``graph`` command's JSON form.  Strings are quoted by
+``json``'s own ASCII quoter; ``json`` itself would take its pure-Python
+encoder, which ``indent`` forces.  The strs and ints of a container are
+written in place.  A ring value writes itself from its packed terms
+(``json_text``), which only ``symcore`` can decode, and a graph field by
+field from its points and edges (``_graph_text``), so the writers here and
+in the CLI hand ``dumps`` the values themselves and build no term list or
+graph dict.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
-from .gkm import ToricInput
+from .gkm import GKMGraph, ToricInput, is_index_increasing
 from .symcore import RINGS, H, K, parse_exact, parse_int
 
 
@@ -97,8 +99,8 @@ def dumps(data):
 def _encode(x, nl, memo):
     """The JSON text of x, its lines after the first opening with ``nl``.
     Strs and ints inside a container are written in place; ``memo`` holds
-    the text of each all-int tuple at each indentation, and what ring values
-    keep under ``nl`` (``json_text``), for one call of ``dumps``."""
+    what ring values keep under ``nl`` (``json_text``), for one call of
+    ``dumps``."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -108,13 +110,6 @@ def _encode(x, nl, memo):
         if not x:
             return "[]"
         inner = nl + "  "
-        if t is tuple and all([type(v) is int for v in x]):
-            key = nl, x
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = ("[" + inner + ("," + inner).join(map(int.__repr__, x))
-                                    + nl + "]")
-            return text
         return "[" + inner + ("," + inner).join([
             _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
             else _encode(v, inner, memo) for v in x]) + nl + "]"
@@ -128,9 +123,45 @@ def _encode(x, nl, memo):
             for k, v in sorted(x.items())]) + nl + "}"
     if t is K or t is H:
         return x.json_text(nl, memo)
+    if t is GKMGraph:
+        return _graph_text(x, nl, memo)
     if x is None or t is bool or t is float:
         return json.dumps(x)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _graph_text(g, nl, memo):
+    """The ``graph`` command's JSON form of g, sorted keys at every level:
+    the edges (src, dst, weight, mult), whether the orientation is index
+    increasing, the rank, the vertices (id, psi, mu, lambda, wplus) and
+    xi, with ``mu``, ``mult`` and each ``psi`` entry as strings.  It is
+    written straight from the points and edges.  Each vertex id is quoted
+    once, and each edge label, which is also the weight in ``wplus`` at the
+    edge's upper end, is written once at each of its two indentations.  The
+    ``str`` of an int or Fraction is digits, a sign and a slash, so it is
+    quoted without escaping."""
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    ids = {p.id: _quote(p.id) for p in g.points}
+    sep = "," + i4
+    at3 = {w: "[" + i4 + sep.join(map(int.__repr__, w)) + i3 + "]"
+           for w in {e.weight for e in g.edges}}
+    at4 = {w: text.replace("\n", "\n  ") for w, text in at3.items()}  # two spaces deeper
+    both = '",' + i4 + '"'
+    edges = [f'{{{i3}"dst": {ids[e.dst]},{i3}"mult": "{e.mult!s}",{i3}"src": {ids[e.src]},'
+             f'{i3}"weight": {at3[e.weight]}{i2}}}' for e in g.edges]
+    vertices = [
+        f'{{{i3}"id": {ids[p.id]},{i3}"lambda": {p.lam},{i3}"mu": "{p.mu!s}",'
+        f'{i3}"psi": [{i4}"{both.join(map(str, p.psi))}"{i3}],{i3}"wplus": '
+        + ("[" + i4 + ("," + i4).join([at4[w] for w in p.wplus]) + i3 + "]"
+           if p.wplus else "[]") + i2 + "}"
+        for p in g.points]
+    return (f'{{{i1}"edges": ' + ("[" + i2 + ("," + i2).join(edges) + i1 + "]" if edges else "[]")
+            + f',{i1}"index_increasing": {"true" if is_index_increasing(g) else "false"},'
+            f'{i1}"rank": {g.rank},{i1}"vertices": [{i2}' + ("," + i2).join(vertices)
+            + f'{i1}],{i1}"xi": {_encode(g.xi, i1, memo)}{nl}}}')
 
 
 def load_class_file(path, rank):

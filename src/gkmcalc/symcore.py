@@ -808,7 +808,14 @@ def divide_by_linear_form(p, w):
     checked against the budget first.  No intermediate exponent exceeds the
     total degree of p, at most rank * top; an exact quotient keeps p's bound.
     A quotient coefficient is c // w_i, an int, when w_i divides c, and
-    Fraction(c, w_i) otherwise, so integral inputs stay in int arithmetic."""
+    Fraction(c, w_i) otherwise, so integral inputs stay in int arithmetic.
+
+    A walk over more than 2 * rank degrees of x_i first tests divisibility
+    on the hyperplane (``PolyH.divides``), which builds no quotient, so a
+    failing division of a high power is refuted before its quotient's
+    coefficients grow.  The commands' own values never walk that far: a
+    product of two classes has degree at most 2 * rank, so only a class
+    file's value can take the test."""
     if wt_is_zero(w):
         raise ValueError("zero weight")
     if p.is_zero():
@@ -828,9 +835,11 @@ def divide_by_linear_form(p, w):
     if p.top and len(p.terms) * math.comb(p.top - 1 + m, m) > TERM_BUDGET \
             and sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d) > TERM_BUDGET:
         raise _too_many("linear form division")
+    d = max(slices)
+    if d > 2 * rank and not p.divides(w):
+        return None
     quot = {}
     carry = {}  # r q_d, taken off the slice of degree d
-    d = max(slices)
     while True:
         cur = slices.get(d, {})
         for e, c in carry.items():

@@ -21,7 +21,9 @@ computes another way, or a fixture builder:
   as ``from_terms`` once did, and ``to_terms`` is the JSON form of a value
   as plain lists, the reference for the text ``json_text`` writes;
   ``class_to_dict`` and ``basis_from_dict`` are the inverses of the
-  class and basis file forms that ``serialize`` reads and writes;
+  class and basis file forms that ``serialize`` reads and writes, and
+  ``graph_dict`` is the ``graph`` command's JSON form as plain data, the
+  reference for the text ``serialize`` writes from the graph itself;
 * ``blowup`` cuts seeded corners off simple polytopes, with the edge set the
   cuts imply, and ``cut_cube`` is the cube with one such corner cut;
 * ``eliminated_graph`` is ``build_graph`` with every frame taken by its own
@@ -268,6 +270,29 @@ def to_terms(v):
 def class_to_dict(c, mode):
     """The data of a class file, the inverse of ``class_from_dict``."""
     return {"mode": mode, "class": c}
+
+
+def graph_dict(g):
+    """The data of ``graph --format json``, built as a dict."""
+    return {
+        "rank": g.rank,
+        "xi": g.xi,
+        "vertices": [
+            {
+                "id": p.id,
+                "psi": [str(x) for x in p.psi],
+                "mu": str(p.mu),
+                "lambda": p.lam,
+                "wplus": list(p.wplus),
+            }
+            for p in g.points
+        ],
+        "edges": [
+            {"src": e.src, "dst": e.dst, "weight": e.weight, "mult": str(e.mult)}
+            for e in g.edges
+        ],
+        "index_increasing": not gkm.index_violations(g),
+    }
 
 
 def basis_from_dict(data, rank):

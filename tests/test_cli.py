@@ -203,6 +203,61 @@ def test_empty_out_path_is_io_error(capsys):
     assert rc == 4
     assert out == ""
     _assert_clean_exit(rc, err)
+    assert json.loads(err) == {"error": "io",
+                               "message": "[Errno 2] No such file or directory: ''"}
+
+
+def test_a_failed_command_leaves_its_out_file_as_it_was(tmp_path, capsys):
+    target = tmp_path / "o.txt"
+    target.write_text("kept\n")
+    rc, out, err = run_cli(["graph", "--input", str(tmp_path / "missing.json"),
+                            "--out", str(target)], capsys)
+    assert (rc, out, json.loads(err)["error"]) == (4, "", "io")
+    assert target.read_text() == "kept\n"
+    short = {"mode": "ktheory", "class": {"p0": [["1", [0, 0]]], "p1": [["1", [0, 0]]]}}
+    rc, out, err = run_cli(["index", "--fixture", "cp2", "--class",
+                            _write(tmp_path, "c.json", short), "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": "class file has no value at vertex p2"}
+    assert target.read_text() == "kept\n"
+    # a command that writes and then fails keeps what it wrote
+    rc, out, _ = run_cli(["verify", "--fixture", "hirzebruch", "--out", str(target)], capsys)
+    assert (rc, out) == (0, "")
+    report = target.read_text()
+    assert "unique minimum" in report and "FAIL" not in report
+
+
+def test_verify_keeps_its_failing_report_in_the_out_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cohomology, "theta", lambda g, edge: Fraction(1, 2))
+    target = tmp_path / "o.txt"
+    target.write_text("old\n")
+    rc, out, err = run_cli(["verify", "--fixture", "cp2", "--out", str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message": "verification failed"}
+    report = target.read_text()
+    assert "unique minimum" in report and report.count("FAIL") == 1
+    assert "old" not in report
+
+
+def test_a_failing_division_of_a_high_power_is_refuted_quickly(tmp_path, capsys):
+    # x1^D at the top vertex a of this CP^2 image, zero elsewhere: its first
+    # Euler factor 3 x2 - 2 x1 does not divide it, and the quotient walk
+    # down the powers of x1 would grow coefficients like (3/2)^k
+    graph = {"rank": 2, "vertices": [{"id": "a", "psi": [0, 0]}, {"id": "b", "psi": [2, -3]},
+                                     {"id": "c", "psi": [1, -1]}],
+             "edges": [["a", "b"], ["b", "c"], ["c", "a"]]}
+    path = _write(tmp_path, "g.json", graph)
+    for power in (2000, 100000):
+        klass = {"mode": "cohomology", "class": {"a": [["1", [power, 0]]], "b": [], "c": []}}
+        start = time.perf_counter()
+        rc, out, err = run_cli(["index", "--mode", "cohomology", "--input", path, "--class",
+                                _write(tmp_path, "c.json", klass)], capsys)
+        assert time.perf_counter() - start < 3
+        assert (rc, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "contract", "message": "push-forward of a non-class: value at a is not "
+                                            "a multiple of its Euler class"}
 
 
 TRIANGLE = {

@@ -8,7 +8,10 @@ and on tuples that hold other values than ints or meet again at another
 indentation.  Keys are strings, the only keys the commands emit.  A ring
 value is written as ``json`` writes its JSON form, ``oracles.to_terms``, at
 any rank and depth, whatever other values of the same call share its
-exponents.
+exponents.  A moment graph is written as ``json`` writes
+``oracles.graph_dict``, the ``graph`` command's JSON form as a dict: on
+every fixture, on seeded blow-ups and products, at rational scales and with
+vertex ids that ``json`` must escape.
 """
 
 import contextlib
@@ -18,12 +21,16 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import classes as cl
 from gkmcalc.cli import main
-from gkmcalc.serialize import dumps
+from gkmcalc.errors import SuppliedXiNotGeneric
+from gkmcalc.fixtures import fixture_input
+from gkmcalc.gkm import build_graph, index_violations, is_index_increasing
+from gkmcalc.serialize import dumps, toric_input_from_dict
 from gkmcalc.symcore import LIMIT, H, K
 
 from conftest import rng
-from oracles import to_terms
+from oracles import BASES, blowup, graph_dict, polytope_json, product_polytope, to_terms
 from test_golden import FIXTURES, cases
 
 
@@ -198,3 +205,89 @@ def _values(x):
     elif isinstance(x, (list, tuple)):
         for v in x:
             yield from _values(v)
+
+
+# ---------------------------------------------------------------------------
+# the moment graph
+
+def _graph_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["graph", "--format", "json"] + argv) == 0, argv
+    return out.getvalue()
+
+
+def _graph_file(tmp_path, data):
+    """The ``graph`` command's JSON output on a graph file, the graph its
+    input builds, and that graph's reference text."""
+    g = build_graph(toric_input_from_dict(data))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    return _graph_json(["--input", str(path)]), g, _reference(graph_dict(g))
+
+
+@pytest.mark.parametrize("fixture", ["cp1", "cp2", "cpn:3", "cpn:5", "hirzebruch", "square"])
+def test_graph_json_is_the_graph_dict_on_every_fixture(fixture):
+    g = build_graph(fixture_input(fixture))
+    assert _graph_json(["--fixture", fixture]) == dumps(g) == _reference(graph_dict(g))
+
+
+def _scaled(verts, s):
+    return {v: tuple(x * s for x in psi) for v, psi in verts.items()}
+
+
+def test_graph_json_is_the_graph_dict_on_blowups_and_products(tmp_path):
+    # vertex-only and supplied-edge inputs under seeded directions and the
+    # dilations 1, 3/2 and 5/3, so mu, mult and psi are often Fractions
+    r = rng(951)
+    cases = [blowup(r, base, cuts) for base in BASES for cuts in (0, 1, 2, 3)]
+    cases += [product_polytope(f) for f in ([BASES["cp2"][0]] * 2, [BASES["F1"][0]] * 2
+                                            + [BASES["cube3"][0]])]
+    seen = {"graph": 0, "fraction": 0, "not index increasing": 0}
+    for i, (verts, edges) in enumerate(cases):
+        verts = _scaled(verts, (1, Fraction(3, 2), Fraction(5, 3))[i % 3])
+        data = polytope_json(verts)
+        if i % 2:
+            data["edges"] = sorted(sorted(e) for e in edges)
+            data["xi"] = [r.randint(-9, 9) for _ in range(data["rank"])]
+        try:
+            got, g, want = _graph_file(tmp_path, data)
+        except SuppliedXiNotGeneric:
+            continue
+        assert got == want
+        seen["graph"] += 1
+        seen["fraction"] += any(type(p.mu) is Fraction for p in g.points) \
+            and any(type(e.mult) is Fraction for e in g.edges)
+        seen["not index increasing"] += not is_index_increasing(g)
+    assert seen["graph"] >= 18 and seen["fraction"] >= 8 and seen["not index increasing"] >= 4, seen
+
+
+def test_graph_json_escapes_vertex_ids_as_json_does(tmp_path):
+    ids = ['q"uote', "back\\slash", "\u00e9t\u00e9 \u03c8\U0001d11e", "tab\tline\n"]
+    psis = [(0, 0), (2, 0), (2, 1), (0, 1)]
+    data = {"rank": 2, "vertices": [{"id": v, "psi": list(p)} for v, p in zip(ids, psis)]}
+    got, g, want = _graph_file(tmp_path, data)
+    assert got == want
+    assert "\\u00e9t\\u00e9" in got and '\\"uote' in got and "back\\\\slash" in got
+
+
+def test_graph_json_reads_the_same_at_any_depth():
+    g = build_graph(fixture_input("hirzebruch"))
+    h = build_graph(fixture_input("cpn:3"))
+    value = {"g": [g, (1, 0)], "h": (h, {"k": h}), "w": g.edges[0].weight}
+    plain = {"g": [graph_dict(g), (1, 0)], "h": (graph_dict(h), {"k": graph_dict(h)}),
+             "w": g.edges[0].weight}
+    assert dumps(value) == _reference(plain)
+
+
+def test_index_increasing_is_tested_once_per_basis(monkeypatch):
+    calls = []
+    test = cl.is_index_increasing
+    monkeypatch.setattr(cl, "is_index_increasing", lambda g: calls.append(g) or test(g))
+    for fixture in ("hirzebruch", "cpn:3"):
+        g = build_graph(fixture_input(fixture))
+        assert test(g) == (not index_violations(g))
+        for ring in (K, H):
+            calls.clear()
+            cl.basis(ring, g)
+            assert len(calls) == (ring is K)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc import classes as cl
+from gkmcalc import symcore
+from gkmcalc.cli import main
 from gkmcalc.errors import ContractError, DivisionFailure, ValidationError
 from gkmcalc.symcore import (
     LIMIT,
@@ -395,6 +397,71 @@ def test_packed_linear_division_matches_tuple_keys():
             hits += 1
             assert _same(got, ref)
     assert 0 < hits < 300
+
+
+def _count_divides(monkeypatch):
+    calls = []
+    divides = PolyH.divides
+
+    def counted(self, w):
+        calls.append(w)
+        return divides(self, w)
+    monkeypatch.setattr(PolyH, "divides", counted)
+    return calls
+
+
+def test_divisions_past_twice_the_rank_in_degree_test_the_hyperplane_first(monkeypatch):
+    # the walk's answer is kept: the test only refutes, before a quotient
+    calls = _count_divides(monkeypatch)
+    r = rng(127)
+    hits = misses = 0
+    for _ in range(200):
+        rank = r.randint(1, 3)
+        w = rand_weight(r, rank, -3, 3)
+        q = rand_polyh(r, rank, deg=2 * rank + 2)
+        p = PolyH.linear_form(w) * q
+        if r.random() < 0.5:
+            p = p + PolyH(rank, {tuple(r.randint(0, 2 * rank + 2) for _ in range(rank)): 1})
+        ref = _ref_divide_by_linear_form(dict(p.sorted_terms()), w)
+        before = len(calls)
+        got = divide_by_linear_form(p, w)
+        pivot = next(i for i, c in enumerate(w) if c)
+        walked = max((e[pivot] for e, _ in p.sorted_terms()), default=0)
+        assert len(calls) - before == (walked > 2 * rank and not p.is_zero())
+        if ref is None:
+            misses += 1
+            assert got is None
+        else:
+            hits += 1
+            assert _same(got, ref)
+    assert hits > 50 and misses > 50 and len(calls) > 50
+
+
+def test_exact_division_of_a_high_power_takes_linear_time():
+    # x1^n (x2 - x1) passes the hyperplane test, then the walk runs n steps
+    n = 100000
+    start = time.perf_counter()
+    assert divide_by_linear_form(PolyH(2, {(n, 1): 1, (n + 1, 0): -1}), (-1, 1)) \
+        == PolyH(2, {(n, 0): 1})
+    assert time.perf_counter() - start < 3
+
+
+@pytest.mark.parametrize("fixture", ["cp2", "cpn:3", "cpn:4", "hirzebruch", "square"])
+def test_the_commands_own_divisions_never_take_the_hyperplane_test(fixture, monkeypatch):
+    # their values have degree at most 2 * rank, a product of two classes
+    calls = _count_divides(monkeypatch)
+    divisions = []
+    divide = symcore.divide_by_linear_form
+    monkeypatch.setattr(symcore, "divide_by_linear_form",
+                        lambda p, w: divisions.append(w) or divide(p, w))
+    runs = [["structure"], ["basis"], ["pd"], ["gt"], ["index", "--class", "pd:1"],
+            ["local-index", "--class", "tau:1", "--vertex", "2"]]
+    for argv in runs:
+        if argv[0] == "gt" and fixture == "hirzebruch":
+            continue
+        mode = [] if argv[0] == "gt" else ["--mode", "cohomology"]
+        assert main(argv + ["--fixture", fixture] + mode) == 0, argv
+    assert divisions and calls == []
 
 
 def test_results_past_the_term_budget_are_refused():
