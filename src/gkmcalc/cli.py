@@ -1,5 +1,7 @@
 """Command line front end.
 
+Every command runs through ``main``: it parses the arguments, builds the
+moment graph, picks the coefficient ring and calls the command with both.
 Exit codes: 0 ok, 2 validation error, 3 arithmetic contract violation,
 4 i/o error.  Output is deterministic: vertices in increasing moment order,
 monomials in lexicographic exponent order.
@@ -24,18 +26,12 @@ from .fixtures import (
 )
 from .gkm import build_graph, flow_face, index_violations, is_index_increasing, upward_closure
 from .kirwan import kirwan_restrict_all, reduced_fixed_data
-from .serialize import basis_to_dict, dumps, load_class_file, load_toric_input
+from .serialize import dumps, load_class_file, load_toric_input
 from .symcore import RINGS, H, K
 
 
 # ---------------------------------------------------------------------------
 # output
-
-def emit_class(ring, g, name, c, lines):
-    lines.append(f"class {name}")
-    for vid in g.vids():
-        lines.append(f"  {vid}: {ring.fmt(c[vid])}")
-
 
 def emit_value(args, out, ring, data, value):
     """One ring value, in JSON under "value" next to ``data`` or as text."""
@@ -43,7 +39,6 @@ def emit_value(args, out, ring, data, value):
         out.write(dumps({**data, "value": value}))
     else:
         out.write(ring.fmt(value) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +123,10 @@ def _resolve_vid(g, vid):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_graph(args, out):
-    g = load_graph(args)
+def cmd_graph(args, out, g, ring):
     if args.format == "json":
         out.write(dumps(g))
-        return 0
+        return
     out.write(f"rank {g.rank}, xi = ({','.join(map(str, g.xi))})\n")
     for p in g.points:
         psi = ",".join(str(x) for x in p.psi)
@@ -144,90 +138,73 @@ def cmd_graph(args, out):
     out.write(f"index increasing: {'no' if bad else 'yes'}\n")
     for e in bad:
         out.write(f"  violated on {e.src} -> {e.dst}\n")
-    return 0
 
 
-def cmd_check(args, out):
-    g = load_graph(args)
+def cmd_check(args, out, g, ring):
     if args.klass is not None:
-        ring = RINGS[args.mode]
         edge = cl.check_gkm(ring, g, resolve_class(g, args.klass, ring))
         if edge is not None:
             raise ValidationError(f"divisibility fails on {edge.src}->{edge.dst}")
     out.write("ok\n")
-    return 0
 
 
-def cmd_basis(args, out):
-    g = load_graph(args)
-    ring = RINGS[args.mode]
-    return _emit_basis(args, out, g, ring, cl.basis(ring, g, args.normalization), "tau")
+def cmd_basis(args, out, g, ring):
+    _emit_basis(args, out, g, ring, cl.basis(ring, g, args.normalization), "tau")
 
 
-def cmd_pd(args, out):
-    g = load_graph(args)
-    ring = RINGS[args.mode]
-    basis = {p: cl.poincare_dual(ring, g, p) for p in g.vids()}
-    return _emit_basis(args, out, g, ring, basis, "pd")
+def cmd_pd(args, out, g, ring):
+    _emit_basis(args, out, g, ring, {p: cl.poincare_dual(ring, g, p) for p in g.vids()}, "pd")
 
 
-def cmd_gt(args, out):
+def cmd_gt(args, out, g, ring):
     """The path-sum basis, built as the flow-up duals it equals."""
-    g = load_graph(args)
     ch.require_index_increasing(g)
-    return _emit_basis(args, out, g, H, cl.basis(H, g), "gt")
+    _emit_basis(args, out, g, ring, cl.basis(ring, g), "gt")
 
 
 def _emit_basis(args, out, g, ring, basis, label):
     if args.format == "json":
-        out.write(dumps(basis_to_dict(basis, ring.name)))
-        return 0
+        out.write(dumps({"mode": ring.name, "basis": basis}))
+        return
+    vids = g.vids()
     lines = []
-    for vid in g.vids():
-        emit_class(ring, g, f"{label}:{vid}", basis[vid], lines)
+    for p in vids:
+        lines.append(f"class {label}:{p}")
+        lines += [f"  {q}: {ring.fmt(basis[p][q])}" for q in vids]
     out.write("\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_local_index(args, out):
-    g = load_graph(args)
-    ring = RINGS[args.mode]
+def cmd_local_index(args, out, g, ring):
     c = resolve_class(g, args.klass, ring)
     vid = _resolve_vid(g, args.vertex)
-    return emit_value(args, out, ring, {"vertex": vid}, cl.local_index(ring, g, c, vid))
+    emit_value(args, out, ring, {"vertex": vid}, cl.local_index(ring, g, c, vid))
 
 
-def cmd_index(args, out):
-    g = load_graph(args)
-    ring = RINGS[args.mode]
+def cmd_index(args, out, g, ring):
     c = resolve_class(g, args.klass, ring)
-    return emit_value(args, out, ring, {}, cl.pushforward(ring, g, c))
+    emit_value(args, out, ring, {}, cl.pushforward(ring, g, c))
 
 
-def cmd_structure(args, out):
-    g = load_graph(args)
-    ring = RINGS[args.mode]
+def cmd_structure(args, out, g, ring):
     table = cl.structure_constants(ring, g, cl.basis(ring, g))
     if args.format == "json":
         out.write(dumps({f"{p}*{q}->{r}": f for (p, q, r), f in sorted(table.items())}))
-        return 0
+        return
     for (p, q, r), f in sorted(table.items()):
         out.write(f"{p} * {q} -> {r}: {ring.fmt(f)}\n")
-    return 0
 
 
-def cmd_kirwan(args, out):
-    g = load_graph(args)
+def cmd_kirwan(args, out, g, ring):
     if not args.pi:
         raise ValidationError("need --pi")
     pi = int_vector(args.pi, "--pi")
     setup = reduced_fixed_data(g, pi)
     if args.klass is not None:
-        c = resolve_class(g, args.klass, H)
+        c = resolve_class(g, args.klass, ring)
     elif args.fixture and fixture_key(args.fixture) == "square":
         c = square_reference_class(g)
     else:
-        c = cl.one_class(H, g)
+        c = cl.one_class(ring, g)
     vals = kirwan_restrict_all(setup, c)
     if args.format == "json":
         data = {
@@ -244,11 +221,10 @@ def cmd_kirwan(args, out):
             ],
         }
         out.write(dumps(data))
-        return 0
+        return
     out.write(f"top vertex: {setup.top}\n")
     for p in setup.points:
-        out.write(f"{p.id} (edge {p.source} -> {setup.top}): {H.fmt(vals[p.id])}\n")
-    return 0
+        out.write(f"{p.id} (edge {p.source} -> {setup.top}): {ring.fmt(vals[p.id])}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +329,13 @@ def _verify_checks(g, full):
     return checks
 
 
-def cmd_verify(args, out):
-    g = load_graph(args)
+def cmd_verify(args, out, g, ring):
     checks = _verify_checks(g, full=(args.level == "full"))
     width = max(len(n) for n, _ in checks)
     for name, verdict in checks:
         out.write(f"{name.ljust(width)}  {verdict}\n")
     if any(verdict != "PASS" for _, verdict in checks):
         raise ValidationError("verification failed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +456,18 @@ class _OutFile:
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args.out is not None:
+        g = load_graph(args)
+        # gt and kirwan work in H; graph and verify take no ring
+        ring = RINGS[args.mode] if "mode" in args else H
+        if args.out is None:
+            args.fn(args, sys.stdout, g, ring)
+        else:
             out = _OutFile(args.out)
             try:
-                return args.fn(args, out)
+                args.fn(args, out, g, ring)
             finally:
                 out.close()
-        return args.fn(args, sys.stdout)
+        return 0
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}),
               file=sys.stderr)

@@ -27,7 +27,7 @@ from .symcore import wt_dot, wt_scale, wt_sub
 # the residuals
 ReducedPoint = namedtuple("ReducedPoint", "id source edge_weight residual edge_dual")
 
-ReductionSetup = namedtuple("ReductionSetup", "graph pi top points")
+ReductionSetup = namedtuple("ReductionSetup", "top points")
 
 
 def reduced_fixed_data(g, pi):
@@ -67,7 +67,7 @@ def reduced_fixed_data(g, pi):
         points.append(ReducedPoint(
             id=f"r{i + 1}", source=source, edge_weight=v_i,
             residual=tuple(residual), edge_dual=tuple(x // c_i for x in pi)))
-    return ReductionSetup(graph=g, pi=pi, top=top, points=points)
+    return ReductionSetup(top=top, points=points)
 
 
 def kirwan_restrict_all(setup, c):

@@ -3,7 +3,8 @@
 Graph files:  {"rank": n, "vertices": [{"id": ..., "psi": [...]}, ...],
                "edges": [[id, id], ...]?, "xi": [...]?}
 with rationals written as integers or as "p/q" or plain decimal strings
-(exponent notation is refused).
+(exponent notation is refused), and vertex ids as strings or as integers,
+read as their decimal strings.
 
 Class files:  {"mode": "ktheory"|"cohomology", "class": {vid: [[coeff, [e...]], ...]}}
 with coefficients as decimal strings (K) or "p/q" strings (H) so any integer
@@ -43,17 +44,35 @@ def toric_input_from_dict(data):
         raise ValidationError("malformed graph file: not a JSON object")
     try:
         rank = parse_int(data["rank"])
-        vertices = [(str(v["id"]), tuple(map(parse_exact, v["psi"])))
-                    for v in data["vertices"]]
+        vertices = [(_vid(v["id"]), tuple(map(parse_exact, _array(v["psi"], "psi"))))
+                    for v in _array(data["vertices"], "vertices")]
         edges = None
         if data.get("edges") is not None:
-            edges = [(str(a), str(b)) for a, b in data["edges"]]
+            edges = [(_vid(a), _vid(b)) for a, b in
+                     (_array(e, "an edge") for e in _array(data["edges"], "edges"))]
         xi = None
         if data.get("xi") is not None:
-            xi = tuple(parse_int(x) for x in data["xi"])
+            xi = tuple(parse_int(x) for x in _array(data["xi"], "xi"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file: {exc}") from None
     return ToricInput(rank=rank, vertices=vertices, edges=edges, xi=xi)
+
+
+def _array(x, what):
+    """x, refused unless it is an array: a string or an object would be
+    read entry by entry."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"{what} is not an array: {x!r}")
+    return x
+
+
+def _vid(x):
+    """A vertex id: a string, or an integer as its decimal string."""
+    if type(x) is str:
+        return x
+    if type(x) is int:
+        return str(x)
+    raise TypeError(f"vertex id {x!r} is not a string or an integer")
 
 
 def _load_json(path, what):
@@ -83,13 +102,10 @@ def class_from_dict(data, rank):
         raise ValidationError("malformed class file: no \"class\" object")
     mode, ring = _ring(data)
     try:
-        return {vid: ring.from_terms(rank, items) for vid, items in data["class"].items()}, mode
+        return {vid: ring.from_terms(rank, _array(items, f"the value at {vid}"))
+                for vid, items in data["class"].items()}, mode
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed class file: {exc}") from None
-
-
-def basis_to_dict(basis, mode):
-    return {"mode": mode, "basis": basis}
 
 
 def dumps(data):

@@ -296,8 +296,8 @@ def graph_dict(g):
 
 
 def basis_from_dict(data, rank):
-    """A basis file's data read back, the inverse of ``basis_to_dict``: the
-    basis and its mode."""
+    """A basis file's data, ``{"mode": ..., "basis": {vid: class}}`` as the
+    basis commands write it, read back: the basis and its mode."""
     mode = data.get("mode", "ktheory")
     ring = RINGS[mode]
     return {vid: {q: ring.from_terms(rank, items) for q, items in tbl.items()}

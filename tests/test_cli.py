@@ -3,21 +3,20 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gkmcalc import classes as cl
-from gkmcalc import cohomology
+from gkmcalc import cli, cohomology
 from gkmcalc.cli import main, make_parser, parse_args
 from gkmcalc.errors import NonConstantQuotient, ValidationError
-from gkmcalc.serialize import (
-    basis_to_dict,
-    class_from_dict,
-    dumps,
-    toric_input_from_dict,
-)
+from gkmcalc.serialize import class_from_dict, dumps, toric_input_from_dict
 from gkmcalc.fixtures import fixture_input
 from gkmcalc.gkm import build_graph
 from gkmcalc.symcore import K, TERM_BUDGET, parse_exact
@@ -319,6 +318,31 @@ def _assert_clean_exit(rc, err):
      "malformed class file: exponent '12' is not an array"),
     (TRIANGLE, {"mode": "ktheory", "class": {v: ["1x"] for v in "abc"}}, ["--class"],
      "malformed class file: exponent 'x' is not an array"),
+    # a string or an object where the format has an array is not read entry by entry
+    ({**TRIANGLE, "vertices": [{"id": "a", "psi": [0, 0]}, {"id": "b", "psi": "10"},
+                               {"id": "c", "psi": [0, 1]}]}, None, [],
+     "malformed graph file: psi is not an array: '10'"),
+    ({**TRIANGLE, "edges": ["ab", "bc", "ca"]}, None, [],
+     "malformed graph file: an edge is not an array: 'ab'"),
+    ({**TRIANGLE, "xi": "12"}, None, [], "malformed graph file: xi is not an array: '12'"),
+    ({**TRIANGLE, "vertices": "abc"}, None, [],
+     "malformed graph file: vertices is not an array: 'abc'"),
+    ({**TRIANGLE, "edges": {"a": "b"}}, None, [],
+     "malformed graph file: edges is not an array: {'a': 'b'}"),
+    ({**TRIANGLE, "vertices": [{"id": None, "psi": [0, 0]}, *TRIANGLE["vertices"][1:]]}, None,
+     [], "malformed graph file: vertex id None is not a string or an integer"),
+    ({**TRIANGLE, "vertices": [{"id": True, "psi": [0, 0]}, *TRIANGLE["vertices"][1:]]}, None,
+     [], "malformed graph file: vertex id True is not a string or an integer"),
+    ({**TRIANGLE, "vertices": [{"id": [1], "psi": [0, 0]}, *TRIANGLE["vertices"][1:]]}, None,
+     [], "malformed graph file: vertex id [1] is not a string or an integer"),
+    ({**TRIANGLE, "edges": [["a", "b"], ["a", 1.0], ["b", "c"]]}, None, [],
+     "malformed graph file: vertex id 1.0 is not a string or an integer"),
+    (TRIANGLE, {"mode": "ktheory", "class": {"a": [["1", [1, 1]]], "b": "", "c": []}},
+     ["local-index", "--vertex", "a", "--class"],
+     "malformed class file: the value at b is not an array: ''"),
+    (TRIANGLE, {"mode": "ktheory", "class": {"a": [["1", [1, 1]]], "b": {}, "c": []}},
+     ["local-index", "--vertex", "a", "--class"],
+     "malformed class file: the value at b is not an array: {}"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
@@ -333,6 +357,18 @@ def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, 
     assert rc == 2
     _assert_clean_exit(rc, err)
     assert message in json.loads(err)["message"]
+
+
+def test_integer_vertex_ids_read_as_their_strings(tmp_path, capsys):
+    named = {"rank": 1, "vertices": [{"id": "0", "psi": [0]}, {"id": "1", "psi": [1]}],
+             "edges": [["0", "1"]]}
+    numbered = {"rank": 1, "vertices": [{"id": 0, "psi": [0]}, {"id": 1, "psi": [1]}],
+                "edges": [[0, 1]]}
+    inp = toric_input_from_dict(numbered)
+    assert (inp.vertices, inp.edges) == ([("0", (0,)), ("1", (1,))], [("0", "1")])
+    outputs = [run_cli(["basis", "--input", _write(tmp_path, "g.json", data)], capsys)
+               for data in (named, numbered)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_supplied_edges_are_refused_by_the_certificate_in_traversal_order(tmp_path, capsys):
@@ -623,12 +659,12 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
 
 def test_basis_json_roundtrip_bytes(cp2):
     basis = cl.basis(K, cp2)
-    blob = dumps(basis_to_dict(basis, "ktheory"))
+    blob = dumps({"mode": "ktheory", "basis": basis})
     assert json.loads(blob) == {"mode": "ktheory", "basis": {
         p: {q: to_terms(x) for q, x in c.items()} for p, c in basis.items()}}
     loaded, mode = basis_from_dict(json.loads(blob), cp2.rank)
     assert mode == "ktheory"
-    blob2 = dumps(basis_to_dict(loaded, mode))
+    blob2 = dumps({"mode": mode, "basis": loaded})
     assert blob == blob2
     for p in cp2.vids():
         assert cl.class_equal(loaded[p], basis[p])
@@ -790,6 +826,56 @@ def test_usage_error_line_is_the_whole_parsers(capsys, argv):
     with pytest.raises(ValidationError) as exc:
         make_parser().parse_args(argv)
     _assert_refused(*run_cli(argv, capsys), str(exc.value))
+
+
+# one run of each command; square is index increasing and has a unique top
+# vertex for the covector (1, 1)
+EVERY_COMMAND = [
+    ["graph"], ["check", "--class", "one"], ["basis"], ["pd"], ["gt"],
+    ["local-index", "--class", "one", "--vertex", "1"], ["index", "--class", "one"],
+    ["structure"], ["kirwan", "--pi", "1,1"], ["verify"],
+]
+
+
+def test_every_command_has_a_run():
+    assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(make_parser().commands)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_each_command_builds_the_moment_graph_once(monkeypatch, capsys, argv):
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return build_graph(inp)
+    monkeypatch.setattr(cli, "build_graph", counted)
+    rc, out, err = run_cli(argv + ["--fixture", "square"], capsys)
+    assert (rc, err) == (0, "") and out
+    assert len(calls) == 1
+
+
+def test_the_module_entry_point_exits_with_mains_code(tmp_path):
+    # ``python -m gkmcalc.cli`` goes through ``sys.exit(main())``
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    non_class = _write(tmp_path, "bad.json", {"mode": "ktheory", "class": {
+        "p0": [], "p1": [["1", [0, 0]]], "p2": []}})
+    runs = [
+        (0, ["basis", "--fixture", "cp2"], None),
+        (2, ["graph", "--fixture", "nope"], "validation"),
+        (3, ["index", "--fixture", "cp2", "--class", non_class], "contract"),
+        (4, ["graph", "--input", str(tmp_path / "missing.json")], "io"),
+    ]
+    for code, argv, error in runs:
+        done = subprocess.run([sys.executable, "-m", "gkmcalc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, (argv, done.stderr)
+        if error is None:
+            assert (done.stdout, done.stderr) == (GOLDEN_TRIANGLE_BASIS, "")
+        else:
+            assert done.stdout == ""
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1, done.stderr
+            assert json.loads(lines[0])["error"] == error
 
 
 def test_top_level_help_still_prints_usage(capsys):

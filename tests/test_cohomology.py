@@ -14,7 +14,7 @@ from gkmcalc.errors import NonPolynomialIndex, NotECanEdge, NotIndexIncreasing
 from gkmcalc.fixtures import fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, is_index_increasing
 from gkmcalc.cohomology import ecan_edges, gt_basis, gt_class, theta
-from gkmcalc.serialize import basis_to_dict, dumps
+from gkmcalc.serialize import dumps
 from gkmcalc.symcore import H, Irreducible, LocalizedSum, PolyH, rational_primitive, wt_sub
 
 from conftest import rand_polyh, rng
@@ -473,7 +473,7 @@ def test_gt_sources_cover_products_and_blowups(gt_sources):
 def test_cli_gt_basis_is_the_path_sum_basis(gt_sources, capsys):
     for name, g, src in gt_sources:
         out = _run(["gt", "--format", "json"] + src, capsys)
-        assert out == dumps(basis_to_dict(gt_basis(g), "cohomology")), name
+        assert out == dumps({"mode": "cohomology", "basis": gt_basis(g)}), name
 
 
 def test_cli_gt_class_is_the_path_sum_class(gt_sources, capsys):
