@@ -32,25 +32,32 @@ build them, and the structure constants, without a local index:
 Every face here is a bit mask of its vertices (``GKMGraph.face_mask``, the
 faces of ``_boundary``), and a dual is taken on its face alone
 (``_dual_on``), the only place it is nonzero: at each vertex of the mask,
-the factors of the edges whose far end is off it.  The factors come from
-the graph's adjacency table and are built once per graph
-(``GKMGraph.factor``), and ``poincare_dual`` pads the face values with
-zeros to a full table.  The push-forward expands the class in the flow-up
-duals, which is also the membership test.  In K-theory every dual is the
-class of the structure sheaf of a toric subvariety and has index 1; in
-cohomology only the point class at the top vertex has a nonzero integral,
-1.  The expansion takes each dual off its own vertex, where it is the Euler
-class the elimination divides by.  The local index at q is a lam_q-th
-divided difference of the value at q, built by Newton's recursion with one
-exact division per step; its nodes are shears of the value along the
-vertex's frame, built on each call.
+the list of the factors of the edges whose far end is off it.  The
+factors come from the graph's adjacency table and are built once per graph
+(``GKMGraph.factor``); ``poincare_dual`` multiplies them out and pads the
+face values with zeros to a full table.  The push-forward expands the
+class in the flow-up duals, which is also the membership test.  In
+K-theory every dual is the class of the structure sheaf of a toric
+subvariety and has index 1; in cohomology only the point class at the top
+vertex has a nonzero integral, 1.  The expansion takes each dual off its
+own vertex, where it is the Euler class the elimination divides by, in
+one division call per vertex, and multiplies each quotient by the dual's
+factor lists in place.  The local index at q is a lam_q-th divided
+difference of the value at q, built by Newton's recursion with one exact
+division per step; its nodes are shears of the value along the vertex's
+frame, built on each call.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+from fractions import Fraction
+
 from .errors import ContractError, DivisionFailure, NonPolynomialIndex, ValidationError
 from .gkm import is_index_increasing
-from .symcore import TermSum, wt_neg, wt_scale, wt_sub
+from .symcore import sub_product, wt_neg, wt_scale, wt_sub
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +113,30 @@ def check_gkm(ring, g, c):
     return None
 
 
+def _leaving(ring, g, q, mask):
+    """The factors of the weights at q along the edges whose far end is off
+    the face given by its vertex mask: the dual of the face at q."""
+    bits = g.bits
+    return [g.factor(ring, w) for other, w in g.adjacency[q].items() if not bits[other] & mask]
+
+
 def _dual_on(ring, g, mask, skip=None):
     """The dual of a face, given by its vertex mask, on that face alone,
-    where it is nonzero, but for the vertex ``skip``: at each q of the face,
-    in input order, the product of the factors of the weights at q along
-    the edges whose far end is off the face."""
-    bits = g.bits
-    out = {}
-    for q in g.members(mask):
-        if q == skip:
-            continue
-        val = None
-        for other, w in g.adjacency[q].items():
-            if not bits[other] & mask:
-                f = g.factor(ring, w)
-                val = f if val is None else val * f
-        out[q] = ring.one(g.rank) if val is None else val
-    return out
+    where it is nonzero, but for the vertex ``skip``, as factors: the list
+    ``_leaving`` at each q of the face, in input order."""
+    return {q: _leaving(ring, g, q, mask) for q in g.members(mask) if q != skip}
+
+
+def _product(ring, g, factors):
+    return functools.reduce(operator.mul, factors) if factors else ring.one(g.rank)
 
 
 def poincare_dual(ring, g, vid):
     """Restriction table of the dual of the flow-up face at vid: zero off the
     face, the Euler factor of the missing edge directions on it."""
-    return {**zero_class(ring, g), **_dual_on(ring, g, g.face_mask(vid))}
+    mask, bits = g.face_mask(vid), g.bits
+    return {v: _product(ring, g, _leaving(ring, g, v, mask)) if bits[v] & mask
+            else ring.zero(g.rank) for v in g.vids()}
 
 
 def is_kirwan_class(ring, g, c, vid):
@@ -164,21 +172,25 @@ def _boundary(g, p):
 
 def _face_sum(ring, g, coeffs, duals):
     """The class sum of c times the dual of each face in ``coeffs``, as a
-    full table.  The duals are kept in ``duals`` by face mask, and each is
-    added once, in place, into the values at its vertices."""
-    sums = {}
+    full table.  The duals are kept in ``duals`` by face mask, their values
+    multiplied out, and each is added once, in place, into the term dicts of
+    the values at its vertices."""
+    sums, tops = {}, {}
     for mask, c in coeffs.items():
         if not c:
             continue
         dual = duals.get(mask)
         if dual is None:
-            dual = duals[mask] = _dual_on(ring, g, mask)
+            dual = duals[mask] = {q: _product(ring, g, fs)
+                                  for q, fs in _dual_on(ring, g, mask).items()}
         for q, val in dual.items():
-            s = sums.get(q)
-            if s is None:
-                s = sums[q] = TermSum(ring.zero(g.rank))
-            s.add(val, c)
-    return {v: sums[v].value() if v in sums else ring.zero(g.rank) for v in g.vids()}
+            terms = sums.setdefault(q, {})
+            get = terms.get
+            for e, x in val.terms.items():
+                terms[e] = get(e, 0) + c * x
+            tops[q] = max(tops.get(q, 0), val.top)
+    return {v: ring.from_sum(g.rank, sums[v], tops[v]) if v in sums else ring.zero(g.rank)
+            for v in g.vids()}
 
 
 def canonical_class(ring, g, p):
@@ -229,47 +241,55 @@ def triangular_expansion(g, c, basis_of, euler=()):
     """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
     increasing moment order.
 
-    ``c`` and ``basis_of(r)``, a Kirwan class at r needed only where a_r is
-    nonzero, may be given on their supports alone.  Each step divides the
-    residual at r by the Euler factors of its incoming labels, in the ring
-    of the value, and subtracts a_r times the class at r in place from the
-    residual at every vertex it touches (``TermSum``).  At a vertex r of
-    ``euler`` the class at r takes the value that the step divided by, the
-    Euler class at r, so the residual there becomes exactly zero: no product
-    is built at r, and ``basis_of(r)`` leaves r out.  The elimination runs
-    to the end, so a nonzero residual or a failed division certifies that c
-    is not in the span (``DivisionFailure``).
+    ``c`` may be given on its support alone, and ``basis_of(r)``, a Kirwan
+    class at r needed only where a_r is nonzero, on its support as a list
+    of factors per vertex, the value being their product.  Each residual is
+    a term dict with a bound on its exponents.  Each step divides the
+    residual at r by the Euler class of its incoming labels in one call, in
+    the ring of the value, and subtracts a_r times the class at r in place
+    from the residual at every vertex it touches (``sub_product``).  At a
+    vertex r of ``euler`` the class at r takes the value that the step
+    divided by, the Euler class at r, so the residual there becomes exactly
+    zero: no product is built at r, and ``basis_of(r)`` leaves r out.  The
+    elimination runs to the end, so a nonzero residual or a failed division
+    certifies that c is not in the span (``DivisionFailure``).
     """
-    sums = {}  # vertex: its residual, once a step has touched it
+    ring = next(map(type, c.values()), None)
+    sums, tops = {}, {}  # vertex: its residual's terms and bound, once a step touched it
     coeffs = {}
     for r in g.vids():
-        f = sums[r].value() if r in sums else c.get(r)
+        f = ring.from_sum(g.rank, sums[r], tops[r]) if r in sums else c.get(r)
         if f is None or f.is_zero():
             continue
-        for w in g.point(r).wplus:
-            f = f.divide(w)
+        wplus = g.point(r).wplus
+        if wplus:
+            f = f.divide(*wplus)
             if f is None:
                 raise DivisionFailure(
                     f"value at {r} is not a multiple of its Euler class")
         coeffs[r] = f
         if r in euler:
-            sums[r] = TermSum(f.zero(f.rank))
-        for v, b in basis_of(r).items():
-            if not b.is_zero():
-                s = sums.get(v)
-                if s is None:
-                    s = sums[v] = TermSum(c[v] if v in c else b.zero(b.rank))
-                s.sub_product(f, b)
-    if any(not s.is_zero() for s in sums.values()) \
+            sums[r], tops[r] = {}, 0
+        for v, factors in basis_of(r).items():
+            if v not in sums:
+                x = c.get(v)
+                sums[v], tops[v] = ({}, 0) if x is None else (dict(x.terms), x.top)
+            tops[v] = max(tops[v], sub_product(sums[v], f, factors))
+    if any(any(terms.values()) for terms in sums.values()) \
             or any(not x.is_zero() for v, x in c.items() if v not in sums):
         raise DivisionFailure("basis does not span: nonzero residual remains")
     return coeffs
 
 
+def _as_factors(c):
+    """A class on its support, each value a list of one factor."""
+    return {v: [x] for v, x in c.items() if not x.is_zero()}
+
+
 def expand_in_basis(ring, g, basis, c):
     """Coefficients of c in a Kirwan basis by triangular elimination in
     increasing moment order."""
-    return triangular_expansion(g, c, basis.__getitem__)
+    return triangular_expansion(g, c, lambda r: _as_factors(basis[r]))
 
 
 def structure_constants(ring, g, basis):
@@ -282,7 +302,7 @@ def structure_constants(ring, g, basis):
     zero = ring.zero(g.rank)
     supp = {p: {v: x for v, x in basis[p].items() if not x.is_zero()} for p in vids}
     euler = {p for p in vids if supp[p].get(p) == euler_minus(ring, g, p)}
-    rest = {p: {v: x for v, x in supp[p].items() if v != p} if p in euler else supp[p]
+    rest = {p: _as_factors({v: x for v, x in supp[p].items() if v != p or p not in euler})
             for p in vids}
     table = {}
     for i, p in enumerate(vids):
@@ -305,14 +325,27 @@ def structure_constants(ring, g, basis):
 def pushforward(ring, g, c):
     """Sum of the coefficients of c in the flow-up duals whose push-forward
     is 1: every dual in K-theory, the top one in cohomology.  Raises
-    ``NonPolynomialIndex`` when c is not a class."""
+    ``NonPolynomialIndex`` when c is not a class.
+
+    Each dual is taken off its own vertex as its list of Euler factors per
+    vertex (``_dual_on``), so the expansion multiplies by the factors in
+    place.  An H class is first scaled by the lcm D of its coefficients'
+    denominators: the labels are primitive, so by Gauss's lemma every exact
+    quotient of an integral value by a label is integral, the expansion runs
+    in int arithmetic, and the answer is divided by D once."""
+    scale = 1
+    if ring.graded:
+        scale = math.lcm(*{x.denominator for v in c.values() for x in v.terms.values()})
+        if scale != 1:
+            c = {v: x.cleared(scale) for v, x in c.items()}
     try:
         coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face_mask(r), r),
                                       set(g.vids()))
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
-    return sum((f for r, f in coeffs.items()
-                if not ring.graded or g.point(r).lam == g.rank), ring.zero(g.rank))
+    total = sum((f for r, f in coeffs.items()
+                 if not ring.graded or g.point(r).lam == g.rank), ring.zero(g.rank))
+    return total if scale == 1 else total.scaled(Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -98,14 +98,22 @@ def _ring(data):
 
 
 def class_from_dict(data, rank):
+    """The class of a class file's data and its mode.  The whole table is
+    read in one pass (``from_table``); a table with an irregular value is
+    read value by value in file order through the constructor, so the
+    first bad value in the file gives the error."""
     if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
         raise ValidationError("malformed class file: no \"class\" object")
     mode, ring = _ring(data)
+    table = data["class"]
     try:
-        return {vid: ring.from_terms(rank, _array(items, f"the value at {vid}"))
-                for vid, items in data["class"].items()}, mode
+        c = ring.from_table(rank, table)
+        if c is None:
+            c = {vid: ring.from_terms(rank, _array(items, f"the value at {vid}"))
+                 for vid, items in table.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed class file: {exc}") from None
+    return c, mode
 
 
 def dumps(data):

@@ -23,7 +23,10 @@ weight by adding its packed vector, and the shear moves a key the same way.
 Only this module knows the format: the constructors take exponent tuples,
 and ``sorted_terms`` and the text form decode.  The JSON text is written
 here too (``json_text``), straight from the sorted keys, each exponent
-decoded once per key and indentation in one ``serialize.dumps`` call.
+decoded once per key and indentation in one ``serialize.dumps`` call, and
+a class file's table is read here in one pass (``from_table``).
+``sub_product`` takes a product of values off a plain term dict in place,
+the residuals that the triangular expansion keeps.
 
 No answer is ever wrapped.  Every stored exponent has |e_i| < 2^62
 (``LIMIT``), so the sum of two fits a field and no carry crosses into the
@@ -52,13 +55,14 @@ Each coefficient ring is one class, ``K = LaurentPoly`` for K-theory and
 ``H = PolyH`` for cohomology, and holds what a construction needs to know
 about its mode: zero and one, the factor attached to a weight w (``1 - e^w``
 in K, the linear form ``w`` in H) and the unit that flipping the sign of w
-costs, as class methods; exact division, the divisibility test, the shear
-e -> e - <sigma, e> a that the local index and the Kirwan restriction apply,
-and the JSON and text forms, as methods of each value, which also work
-called on the class (``H.divide(p, w)``).  H tests divisibility by
-restricting to the hyperplane <w, x> = 0, K by the coset sums of
-``cyclotomic_divides``; neither builds a quotient.  ``RINGS`` maps the CLI
-mode names to the classes.
+costs, as class methods; exact division by the factors of one or more
+weights (``divide(*ws)``, one weight at a time), the divisibility test,
+the shear e -> e - <sigma, e> a that the local index and the Kirwan
+restriction apply, and the JSON and text forms, as methods of each value,
+which also work called on the class (``H.divide(p, w)``).  H tests
+divisibility by restricting to the hyperplane <w, x> = 0, K by the coset
+sums of ``cyclotomic_divides``; neither builds a quotient.  ``RINGS`` maps
+the CLI mode names to the classes.
 
 ``LocalizedSum`` (sums of fractions whose denominators are products of
 factors, reduced over a least common denominator with the two exact
@@ -73,6 +77,7 @@ tests use them as independent oracles.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -99,10 +104,6 @@ def wt_scale(a, k):
 
 def wt_dot(a, b):
     return sum(map(operator.mul, a, b))
-
-
-def wt_is_zero(a):
-    return all(x == 0 for x in a)
 
 
 def wt_gcd(a):
@@ -256,7 +257,7 @@ BIAS = 1 << (FIELD - 1)
 MASK = (1 << FIELD) - 1
 LIMIT = 1 << 62
 TERM_BUDGET = 1 << 20
-_INT = frozenset((int,))
+_INT, _LIST, _STR = frozenset((int,)), frozenset((list,)), frozenset((str,))
 
 
 @functools.cache
@@ -268,11 +269,6 @@ def _zero_key(rank):
 @functools.cache
 def _fields(rank):
     return struct.Struct(f">{rank}q").unpack
-
-
-@functools.cache
-def _packer(rank):
-    return struct.Struct(f">{rank}q").pack
 
 
 def _pack_delta(v):
@@ -347,6 +343,13 @@ class _Poly:
         p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
         p.top = top
         return p
+
+    @classmethod
+    def from_sum(cls, rank, terms, top):
+        """The value of a term dict that sums were taken into in place
+        (``sub_product``), with ``top`` a bound on its exponents: a copy
+        without the zero terms."""
+        return cls._new(rank, {e: c for e, c in terms.items() if c}, top)
 
     @classmethod
     def zero(cls, rank):
@@ -483,50 +486,67 @@ class _Poly:
 
     @classmethod
     def from_terms(cls, rank, items):
-        """The value of JSON terms, [coefficient, exponent array] pairs,
-        read in one pass: each exponent of plain ints is packed by one
-        ``struct`` call, and the range and sign of the exponents of the
-        nonzero terms are checked together at the end.  A later term with
-        the same exponent replaces an earlier one.  An exponent that does
-        not pack (a length other than ``rank``, an entry past 64 bits) or
-        fails the check sends the items through the constructor
-        (``_from_parsed``), so every input gives the value, the bound and
-        the exception that ``cls(rank, terms)`` gives over the parsed
-        terms."""
-        pack, zero, ints = _packer(rank), _zero_key(rank), _INT.issuperset
-        parse_coeff = cls.parse_coeff
-        terms, nonzero, zeros = {}, [], 0
-        try:
-            for c, e in items:
-                if not isinstance(e, (list, tuple)):
-                    raise ValidationError(f"exponent {e!r} is not an array")
-                c = parse_coeff(c)
-                if not ints(map(type, e)):
-                    e = tuple(map(parse_int, e))
-                terms[int.from_bytes(pack(*e), "big") ^ zero] = c
-                if c:
-                    nonzero.append(e)
-                else:
-                    zeros += 1
-        except struct.error:
-            return cls._from_parsed(rank, items)
-        lo, hi = min(map(min, nonzero), default=0), max(map(max, nonzero), default=0)
-        if lo < max(cls.lowest, 1 - LIMIT) or hi >= LIMIT:
-            return cls._from_parsed(rank, items)
-        p = cls._new(rank, terms, max(hi, -lo))
-        if len(terms) < len(nonzero) + zeros:  # a replaced term may have set the bound
-            p.top = _exact_top(p)
-        return p
-
-    @classmethod
-    def _from_parsed(cls, rank, items):
-        """``from_terms`` term by term, through the constructor."""
+        """The value of JSON terms, [coefficient, exponent array] pairs, each
+        exponent entry read by ``parse_int`` and every term checked by the
+        constructor.  A later term with the same exponent replaces an
+        earlier one."""
         terms = {}
         for c, e in items:
             if not isinstance(e, (list, tuple)):
                 raise ValidationError(f"exponent {e!r} is not an array")
             terms[tuple(map(parse_int, e))] = cls.parse_coeff(c)
         return cls(rank, terms)
+
+    @classmethod
+    def from_table(cls, rank, table):
+        """The values of a class file's table, {vertex: JSON terms}, read in
+        one pass, or None when any value is irregular.
+
+        A regular table has lists of [coefficient string, exponent list]
+        pairs, every exponent of ``rank`` plain ints in the ring's range, and
+        coefficients that parse.  That is checked by type and length sets
+        over all the terms at once; then every exponent of the table is
+        packed by one ``struct`` call and keyed by one ``int.from_bytes``
+        map.  A value's bound is its largest |e_i|, or where a zero
+        coefficient or a repeated exponent dropped a term, the bound of the
+        terms that stay.  So every regular table gives the values and bounds
+        that ``from_terms`` gives value by value, and on None the caller
+        reads the table that way, which raises what it raises."""
+        if rank < 1:
+            return None
+        values = list(table.values())
+        if not _LIST.issuperset(map(type, values)):
+            return None
+        items = list(itertools.chain.from_iterable(values))
+        if not _LIST.issuperset(map(type, items)) or not {2}.issuperset(map(len, items)):
+            return None
+        coeffs, exps = zip(*items) if items else ((), ())
+        if not _LIST.issuperset(map(type, exps)) or not {rank}.issuperset(map(len, exps)) \
+                or not _STR.issuperset(map(type, coeffs)):
+            return None
+        flat = list(itertools.chain.from_iterable(exps))
+        if not _INT.issuperset(map(type, flat)) or flat and (
+                min(flat) < max(cls.lowest, 1 - LIMIT) or max(flat) >= LIMIT):
+            return None
+        try:
+            parsed = {c: cls.parse_coeff(c) for c in set(coeffs)}
+        except ValueError:
+            return None
+        coeffs = list(map(parsed.__getitem__, coeffs))
+        packed = struct.pack(f">{len(flat)}q", *flat)
+        keys = list(map(_zero_key(rank).__xor__, map(
+            int.from_bytes, struct.unpack(f"{8 * rank}s" * len(items), packed),
+            itertools.repeat("big"))))
+        out, i = {}, 0
+        for vid, value in zip(table, values):
+            j = i + len(value)
+            cs = coeffs[i:j]
+            terms = dict(zip(keys[i:j], cs))
+            p = out[vid] = cls._new(rank, terms, max(map(abs, flat[i * rank:j * rank]), default=0))
+            if len(terms) < len(cs) or not all(cs):
+                p.top = _exact_top(p)
+            i = j
+        return out
 
     def fmt(self):
         """Text form: signed terms in exponent order, unit factors omitted."""
@@ -543,47 +563,31 @@ class _Poly:
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
 
 
-class TermSum:
-    """A value under construction: sums and products are added into one
-    term dict in place, with the bound on its exponents that the same
-    additions would give.  ``value`` returns the value so far."""
-
-    __slots__ = ("cls", "rank", "terms", "top")
-
-    def __init__(self, start):
-        self.cls, self.rank = type(start), start.rank
-        self.terms, self.top = dict(start.terms), start.top
-
-    def add(self, p, c=1):
-        """Add c * p for an integer c."""
-        terms = self.terms
-        get = terms.get
-        for e, x in p.terms.items():
-            terms[e] = get(e, 0) + c * x
-        self.top = max(self.top, p.top)
-
-    def sub_product(self, f, b):
-        """Subtract f * b.  Past the product's bound it is built whole, so
-        it raises as the product would."""
-        top = f.top + b.top
-        if top >= LIMIT:
-            self.add(f * b, -1)
-            return
-        zero = _zero_key(self.rank)
-        terms = self.terms
-        get = terms.get
-        for e1, c1 in f.terms.items():
-            e1 -= zero
-            for e2, c2 in b.terms.items():
-                e = e1 + e2
-                terms[e] = get(e, 0) - c1 * c2
-        self.top = max(self.top, top)
-
-    def is_zero(self):
-        return not any(self.terms.values())
-
-    def value(self):
-        return self.cls._new(self.rank, {e: c for e, c in self.terms.items() if c}, self.top)
+def sub_product(terms, f, factors):
+    """Subtract f times the product of ``factors``, a list of values, from
+    the term dict ``terms`` in place, and return the product's bound: f's
+    plus the factors'.  The factors are multiplied out as a list of (key
+    offset, coefficient) pairs, like terms not collected, and each term of
+    f is taken off ``terms`` against that list, so no value is built.
+    Where the bound reaches the limit the factors are multiplied first and
+    then f, each a ``_Poly`` product, which raises as they would, and the
+    product's exact bound is returned."""
+    zero = _zero_key(f.rank)
+    top, prod = f.top, [(0, 1)]
+    for b in factors:
+        top += b.top
+        prod = [(d + e - zero, c * x) for e, x in b.terms.items() for d, c in prod]
+    get = terms.get
+    if top >= LIMIT:
+        prod = f * functools.reduce(operator.mul, factors)
+        for e, c in prod.terms.items():
+            terms[e] = get(e, 0) - c
+        return prod.top
+    for e, c in f.terms.items():
+        for d, x in prod:
+            k = e + d
+            terms[k] = get(k, 0) - c * x
+    return top
 
 
 class LaurentPoly(_Poly):
@@ -616,8 +620,8 @@ class LaurentPoly(_Poly):
         """1 - e^-w = -e^-w (1 - e^w): the unit -e^w moves to the numerator."""
         return cls.monomial(w, -1)
 
-    def divide(self, w):
-        return divide_by_cyclotomic(self, w)
+    def divide(self, *ws):
+        return divide_by_cyclotomic(self, *ws)
 
     def divides(self, w):
         return cyclotomic_divides(self, w)
@@ -667,8 +671,8 @@ class PolyH(_Poly):
     def flip(cls, w):
         return cls.constant(len(w), -1)
 
-    def divide(self, w):
-        return divide_by_linear_form(self, w)
+    def divide(self, *ws):
+        return divide_by_linear_form(self, *ws)
 
     def divides(self, w):
         """Whether <w, x> divides the value: its restriction to the
@@ -681,7 +685,7 @@ class PolyH(_Poly):
         quotient's do, so its term counts against the budget as the
         quotient counts it, C(d + m - 1, m), before anything is built.  The
         pivot is one of least count, and among those of least |w_i|."""
-        if wt_is_zero(w):
+        if not any(w):
             raise ValueError("zero weight")
         support = [i for i, c in enumerate(w) if c]
         m = len(support) - 1
@@ -706,6 +710,12 @@ class PolyH(_Poly):
         """The product with the rational f, its integral coefficients ints."""
         return self._new(self.rank, {e: int_or_fraction(c * f) for e, c in self.terms.items()},
                          self.top)
+
+    def cleared(self, d):
+        """The product with the int d, a multiple of the denominator of
+        every coefficient: an integral value with int coefficients."""
+        return self._new(self.rank, {e: c.numerator * (d // c.denominator)
+                                     for e, c in self.terms.items()}, self.top)
 
     def homogeneous_degree(self):
         """Total degree if homogeneous, None for 0 or mixed degrees."""
@@ -735,27 +745,27 @@ RINGS = {"ktheory": K, "cohomology": H}
 # exact division routines
 
 def _coset_chains(p, w):
-    """The terms of p grouped by coset chain e + Z*w, positioned along w by
-    the pivot coordinate where |w| is largest: {chain base key: [(position,
-    coefficient, key), ...]}, together with whether every chain sums to
-    zero.  With that pivot a base coordinate stays below 2 top + |w|, and
-    distinct bases have distinct keys while that fits a field."""
-    if wt_is_zero(w):
+    """The terms of p on their coset chains e + Z*w, positioned along w by
+    the pivot coordinate where |w| is largest: a list of (chain base key,
+    position, coefficient, key), whether every chain sums to zero, and the
+    packed w.  With that pivot a base coordinate stays below 2 top + |w|,
+    and distinct bases have distinct keys while that fits a field."""
+    if not any(w):
         raise ValueError("zero weight")
-    rank = p.rank
     sizes = list(map(abs, w))
-    pivot = sizes.index(max(sizes))
+    size = max(sizes)
+    pivot = sizes.index(size)
     step = w[pivot]
-    if 2 * p.top + abs(step) >= BIAS:
+    if 2 * p.top + size >= BIAS:
         raise _too_large("cyclotomic division")
-    shift, delta = FIELD * (rank - 1 - pivot), _pack_delta(w)
-    chains, totals = {}, {}
+    shift, delta = FIELD * (p.rank - 1 - pivot), _pack_delta(w)
+    terms, totals = [], {}
     for e, c in p.terms.items():
         k = (((e >> shift) & MASK) - BIAS) // step
         base = e - k * delta
-        chains.setdefault(base, []).append((k, c, e))
+        terms.append((base, k, c, e))
         totals[base] = totals.get(base, 0) + c
-    return chains, not any(totals.values())
+    return terms, not any(totals.values()), delta
 
 
 def cyclotomic_divides(p, w):
@@ -764,8 +774,20 @@ def cyclotomic_divides(p, w):
     return _coset_chains(p, w)[1]
 
 
-def divide_by_cyclotomic(p, w):
-    """Exact division of p by (1 - e^w); returns the quotient or None.
+def divide_by_cyclotomic(p, *ws):
+    """Exact division of p by the product of the (1 - e^w) over the labels
+    ``ws``, one label at a time in order; the quotient or None.  Each label
+    runs the checks of its own division, so a product of labels raises and
+    fails where dividing by them one call at a time would."""
+    for w in ws:
+        p = _cyclotomic_quotient(p, w)
+        if p is None:
+            return None
+    return p
+
+
+def _cyclotomic_quotient(p, w):
+    """The quotient of p by (1 - e^w), or None.
 
     Along a coset chain the quotient is the running sum of the coefficients
     of p, so the chain divides exactly iff its total is 0; that is checked
@@ -773,21 +795,20 @@ def divide_by_cyclotomic(p, w):
     sum of the gaps that a nonzero running sum spans.  The quotient's terms
     lie between terms of p on their chain, so p's bound holds for them.
     """
-    chains, divisible = _coset_chains(p, w)
+    terms, divisible, delta = _coset_chains(p, w)
     if not divisible:
         return None
-    runs, size = [], 0
-    for chain in chains.values():
-        chain.sort()
-        total = 0
-        for (k, c, e), (k_next, _, _) in zip(chain, chain[1:]):
-            total += c
-            if total:
-                runs.append((e, total, k_next - k))
-                size += k_next - k
+    # in chain and position order the running sum is back at 0 at the end
+    # of every chain, so it never carries from one chain into the next
+    runs, size, total = [], 0, 0
+    for _, k, c, e in sorted(terms):
+        if total:
+            runs.append((last, total, k - at))
+            size += k - at
+        total += c
+        last, at = e, k
     if size > TERM_BUDGET:
         raise _too_many("cyclotomic division")
-    delta = _pack_delta(w)
     out = {}
     for e, total, gap in runs:
         for _ in range(gap):
@@ -796,8 +817,19 @@ def divide_by_cyclotomic(p, w):
     return LaurentPoly._new(p.rank, out, p.top)
 
 
-def divide_by_linear_form(p, w):
-    """Exact division of p by the linear form <w, x>; quotient or None.
+def divide_by_linear_form(p, *ws):
+    """Exact division of p by the product of the linear forms <w, x> over
+    the labels ``ws``, one label at a time in order, with the checks of
+    each; the quotient or None."""
+    for w in ws:
+        p = _linear_quotient(p, w)
+        if p is None:
+            return None
+    return p
+
+
+def _linear_quotient(p, w):
+    """The quotient of p by <w, x>, or None.
 
     With x_i the first variable of w and r the rest of the form, p is cut
     into slices p_d by the degree d in x_i.  From the top slice down, the
@@ -816,7 +848,7 @@ def divide_by_linear_form(p, w):
     coefficients grow.  The commands' own values never walk that far: a
     product of two classes has degree at most 2 * rank, so only a class
     file's value can take the test."""
-    if wt_is_zero(w):
+    if not any(w):
         raise ValueError("zero weight")
     if p.is_zero():
         return p

@@ -18,7 +18,8 @@ computes another way, or a fixture builder:
 * ``closure_face`` is the flow-up face as the span closure along edges,
   the breadth-first search that the facet masks replace;
 * ``parsed_terms`` reads JSON terms entry by entry through the constructor,
-  as ``from_terms`` once did, and ``to_terms`` is the JSON form of a value
+  the reference for the one-pass reading of a class file's table
+  (``from_table``), and ``to_terms`` is the JSON form of a value
   as plain lists, the reference for the text ``json_text`` writes;
   ``class_to_dict`` and ``basis_from_dict`` are the inverses of the
   class and basis file forms that ``serialize`` reads and writes, and

@@ -10,6 +10,7 @@ from gkmcalc import classes as cl
 from gkmcalc import symcore
 from gkmcalc.cli import main
 from gkmcalc.errors import ContractError, DivisionFailure, ValidationError
+from gkmcalc.serialize import class_from_dict
 from gkmcalc.symcore import (
     LIMIT,
     RINGS,
@@ -453,7 +454,7 @@ def test_the_commands_own_divisions_never_take_the_hyperplane_test(fixture, monk
     divisions = []
     divide = symcore.divide_by_linear_form
     monkeypatch.setattr(symcore, "divide_by_linear_form",
-                        lambda p, w: divisions.append(w) or divide(p, w))
+                        lambda p, *ws: divisions.extend(ws) or divide(p, *ws))
     runs = [["structure"], ["basis"], ["pd"], ["gt"], ["index", "--class", "pd:1"],
             ["local-index", "--class", "tau:1", "--vertex", "2"]]
     for argv in runs:
@@ -865,6 +866,10 @@ def test_terms_read_in_one_pass_equal_the_constructor(ring):
                           items)
         assert got == _outcome_of(parsed_terms, ring, rank, items), items
         assert not isinstance(got[0], type), (items, got)
+        # the one-pass reader of a class file's table, where it takes them
+        table = ring.from_table(rank, {"v": items})
+        if table is not None:
+            assert (table["v"], table["v"].top, type(table["v"])) == got, items
 
 
 MALFORMED = [
@@ -909,6 +914,69 @@ MALFORMED = [
 def test_malformed_terms_raise_as_the_constructor(ring, items):
     got = _outcome_of(lambda ring, rank, items: ring.from_terms(rank, items), ring, 2, items)
     assert got == _outcome_of(parsed_terms, ring, 2, items)
+    if isinstance(got[0], type):  # the one-pass reader leaves them to from_terms
+        assert ring.from_table(2, {"v": items}) is None
+
+
+def _per_value(ring, rank, table):
+    """A class file's table read value by value in file order through the
+    constructor, with the errors the reader reports."""
+    out = {}
+    for vid, items in table.items():
+        if not isinstance(items, (list, tuple)):
+            raise ValidationError(
+                f"malformed class file: the value at {vid} is not an array: {items!r}")
+        try:
+            out[vid] = parsed_terms(ring, rank, items)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed class file: {exc}") from None
+    return out
+
+
+def _table_outcome(read, ring, rank, table):
+    try:
+        c = read(ring, rank, table)
+    except ValidationError as exc:
+        return str(exc)
+    return {v: (p, p.top, type(p)) for v, p in c.items()}, list(c)
+
+
+def _from_file(ring, rank, table):
+    c, mode = class_from_dict({"mode": ring.name, "class": table}, rank)
+    assert mode == ring.name
+    return c
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["K", "H"])
+def test_class_tables_read_in_one_pass_equal_the_values_read_one_by_one(ring):
+    r = rng(173)
+    one_pass = 0
+    for trial in range(600):
+        rank = r.randint(1, 4)
+        table = {f"v{i}": _rand_items(r, ring, rank) for i in range(r.randint(0, 6))}
+        if trial % 3:  # a malformed value first, in the middle or last
+            bad = r.choice(MALFORMED)
+            vids = list(table)
+            at = r.choice([0, len(vids) // 2, len(vids)])
+            table = dict([*[(v, table[v]) for v in vids[:at]], ("bad", bad),
+                          *[(v, table[v]) for v in vids[at:]]])
+        got = _table_outcome(_from_file, ring, rank, table)
+        assert got == _table_outcome(_per_value, ring, rank, table), table
+        one_pass += ring.from_table(rank, table) is not None
+    assert one_pass > 50
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["K", "H"])
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+def test_each_malformed_value_in_a_table_raises_as_read_alone(ring, at):
+    r = rng(174)
+    for items in MALFORMED:
+        good = [_rand_items(r, ring, 2) for _ in range(2)]
+        values = {"first": [items] + good, "middle": [good[0], items, good[1]],
+                  "last": good + [items]}[at]
+        table = {f"v{i}": v for i, v in enumerate(values)}
+        got = _table_outcome(_from_file, ring, 2, table)
+        assert got == _table_outcome(_per_value, ring, 2, table), table
 
 
 # ---------------------------------------------------------------------------
