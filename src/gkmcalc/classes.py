@@ -4,15 +4,16 @@ A class is a plain dict mapping vertex id to a value of one of the ring
 classes of ``symcore``: ``K`` (``LaurentPoly``) or ``H`` (``PolyH``).  Every
 construction on classes is written here once, for both rings: the class
 helpers, the negative Euler class, the edge divisibility check, duals of
-faces, the Kirwan test, the canonical classes, the triangular elimination in
-a Kirwan basis and the expansions built on it (structure constants, the
-push-forward to a point) and the local index.  They differ only in what the
-ring supplies, chiefly the factor attached to a weight: ``1 - e^w`` in
-K-theory and ``<w, x>`` in cohomology.
+faces, the Kirwan test, the bases, the triangular elimination in a Kirwan
+basis and the expansions built on it (structure constants, the push-forward
+to a point) and the local index.  They differ only in what the ring
+supplies, chiefly the factor attached to a weight: ``1 - e^w`` in K-theory
+and ``<w, x>`` in cohomology.
 
 The canonical class at p has local index 1 on the flow-up face F_p of p and
-0 elsewhere, and the K point class pi_p index 1 at p alone.  Three facts
-build them, and the structure constants, without a local index:
+0 elsewhere, and the K point class pi_p index 1 at p alone.  ``basis`` is
+the one builder of both, and three facts build them, and the structure
+constants, without a local index:
 
 * the H canonical classes are the flow-up duals (the path-sum classes when
   index increasing); ``verify --level full`` still checks their local indices;
@@ -29,6 +30,14 @@ build them, and the structure constants, without a local index:
   class at q, so c_pq^q = tau_p(q) and only tau_q (tau_p - tau_p(q)) is
   expanded.  In H each c_pq^r is integral of degree lam_p + lam_q - lam_r.
 
+Every class of these bases, and every flow-up dual, is a Kirwan class: it
+is the negative Euler class at its own vertex and vanishes below it.  That
+is the one contract of the triangular expansion (Goldin-Tolman): each step
+reads a coefficient off one exact division at its vertex, which leaves the
+residual there exactly zero, so every basis class is handed over off its own
+vertex.  ``structure_constants`` checks the contract once, where a basis
+enters.
+
 Every face here is a bit mask of its vertices (``GKMGraph.face_mask``, the
 faces of ``_boundary``), and a dual is taken on its face alone
 (``_dual_on``), the only place it is nonzero: at each vertex of the mask,
@@ -39,13 +48,11 @@ face values with zeros to a full table.  The push-forward expands the
 class in the flow-up duals, which is also the membership test.  In
 K-theory every dual is the class of the structure sheaf of a toric
 subvariety and has index 1; in cohomology only the point class at the top
-vertex has a nonzero integral, 1.  The expansion takes each dual off its
-own vertex, where it is the Euler class the elimination divides by, in
-one division call per vertex, and multiplies each quotient by the dual's
-factor lists in place.  The local index at q is a lam_q-th divided
-difference of the value at q, built by Newton's recursion with one exact
-division per step; its nodes are shears of the value along the vertex's
-frame, built on each call.
+vertex has a nonzero integral, 1.  The expansion divides in one call per
+vertex and multiplies each quotient by the dual's factor lists in place.
+The local index at q is a lam_q-th divided difference of the value at q,
+built by Newton's recursion with one exact division per step; its nodes are
+shears of the value along the vertex's frame, built on each call.
 """
 
 from __future__ import annotations
@@ -149,7 +156,7 @@ def is_kirwan_class(ring, g, c, vid):
 
 
 # ---------------------------------------------------------------------------
-# canonical classes
+# bases
 
 def _boundary(g, p):
     """The face coefficients of the point class at p: (-1)^|T| at the face
@@ -193,66 +200,51 @@ def _face_sum(ring, g, coeffs, duals):
             for v in g.vids()}
 
 
-def canonical_class(ring, g, p):
-    """The canonical class at p: the flow-up dual in H and on index
-    increasing orientations, otherwise in K the sum of the point classes
-    over the flow-up face."""
-    if ring.graded or is_index_increasing(g):
-        return poincare_dual(ring, g, p)
-    return _point_class_sum(ring, g, p, {}, {})
-
-
-def _point_class_sum(ring, g, p, duals, bounds):
-    """The sum of the K point classes over the flow-up face of p.  ``duals``
-    and ``bounds`` keep face duals and point-class face coefficients across
-    calls on one graph."""
-    coeffs = {}
-    for q in g.members(g.face_mask(p)):
-        if q not in bounds:
-            bounds[q] = _boundary(g, q)
-        for face, c in bounds[q].items():
-            coeffs[face] = coeffs.get(face, 0) + c
-    return _face_sum(ring, g, coeffs, duals)
-
-
-def point_classes(ring, g, vids):
-    """The K point class at each vertex of ``vids``: the ideal sheaf of the
-    boundary of its flow-up face, as a signed sum of face duals."""
-    duals = {}
-    return {p: _face_sum(ring, g, _boundary(g, p), duals) for p in vids}
-
-
-def basis(ring, g, normalization="canonical"):
-    """The canonical class at every vertex, or in K under ``point``
-    normalization the point class.  Whether the orientation is index
-    increasing is tested once for the whole basis."""
-    if normalization == "point" and not ring.graded:
-        return point_classes(ring, g, g.vids())
-    if ring.graded or is_index_increasing(g):
-        return {p: poincare_dual(ring, g, p) for p in g.vids()}
-    duals, bounds = {}, {}
-    return {p: _point_class_sum(ring, g, p, duals, bounds) for p in g.vids()}
+def basis(ring, g, normalization="canonical", vids=None):
+    """The canonical class at each vertex of ``vids``, all by default, or in
+    K under ``point`` normalization the point class.  The H canonical
+    classes, and the K ones on an index increasing orientation, are the
+    flow-up duals; every other class is a face sum: the point class at p
+    over ``_boundary(g, p)``, the canonical class at p over the boundaries
+    of the point classes of its flow-up face.  The face duals and the
+    boundaries are shared over ``vids``, and whether the orientation is
+    index increasing is tested once."""
+    vids = g.vids() if vids is None else vids
+    point = normalization == "point" and not ring.graded
+    if not point and (ring.graded or is_index_increasing(g)):
+        return {p: poincare_dual(ring, g, p) for p in vids}
+    duals, bounds, out = {}, {}, {}
+    for p in vids:
+        coeffs = {}
+        for q in [p] if point else g.members(g.face_mask(p)):
+            if q not in bounds:
+                bounds[q] = _boundary(g, q)
+            for face, c in bounds[q].items():
+                coeffs[face] = coeffs.get(face, 0) + c
+        out[p] = _face_sum(ring, g, coeffs, duals)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # expansion and structure constants
 
-def triangular_expansion(g, c, basis_of, euler=()):
+def triangular_expansion(g, c, basis_of):
     """Coefficients a_r with c = sum of a_r * basis_of(r), by elimination in
     increasing moment order.
 
-    ``c`` may be given on its support alone, and ``basis_of(r)``, a Kirwan
-    class at r needed only where a_r is nonzero, on its support as a list
-    of factors per vertex, the value being their product.  Each residual is
-    a term dict with a bound on its exponents.  Each step divides the
-    residual at r by the Euler class of its incoming labels in one call, in
-    the ring of the value, and subtracts a_r times the class at r in place
-    from the residual at every vertex it touches (``sub_product``).  At a
-    vertex r of ``euler`` the class at r takes the value that the step
-    divided by, the Euler class at r, so the residual there becomes exactly
-    zero: no product is built at r, and ``basis_of(r)`` leaves r out.  The
-    elimination runs to the end, so a nonzero residual or a failed division
-    certifies that c is not in the span (``DivisionFailure``).
+    ``basis_of(r)`` is a Kirwan class at r (``is_kirwan_class``): it is the
+    negative Euler class at r and vanishes below r.  It is needed only where
+    a_r is nonzero, and is given off r and on its support, as a list of
+    factors per vertex, the value being their product.  ``c`` may be given
+    on its support alone.  Each residual is a term dict with a bound on its
+    exponents.  Each step divides the residual at r by the Euler class of
+    its incoming labels in one call, in the ring of the value; the class at
+    r takes the value divided by, so the residual there becomes exactly
+    zero and is set so, with no product built.  Then a_r times the class is
+    subtracted in place from the residual at every other vertex it touches
+    (``sub_product``).  The elimination runs to the end, so a nonzero
+    residual or a failed division certifies that c is not in the span
+    (``DivisionFailure``).
     """
     ring = next(map(type, c.values()), None)
     sums, tops = {}, {}  # vertex: its residual's terms and bound, once a step touched it
@@ -268,8 +260,7 @@ def triangular_expansion(g, c, basis_of, euler=()):
                 raise DivisionFailure(
                     f"value at {r} is not a multiple of its Euler class")
         coeffs[r] = f
-        if r in euler:
-            sums[r], tops[r] = {}, 0
+        sums[r], tops[r] = {}, 0
         for v, factors in basis_of(r).items():
             if v not in sums:
                 x = c.get(v)
@@ -281,29 +272,31 @@ def triangular_expansion(g, c, basis_of, euler=()):
     return coeffs
 
 
-def _as_factors(c):
-    """A class on its support, each value a list of one factor."""
-    return {v: [x] for v, x in c.items() if not x.is_zero()}
+def _off(c, r):
+    """The class c off the vertex r and on its support, each value a list of
+    one factor: a basis class as ``triangular_expansion`` takes it."""
+    return {v: [x] for v, x in c.items() if v != r and not x.is_zero()}
 
 
 def expand_in_basis(ring, g, basis, c):
     """Coefficients of c in a Kirwan basis by triangular elimination in
     increasing moment order."""
-    return triangular_expansion(g, c, lambda r: _as_factors(basis[r]))
+    return triangular_expansion(g, c, lambda r: _off(basis[r], r))
 
 
 def structure_constants(ring, g, basis):
     """Expansion coefficients of pairwise products; only pairs p <= q in the
-    moment order are stored, products being symmetric.  Each expansion opens
-    with c_pq^q = tau_p(q), and each class is taken on its support; a class
-    whose value at its own vertex is the Euler class there is expanded in
-    without it (``triangular_expansion``)."""
+    moment order are stored, products being symmetric.  The basis is checked
+    once to be Kirwan, and the first vertex whose class is not raises
+    ``DivisionFailure``.  Each expansion opens with c_pq^q = tau_p(q), and
+    each class is taken on its support."""
     vids = g.vids()
+    for p in vids:
+        if not is_kirwan_class(ring, g, basis[p], p):
+            raise DivisionFailure(f"the basis class at {p} is not a Kirwan class there")
     zero = ring.zero(g.rank)
     supp = {p: {v: x for v, x in basis[p].items() if not x.is_zero()} for p in vids}
-    euler = {p for p in vids if supp[p].get(p) == euler_minus(ring, g, p)}
-    rest = {p: _as_factors({v: x for v, x in supp[p].items() if v != p or p not in euler})
-            for p in vids}
+    rest = {p: _off(supp[p], p) for p in vids}
     table = {}
     for i, p in enumerate(vids):
         tp = supp[p]
@@ -314,7 +307,7 @@ def structure_constants(ring, g, basis):
             else:
                 table[(p, q, q)] = c
                 prod = {v: (tp.get(v, zero) - c) * x for v, x in supp[q].items() if v != q}
-            for r, f in triangular_expansion(g, prod, rest.__getitem__, euler).items():
+            for r, f in triangular_expansion(g, prod, rest.__getitem__).items():
                 table[(p, q, r)] = f
     return table
 
@@ -339,8 +332,7 @@ def pushforward(ring, g, c):
         if scale != 1:
             c = {v: x.cleared(scale) for v, x in c.items()}
     try:
-        coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face_mask(r), r),
-                                      set(g.vids()))
+        coeffs = triangular_expansion(g, c, lambda r: _dual_on(ring, g, g.face_mask(r), r))
     except DivisionFailure as exc:
         raise NonPolynomialIndex(f"push-forward of a non-class: {exc}") from exc
     total = sum((f for r, f in coeffs.items()

@@ -91,13 +91,13 @@ def resolve_class(g, spec, ring):
         kind, vid = name.split(":", 1)
         vid = _resolve_vid(g, vid)
         if kind == "tau":
-            return cl.canonical_class(ring, g, vid)
+            return cl.basis(ring, g, vids=[vid])[vid]
         if kind == "pd":
             return cl.poincare_dual(ring, g, vid)
         if kind == "point":
             if ring is not K:
                 raise ValidationError("point normalization is a K-side construction")
-            return cl.point_classes(ring, g, [vid])[vid]
+            return cl.basis(ring, g, "point", [vid])[vid]
         if kind == "gt":
             if ring is not H:
                 raise ValidationError("path-sum classes live in cohomology")
@@ -190,8 +190,8 @@ def cmd_structure(args, out, g, ring):
     if args.format == "json":
         out.write(dumps({f"{p}*{q}->{r}": f for (p, q, r), f in sorted(table.items())}))
         return
-    for (p, q, r), f in sorted(table.items()):
-        out.write(f"{p} * {q} -> {r}: {ring.fmt(f)}\n")
+    out.write("".join([f"{p} * {q} -> {r}: {ring.fmt(f)}\n"
+                       for (p, q, r), f in sorted(table.items())]))
 
 
 def cmd_kirwan(args, out, g, ring):
@@ -222,9 +222,9 @@ def cmd_kirwan(args, out, g, ring):
         }
         out.write(dumps(data))
         return
-    out.write(f"top vertex: {setup.top}\n")
-    for p in setup.points:
-        out.write(f"{p.id} (edge {p.source} -> {setup.top}): {ring.fmt(vals[p.id])}\n")
+    out.write("".join([f"top vertex: {setup.top}\n"] + [
+        f"{p.id} (edge {p.source} -> {setup.top}): {ring.fmt(vals[p.id])}\n"
+        for p in setup.points]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,13 @@ def parse_args(argv):
     """The namespace ``make_parser().parse_args(argv)`` returns, parsed by
     the command's own parser when ``argv[0]`` names one: the whole parser
     would hand it everything after the name anyway.  Leftover tokens are
-    refused by the whole parser, as it would refuse them."""
+    refused by the whole parser, as it would refuse them.  A vector after
+    ``--xi`` or ``--pi`` that opens with a minus sign is its value, as in
+    ``--xi=-1,-2``: argparse would read ``-1,-2`` as an option."""
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--xi", "--pi") and argv[i + 1][:1] == "-" and argv[i + 1][1:2].isdigit():
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     parser = make_parser()
     cmd = parser.commands.get(argv[0]) if argv else None
     if cmd is None:

@@ -10,15 +10,9 @@ unit square used by the reduction tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ValidationError
 from .gkm import ToricInput
 from .symcore import TERM_BUDGET, LaurentPoly, PolyH, parse_int
-
-
-def _fr(seq):
-    return tuple(Fraction(x) for x in seq)
 
 
 def cp_input(n):
@@ -30,29 +24,29 @@ def cp_input(n):
         raise ValidationError(
             f"projective fixture cpn:{n} is too large: its frames hold (n+1)*n^2 "
             f"entries, more than {TERM_BUDGET}")
-    vertices = [("p0", _fr([0] * n))]
+    vertices = [("p0", (0,) * n)]
     for i in range(n):
         psi = [0] * n
         psi[i] = 1
-        vertices.append((f"p{i + 1}", _fr(psi)))
+        vertices.append((f"p{i + 1}", tuple(psi)))
     return ToricInput(rank=n, vertices=vertices)
 
 
 def hirzebruch_input():
     return ToricInput(rank=2, vertices=[
-        ("p0", _fr([0, 0])),
-        ("p1", _fr([1, 1])),
-        ("p2", _fr([1, 2])),
-        ("p3", _fr([0, 3])),
+        ("p0", (0, 0)),
+        ("p1", (1, 1)),
+        ("p2", (1, 2)),
+        ("p3", (0, 3)),
     ])
 
 
 def square_input():
     return ToricInput(rank=2, vertices=[
-        ("q3", _fr([0, 0])),
-        ("q1", _fr([0, 1])),
-        ("q2", _fr([1, 0])),
-        ("q0", _fr([1, 1])),
+        ("q3", (0, 0)),
+        ("q1", (0, 1)),
+        ("q2", (1, 0)),
+        ("q0", (1, 1)),
     ])
 
 

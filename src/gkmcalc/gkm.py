@@ -617,7 +617,6 @@ def orient_and_index(skel, xi, dots):
     rows and facet masks follow them.  ``mu`` and ``mult`` are ints when the
     scale is 1."""
     ids, scale = skel.ids, skel.scale
-    mults = {}  # lattice length: mult, for this graph
     points, arcs, adjacency = [], [], {}
     for i in sorted(range(len(ids)), key=dots.__getitem__):
         d, vid = dots[i], ids[i]
@@ -627,10 +626,8 @@ def orient_and_index(skel, xi, dots):
         for h, (u, w, length, row, mask) in star:
             if h < d:
                 lower.append((w, row, mask))
-                mult = mults.get(length)
-                if mult is None:
-                    mult = mults[length] = length if scale == 1 else Fraction(length, scale)
-                arcs.append((h, d, Edge(ids[u], vid, w, mult)))
+                arcs.append((h, d, Edge(ids[u], vid, w,
+                                        length if scale == 1 else Fraction(length, scale))))
             else:
                 upper.append((w, row, mask))
         lower.sort()

@@ -21,12 +21,11 @@ write their JSON form, sorted [coefficient string, exponent array] pairs,
 and the moment graph ``GKMGraph``, written as ``json`` would write the
 dict of the ``graph`` command's JSON form.  Strings are quoted by
 ``json``'s own ASCII quoter; ``json`` itself would take its pure-Python
-encoder, which ``indent`` forces.  The strs and ints of a container are
-written in place.  A ring value writes itself from its packed terms
-(``json_text``), which only ``symcore`` can decode, and a graph field by
-field from its points and edges (``_graph_text``), so the writers here and
-in the CLI hand ``dumps`` the values themselves and build no term list or
-graph dict.
+encoder, which ``indent`` forces.  A ring value writes itself from its
+packed terms (``json_text``), which only ``symcore`` can decode, and a graph
+field by field from its points and edges (``_graph_text``), so the writers
+here and in the CLI hand ``dumps`` the values themselves and build no term
+list or graph dict.
 """
 
 from __future__ import annotations
@@ -122,9 +121,8 @@ def dumps(data):
 
 def _encode(x, nl, memo):
     """The JSON text of x, its lines after the first opening with ``nl``.
-    Strs and ints inside a container are written in place; ``memo`` holds
-    what ring values keep under ``nl`` (``json_text``), for one call of
-    ``dumps``."""
+    ``memo`` holds what ring values keep under ``nl`` (``json_text``), for
+    one call of ``dumps``."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -134,17 +132,13 @@ def _encode(x, nl, memo):
         if not x:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
-            else _encode(v, inner, memo) for v in x]) + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner, memo) for v in x]) + nl + "]"
     if t is dict:
         if not x:
             return "{}"
         inner = nl + "  "
         return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (_quote(v) if type(v) is str else int.__repr__(v)
-                                if type(v) is int else _encode(v, inner, memo))
-            for k, v in sorted(x.items())]) + nl + "}"
+            _quote(k) + ": " + _encode(v, inner, memo) for k, v in sorted(x.items())]) + nl + "}"
     if t is K or t is H:
         return x.json_text(nl, memo)
     if t is GKMGraph:

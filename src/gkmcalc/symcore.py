@@ -24,7 +24,9 @@ Only this module knows the format: the constructors take exponent tuples,
 and ``sorted_terms`` and the text form decode.  The JSON text is written
 here too (``json_text``), straight from the sorted keys, each exponent
 decoded once per key and indentation in one ``serialize.dumps`` call, and
-a class file's table is read here in one pass (``from_table``).
+a class file's table is read here in one pass (``from_table``).  A
+coefficient past the interpreter's limit on the digits of an int's string
+has neither text form and raises ``ContractError`` (``_too_long``).
 ``sub_product`` takes a product of values off a plain term dict in place,
 the residuals that the triangular expansion keeps.
 
@@ -81,6 +83,7 @@ import itertools
 import math
 import operator
 import struct
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -298,6 +301,13 @@ def _too_many(what):
     return ContractError(f"{what}: more than {TERM_BUDGET} terms")
 
 
+def _too_long():
+    """A value with a coefficient past the interpreter's limit on the digits
+    of an int's string (``sys.set_int_max_str_digits``) has no text form."""
+    return ContractError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+                         "past the limit of integer string conversion")
+
+
 def _exact_top(p):
     return max((max(map(abs, e), default=0) for e, _ in p.sorted_terms()), default=0)
 
@@ -481,7 +491,10 @@ class _Poly:
                 expo = _unpack(e, rank)
                 array = "[" + sep[1:] + sep.join(map(int.__repr__, expo)) + close if expo else "[]"
                 tail = tails[e] = mid + array + inner + "]"
-            parts.append(head + fmt(c) + tail)
+            try:
+                parts.append(head + fmt(c) + tail)
+            except ValueError:
+                raise _too_long() from None
         return "[" + inner + comma.join(parts) + nl + "]"
 
     @classmethod
@@ -553,7 +566,10 @@ class _Poly:
         out = ""
         for e, c in self.sorted_terms():
             mono, a = self.fmt_monomial(e), abs(c)
-            piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+            try:
+                piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
+            except ValueError:
+                raise _too_long() from None
             sign = "-" if c < 0 else "+"
             out = f"{out} {sign} {piece}" if out else ("-" if c < 0 else "") + piece
         return out or "0"

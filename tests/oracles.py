@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from gkmcalc import classes as cl
 from gkmcalc import gkm
-from gkmcalc.errors import ValidationError
+from gkmcalc.errors import DivisionFailure, ValidationError
 from gkmcalc.fixtures import cp_input, fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
@@ -307,14 +307,27 @@ def basis_from_dict(data, rank):
 
 def full_structure_constants(ring, g, basis):
     """c_pq^r for p <= q in the moment order, each whole product expanded by
-    triangular elimination over full restriction tables."""
+    triangular elimination over full restriction tables: the coefficient
+    at r is the residual at r over the Euler class there, and that multiple
+    of the whole class at r, its own vertex too, is subtracted everywhere,
+    so nothing rests on the basis being Kirwan."""
     vids = g.vids()
     table = {}
     for i, p in enumerate(vids):
         for q in vids[i:]:
-            prod = cl.class_mul(basis[p], basis[q])
-            for r, f in cl.expand_in_basis(ring, g, basis, prod).items():
+            residual = cl.class_mul(basis[p], basis[q])
+            for r in vids:
+                if residual[r].is_zero():
+                    continue
+                f = residual[r]
+                for w in g.point(r).wplus:  # one label at a time
+                    f = f.divide(w)
+                    if f is None:
+                        raise DivisionFailure(f"value at {r} is not a multiple of its Euler class")
                 table[(p, q, r)] = f
+                residual = cl.class_add(residual, cl.class_scale(basis[r], -f))
+            if any(not x.is_zero() for x in residual.values()):
+                raise DivisionFailure("basis does not span: nonzero residual remains")
     return table
 
 

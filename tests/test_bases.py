@@ -122,8 +122,8 @@ def test_bases_equal_the_correction_walk(key):
             assert cl.local_index(K, g, point[p], q) == want, (p, q)
     # a single class, as the CLI builds it, equals the basis's
     for p in (vids[0], vids[len(vids) // 2]):
-        assert cl.class_equal(cl.point_classes(K, g, [p])[p], point[p]), p
-        assert cl.class_equal(cl.canonical_class(K, g, p), canonical[p]), p
+        assert cl.class_equal(cl.basis(K, g, "point", [p])[p], point[p]), p
+        assert cl.class_equal(cl.basis(K, g, vids=[p])[p], canonical[p]), p
 
 
 @pytest.mark.parametrize("key", sorted(PRODUCT_GRAPHS), ids=lambda key: f"{key[0]}@{key[1]}")

@@ -40,11 +40,13 @@ def test_blowups_build_their_edges_and_pass_verification(blowups, tmp_path, caps
         out = capsys.readouterr().out
         assert rc == 0 and "FAIL" not in out, (case, out)
         not_increasing += "flow-up equals upward closure" not in out
-        for ring in (K, H):
-            basis = cl.basis(ring, g)
+        # every basis the expansions take is Kirwan: the K point classes too
+        for ring, normalization in ((K, "canonical"), (K, "point"), (H, "canonical")):
+            basis = cl.basis(ring, g, normalization)
             for p in g.vids():
-                assert cl.is_kirwan_class(ring, g, basis[p], p), (case, ring.name, p)
-                assert cl.check_gkm(ring, g, basis[p]) is None, (case, ring.name, p)
+                where = (case, ring.name, normalization, p)
+                assert cl.is_kirwan_class(ring, g, basis[p], p), where
+                assert cl.check_gkm(ring, g, basis[p]) is None, where
                 if ring is H:  # the correction walk to index 1 at p alone
                     assert cl.class_equal(basis[p], corrected_class(H, g, p, {p})), (case, p)
     # the family is not the index increasing one the fixtures mostly are

@@ -592,6 +592,79 @@ def test_bad_covector_is_validation_error(capsys):
     assert "--pi must be comma separated integers" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "--fixture", "cp2", "--xi", "-1,-2"],
+    ["graph", "--fixture", "cp2", "--format", "json", "--xi", "-1,-2"],
+    ["kirwan", "--fixture", "square", "--pi", "-1,-1"],
+    ["kirwan", "--fixture", "square", "--pi", "-1,-1", "--format", "json"],
+    ["kirwan", "--fixture", "cp2", "--xi", "-2,-1", "--pi", "-1,-1", "--format", "json"],
+    ["basis", "--fixture", "hirzebruch", "--xi", "-3,-1"],
+])
+def test_a_negative_vector_after_a_space_reads_as_after_an_equals_sign(argv, capsys):
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--xi", "--pi"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert len(joined) < len(argv)
+    want = run_cli(joined, capsys)
+    assert want[0] == 0 and want[1]
+    assert run_cli(argv, capsys) == want
+
+
+def test_an_option_after_the_vector_flag_is_still_refused(capsys):
+    rc, out, err = run_cli(["graph", "--fixture", "cp2", "--xi", "--format", "json"], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["message"] == "gkmcalc graph: argument --xi: expected one argument"
+
+
+@pytest.mark.parametrize("pi, var", [("1,0", "x2"), ("0,1", "x1")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", ["default", "lifted"])
+def test_a_result_past_the_int_string_limit_ends_cleanly_or_exactly(
+        tmp_path, capsys, pi, var, fmt, limit):
+    # every coefficient read is within CPython's 4,300-digit limit, but the
+    # shear adds three of them; the refusal writes nothing, to stdout or to
+    # --out, and where the interpreter has no limit the value is exact
+    c = "9" * 4300
+    value = [[c, [2, 0]], [c, [1, 1]], [c, [0, 2]]]
+    klass = _write(tmp_path, "c.json", {"mode": "cohomology",
+                                        "class": dict.fromkeys(("p0", "p1", "p2"), value)})
+    target = tmp_path / "o.txt"
+    target.write_text("kept\n")
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old = get_limit() if get_limit else None
+    if limit == "lifted" and old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for flags in ([], ["--out", str(target)]):
+            rc, out, err = run_cli(["kirwan", "--fixture", "cp2", "--pi", pi, "--class", klass,
+                                    "--format", fmt, *flags], capsys)
+            _assert_clean_exit(rc, err)
+            if flags:
+                assert out == ""
+                out = target.read_text()
+            if rc:
+                assert limit == "default" and rc == 3 and out in ("", "kept\n")
+                assert json.loads(err)["message"] == (
+                    "a coefficient has more than 4300 digits, "
+                    "past the limit of integer string conversion")
+                continue
+            assert limit == "lifted" or old is None
+            top = {"x2": "p1", "x1": "p2"}[var]
+            if fmt == "text":
+                assert out == (f"top vertex: {top}\nr1 (edge p0 -> {top}): {c}*{var}^2\n"
+                               f"r2 (edge {'p2' if top == 'p1' else 'p1'} -> {top}): "
+                               f"{3 * int(c)}*{var}^2\n")
+            else:
+                points = json.loads(out)["points"]
+                assert [p["value"][0][0] for p in points] == [c, str(3 * int(c))]
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
 JUNK = [None, True, -1, 0, 7, 1.5, "", "x", "1/0", "2/3", [], {}, ["a"], [1],
         [[0, 1]], {"id": "a"}]
 

@@ -65,13 +65,33 @@ def test_structure_constants_match_the_full_expansion(ring, name):
 @pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
 @pytest.mark.parametrize("name", ["cp2", "hirzebruch", "cut-cube"])
 def test_a_class_off_the_euler_class_at_its_vertex_is_subtracted_there(ring, name):
-    # an expansion leaves a class out at its own vertex only where its value
-    # there is the Euler class the step divides by; doubled there, the
-    # class is subtracted in full and the residual it leaves is caught
+    # every expansion leaves a class out at its own vertex, where a Kirwan
+    # class is the Euler class the step divides by; a basis whose class is
+    # doubled there is refused where it enters, naming the vertex
     g = GRAPHS[name]
     basis = cl.basis(ring, g)
     top = g.vids()[-1]
     broken = {**basis, top: {**basis[top], top: 2 * basis[top][top]}}
     with pytest.raises(DivisionFailure) as exc:
         cl.structure_constants(ring, g, broken)
-    assert str(exc.value) == "basis does not span: nonzero residual remains"
+    assert str(exc.value) == f"the basis class at {top} is not a Kirwan class there"
+
+
+@pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])
+@pytest.mark.parametrize("name", ["cp2", "hirzebruch", "cut-cube"])
+def test_a_class_nonzero_below_its_vertex_is_refused(ring, name):
+    # the other half of the Kirwan test: the class at the second vertex,
+    # right at its own vertex, is given a value at the bottom vertex too
+    g = GRAPHS[name]
+    basis = cl.basis(ring, g)
+    low, p = g.vids()[:2]
+    assert cl.is_kirwan_class(ring, g, basis[p], p)
+    broken = {**basis, p: {**basis[p], low: ring.one(g.rank)}}
+    assert not cl.is_kirwan_class(ring, g, broken[p], p)
+    with pytest.raises(DivisionFailure) as exc:
+        cl.structure_constants(ring, g, broken)
+    assert str(exc.value) == f"the basis class at {p} is not a Kirwan class there"
+    # the reference, which subtracts each class in full, sees the product
+    # fail to expand as well
+    with pytest.raises(DivisionFailure):
+        full_structure_constants(ring, g, broken)

@@ -998,6 +998,10 @@ def test_each_ring_is_its_value_class(name, cp2):
         cl.triangular_expansion(cp2, {"p1": ring.one(2)},
                                 lambda r: cl.poincare_dual(ring, cp2, r))
     assert str(exc.value) == "value at p1 is not a multiple of its Euler class"
+    # the class at p1, handed over off p1, is nonzero at p0 below it: the
+    # step at p1 leaves a residual at p0 that no later step takes off
+    p1 = cl.poincare_dual(ring, cp2, "p1")
     with pytest.raises(DivisionFailure) as exc:
-        cl.triangular_expansion(cp2, {"p0": ring.one(2)}, lambda r: {})
+        cl.triangular_expansion(cp2, {"p1": p1["p1"]},
+                                lambda r: {"p0": [ring.one(2)]} if r == "p1" else {})
     assert str(exc.value) == "basis does not span: nonzero residual remains"
