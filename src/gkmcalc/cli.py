@@ -27,7 +27,7 @@ from .fixtures import (
 from .gkm import build_graph, flow_face, index_violations, is_index_increasing, upward_closure
 from .kirwan import kirwan_restrict_all, reduced_fixed_data
 from .serialize import dumps, load_class_file, load_toric_input
-from .symcore import RINGS, H, K
+from .symcore import RINGS, H, K, _too_long
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +127,22 @@ def cmd_graph(args, out, g, ring):
     if args.format == "json":
         out.write(dumps(g))
         return
-    out.write(f"rank {g.rank}, xi = ({','.join(map(str, g.xi))})\n")
-    for p in g.points:
-        psi = ",".join(str(x) for x in p.psi)
-        out.write(f"vertex {p.id}: psi=({psi}) mu={p.mu} lambda={p.lam}\n")
-    for e in g.edges:
-        out.write(f"edge {e.src} -> {e.dst}: weight=({','.join(map(str, e.weight))})"
-                  f" mult={e.mult}\n")
+    # the whole text is formatted before the first write, so a number past
+    # the limit of int-to-str conversion leaves nothing partial behind
+    try:
+        lines = [f"rank {g.rank}, xi = ({','.join(map(str, g.xi))})"]
+        for p in g.points:
+            psi = ",".join(str(x) for x in p.psi)
+            lines.append(f"vertex {p.id}: psi=({psi}) mu={p.mu} lambda={p.lam}")
+        for e in g.edges:
+            lines.append(f"edge {e.src} -> {e.dst}: weight=({','.join(map(str, e.weight))})"
+                         f" mult={e.mult}")
+    except ValueError:
+        raise _too_long("a number in the graph") from None
     bad = index_violations(g)
-    out.write(f"index increasing: {'no' if bad else 'yes'}\n")
-    for e in bad:
-        out.write(f"  violated on {e.src} -> {e.dst}\n")
+    lines.append(f"index increasing: {'no' if bad else 'yes'}")
+    lines += [f"  violated on {e.src} -> {e.dst}" for e in bad]
+    out.write("\n".join(lines) + "\n")
 
 
 def cmd_check(args, out, g, ring):

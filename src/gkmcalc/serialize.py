@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
 from .gkm import GKMGraph, ToricInput, is_index_increasing
-from .symcore import RINGS, H, K, parse_exact, parse_int
+from .symcore import RINGS, H, K, _too_long, parse_exact, parse_int
 
 
 def toric_input_from_dict(data):
@@ -142,7 +142,10 @@ def _encode(x, nl, memo):
     if t is K or t is H:
         return x.json_text(nl, memo)
     if t is GKMGraph:
-        return _graph_text(x, nl, memo)
+        try:
+            return _graph_text(x, nl, memo)
+        except ValueError:  # an int past the limit of int-to-str conversion
+            raise _too_long("a number in the graph") from None
     if x is None or t is bool or t is float:
         return json.dumps(x)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -30,6 +30,14 @@ has neither text form and raises ``ContractError`` (``_too_long``).
 ``sub_product`` takes a product of values off a plain term dict in place,
 the residuals that the triangular expansion keeps.
 
+The H shear (``shear_variables``) works on the same packed lists: the d-th
+power of each variable's image is built once per call from its multinomial
+expansion (``_linear_power``), every term of the value is multiplied out
+against the powers of its variables as (key offset, coefficient) pairs,
+and the products are collected once, over one common denominator.  No
+polynomial is multiplied and no value is built per term, so a shear costs
+about one operation per product it collects.
+
 No answer is ever wrapped.  Every stored exponent has |e_i| < 2^62
 (``LIMIT``), so the sum of two fits a field and no carry crosses into the
 next; a constructor given an exponent at or past the limit raises
@@ -39,7 +47,10 @@ raises ``ContractError``:
 
 * a product whose bound, the sum of its factors', reaches the limit decodes
   its terms and raises if one of them does;
-* a shear checks every field it decodes;
+* a K shear checks every field it decodes, and an H shear bounds each
+  term by the value's bound plus the term's sheared degree, and where that
+  reaches the limit works out the term's largest exponent and raises if it
+  does, before any key of it is formed;
 * a division raises when its intermediate keys could leave their fields:
   2 top + |w| >= 2^63 for ``1 - e^w``, rank * top >= 2^63 for ``<w, x>``.
 
@@ -49,9 +60,16 @@ budget: a quotient by ``1 - e^w`` from the gaps of its coset chains, a
 quotient by ``<w, x>`` from the pivot degrees of its slices, the
 restriction that tests divisibility by ``<w, x>`` from the pivot degree of
 each term, a power of a linear form with m terms to the d-th as
-C(d + m - 1, m - 1), and a product in the shear as the product of its
-factors' term counts.  Exponents of a valid class may lie 2^62 apart, so
-without it a single division could try to fill a gap of that length.
+C(d + m - 1, m - 1), and a term's product in the shear as the product of
+its powers' term counts.  The two counts by pivot degree are worst cases
+per term.  Where one passes the budget and the value is homogeneous, of
+degree D in rank n, it is counted again by the size of the answer, the
+monomials of its degree (``_answer_size``): at most C(D + n - 2, n - 2)
+terms on the hyperplane and C(D + n - 2, n - 1) in the quotient, which the
+walk's terms, all of degree D - 1, cannot exceed.  A value of mixed
+degrees keeps the worst case.  Exponents of a valid class may lie 2^62
+apart, so without the budget a single division could try to fill a gap of
+that length.
 
 Each coefficient ring is one class, ``K = LaurentPoly`` for K-theory and
 ``H = PolyH`` for cohomology, and holds what a construction needs to know
@@ -301,11 +319,24 @@ def _too_many(what):
     return ContractError(f"{what}: more than {TERM_BUDGET} terms")
 
 
-def _too_long():
-    """A value with a coefficient past the interpreter's limit on the digits
-    of an int's string (``sys.set_int_max_str_digits``) has no text form."""
-    return ContractError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+def _too_long(what="a coefficient"):
+    """A value with a number past the interpreter's limit on the digits of an
+    int's string (``sys.set_int_max_str_digits``) has no text form; ``what``
+    names the number."""
+    return ContractError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
                          "past the limit of integer string conversion")
+
+
+def _answer_size(p, shift, variables):
+    """The number of monomials of degree D + shift in ``variables``
+    variables, D the degree of the homogeneous H value p: a bound on the
+    terms of p's restriction to a hyperplane (shift 0, rank - 1 variables)
+    and of its quotient by a linear form (shift -1, rank variables).  A value
+    of mixed degrees has no such bound (infinity)."""
+    degree = p.homogeneous_degree()
+    if degree is None:
+        return math.inf
+    return math.comb(degree + shift + variables - 1, variables - 1)
 
 
 def _exact_top(p):
@@ -563,16 +594,18 @@ class _Poly:
 
     def fmt(self):
         """Text form: signed terms in exponent order, unit factors omitted."""
-        out = ""
+        out = []
         for e, c in self.sorted_terms():
             mono, a = self.fmt_monomial(e), abs(c)
             try:
                 piece = str(a) if mono == "1" else mono if a == 1 else f"{a}*{mono}"
             except ValueError:
                 raise _too_long() from None
-            sign = "-" if c < 0 else "+"
-            out = f"{out} {sign} {piece}" if out else ("-" if c < 0 else "") + piece
-        return out or "0"
+            out.append((" - " if c < 0 else " + ") + piece)
+        if not out:
+            return "0"
+        text = "".join(out)  # one join, where adding each term would copy the text so far
+        return ("-" if text[1] == "-" else "") + text[3:]
 
     def __repr__(self):
         bits = [f"{c}*{self.symbol}{list(e)}" for e, c in self.sorted_terms()]
@@ -700,7 +733,10 @@ class PolyH(_Poly):
         other power of degree d grows its coefficients with d, as the
         quotient's do, so its term counts against the budget as the
         quotient counts it, C(d + m - 1, m), before anything is built.  The
-        pivot is one of least count, and among those of least |w_i|."""
+        pivot is one of least count, and among those of least |w_i|.  A
+        homogeneous value past the budget by that count is let through
+        when its restriction, a form of its degree in rank - 1 variables,
+        has at most the budget's terms."""
         if not any(w):
             raise ValueError("zero weight")
         support = [i for i, c in enumerate(w) if c]
@@ -712,7 +748,7 @@ class PolyH(_Poly):
                 counts[i] = sum(math.comb(((e >> shift) & MASK) - BIAS + m - 1, m)
                                 for e in self.terms)
         pivot = min(support, key=lambda i: (counts[i], abs(w[i])))
-        if counts[pivot] > TERM_BUDGET:
+        if counts[pivot] > TERM_BUDGET and _answer_size(self, 0, self.rank - 1) > TERM_BUDGET:
             raise _too_many("divisibility test")
         sigma = [0] * self.rank
         sigma[pivot] = int_or_fraction(Fraction(1, w[pivot]))
@@ -853,8 +889,10 @@ def _linear_quotient(p, w):
     when p_0 - r q_0 is zero; where r q_d is zero the walk jumps to the next
     nonempty slice.  A term of degree d in x_i reaches at most C(d - 1 + m,
     m) quotient terms, m the number of variables in r, and their sum is
-    checked against the budget first.  No intermediate exponent exceeds the
-    total degree of p, at most rank * top; an exact quotient keeps p's bound.
+    checked against the budget first; past it, a homogeneous p is counted
+    again by its quotient's size, the monomials of its degree less one.  No
+    intermediate exponent exceeds the total degree of p, at most rank * top;
+    an exact quotient keeps p's bound.
     A quotient coefficient is c // w_i, an int, when w_i divides c, and
     Fraction(c, w_i) otherwise, so integral inputs stay in int arithmetic.
 
@@ -881,7 +919,8 @@ def _linear_quotient(p, w):
         slices.setdefault(((e >> shift) & MASK) - BIAS, {})[e] = c
     m = len(rest)
     if p.top and len(p.terms) * math.comb(p.top - 1 + m, m) > TERM_BUDGET \
-            and sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d) > TERM_BUDGET:
+            and sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d) \
+            > TERM_BUDGET and _answer_size(p, -1, rank) > TERM_BUDGET:
         raise _too_many("linear form division")
     d = max(slices)
     if d > 2 * rank and not p.divides(w):
@@ -937,34 +976,113 @@ def shear_exponents(p, sigma, a):
     return LaurentPoly._new(rank, out, top)
 
 
+def _linear_power(form, d):
+    """The d-th power of the form sum c_i x_i, given as (unit key, int c_i)
+    pairs, as (key offset, coefficient) pairs, one per term of its
+    multinomial expansion: x^k has coefficient d! / prod k_i! prod c_i^k_i.
+    Each variable but the last splits the degree that is left k ways by a
+    binomial, and the last takes the rest; no polynomial is multiplied."""
+    *head, (unit, c) = form
+    if not head:
+        return [(d * unit, c ** d)]
+    parts = [(0, 1, d)]  # (key offset, coefficient, degree left)
+    for u, h in head:
+        pw = list(itertools.accumulate(itertools.repeat(h, d), operator.mul, initial=1))
+        nxt = []
+        for off, x, left in parts:
+            b = 1
+            for k in range(left + 1):
+                nxt.append((off, x * b * pw[k], left - k))
+                off += u
+                b = b * (left - k) // (k + 1)
+        parts = nxt
+    pw = list(itertools.accumulate(itertools.repeat(c, d), operator.mul, initial=1))
+    return [(off + left * unit, x * pw[left]) for off, x, left in parts]
+
+
 def shear_variables(p, sigma, a):
     """The same map on polynomials: x_t -> x_t - sigma_t <a, x>, the
-    variables with sigma_t = 0 fixed.  The powers of each image are built
-    once per call; a power's term count, C(d + m - 1, m - 1) for an image of
-    m terms, and a product's, at most the product of its factors' counts,
-    are checked against the budget before it is built."""
+    variables with sigma_t = 0 fixed.
+
+    Each image is an int form over a denominator q_t, and the d-th power of
+    one is built once per call from its multinomial expansion
+    (``_linear_power``) after its term count, C(d + m - 1, m - 1) for an
+    image of m terms, is checked against the budget.  Every term of p is
+    then multiplied out against the powers of its sheared variables as a
+    list of (key offset, coefficient) pairs, like ``sub_product``, with the
+    product of their lengths checked first, and all the products are
+    collected once into the result.  The coefficients are taken over one
+    common denominator, so the sums are of ints, and divided by it at the
+    end.  A term whose exponents could reach the limit, p's bound plus its
+    sheared degree, has its true bound worked out before it is multiplied
+    (``_shear_bound``)."""
     rank = p.rank
-    images = {t: PolyH.linear_form(tuple(int(i == t) - s * y for i, y in enumerate(a)))
-              for t, s in enumerate(sigma) if s}
-    powers = {}
-    out, top = {}, 0
-    for e, c in p.sorted_terms():
-        fixed = tuple(0 if t in images else d for t, d in enumerate(e))
-        term = PolyH(rank, {fixed: c})
-        for t, d in enumerate(e):
-            if d and t in images:
-                if (t, d) not in powers:
-                    m = len(images[t].terms)
-                    if m and math.comb(d + m - 1, m - 1) > TERM_BUDGET:
+    units = [_unit_key(rank, i) for i in range(rank)]
+    images = []
+    for t, st in enumerate(sigma):
+        if st:
+            image = [-st * y for y in a]
+            image[t] += 1
+            q = 1
+            if type(st) is not int:
+                q = math.lcm(*(c.denominator for c in image))
+                image = [(c * q).numerator for c in image]
+            form = [(u, c) for u, c in zip(units, image) if c]
+            images.append((FIELD * (rank - 1 - t), q, {}, form))
+    staged, top = [], 0  # (key with the sheared fields at zero, coefficient, powers)
+    for e, c in p.terms.items():
+        base, den, deg, lists = e, 1, 0, []
+        for shift, q, powers, form in images:
+            d = ((e >> shift) & MASK) - BIAS
+            if d:
+                if not form:
+                    break  # the image is zero
+                power = powers.get(d)
+                if power is None:
+                    if math.comb(d + len(form) - 1, len(form) - 1) > TERM_BUDGET:
                         raise _too_many("shear")
-                    powers[t, d] = images[t] ** d
-                if len(term.terms) * len(powers[t, d].terms) > TERM_BUDGET:
-                    raise _too_many("shear")
-                term = term * powers[t, d]
-        for k, v in term.terms.items():
-            out[k] = out.get(k, 0) + v
-        top = max(top, term.top)
+                    power = powers[d] = _linear_power(form, d)
+                lists.append(power)
+                base -= d << shift
+                deg += d
+                if q != 1:
+                    den *= q ** d
+        else:
+            if math.prod(map(len, lists)) > TERM_BUDGET:
+                raise _too_many("shear")
+            bound = p.top + deg
+            top = max(top, bound if bound < LIMIT else _shear_bound(e, rank, images))
+            staged.append((base, c if den == 1 else Fraction(c, den), lists))
+    scale = math.lcm(*(c.denominator for _, c, _ in staged))
+    out = {}
+    get = out.get
+    for base, c, lists in staged:
+        prod = [(base, c.numerator * (scale // c.denominator))]
+        for power in lists:
+            prod = [(o + k, y * z) for k, z in power for o, y in prod]
+        for k, y in prod:
+            out[k] = get(k, 0) + y
+    if scale != 1:
+        out = {k: int_or_fraction(Fraction(v, scale)) for k, v in out.items() if v}
     return PolyH._new(rank, out, top)
+
+
+def _shear_bound(e, rank, images):
+    """The largest exponent of the shear of the monomial of key e: each
+    coordinate keeps its degree unless its variable is sheared, and gains
+    the degree of every sheared variable whose image has it.  It raises
+    past the limit, before any key of the product is formed."""
+    v = list(_unpack(e, rank))
+    out = list(v)
+    for shift, _q, _powers, form in images:
+        t = rank - 1 - shift // FIELD
+        d, out[t] = v[t], out[t] - v[t]
+        for unit, _c in form:
+            out[rank - 1 - (unit.bit_length() - 1) // FIELD] += d
+    bound = max(out)
+    if bound >= LIMIT:
+        raise _too_large("shear")
+    return bound
 
 
 def substitution_matrix(basis, images, rank):

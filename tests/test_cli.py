@@ -19,10 +19,17 @@ from gkmcalc.errors import NonConstantQuotient, ValidationError
 from gkmcalc.serialize import class_from_dict, dumps, toric_input_from_dict
 from gkmcalc.fixtures import fixture_input
 from gkmcalc.gkm import build_graph
-from gkmcalc.symcore import K, TERM_BUDGET, parse_exact
+from gkmcalc.symcore import H, K, TERM_BUDGET, LocalizedSum, PolyH, parse_exact
 
 from conftest import rng
-from oracles import basis_from_dict, class_to_dict, to_terms
+from oracles import (
+    basis_from_dict,
+    class_to_dict,
+    eval_h,
+    eval_poly,
+    local_index_parts,
+    to_terms,
+)
 
 
 def run_cli(args, capsys):
@@ -539,6 +546,48 @@ def test_local_index_of_a_huge_power_the_shear_kills(tmp_path, capsys):
     assert out == f"x1^{HUGE - 1}\n"
 
 
+# the CP^2 image a=(0,0), b=(2,-3), c=(1,-1): a is its top vertex, and the
+# local index there shears x1 to forms of two terms
+SHEARED_CP2 = {"rank": 2, "edges": [["a", "b"], ["a", "c"], ["b", "c"]],
+               "vertices": [{"id": "a", "psi": ["0", "0"]}, {"id": "b", "psi": ["2", "-3"]},
+                            {"id": "c", "psi": ["1", "-1"]}]}
+
+
+def test_the_local_index_of_a_power_of_degree_2000_is_exact(tmp_path, capsys):
+    # each shear and each divided difference has about 2,000 terms; a count
+    # of the worst case per term refused this, as more than the budget
+    deg = 2000
+    graph = _write(tmp_path, "g.json", SHEARED_CP2)
+    klass = _write(tmp_path, "c.json", {"mode": "cohomology", "class": {
+        "a": [["1", [deg, 0]]], "b": [], "c": []}})
+    start = time.perf_counter()
+    rc, out, err = run_cli(["local-index", "--input", graph, "--class", klass, "--vertex", "a",
+                            "--mode", "cohomology", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 10
+    assert (rc, err) == (0, "")
+    value = H.from_terms(2, json.loads(out)["value"])
+    assert value.homogeneous_degree() == deg - 2 and len(value.terms) == deg - 1
+    # the oracle's substitutions are ring maps, so each sends x1^deg to the
+    # deg-th power of its image of x1: its cut space fixed point sum is
+    # specialized from the parts of x1, at points with the auxiliary w_0 = 0
+    g = build_graph(toric_input_from_dict(SHEARED_CP2))
+    x1 = {"a": PolyH(2, {(1, 0): 1}), "b": PolyH.zero(2), "c": PolyH.zero(2)}
+    fs, dens = local_index_parts(H, g, x1, "a")
+    r = rng(157)
+    checked = 0
+    while checked < 3:
+        point = (r.randint(-40, 40), r.randint(-40, 40), 0)
+        s = LocalizedSum("H", 3)
+        for f, den in zip(fs, dens):
+            s.add_term(PolyH.constant(3, eval_poly(f, point) ** deg), den)
+        try:
+            want = eval_h(s, point)
+        except ValueError:  # the point is on a denominator's hyperplane
+            continue
+        assert eval_poly(value, point[:2]) == want
+        checked += 1
+
+
 def test_parse_rational_refuses_exponent_notation():
     assert parse_exact(7) == 7
     assert parse_exact("-3/4") == Fraction(-3, 4)
@@ -660,6 +709,60 @@ def test_a_result_past_the_int_string_limit_ends_cleanly_or_exactly(
             else:
                 points = json.loads(out)["points"]
                 assert [p["value"][0][0] for p in points] == [c, str(3 * int(c))]
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("limit", ["default", "lifted"])
+def test_a_graph_past_the_int_string_limit_ends_cleanly_or_exactly(tmp_path, capsys, fmt, limit):
+    # every psi entry read is within CPython's 4,300-digit limit, but the
+    # moment values 10 n and 11 n are not; the refusal writes nothing, to
+    # stdout or to --out, and where the interpreter has no limit the text is
+    # exact
+    n = "9" * 4300
+    graph = _write(tmp_path, "g.json", {"rank": 2, "vertices": [
+        {"id": "p0", "psi": ["0", "0"]}, {"id": "p1", "psi": [n, "0"]},
+        {"id": "p2", "psi": ["0", n]}]})
+    target = tmp_path / "o.txt"
+    target.write_text("kept\n")
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    old = get_limit() if get_limit else None
+    if limit == "lifted" and old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for flags in ([], ["--out", str(target)]):
+            rc, out, err = run_cli(["graph", "--input", graph, "--xi=10,11", "--format", fmt,
+                                    *flags], capsys)
+            _assert_clean_exit(rc, err)
+            if flags:
+                assert out == ""
+                out = target.read_text()
+            if rc:
+                assert limit == "default" and rc == 3
+                assert out == ("kept\n" if flags else "")
+                assert json.loads(err)["message"] == (
+                    "a number in the graph has more than 4300 digits, "
+                    "past the limit of integer string conversion")
+                continue
+            assert limit == "lifted" or old is None
+            mu = [0, 10 * int(n), 11 * int(n)]
+            if fmt == "text":
+                assert out == (
+                    f"rank 2, xi = (10,11)\n"
+                    f"vertex p0: psi=(0,0) mu=0 lambda=0\n"
+                    f"vertex p1: psi=({n},0) mu={mu[1]} lambda=1\n"
+                    f"vertex p2: psi=(0,{n}) mu={mu[2]} lambda=2\n"
+                    f"edge p0 -> p1: weight=(1,0) mult={n}\n"
+                    f"edge p0 -> p2: weight=(0,1) mult={n}\n"
+                    f"edge p1 -> p2: weight=(-1,1) mult={n}\n"
+                    f"index increasing: yes\n")
+            else:
+                data = json.loads(out)
+                assert [v["mu"] for v in data["vertices"]] == list(map(str, mu))
+                assert [e["mult"] for e in data["edges"]] == [n] * 3
+                assert [v["psi"] for v in data["vertices"]] == [["0", "0"], [n, "0"], ["0", n]]
     finally:
         if old is not None:
             sys.set_int_max_str_digits(old)

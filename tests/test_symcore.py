@@ -28,6 +28,7 @@ from gkmcalc.symcore import (
     rational_primitive,
     shear_variables,
     substitute_linear,
+    substitute_linear_h,
     wt_scale,
     wt_sub,
 )
@@ -807,6 +808,86 @@ def test_h_divisibility_counts_the_restriction_before_building_it():
     assert not q.divides((1, 1, 1)) and not q.divides((1, 2, 0)) and q.divides((2, 0, 0))
     with pytest.raises(ValueError):
         q.divides((0, 0, 0))
+
+
+def _rand_rational(r):
+    return r.choice([r.randint(-4, 4), Fraction(r.randint(-4, 4), r.randint(1, 4))])
+
+
+def test_the_shear_is_the_substitution_by_its_matrix():
+    # x_t -> x_t - sigma_t <a, x> is the lattice map e_t -> e_t - sigma_t a
+    # on the variables, which the general substitution builds with ** and
+    # one product per term
+    r = rng(151)
+    for trial in range(400):
+        rank = r.randint(1, 4)
+        deg = r.randint(0, 8)
+        terms = {}
+        for _ in range(r.randint(1, 4)):
+            e = [0] * rank
+            for _ in range(r.randint(0, deg)):
+                e[r.randrange(rank)] += 1
+            terms[tuple(e)] = r.randint(-5, 5) if trial % 2 else _rand_rational(r)
+        p = PolyH(rank, terms)
+        sigma = tuple(r.choice([0, 0, 1, -1, 2]) if trial % 3 else _rand_rational(r)
+                      for _ in range(rank))
+        a = rand_weight(r, rank, -3, 3, nonzero=False)
+        unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        images = [tuple(int(i == t) - sigma[t] * y for i, y in enumerate(a)) for t in range(rank)]
+        got = shear_variables(p, sigma, a)
+        assert got == substitute_linear_h(p, unit, images), (p, sigma, a)
+        assert got.top >= max((max(e) for e, _ in got.sorted_terms()), default=0)
+        if trial % 2:
+            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+
+
+def test_the_closed_form_power_is_the_repeated_product():
+    r = rng(152)
+    for _ in range(300):
+        rank = r.randint(1, 4)
+        w = rand_weight(r, rank, -4, 4)
+        d = r.randint(0, 12)
+        form = [(symcore._unit_key(rank, i), c) for i, c in enumerate(w) if c]
+        power = symcore._linear_power(form, d)
+        assert len(power) == len({k for k, _ in power})
+        zero = symcore._zero_key(rank)
+        got = PolyH._new(rank, {zero + k: c for k, c in power}, d)
+        assert got == PolyH.linear_form(w) ** d, (w, d)
+
+
+def test_h_budgets_count_the_answer_of_a_homogeneous_value(monkeypatch):
+    # q (x1 + 2 x2) of degree 1501 has about 1.1 M pivot degrees to walk, so
+    # both worst-case counts pass the budget, but its quotient has 1501 terms
+    # and its restriction to the hyperplane one
+    r = rng(153)
+    q = PolyH(2, {(k, 1500 - k): r.randint(1, 9) for k in range(1501)})
+    p = q * PolyH.linear_form((1, 2))
+    assert sum(e[0] for e, _ in p.sorted_terms()) > TERM_BUDGET
+    assert divide_by_linear_form(p, (1, 2)) == q
+    assert p.divides((1, 2)) and not p.divides((1, 3))
+    # a value of mixed degrees keeps the worst-case counts, and is refused
+    # before its shear or its quotient is built
+    mixed = p + PolyH.linear_form((1, 0))
+    built = []
+    power = symcore._linear_power
+    monkeypatch.setattr(symcore, "_linear_power", lambda form, d: built.append(d) or power(form, d))
+    with pytest.raises(ContractError, match="divisibility test: more than"):
+        mixed.divides((1, 2))
+    with pytest.raises(ContractError, match="linear form division: more than"):
+        divide_by_linear_form(mixed, (1, 2))
+    assert built == []
+
+
+def test_a_shear_past_the_exponent_limit_is_refused():
+    half = 1 << 61
+    # x1 -> x2 sends x1^(2^61) x2^(2^61) to x2^(2^62)
+    with pytest.raises(ContractError, match="outside the supported range"):
+        shear_variables(PolyH(2, {(half, half): 1}), (1, 0), (1, -1))
+    # one short of the limit, or summed into different coordinates, it passes
+    got = shear_variables(PolyH(2, {(half - 1, half): 3}), (1, 0), (1, -1))
+    assert got.sorted_terms() == [((0, LIMIT - 1), 3)] and got.top == LIMIT - 1
+    got = shear_variables(PolyH(3, {(half, 0, half): 1}), (1, 0, 0), (1, -1, 0))
+    assert got.sorted_terms() == [((0, half, half), 1)] and got.top == half
 
 
 def test_one_pass_subtraction_equals_adding_the_negation():
