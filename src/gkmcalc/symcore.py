@@ -60,16 +60,19 @@ budget: a quotient by ``1 - e^w`` from the gaps of its coset chains, a
 quotient by ``<w, x>`` from the pivot degrees of its slices, the
 restriction that tests divisibility by ``<w, x>`` from the pivot degree of
 each term, a power of a linear form with m terms to the d-th as
-C(d + m - 1, m - 1), and a term's product in the shear as the product of
-its powers' term counts.  The two counts by pivot degree are worst cases
-per term.  Where one passes the budget and the value is homogeneous, of
-degree D in rank n, it is counted again by the size of the answer, the
-monomials of its degree (``_answer_size``): at most C(D + n - 2, n - 2)
-terms on the hyperplane and C(D + n - 2, n - 1) in the quotient, which the
-walk's terms, all of degree D - 1, cannot exceed.  A value of mixed
-degrees keeps the worst case.  Exponents of a valid class may lie 2^62
-apart, so without the budget a single division could try to fill a gap of
-that length.
+C(d + m - 1, m - 1), and the products of a shear as the sum over its
+terms of the product of their powers' term counts.  The two counts by
+pivot degree are worst cases per term, and they also bound the size of the
+coefficients, which grow with each term's pivot degree.  Where one passes
+the budget and the value is homogeneous, of degree D in rank n, its terms
+are counted again by the size of the answer, the monomials of its degree
+(``_past_budget``): at most C(D + n - 2, n - 2) terms on the hyperplane and
+C(D + n - 2, n - 1) in the quotient, which the walk's terms, all of degree
+D - 1, cannot exceed.  Its coefficients are still bounded: the count by
+pivot degree must stay within ``SIZE_BUDGET`` and D within the budget.  A
+value of mixed degrees keeps the worst case.  Exponents of a valid class
+may lie 2^62 apart, so without the budget a single division could try to
+fill a gap of that length.
 
 Each coefficient ring is one class, ``K = LaurentPoly`` for K-theory and
 ``H = PolyH`` for cohomology, and holds what a construction needs to know
@@ -278,6 +281,7 @@ BIAS = 1 << (FIELD - 1)
 MASK = (1 << FIELD) - 1
 LIMIT = 1 << 62
 TERM_BUDGET = 1 << 20
+SIZE_BUDGET = 1 << 22
 _INT, _LIST, _STR = frozenset((int,)), frozenset((list,)), frozenset((str,))
 
 
@@ -327,16 +331,19 @@ def _too_long(what="a coefficient"):
                          "past the limit of integer string conversion")
 
 
-def _answer_size(p, shift, variables):
-    """The number of monomials of degree D + shift in ``variables``
-    variables, D the degree of the homogeneous H value p: a bound on the
-    terms of p's restriction to a hyperplane (shift 0, rank - 1 variables)
-    and of its quotient by a linear form (shift -1, rank variables).  A value
-    of mixed degrees has no such bound (infinity)."""
+def _past_budget(p, count, shift, variables):
+    """Whether a division's worst-case count, by pivot degree, refuses the
+    H value p.  A count past ``TERM_BUDGET`` refuses a value of mixed
+    degrees.  A homogeneous value of degree D is let through while its
+    answer, the monomials of degree D + shift in ``variables`` variables,
+    has at most the budget's terms, and its coefficients stay bounded: the
+    count, which sums each term's coefficient growth, at most
+    ``SIZE_BUDGET``, and D at most the budget."""
+    if count <= TERM_BUDGET:
+        return False
     degree = p.homogeneous_degree()
-    if degree is None:
-        return math.inf
-    return math.comb(degree + shift + variables - 1, variables - 1)
+    return (degree is None or count > SIZE_BUDGET or degree > TERM_BUDGET
+            or math.comb(degree + shift + variables - 1, variables - 1) > TERM_BUDGET)
 
 
 def _exact_top(p):
@@ -736,7 +743,9 @@ class PolyH(_Poly):
         pivot is one of least count, and among those of least |w_i|.  A
         homogeneous value past the budget by that count is let through
         when its restriction, a form of its degree in rank - 1 variables,
-        has at most the budget's terms."""
+        has at most the budget's terms, its count stays within
+        ``SIZE_BUDGET`` and its degree within the budget
+        (``_past_budget``)."""
         if not any(w):
             raise ValueError("zero weight")
         support = [i for i, c in enumerate(w) if c]
@@ -748,7 +757,7 @@ class PolyH(_Poly):
                 counts[i] = sum(math.comb(((e >> shift) & MASK) - BIAS + m - 1, m)
                                 for e in self.terms)
         pivot = min(support, key=lambda i: (counts[i], abs(w[i])))
-        if counts[pivot] > TERM_BUDGET and _answer_size(self, 0, self.rank - 1) > TERM_BUDGET:
+        if _past_budget(self, counts[pivot], 0, self.rank - 1):
             raise _too_many("divisibility test")
         sigma = [0] * self.rank
         sigma[pivot] = int_or_fraction(Fraction(1, w[pivot]))
@@ -890,9 +899,10 @@ def _linear_quotient(p, w):
     nonempty slice.  A term of degree d in x_i reaches at most C(d - 1 + m,
     m) quotient terms, m the number of variables in r, and their sum is
     checked against the budget first; past it, a homogeneous p is counted
-    again by its quotient's size, the monomials of its degree less one.  No
-    intermediate exponent exceeds the total degree of p, at most rank * top;
-    an exact quotient keeps p's bound.
+    again by its quotient's size, the monomials of its degree less one,
+    while the sum stays within ``SIZE_BUDGET`` and the degree within the
+    budget (``_past_budget``).  No intermediate exponent exceeds the total
+    degree of p, at most rank * top; an exact quotient keeps p's bound.
     A quotient coefficient is c // w_i, an int, when w_i divides c, and
     Fraction(c, w_i) otherwise, so integral inputs stay in int arithmetic.
 
@@ -918,9 +928,8 @@ def _linear_quotient(p, w):
     for e, c in p.terms.items():
         slices.setdefault(((e >> shift) & MASK) - BIAS, {})[e] = c
     m = len(rest)
-    if p.top and len(p.terms) * math.comb(p.top - 1 + m, m) > TERM_BUDGET \
-            and sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d) \
-            > TERM_BUDGET and _answer_size(p, -1, rank) > TERM_BUDGET:
+    if p.top and len(p.terms) * math.comb(p.top - 1 + m, m) > TERM_BUDGET and _past_budget(
+            p, sum(len(s) * math.comb(d - 1 + m, m) for d, s in slices.items() if d), -1, rank):
         raise _too_many("linear form division")
     d = max(slices)
     if d > 2 * rank and not p.divides(w):
@@ -1010,9 +1019,10 @@ def shear_variables(p, sigma, a):
     image of m terms, is checked against the budget.  Every term of p is
     then multiplied out against the powers of its sheared variables as a
     list of (key offset, coefficient) pairs, like ``sub_product``, with the
-    product of their lengths checked first, and all the products are
-    collected once into the result.  The coefficients are taken over one
-    common denominator, so the sums are of ints, and divided by it at the
+    sum over the terms of the product of their lengths checked against the
+    budget before any is built, and all the products are collected once
+    into the result.  The coefficients are taken over one common
+    denominator, so the sums are of ints, and divided by it at the
     end.  A term whose exponents could reach the limit, p's bound plus its
     sheared degree, has its true bound worked out before it is multiplied
     (``_shear_bound``)."""
@@ -1029,7 +1039,8 @@ def shear_variables(p, sigma, a):
                 image = [(c * q).numerator for c in image]
             form = [(u, c) for u, c in zip(units, image) if c]
             images.append((FIELD * (rank - 1 - t), q, {}, form))
-    staged, top = [], 0  # (key with the sheared fields at zero, coefficient, powers)
+    staged = []  # (key with the sheared fields at zero, coefficient, powers)
+    top = products = 0
     for e, c in p.terms.items():
         base, den, deg, lists = e, 1, 0, []
         for shift, q, powers, form in images:
@@ -1048,7 +1059,8 @@ def shear_variables(p, sigma, a):
                 if q != 1:
                     den *= q ** d
         else:
-            if math.prod(map(len, lists)) > TERM_BUDGET:
+            products += math.prod(map(len, lists))
+            if products > TERM_BUDGET:
                 raise _too_many("shear")
             bound = p.top + deg
             top = max(top, bound if bound < LIMIT else _shear_bound(e, rank, images))

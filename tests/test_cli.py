@@ -588,6 +588,22 @@ def test_the_local_index_of_a_power_of_degree_2000_is_exact(tmp_path, capsys):
         checked += 1
 
 
+def test_a_class_whose_restriction_outgrows_the_budget_is_refused_at_once(tmp_path, capsys):
+    # on the edge of weight (2, -3), x1^N x2^N restricts to one term, but
+    # its coefficient (3/2)^N has tens of millions of bits
+    n = 1 << 25
+    graph = _write(tmp_path, "g.json", SHEARED_CP2)
+    klass = _write(tmp_path, "c.json", {"mode": "cohomology", "class": {
+        "a": [["1", [n, n]]], "b": [], "c": []}})
+    start = time.perf_counter()
+    rc, out, err = run_cli(["check", "--input", graph, "--class", klass, "--mode", "cohomology"],
+                           capsys)
+    assert time.perf_counter() - start < 10
+    assert (rc, out) == (3, "")
+    _assert_clean_exit(rc, err)
+    assert json.loads(err)["message"] == f"divisibility test: more than {TERM_BUDGET} terms"
+
+
 def test_parse_rational_refuses_exponent_notation():
     assert parse_exact(7) == 7
     assert parse_exact("-3/4") == Fraction(-3, 4)

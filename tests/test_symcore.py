@@ -19,6 +19,7 @@ from gkmcalc.symcore import (
     Irreducible,
     LaurentPoly,
     LocalizedSum,
+    SIZE_BUDGET,
     TERM_BUDGET,
     PolyH,
     canonical_sign,
@@ -474,6 +475,14 @@ def test_results_past_the_term_budget_are_refused():
         divide_by_linear_form(PolyH(2, {(n, 0): 1, (0, n): -1}), (1, -1))
     with pytest.raises(ContractError, match="terms"):
         shear_variables(PolyH(2, {(0, n): 1}), (1, 1), (1, 0))  # (x2 - x1)^n
+    # x1 -> -x1 - 2 x2 and x2 -> -2 x1 - x2: a term x1^a x2^b makes
+    # (a + 1)(b + 1) products, within the budget for each of these three
+    # terms but past it for their sum
+    terms = {(600, 600): 1, (601, 599): 2, (599, 601): 3}
+    assert max((a + 1) * (b + 1) for a, b in terms) <= TERM_BUDGET
+    assert sum((a + 1) * (b + 1) for a, b in terms) > TERM_BUDGET
+    with pytest.raises(ContractError, match="shear: more than"):
+        shear_variables(PolyH(2, terms), (1, 1), (2, 2))
 
 
 def test_gaps_without_quotient_terms_cost_nothing():
@@ -875,6 +884,21 @@ def test_h_budgets_count_the_answer_of_a_homogeneous_value(monkeypatch):
         mixed.divides((1, 2))
     with pytest.raises(ContractError, match="linear form division: more than"):
         divide_by_linear_form(mixed, (1, 2))
+    # x1^N x2^N restricts to one term on the hyperplane of (2, -3), but its
+    # coefficient (3/2)^N has about 1.6 N bits: a count of 2^25 is past the
+    # size budget, and a count of 2^21 within it is past the budget in degree
+    for n in (1 << 25, 1 << 21):
+        with pytest.raises(ContractError, match="divisibility test: more than"):
+            PolyH(2, {(n, n): 1}).divides((2, -3))
+    # all 3,001 monomials of degree 3000: the quotient and the restriction
+    # are small, but the pivot degrees sum to about 4.5 M, past the size budget
+    deg = 3000
+    many = PolyH(2, {(k, deg - k): 1 for k in range(deg + 1)})
+    assert deg * (deg + 1) // 2 > SIZE_BUDGET
+    with pytest.raises(ContractError, match="divisibility test: more than"):
+        many.divides((2, -3))
+    with pytest.raises(ContractError, match="linear form division: more than"):
+        divide_by_linear_form(many, (2, -3))
     assert built == []
 
 
