@@ -99,10 +99,7 @@ def class_equal(a, b):
 
 def euler_minus(ring, g, vid):
     """Product of the factors of the incoming edge labels at vid."""
-    out = ring.one(g.rank)
-    for w in g.point(vid).wplus:
-        out = out * g.factor(ring, w)
-    return out
+    return _product(ring, g, [g.factor(ring, w) for w in g.point(vid).wplus])
 
 
 def check_gkm(ring, g, c):
@@ -196,7 +193,7 @@ def _face_sum(ring, g, coeffs, duals):
             for e, x in val.terms.items():
                 terms[e] = get(e, 0) + c * x
             tops[q] = max(tops.get(q, 0), val.top)
-    return {v: ring.from_sum(g.rank, sums[v], tops[v]) if v in sums else ring.zero(g.rank)
+    return {v: ring._new(g.rank, sums[v], tops[v]) if v in sums else ring.zero(g.rank)
             for v in g.vids()}
 
 
@@ -250,7 +247,7 @@ def triangular_expansion(g, c, basis_of):
     sums, tops = {}, {}  # vertex: its residual's terms and bound, once a step touched it
     coeffs = {}
     for r in g.vids():
-        f = ring.from_sum(g.rank, sums[r], tops[r]) if r in sums else c.get(r)
+        f = ring._new(g.rank, sums[r], tops[r]) if r in sums else c.get(r)
         if f is None or f.is_zero():
             continue
         wplus = g.point(r).wplus

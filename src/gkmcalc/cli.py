@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every command runs through ``main``: it parses the arguments, builds the
-moment graph, picks the coefficient ring and calls the command with both.
+moment graph, picks the coefficient ring and calls the command with both
+and an in-memory buffer, whose text it then writes once.
 Exit codes: 0 ok, 2 validation error, 3 arithmetic contract violation,
 4 i/o error.  Output is deterministic: vertices in increasing moment order,
 monomials in lexicographic exponent order.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 
@@ -446,38 +448,25 @@ def parse_args(argv):
     return args
 
 
-class _OutFile:
-    """The ``--out`` file, opened at the command's first write, so a
-    command that fails before it writes leaves an existing file as it was."""
-
-    def __init__(self, path):
-        self.path = path
-        self.fh = None
-
-    def write(self, text):
-        if self.fh is None:
-            self.fh = open(self.path, "w")
-        self.fh.write(text)
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
-
-
 def main(argv=None):
+    """Run one command; its output is collected and written once, to stdout
+    or to ``--out``, also when the command fails after writing (``verify``
+    reports before it raises).  A command that writes nothing leaves an
+    existing ``--out`` file as it was."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         g = load_graph(args)
         # gt and kirwan work in H; graph and verify take no ring
         ring = RINGS[args.mode] if "mode" in args else H
-        if args.out is None:
-            args.fn(args, sys.stdout, g, ring)
-        else:
-            out = _OutFile(args.out)
-            try:
-                args.fn(args, out, g, ring)
-            finally:
-                out.close()
+        out = io.StringIO()
+        try:
+            args.fn(args, out, g, ring)
+        finally:
+            if args.out is None:
+                sys.stdout.write(out.getvalue())
+            elif out.tell():  # the command wrote
+                with open(args.out, "w") as fh:
+                    fh.write(out.getvalue())
         return 0
     except ValidationError as exc:
         print(json.dumps({"error": "validation", "message": str(exc)}),

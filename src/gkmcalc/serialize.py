@@ -89,13 +89,6 @@ def load_toric_input(path):
 # ---------------------------------------------------------------------------
 # class and basis files
 
-def _ring(data):
-    mode = data.get("mode", "ktheory")
-    if not isinstance(mode, str) or mode not in RINGS:
-        raise ValidationError(f"malformed class file: unknown mode {mode!r}")
-    return mode, RINGS[mode]
-
-
 def class_from_dict(data, rank):
     """The class of a class file's data and its mode.  The whole table is
     read in one pass (``from_table``); a table with an irregular value is
@@ -103,8 +96,10 @@ def class_from_dict(data, rank):
     first bad value in the file gives the error."""
     if not isinstance(data, dict) or not isinstance(data.get("class"), dict):
         raise ValidationError("malformed class file: no \"class\" object")
-    mode, ring = _ring(data)
-    table = data["class"]
+    mode = data.get("mode", "ktheory")
+    if not isinstance(mode, str) or mode not in RINGS:
+        raise ValidationError(f"malformed class file: unknown mode {mode!r}")
+    ring, table = RINGS[mode], data["class"]
     try:
         c = ring.from_table(rank, table)
         if c is None:

@@ -30,13 +30,19 @@ has neither text form and raises ``ContractError`` (``_too_long``).
 ``sub_product`` takes a product of values off a plain term dict in place,
 the residuals that the triangular expansion keeps.
 
-The H shear (``shear_variables``) works on the same packed lists: the d-th
-power of each variable's image is built once per call from its multinomial
-expansion (``_linear_power``), every term of the value is multiplied out
-against the powers of its variables as (key offset, coefficient) pairs,
-and the products are collected once, over one common denominator.  No
-polynomial is multiplied and no value is built per term, so a shear costs
-about one operation per product it collects.
+Each ring's value runs its own kernels as methods: the shear
+(``LaurentPoly.shear``, ``PolyH.shear``) and the divisibility test
+(``LaurentPoly.divides`` over the coset chains of ``_coset_chains``,
+``PolyH.divides`` by a shear onto the hyperplane).  The two exact divisions
+stay module functions, ``divide_by_cyclotomic`` and
+``divide_by_linear_form``, which ``divide`` calls by module-global name.
+The H shear works on the same packed lists: the d-th power of each
+variable's image is built once per call from its multinomial expansion
+(``_linear_power``), every term of the value is multiplied out against the
+powers of its variables as (key offset, coefficient) pairs, and the
+products are collected once, over one common denominator.  No polynomial is
+multiplied and no value is built per term, so a shear costs about one
+operation per product it collects.
 
 No answer is ever wrapped.  Every stored exponent has |e_i| < 2^62
 (``LIMIT``), so the sum of two fits a field and no carry crosses into the
@@ -63,16 +69,21 @@ each term, a power of a linear form with m terms to the d-th as
 C(d + m - 1, m - 1), and the products of a shear as the sum over its
 terms of the product of their powers' term counts.  The two counts by
 pivot degree are worst cases per term, and they also bound the size of the
-coefficients, which grow with each term's pivot degree.  Where one passes
-the budget and the value is homogeneous, of degree D in rank n, its terms
-are counted again by the size of the answer, the monomials of its degree
-(``_past_budget``): at most C(D + n - 2, n - 2) terms on the hyperplane and
+coefficients, which grow with each term's pivot degree.  A shear counts
+the powers it builds the way the divisibility test counts its restriction,
+C(d + m - 1, m) for the d-th power of an image of m terms and nothing for
+an image +-x_j, so a power whose coefficients would outgrow memory is
+refused before it is built.  Where one of these three counts passes the
+budget and the value is homogeneous, of degree D in rank n, its terms are
+counted again by the size of the answer, the monomials of its degree
+(``_past_budget``): at most C(D + n - 2, n - 2) terms on the hyperplane,
 C(D + n - 2, n - 1) in the quotient, which the walk's terms, all of degree
-D - 1, cannot exceed.  Its coefficients are still bounded: the count by
-pivot degree must stay within ``SIZE_BUDGET`` and D within the budget.  A
-value of mixed degrees keeps the worst case.  Exponents of a valid class
-may lie 2^62 apart, so without the budget a single division could try to
-fill a gap of that length.
+D - 1, cannot exceed, and C(D + k - 1, k - 1) in a shear whose images
+leave k variables.  Its coefficients are still bounded: the count, by
+pivot degree or by power, must stay within ``SIZE_BUDGET`` and D within
+the budget.  A value of mixed degrees keeps the worst case.  Exponents of
+a valid class may lie 2^62 apart, so without the budget a single division
+could try to fill a gap of that length.
 
 Each coefficient ring is one class, ``K = LaurentPoly`` for K-theory and
 ``H = PolyH`` for cohomology, and holds what a construction needs to know
@@ -84,7 +95,7 @@ the shear e -> e - <sigma, e> a that the local index and the Kirwan
 restriction apply, and the JSON and text forms, as methods of each value,
 which also work called on the class (``H.divide(p, w)``).  H tests
 divisibility by restricting to the hyperplane <w, x> = 0, K by the coset
-sums of ``cyclotomic_divides``; neither builds a quotient.  ``RINGS`` maps
+sums of ``_coset_chains``; neither builds a quotient.  ``RINGS`` maps
 the CLI mode names to the classes.
 
 ``LocalizedSum`` (sums of fractions whose denominators are products of
@@ -332,12 +343,12 @@ def _too_long(what="a coefficient"):
 
 
 def _past_budget(p, count, shift, variables):
-    """Whether a division's worst-case count, by pivot degree, refuses the
-    H value p.  A count past ``TERM_BUDGET`` refuses a value of mixed
-    degrees.  A homogeneous value of degree D is let through while its
-    answer, the monomials of degree D + shift in ``variables`` variables,
-    has at most the budget's terms, and its coefficients stay bounded: the
-    count, which sums each term's coefficient growth, at most
+    """Whether a worst-case count, by pivot degree or by a shear's powers,
+    refuses the H value p.  A count past ``TERM_BUDGET`` refuses a value of
+    mixed degrees.  A homogeneous value of degree D is let through while
+    its answer, the monomials of degree D + shift in ``variables``
+    variables, has at most the budget's terms, and its coefficients stay
+    bounded: the count, which sums each term's coefficient growth, at most
     ``SIZE_BUDGET``, and D at most the budget."""
     if count <= TERM_BUDGET:
         return False
@@ -385,19 +396,14 @@ class _Poly:
     @classmethod
     def _new(cls, rank, terms, top):
         """Unchecked constructor for keys known to be valid, with a bound on
-        their exponents; it takes ownership of ``terms``."""
+        their exponents; it takes ownership of ``terms``, a term dict that
+        sums may have been taken into in place (``sub_product``), and drops
+        its zero terms."""
         p = object.__new__(cls)
         p.rank = rank
         p.terms = terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
         p.top = top
         return p
-
-    @classmethod
-    def from_sum(cls, rank, terms, top):
-        """The value of a term dict that sums were taken into in place
-        (``sub_product``), with ``top`` a bound on its exponents: a copy
-        without the zero terms."""
-        return cls._new(rank, {e: c for e, c in terms.items() if c}, top)
 
     @classmethod
     def zero(cls, rank):
@@ -680,11 +686,32 @@ class LaurentPoly(_Poly):
         return divide_by_cyclotomic(self, *ws)
 
     def divides(self, w):
-        return cyclotomic_divides(self, w)
+        """Whether (1 - e^w) divides the value: every coset chain sums to
+        zero (``_coset_chains``).  No quotient is built, so the cost does not
+        grow with exponent gaps."""
+        return _coset_chains(self, w)[1]
 
     def shear(self, sigma, a):
-        """The lattice map v -> v - <sigma, v> a applied to the value."""
-        return shear_exponents(self, sigma, a)
+        """The ring map e^v -> e^(v - <sigma, v> a).
+
+        Each term is decoded once; its key moves by <sigma, v> packed copies
+        of a, and every field it lands on is checked against the limit.
+        """
+        rank = self.rank
+        delta = _pack_delta(a)
+        out, top = {}, 0
+        for e, c in self.terms.items():
+            v = _unpack(e, rank)
+            s = wt_dot(sigma, v)
+            if s:
+                v = [x - s * y for x, y in zip(v, a)]
+                e -= s * delta
+            size = max(map(abs, v), default=0)
+            if size >= LIMIT:
+                raise _too_large("shear")
+            top = max(top, size)
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly._new(rank, out, top)
 
     def apply_matrix(self, m):
         """Push exponents through v -> m @ v; m may change the rank."""
@@ -761,11 +788,92 @@ class PolyH(_Poly):
             raise _too_many("divisibility test")
         sigma = [0] * self.rank
         sigma[pivot] = int_or_fraction(Fraction(1, w[pivot]))
-        return shear_variables(self, sigma, w).is_zero()
+        return self.shear(sigma, w).is_zero()
 
     def shear(self, sigma, a):
-        """The lattice map v -> v - <sigma, v> a applied to the value."""
-        return shear_variables(self, sigma, a)
+        """The ring map x_t -> x_t - sigma_t <a, x>, the variables with
+        sigma_t = 0 fixed.
+
+        Each image is an int form over a denominator q_t.  The terms are
+        staged first: each power of an image that a term needs is recorded
+        with its term count, C(d + m - 1, m - 1) for the d-th power of an
+        image of m terms, which is checked against the budget, and so is the
+        sum over the terms of the product of their powers' counts.  Each
+        power is also counted as ``divides`` counts the restriction: an
+        image +-x_j grows no coefficient and counts nothing, and the d-th
+        power of any other image of m terms counts C(d + m - 1, m).  That
+        sum is checked once, after the staging and before any power is
+        built, a homogeneous value being let through by the size of its
+        answer, the monomials of its degree in the variables that stay
+        (``_past_budget``).  Each power is then built from its multinomial
+        expansion (``_linear_power``), every staged term is multiplied out
+        against its powers as a list of (key offset, coefficient) pairs,
+        like ``sub_product``, and all the products are collected once into
+        the result.  The coefficients are taken over one common denominator,
+        so the sums are of ints, and divided by it at the end.  A term whose
+        exponents could reach the limit, the value's bound plus its sheared
+        degree, has its true bound worked out first (``_shear_bound``)."""
+        rank = self.rank
+        units = [_unit_key(rank, i) for i in range(rank)]
+        images = []
+        for t, st in enumerate(sigma):
+            if st:
+                image = [-st * y for y in a]
+                image[t] += 1
+                q = 1
+                if type(st) is not int:
+                    q = math.lcm(*(c.denominator for c in image))
+                    image = [(c * q).numerator for c in image]
+                form = [(u, c) for u, c in zip(units, image) if c]
+                grows = q != 1 or len(form) != 1 or form[0][1] not in (1, -1)  # not +-x_j
+                images.append((FIELD * (rank - 1 - t), q, {}, form, grows))
+        staged = []  # (key with the sheared fields at zero, coefficient, (powers, degree) pairs)
+        top = products = growth = 0
+        for e, c in self.terms.items():
+            base, den, deg, size, needs = e, 1, 0, 1, []
+            for shift, q, powers, form, grows in images:
+                d = ((e >> shift) & MASK) - BIAS
+                if d:
+                    if not form:
+                        break  # the image is zero
+                    count = powers.get(d)
+                    if count is None:
+                        count = powers[d] = math.comb(d + len(form) - 1, len(form) - 1)
+                        if count > TERM_BUDGET:
+                            raise _too_many("shear")
+                        growth += math.comb(d + len(form) - 1, len(form)) if grows else 0
+                    size *= count
+                    needs.append((powers, d))
+                    base -= d << shift
+                    deg += d
+                    if q != 1:
+                        den *= q ** d
+            else:
+                products += size
+                if products > TERM_BUDGET:
+                    raise _too_many("shear")
+                bound = self.top + deg
+                top = max(top, bound if bound < LIMIT else _shear_bound(e, rank, images))
+                staged.append((base, c if den == 1 else Fraction(c, den), needs))
+        # the answer keeps every variable but a lone sheared x_t with
+        # sigma_t a_t = 1, whose image lacks it
+        if _past_budget(self, growth, 0, rank - (len(images) == 1 and wt_dot(sigma, a) == 1)):
+            raise _too_many("shear")
+        for _, _, powers, form, _ in images:
+            for d in powers:
+                powers[d] = _linear_power(form, d)  # the power in place of its count
+        scale = math.lcm(*(c.denominator for _, c, _ in staged))
+        out = {}
+        get = out.get
+        for base, c, needs in staged:
+            prod = [(base, c.numerator * (scale // c.denominator))]
+            for powers, d in needs:
+                prod = [(o + k, y * z) for k, z in powers[d] for o, y in prod]
+            for k, y in prod:
+                out[k] = get(k, 0) + y
+        if scale != 1:
+            out = {k: int_or_fraction(Fraction(v, scale)) for k, v in out.items() if v}
+        return PolyH._new(rank, out, top)
 
     def scaled(self, f):
         """The product with the rational f, its integral coefficients ints."""
@@ -827,12 +935,6 @@ def _coset_chains(p, w):
         terms.append((base, k, c, e))
         totals[base] = totals.get(base, 0) + c
     return terms, not any(totals.values()), delta
-
-
-def cyclotomic_divides(p, w):
-    """Whether (1 - e^w) divides p: every coset chain sums to zero.  No
-    quotient is built, so the cost does not grow with exponent gaps."""
-    return _coset_chains(p, w)[1]
 
 
 def divide_by_cyclotomic(p, *ws):
@@ -962,29 +1064,6 @@ def _linear_quotient(p, w):
 # ---------------------------------------------------------------------------
 # lattice substitutions
 
-def shear_exponents(p, sigma, a):
-    """The ring map e^v -> e^(v - <sigma, v> a) on character sums.
-
-    Each term is decoded once; its key moves by <sigma, v> packed copies of
-    a, and every field it lands on is checked against the limit.
-    """
-    rank = p.rank
-    delta = _pack_delta(a)
-    out, top = {}, 0
-    for e, c in p.terms.items():
-        v = _unpack(e, rank)
-        s = wt_dot(sigma, v)
-        if s:
-            v = [x - s * y for x, y in zip(v, a)]
-            e -= s * delta
-        size = max(map(abs, v), default=0)
-        if size >= LIMIT:
-            raise _too_large("shear")
-        top = max(top, size)
-        out[e] = out.get(e, 0) + c
-    return LaurentPoly._new(rank, out, top)
-
-
 def _linear_power(form, d):
     """The d-th power of the form sum c_i x_i, given as (unit key, int c_i)
     pairs, as (key offset, coefficient) pairs, one per term of its
@@ -1009,76 +1088,6 @@ def _linear_power(form, d):
     return [(off + left * unit, x * pw[left]) for off, x, left in parts]
 
 
-def shear_variables(p, sigma, a):
-    """The same map on polynomials: x_t -> x_t - sigma_t <a, x>, the
-    variables with sigma_t = 0 fixed.
-
-    Each image is an int form over a denominator q_t, and the d-th power of
-    one is built once per call from its multinomial expansion
-    (``_linear_power``) after its term count, C(d + m - 1, m - 1) for an
-    image of m terms, is checked against the budget.  Every term of p is
-    then multiplied out against the powers of its sheared variables as a
-    list of (key offset, coefficient) pairs, like ``sub_product``, with the
-    sum over the terms of the product of their lengths checked against the
-    budget before any is built, and all the products are collected once
-    into the result.  The coefficients are taken over one common
-    denominator, so the sums are of ints, and divided by it at the
-    end.  A term whose exponents could reach the limit, p's bound plus its
-    sheared degree, has its true bound worked out before it is multiplied
-    (``_shear_bound``)."""
-    rank = p.rank
-    units = [_unit_key(rank, i) for i in range(rank)]
-    images = []
-    for t, st in enumerate(sigma):
-        if st:
-            image = [-st * y for y in a]
-            image[t] += 1
-            q = 1
-            if type(st) is not int:
-                q = math.lcm(*(c.denominator for c in image))
-                image = [(c * q).numerator for c in image]
-            form = [(u, c) for u, c in zip(units, image) if c]
-            images.append((FIELD * (rank - 1 - t), q, {}, form))
-    staged = []  # (key with the sheared fields at zero, coefficient, powers)
-    top = products = 0
-    for e, c in p.terms.items():
-        base, den, deg, lists = e, 1, 0, []
-        for shift, q, powers, form in images:
-            d = ((e >> shift) & MASK) - BIAS
-            if d:
-                if not form:
-                    break  # the image is zero
-                power = powers.get(d)
-                if power is None:
-                    if math.comb(d + len(form) - 1, len(form) - 1) > TERM_BUDGET:
-                        raise _too_many("shear")
-                    power = powers[d] = _linear_power(form, d)
-                lists.append(power)
-                base -= d << shift
-                deg += d
-                if q != 1:
-                    den *= q ** d
-        else:
-            products += math.prod(map(len, lists))
-            if products > TERM_BUDGET:
-                raise _too_many("shear")
-            bound = p.top + deg
-            top = max(top, bound if bound < LIMIT else _shear_bound(e, rank, images))
-            staged.append((base, c if den == 1 else Fraction(c, den), lists))
-    scale = math.lcm(*(c.denominator for _, c, _ in staged))
-    out = {}
-    get = out.get
-    for base, c, lists in staged:
-        prod = [(base, c.numerator * (scale // c.denominator))]
-        for power in lists:
-            prod = [(o + k, y * z) for k, z in power for o, y in prod]
-        for k, y in prod:
-            out[k] = get(k, 0) + y
-    if scale != 1:
-        out = {k: int_or_fraction(Fraction(v, scale)) for k, v in out.items() if v}
-    return PolyH._new(rank, out, top)
-
-
 def _shear_bound(e, rank, images):
     """The largest exponent of the shear of the monomial of key e: each
     coordinate keeps its degree unless its variable is sheared, and gains
@@ -1086,7 +1095,7 @@ def _shear_bound(e, rank, images):
     past the limit, before any key of the product is formed."""
     v = list(_unpack(e, rank))
     out = list(v)
-    for shift, _q, _powers, form in images:
+    for shift, _q, _powers, form, _grows in images:
         t = rank - 1 - shift // FIELD
         d, out[t] = v[t], out[t] - v[t]
         for unit, _c in form:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gkmcalc import classes as cl
-from gkmcalc import cli, cohomology
+from gkmcalc import cli, cohomology, symcore
 from gkmcalc.cli import main, make_parser, parse_args
 from gkmcalc.errors import NonConstantQuotient, ValidationError
 from gkmcalc.serialize import class_from_dict, dumps, toric_input_from_dict
@@ -264,6 +264,68 @@ def test_a_failing_division_of_a_high_power_is_refuted_quickly(tmp_path, capsys)
         assert json.loads(err) == {
             "error": "contract", "message": "push-forward of a non-class: value at a is not "
                                             "a multiple of its Euler class"}
+
+
+@pytest.mark.parametrize("power", [40000, 60000, (1 << 20) - 1])
+def test_a_shear_counts_the_coefficients_of_the_powers_it_builds(tmp_path, capsys, monkeypatch,
+                                                                 power):
+    # x1^D at the top vertex a of this CP^2 image: the local index shears it
+    # along a's frame, and the D-th power of x1's image has D + 1 terms whose
+    # coefficients grow with D; counted by term alone the shear built it
+    # (2^20 - 1: MemoryError in the power, 40,000: exit 3 only after about
+    # a minute), counted as ``divides`` counts it the shear refuses at once
+    graph = {"rank": 2, "vertices": [{"id": "a", "psi": ["0", "0"]}, {"id": "b", "psi": ["2", "-3"]},
+                                     {"id": "c", "psi": ["1", "-1"]}],
+             "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
+    klass = {"mode": "cohomology", "class": {"a": [["1", [power, 0]]], "b": [], "c": []}}
+    built = []
+    linear_power = symcore._linear_power
+    monkeypatch.setattr(symcore, "_linear_power",
+                        lambda form, d: built.append(d) or linear_power(form, d))
+    start = time.perf_counter()
+    rc, out, err = run_cli(["local-index", "--input", _write(tmp_path, "g.json", graph),
+                            "--class", _write(tmp_path, "c.json", klass), "--vertex", "a",
+                            "--mode", "cohomology"], capsys)
+    assert time.perf_counter() - start < 3
+    assert (rc, out) == (3, "")
+    _assert_clean_exit(rc, err)
+    assert json.loads(err) == {"error": "contract",
+                               "message": f"shear: more than {TERM_BUDGET} terms"}
+    assert built == []
+
+
+# the arguments of one call of each command
+ONE_OF_EACH = {
+    "graph": ["--fixture", "cp2"],
+    "check": ["--fixture", "cp2", "--class", "tau:p1"],
+    "basis": ["--fixture", "cp2"],
+    "pd": ["--fixture", "hirzebruch"],
+    "gt": ["--fixture", "cp2"],
+    "local-index": ["--fixture", "cp2", "--class", "tau:p1", "--vertex", "p1"],
+    "index": ["--fixture", "cp2", "--class", "one", "--mode", "cohomology"],
+    "structure": ["--fixture", "cp2"],
+    "kirwan": ["--fixture", "square", "--pi", "1,1"],
+    "verify": ["--fixture", "cp2"],
+}
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(make_parser().commands))
+def test_every_command_reaches_stdout_in_one_write(monkeypatch, command, fmt):
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([command] + ONE_OF_EACH[command] + ["--format", fmt]) == 0
+    assert out.writes == 1 and out.getvalue().endswith("\n")
 
 
 TRIANGLE = {

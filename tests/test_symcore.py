@@ -23,11 +23,9 @@ from gkmcalc.symcore import (
     TERM_BUDGET,
     PolyH,
     canonical_sign,
-    cyclotomic_divides,
     divide_by_cyclotomic,
     divide_by_linear_form,
     rational_primitive,
-    shear_variables,
     substitute_linear,
     substitute_linear_h,
     wt_scale,
@@ -212,7 +210,7 @@ def test_cyclotomic_divides_iff_every_coset_sums_to_zero():
         q = divide_by_cyclotomic(p, w)
         divisible = all(s == 0 for s in _coset_sums(p, w))
         assert (q is not None) == divisible
-        assert cyclotomic_divides(p, w) == divisible
+        assert K.divides(p, w) == divisible
         if q is not None:
             hits += 1
             assert LaurentPoly.factor(w) * q == p
@@ -371,7 +369,7 @@ def test_packed_cyclotomic_division_matches_tuple_keys():
             p = _ref_add(p, {tuple(r.randint(-3, 3) for _ in range(rank)): 1})
         ref = _ref_divide_by_cyclotomic(p, w)
         got = divide_by_cyclotomic(LaurentPoly(rank, p), w)
-        assert cyclotomic_divides(LaurentPoly(rank, p), w) == (ref is not None)
+        assert K.divides(LaurentPoly(rank, p), w) == (ref is not None)
         if ref is None:
             assert got is None
         else:
@@ -474,7 +472,7 @@ def test_results_past_the_term_budget_are_refused():
     with pytest.raises(ContractError, match="terms"):
         divide_by_linear_form(PolyH(2, {(n, 0): 1, (0, n): -1}), (1, -1))
     with pytest.raises(ContractError, match="terms"):
-        shear_variables(PolyH(2, {(0, n): 1}), (1, 1), (1, 0))  # (x2 - x1)^n
+        H.shear(PolyH(2, {(0, n): 1}), (1, 1), (1, 0))  # (x2 - x1)^n
     # x1 -> -x1 - 2 x2 and x2 -> -2 x1 - x2: a term x1^a x2^b makes
     # (a + 1)(b + 1) products, within the budget for each of these three
     # terms but past it for their sum
@@ -482,7 +480,7 @@ def test_results_past_the_term_budget_are_refused():
     assert max((a + 1) * (b + 1) for a, b in terms) <= TERM_BUDGET
     assert sum((a + 1) * (b + 1) for a, b in terms) > TERM_BUDGET
     with pytest.raises(ContractError, match="shear: more than"):
-        shear_variables(PolyH(2, terms), (1, 1), (2, 2))
+        H.shear(PolyH(2, terms), (1, 1), (2, 2))
 
 
 def test_gaps_without_quotient_terms_cost_nothing():
@@ -495,7 +493,7 @@ def test_gaps_without_quotient_terms_cost_nothing():
     assert divide_by_linear_form(q, (1, 0)) == PolyH(2, {(big - 1, 1): 3, (0, 0): 1})
     # a power takes about log2(big) products
     assert PolyH.linear_form((-1, 0)) ** (big + 1) == PolyH(2, {(big + 1, 0): -1})
-    assert shear_variables(PolyH(2, {(big, 0): 1}), (1, 1), (1, 0)).is_zero()
+    assert H.shear(PolyH(2, {(big, 0): 1}), (1, 1), (1, 0)).is_zero()
 
 
 def test_exponents_at_the_limit_are_refused():
@@ -708,7 +706,7 @@ def test_integral_h_arithmetic_keeps_int_coefficients():
         lf = PolyH.linear_form(w)
         sigma, shift = rand_weight(r, 2, -2, 2, nonzero=False), rand_weight(r, 2)
         values = [a, b, lf, PolyH.constant(2, r.randint(-3, 3)), a + b, a - b, a * b,
-                  -a, a + 3, 3 - a, a * 2, shear_variables(a, sigma, shift),
+                  -a, a + 3, 3 - a, a * 2, H.shear(a, sigma, shift),
                   divide_by_linear_form(a * lf, w)]
         for v in values:
             assert _ints(v), v
@@ -843,7 +841,7 @@ def test_the_shear_is_the_substitution_by_its_matrix():
         a = rand_weight(r, rank, -3, 3, nonzero=False)
         unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
         images = [tuple(int(i == t) - sigma[t] * y for i, y in enumerate(a)) for t in range(rank)]
-        got = shear_variables(p, sigma, a)
+        got = H.shear(p, sigma, a)
         assert got == substitute_linear_h(p, unit, images), (p, sigma, a)
         assert got.top >= max((max(e) for e, _ in got.sorted_terms()), default=0)
         if trial % 2:
@@ -900,17 +898,24 @@ def test_h_budgets_count_the_answer_of_a_homogeneous_value(monkeypatch):
     with pytest.raises(ContractError, match="linear form division: more than"):
         divide_by_linear_form(many, (2, -3))
     assert built == []
+    # x1^1450 x2^1450 x3^1450 passes the budget by pivot degree at every
+    # pivot, but its restriction to the hyperplane of (2, 3, 5) is a form of
+    # degree 4350 in two variables, and the shear that computes it counts
+    # its answer in those two, not in all three
+    assert 1451 * 1450 // 2 > TERM_BUDGET
+    assert not PolyH(3, {(1450, 1450, 1450): 1}).divides((2, 3, 5))
+    assert built == [1450]
 
 
 def test_a_shear_past_the_exponent_limit_is_refused():
     half = 1 << 61
     # x1 -> x2 sends x1^(2^61) x2^(2^61) to x2^(2^62)
     with pytest.raises(ContractError, match="outside the supported range"):
-        shear_variables(PolyH(2, {(half, half): 1}), (1, 0), (1, -1))
+        H.shear(PolyH(2, {(half, half): 1}), (1, 0), (1, -1))
     # one short of the limit, or summed into different coordinates, it passes
-    got = shear_variables(PolyH(2, {(half - 1, half): 3}), (1, 0), (1, -1))
+    got = H.shear(PolyH(2, {(half - 1, half): 3}), (1, 0), (1, -1))
     assert got.sorted_terms() == [((0, LIMIT - 1), 3)] and got.top == LIMIT - 1
-    got = shear_variables(PolyH(3, {(half, 0, half): 1}), (1, 0, 0), (1, -1, 0))
+    got = H.shear(PolyH(3, {(half, 0, half): 1}), (1, 0, 0), (1, -1, 0))
     assert got.sorted_terms() == [((0, half, half), 1)] and got.top == half
 
 
