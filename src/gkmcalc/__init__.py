@@ -34,8 +34,6 @@ from .symcore import (
     PolyH,
     divide_by_cyclotomic,
     divide_by_linear_form,
-    substitute_linear,
-    substitute_linear_h,
 )
 
 # no code in the package calls the bindings in ktheory; the benchmark's

@@ -47,14 +47,11 @@ def emit_value(args, out, ring, data, value):
 # shared option handling
 
 def load_graph(args):
-    if args.fixture:
-        inp = fixture_input(args.fixture)
-    elif args.input:
-        inp = load_toric_input(args.input)
-    else:
-        raise ValidationError("need --fixture or --input")
+    """The graph of ``--fixture`` or ``--input``, of which the parser lets
+    through exactly one."""
+    inp = fixture_input(args.fixture) if args.input is None else load_toric_input(args.input)
     if args.xi is not None:
-        inp.xi = int_vector(args.xi, "--xi")
+        inp = inp._replace(xi=int_vector(args.xi, "--xi"))
     return build_graph(inp)
 
 
@@ -69,8 +66,6 @@ def int_vector(text, flag):
 def resolve_class(g, spec, ring):
     """Named classes: one, tau:<v>, pd:<v>, point:<v>, gt:<v>, sample;
     anything ending in .json is read as a class file."""
-    if spec is None:
-        raise ValidationError("need --class")
     if spec.endswith(".json"):
         c, file_mode = load_class_file(spec, g.rank)
         if file_mode != ring.name:
@@ -202,8 +197,6 @@ def cmd_structure(args, out, g, ring):
 
 
 def cmd_kirwan(args, out, g, ring):
-    if not args.pi:
-        raise ValidationError("need --pi")
     pi = int_vector(args.pi, "--pi")
     setup = reduced_fixed_data(g, pi)
     if args.klass is not None:
@@ -375,8 +368,9 @@ def make_parser():
         return p
 
     def common(p, mode=True):
-        p.add_argument("--fixture", help="one of: " + ", ".join(fixture_names()))
-        p.add_argument("--input", help="graph JSON file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--fixture", help="one of: " + ", ".join(fixture_names()))
+        source.add_argument("--input", help="graph JSON file")
         p.add_argument("--xi", help="comma separated direction vector")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to a file")

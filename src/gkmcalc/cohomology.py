@@ -1,7 +1,8 @@
 """Theta and the path-sum classes of the index increasing case.
 
 This module computes the projected Euler class ratio Theta for index-jump-one
-edges and the path-sum classes that exist in the index increasing case; every
+edges, from the weights by unique factorization of linear forms, and the
+path-sum classes that exist in the index increasing case; every
 construction on classes lives in ``classes``.  Its three bindings of
 ``classes`` functions to ``H`` have no caller in the package and stay only
 because the benchmark's traced run wraps them by name.
@@ -36,7 +37,7 @@ from .errors import (
 from .gkm import is_index_increasing, upward_closure
 from .symcore import (
     H,
-    PolyH,
+    canonical_sign,
     divide_by_linear_form,
     int_or_fraction,
     rational_primitive,
@@ -54,42 +55,35 @@ icanonical_basis_h = partial(cl.basis, H)
 # ---------------------------------------------------------------------------
 # projected Euler ratio and path-sum classes
 
-def _projected_factor(u, w, w_xi, u_xi):
-    """Integer-cleared image of u under X -> X - (X(xi)/w(xi)) w."""
-    return wt_sub(wt_scale(u, w_xi), wt_scale(w, u_xi))
-
-
 def theta(g, edge):
     """Constant ratio of the projected negative Euler classes across an
-    index-jump-one edge.  Computed by projection, product and exact division
-    rather than assumed; equals 1 on every toric fixture."""
-    xi = g.xi
-    lam1 = g.point(edge.src).lam
-    lam2 = g.point(edge.dst).lam
-    if lam2 != lam1 + 1:
-        raise NotECanEdge(f"edge {edge.src}->{edge.dst} jumps {lam2 - lam1}")
+    index-jump-one edge; equals 1 on every toric fixture.
+
+    The weights u at the lower end, and at the top end all but the edge's
+    own weight w, are projected along w into the kernel of xi, as the
+    integer vectors <w, xi> u - <u, xi> w.  Each projection splits as
+    content * sign * canonical form (``wt_primitive``, ``canonical_sign``).
+    Linear forms over Q factor uniquely, so the two products have a
+    constant ratio exactly when their sorted canonical forms agree, and the
+    ratio is then that of the signed contents."""
+    src, dst = g.point(edge.src), g.point(edge.dst)
+    if dst.lam != src.lam + 1:
+        raise NotECanEdge(f"edge {edge.src}->{edge.dst} jumps {dst.lam - src.lam}")
     w = edge.weight
-    w_xi = wt_dot(w, xi)
-    num = PolyH.one(g.rank)
-    for u in g.point(edge.src).wplus:
-        num = num * PolyH.linear_form(_projected_factor(u, w, w_xi, wt_dot(u, xi)))
-    bottom = list(g.point(edge.dst).wplus)
-    bottom.remove(w)
-    quot = num
-    scale = Fraction(1)
-    for u in bottom:
-        v = _projected_factor(u, w, w_xi, wt_dot(u, xi))
-        prim, content = wt_primitive(v)
-        quot = divide_by_linear_form(quot, prim)
-        if quot is None:
-            raise NonConstantQuotient(
-                f"projected factor does not divide on {edge.src}->{edge.dst}")
-        scale *= content
-    const = quot.constant_value()
-    if const is None:
+    w_xi = wt_dot(w, g.xi)
+    upper = list(dst.wplus)
+    upper.remove(w)
+    scales, forms = [1, 1], ([], [])
+    for end, weights in enumerate((src.wplus, upper)):
+        for u in weights:
+            prim, content = wt_primitive(wt_sub(wt_scale(u, w_xi), wt_scale(w, wt_dot(u, g.xi))))
+            form, sign = canonical_sign(prim)
+            scales[end] *= sign * content
+            forms[end].append(form)
+    if sorted(forms[0]) != sorted(forms[1]):
         raise NonConstantQuotient(
-            f"ratio on {edge.src}->{edge.dst} is not constant")
-    return const / scale
+            f"projected factor does not divide on {edge.src}->{edge.dst}")
+    return Fraction(*scales)
 
 
 def ecan_edges(g):

@@ -83,19 +83,10 @@ from .symcore import (
 )
 
 
-class ToricInput:
-    """A polytope as read: ``rank``, ``vertices`` [(id, psi tuple of ints
-    and Fractions)], optional undirected ``edges`` [(id, id)] and an
-    optional direction ``xi``; the CLI and tests set ``xi`` and ``edges``
-    after construction."""
-
-    __slots__ = ("rank", "vertices", "edges", "xi")
-
-    def __init__(self, rank, vertices, edges=None, xi=None):
-        self.rank = rank
-        self.vertices = vertices
-        self.edges = edges
-        self.xi = xi
+# a polytope as read: vertices [(id, psi tuple of ints and Fractions)],
+# optional undirected edges [(id, id)] and an optional direction xi; a
+# changed copy comes from ``_replace``
+ToricInput = namedtuple("ToricInput", "rank vertices edges xi", defaults=(None, None))
 
 
 # weight: primitive, pairs positively with xi; psi(dst) - psi(src) = mult * weight

@@ -49,9 +49,8 @@ def reduced_fixed_data(g, pi):
     incident = sorted((g.order_index(other), other, w)
                       for other, w in g.adjacency[top].items())
     weights = [w for _, _, w in incident]
+    # no pairing is 0: that edge's other end would tie the top's value
     pairings = [wt_dot(w, pi) for w in weights]
-    if any(c == 0 for c in pairings):
-        raise NonUniqueMaximum("an edge at the top is level for the covector")
 
     points = []
     for i, (_, source, v_i) in enumerate(incident):

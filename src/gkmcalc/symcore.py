@@ -100,8 +100,8 @@ the CLI mode names to the classes.
 
 ``LocalizedSum`` (sums of fractions whose denominators are products of
 factors, reduced over a least common denominator with the two exact
-divisions), ``Irreducible``, ``canonical_sign`` and the general lattice
-substitutions ``substitute_linear``/``_h`` have no caller in the program:
+divisions), ``Irreducible`` and the general lattice substitutions
+``substitute_linear``/``_h`` have no caller in the program:
 the global indices expand in the flow-up duals, the path sums follow a
 one-step recursion and the local index is a divided difference of shears.
 They stay here because the benchmark's traced run wraps them by name; the
@@ -569,8 +569,6 @@ class _Poly:
         terms that stay.  So every regular table gives the values and bounds
         that ``from_terms`` gives value by value, and on None the caller
         reads the table that way, which raises what it raises."""
-        if rank < 1:
-            return None
         values = list(table.values())
         if not _LIST.issuperset(map(type, values)):
             return None
@@ -895,15 +893,6 @@ class PolyH(_Poly):
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
-
-    def constant_value(self):
-        """The value of a constant polynomial, else None."""
-        if not self.terms:
-            return 0
-        zero = _zero_key(self.rank)
-        if len(self.terms) == 1 and zero in self.terms:
-            return self.terms[zero]
-        return None
 
 
 K, H = LaurentPoly, PolyH

@@ -15,6 +15,9 @@ computes another way, or a fixture builder:
 * ``corrected_class`` is the local-index correction walk that once built
   every basis, and ``full_structure_constants`` expands each whole product
   from the bottom vertex up;
+* ``polynomial_theta`` is the jump-one ratio Theta as a product of
+  projected linear forms divided exactly by the others, the reference for
+  the unique factorization ``cohomology.theta`` uses;
 * ``closure_face`` is the flow-up face as the span closure along edges,
   the breadth-first search that the facet masks replace;
 * ``parsed_terms`` reads JSON terms entry by entry through the constructor,
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 from gkmcalc import classes as cl
 from gkmcalc import gkm
-from gkmcalc.errors import DivisionFailure, ValidationError
+from gkmcalc.errors import DivisionFailure, NonConstantQuotient, NotECanEdge, ValidationError
 from gkmcalc.fixtures import cp_input, fixture_input
 from gkmcalc.gkm import ToricInput, build_graph, flow_face, upward_closure
 from gkmcalc.symcore import (
@@ -46,12 +49,16 @@ from gkmcalc.symcore import (
     K,
     LaurentPoly,
     LocalizedSum,
+    PolyH,
+    divide_by_linear_form,
     parse_int,
     rational_primitive,
     substitute_linear,
     substitute_linear_h,
     wt_dot,
     wt_neg,
+    wt_primitive,
+    wt_scale,
     wt_sub,
 )
 
@@ -186,6 +193,41 @@ def restrict_from_sources(setup, c):
         value = c[p.source]
         out[p.id] = value.shear(p.edge_dual, p.edge_weight)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the jump-one ratio
+
+def polynomial_theta(g, edge):
+    """Theta on a jump-one edge: the product of the projected linear forms
+    of the weights at the lower end, divided exactly by those at the top
+    end without the edge's own weight, which must leave a constant."""
+    lam1, lam2 = g.point(edge.src).lam, g.point(edge.dst).lam
+    if lam2 != lam1 + 1:
+        raise NotECanEdge(f"edge {edge.src}->{edge.dst} jumps {lam2 - lam1}")
+    w = edge.weight
+    w_xi = wt_dot(w, g.xi)
+
+    def projected(u):
+        return wt_sub(wt_scale(u, w_xi), wt_scale(w, wt_dot(u, g.xi)))
+
+    quot = PolyH.one(g.rank)
+    for u in g.point(edge.src).wplus:
+        quot = quot * PolyH.linear_form(projected(u))
+    upper = list(g.point(edge.dst).wplus)
+    upper.remove(w)
+    scale = Fraction(1)
+    for u in upper:
+        prim, content = wt_primitive(projected(u))
+        quot = divide_by_linear_form(quot, prim)
+        if quot is None:
+            raise NonConstantQuotient(
+                f"projected factor does not divide on {edge.src}->{edge.dst}")
+        scale *= content
+    terms = list(quot.sorted_terms())
+    if len(terms) != 1 or any(terms[0][0]):
+        raise NonConstantQuotient(f"ratio on {edge.src}->{edge.dst} is not constant")
+    return terms[0][1] / scale
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def _oriented(r, make, spread=9):
     graphs = []
     while len(graphs) < 2:
         inp = make()
-        inp.xi = tuple(r.randint(-spread, spread) for _ in range(inp.rank))
+        inp = inp._replace(xi=tuple(r.randint(-spread, spread) for _ in range(inp.rank)))
         try:
             graphs.append(build_graph(inp))
         except SuppliedXiNotGeneric:

@@ -412,6 +412,12 @@ def _assert_clean_exit(rc, err):
     (TRIANGLE, {"mode": "ktheory", "class": {"a": [["1", [1, 1]]], "b": {}, "c": []}},
      ["local-index", "--vertex", "a", "--class"],
      "malformed class file: the value at b is not an array: {}"),
+    (TRIANGLE, TRIANGLE_ONE["cohomology"], ["--class"],
+     "class file is cohomology, requested ktheory"),
+    (TRIANGLE, {**TRIANGLE_ONE["ktheory"], "mode": "quantum"}, ["--class"],
+     "malformed class file: unknown mode 'quantum'"),
+    ({**TRIANGLE, "vertices": [{"id": "a", "psi": [True]}, *TRIANGLE["vertices"][1:]]}, None,
+     [], "booleans are not rationals"),
 ])
 def test_malformed_inputs_are_validation_errors(tmp_path, capsys, graph, klass, flags,
                                                 message):
@@ -1074,8 +1080,10 @@ def test_command_parser_gives_the_whole_parsers_namespace(argv):
     ["gt", "--fixture", "cp2", "--mode", "cohomology"],
     ["basis", "--fixture", "cp2", "--mode", "nope"],
     ["local-index", "--fixture", "cp2"],
+    ["graph", "--fixture", "cp2", "--input", "g.json"],
+    ["graph"],
 ], ids=["missing command", "unknown command", "unknown option", "option of another command",
-        "bad choice", "missing required option"])
+        "bad choice", "missing required option", "two graph sources", "no graph source"])
 def test_usage_error_line_is_the_whole_parsers(capsys, argv):
     with pytest.raises(ValidationError) as exc:
         make_parser().parse_args(argv)

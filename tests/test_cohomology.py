@@ -4,15 +4,22 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from gkmcalc import classes as cl
 from gkmcalc.classes import euler_minus, is_kirwan_class, zero_class
 from gkmcalc.cli import main
-from gkmcalc.errors import NonPolynomialIndex, NotECanEdge, NotIndexIncreasing
+from gkmcalc.errors import (
+    NonConstantQuotient,
+    NonPolynomialIndex,
+    NotECanEdge,
+    NotIndexIncreasing,
+    SuppliedXiNotGeneric,
+)
 from gkmcalc.fixtures import fixture_input
-from gkmcalc.gkm import ToricInput, build_graph, is_index_increasing
+from gkmcalc.gkm import Edge, ToricInput, build_graph, is_index_increasing
 from gkmcalc.cohomology import ecan_edges, gt_basis, gt_class, theta
 from gkmcalc.serialize import dumps
 from gkmcalc.symcore import H, Irreducible, LocalizedSum, PolyH, rational_primitive, wt_sub
@@ -25,6 +32,7 @@ from oracles import (
     eval_poly,
     fixture_graph,
     localized_sum,
+    polynomial_theta,
     polytope_input,
     polytope_json,
     product_polytope,
@@ -286,9 +294,7 @@ def test_theta_rejects_big_jump(cp2):
 
 
 def _cp2_along(xi):
-    inp = fixture_input("cp2")
-    inp.xi = xi
-    return build_graph(inp)
+    return build_graph(fixture_input("cp2")._replace(xi=xi))
 
 
 def test_theta_independent_of_direction_vector():
@@ -296,6 +302,53 @@ def test_theta_independent_of_direction_vector():
     for e in ecan_edges(ga):
         (f,) = [f for f in gb.edges if (f.src, f.dst) == (e.src, e.dst)]
         assert theta(ga, e) == theta(gb, f) == Fraction(1)
+
+
+def test_theta_is_the_ratio_of_signed_contents():
+    # on a moment graph the projections at the two ends of an edge are the
+    # same vectors, so Theta is 1 wherever it exists; on bare weight data
+    # the contents and signs of the projections are what is left
+    w = (0, 0, 1)
+    points = {"a": SimpleNamespace(lam=1, wplus=[(2, 0, 5), (0, 3, 1)]),
+              "b": SimpleNamespace(lam=2, wplus=[w, (-1, 0, 7), (0, 1, -4)])}
+    g = SimpleNamespace(rank=3, xi=(1, 1, 1), point=points.__getitem__)
+    e = Edge("a", "b", w, 1)
+    assert theta(g, e) == polynomial_theta(g, e) == Fraction(-6)
+    points["b"].wplus[2] = (1, 1, 0)
+    for ratio in (theta, polynomial_theta):
+        with pytest.raises(NonConstantQuotient):
+            ratio(g, e)
+
+
+def test_theta_matches_the_polynomial_quotient_on_blowups():
+    # seeded blow-ups under random directions, most of them not index
+    # increasing: on every jump-one edge the factorization and the product
+    # with exact divisions give the same ratio or both refuse
+    r = rng(331)
+    agreed, refused, not_increasing = 0, 0, 0
+    for _ in range(220):
+        verts, edges = blowup(r, r.choice(sorted(BASES)), r.randint(0, 2))
+        pairs = sorted(tuple(sorted(e)) for e in edges)
+        rank = len(next(iter(verts.values())))
+        while True:
+            xi = tuple(r.randint(-9, 9) for _ in range(rank))
+            try:
+                g = build_graph(ToricInput(rank, sorted(verts.items()), pairs, xi))
+                break
+            except SuppliedXiNotGeneric:
+                continue
+        not_increasing += not is_index_increasing(g)
+        for e in ecan_edges(g):
+            try:
+                want = polynomial_theta(g, e)
+            except NonConstantQuotient:
+                with pytest.raises(NonConstantQuotient):
+                    theta(g, e)
+                refused += 1
+                continue
+            assert theta(g, e) == want, (e, want)
+            agreed += 1
+    assert agreed + refused >= 1000 and agreed and refused and not_increasing
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_trapezoid(hirzebruch):
 
 def test_explicit_edges_match_detection(cp2):
     inp = cp_input(2)
-    inp.edges = [("p0", "p1"), ("p0", "p2"), ("p1", "p2")]
+    inp = inp._replace(edges=[("p0", "p1"), ("p0", "p2"), ("p1", "p2")])
     g = build_graph(inp)
     assert {(e.src, e.dst, e.weight) for e in g.edges} == \
         {(e.src, e.dst, e.weight) for e in cp2.edges}
@@ -67,7 +67,7 @@ def test_explicit_edges_match_detection(cp2):
 
 def test_wrong_explicit_edges_rejected():
     inp = cp_input(2)
-    inp.edges = [("p0", "p1"), ("p0", "p2")]
+    inp = inp._replace(edges=[("p0", "p1"), ("p0", "p2")])
     with pytest.raises(NotAPolytopeSkeleton):
         build_graph(inp)
 
@@ -448,8 +448,7 @@ def test_non_generic_direction_rejected():
     for xi, match in [((1, 1), "is not generic"),
                       ((1, 2, 3), "xi has 3 entries, expected 2"),
                       ((1,), "xi has 1 entries, expected 2")]:
-        inp = cp_input(2)
-        inp.xi = xi
+        inp = cp_input(2)._replace(xi=xi)
         with pytest.raises(SuppliedXiNotGeneric, match=match):
             build_graph(inp)
 
@@ -490,8 +489,7 @@ def test_minimum_has_only_negative_weights(cp2, cp3, hirzebruch):
 
 def test_reversed_direction_flips_indices():
     fwd = build_graph(cp_input(2))
-    inp = cp_input(2)
-    inp.xi = (-1, -2)
+    inp = cp_input(2)._replace(xi=(-1, -2))
     rev = build_graph(inp)
     for p in fwd.points:
         assert rev.point(p.id).lam == fwd.rank - p.lam
@@ -519,9 +517,7 @@ def test_flow_face_up_from_minimum(cp2, cp3, hirzebruch):
 
 def _reversed(name, g):
     """The fixture oriented by -xi, where flow-down faces are flow-up."""
-    inp = fixture_input(name)
-    inp.xi = tuple(-x for x in g.xi)
-    return build_graph(inp)
+    return build_graph(fixture_input(name)._replace(xi=tuple(-x for x in g.xi)))
 
 
 def test_flow_face_down_at_minimum(cp2):

@@ -386,8 +386,7 @@ def _oracle_graphs():
     for inp in inputs:
         g = build_graph(inp)
         yield g
-        inp.xi = tuple(-x for x in g.xi)
-        yield build_graph(inp)
+        yield build_graph(inp._replace(xi=tuple(-x for x in g.xi)))
 
 
 @pytest.mark.parametrize("ring", [K, H], ids=["ktheory", "cohomology"])

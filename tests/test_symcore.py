@@ -508,6 +508,13 @@ def test_exponents_at_the_limit_are_refused():
         edge * e(1, 0)
     with pytest.raises(ContractError):
         PolyH(1, {(limit // 2,): 1}) ** 2
+    # the divisions refuse a value whose walk along w would leave the range
+    wide = LaurentPoly(1, {(limit - 1,): 1, (0,): -1})
+    for divide in (divide_by_cyclotomic, K.divides):
+        with pytest.raises(ContractError, match="cyclotomic division: exponent outside"):
+            divide(wide, (2,))
+    with pytest.raises(ContractError, match="linear form division: exponent outside"):
+        divide_by_linear_form(PolyH(3, {(limit - 1, 0, 0): 1}), (1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +726,7 @@ def test_non_integral_coefficient_stays_a_fraction():
     assert to_terms(p) == [["-2", [0, 1]], ["3/2", [1, 0]]]
     half = divide_by_linear_form(PolyH.linear_form((1, 0)), (2, 0))
     assert half == PolyH.constant(2, Fraction(1, 2))
-    assert type(half.constant_value()) is Fraction
+    assert [type(c) for c in half.terms.values()] == [Fraction]
     assert H.fmt(half) == "1/2"
 
 
